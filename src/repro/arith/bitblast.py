@@ -29,18 +29,27 @@ constant-false literal.  The gate library folds constant inputs away, so
 every circuit touching the variable shrinks, and the range assertion for
 a ``[0, 2^k - 1]`` variable vanishes entirely.
 
-All clauses are emitted into a :class:`repro.sat.solver.Solver`; when
-``pb_mode`` is enabled the full-adder axioms are emitted as the paper's
-pseudo-Boolean pair ``2*cout + s = x + y + cin`` (section 5.1's PB
-formulation) instead of CNF.
+Emission is buffered: the blaster numbers fresh variables from its own
+counter and appends each gate's clauses as ``[size, lit0, lit1, ...]``
+records to one flat ``array('i')``.  :meth:`Blaster.flush` hands that
+buffer to :meth:`repro.sat.solver.Solver.add_clauses`, which reserves
+the variables in one bulk step and loads every record in one compiled
+pass; the caller (:class:`repro.arith.solver.IntSolver`) flushes at the
+end of each of its operations.  When ``pb_mode`` is enabled the
+full-adder axioms are emitted as the paper's pseudo-Boolean pair
+``2*cout + s = x + y + cin`` (section 5.1's PB formulation) instead of
+CNF; the buffer is flushed before each such PB constraint so clause and
+PB order are exactly those of unbuffered emission.
 """
 
 from __future__ import annotations
 
+import time
+from array import array
+
 from repro.arith.ast import IntConst, IntVar
 from repro.arith.ranges import Range, width_for
 from repro.arith.triplet import TOK_FALSE, TOK_TRUE, ArithDef, BoolDef, CmpDef
-from repro.sat.literals import mklit, neg
 from repro.sat.solver import Solver
 
 __all__ = ["Blaster"]
@@ -62,7 +71,16 @@ class Blaster:
         self.solver = solver
         self.pb_mode = pb_mode
         self.narrow_bits = narrow_bits
-        self._true_lit: int | None = None
+        #: The constant-true literal; -2 (matches no literal) until the
+        #: first use of :attr:`lit_true` creates it.
+        self._true_lit = -2
+        #: Pending clause records and the variable counter: ids below
+        #: ``_head`` were allocated before the buffer's first record,
+        #: ids in ``[_head, _next_var)`` after it.
+        self._buf = array("i")
+        self._emit = self._buf.fromlist
+        self._next_var = solver.nvars
+        self._head = solver.nvars
         self._vectors: dict[int, list[int]] = {}   # IntVar nid -> bit lits
         self._vec_vars: dict[int, IntVar] = {}     # IntVar nid -> IntVar
         self._token_lit: dict[int, int] = {}       # triplet token -> lit
@@ -78,6 +96,65 @@ class Blaster:
         self.gates = 0
         self.gate_hits = 0
         self.narrowed_bits = 0
+        #: Seconds spent handing buffered constraints to the solver.
+        self.t_load = 0.0
+
+    # ------------------------------------------------------------------
+    # Variables and the clause buffer
+    # ------------------------------------------------------------------
+
+    def _new_lit(self) -> int:
+        """Positive literal of a fresh (pending) variable."""
+        v = self._next_var
+        self._next_var = v + 1
+        if not self._buf:
+            self._head = v + 1
+        return v << 1
+
+    def _new_lits(self, n: int) -> list[int]:
+        """Positive literals of ``n`` fresh (pending) variables."""
+        v = self._next_var
+        self._next_var = v + n
+        if not self._buf:
+            self._head = v + n
+        return [(v + i) << 1 for i in range(n)]
+
+    def emit_clause(self, lits: list[int]) -> None:
+        """Buffer one clause (loaded by the next :meth:`flush`)."""
+        self._emit([len(lits), *lits])
+
+    def rebase(self) -> None:
+        """Number new variables after the solver's current last one, so
+        variables the solver handed out elsewhere since the last
+        :meth:`flush` are never reused.  Call with nothing pending."""
+        self._next_var = self._head = self.solver.nvars
+
+    def flush(self) -> None:
+        """Reserve the pending variables and load the buffered clauses.
+
+        Variables allocated before the first buffered record are reserved
+        first and the rest after the solver drops to level 0 -- the order
+        one ``new_var``/``add_clause`` call per request would produce.
+        """
+        t0 = time.perf_counter()
+        sat = self.solver
+        if self._head > sat.nvars:
+            sat.new_vars(self._head - sat.nvars)
+        buf = self._buf
+        if buf:
+            try:
+                sat.add_clauses(buf, new_vars=self._next_var - self._head)
+            finally:
+                del buf[:]
+        self._head = self._next_var
+        self.t_load += time.perf_counter() - t0
+
+    def _add_pb(self, lits: list[int], coefs: list[int], bound: int) -> None:
+        """Flush, then add an engine-level PB constraint (PB mode)."""
+        self.flush()
+        t0 = time.perf_counter()
+        self.solver.add_pb(lits, coefs, bound)
+        self.t_load += time.perf_counter() - t0
 
     # ------------------------------------------------------------------
     # Constants and token mapping
@@ -86,25 +163,15 @@ class Blaster:
     @property
     def lit_true(self) -> int:
         """Literal that is constrained true (created lazily)."""
-        if self._true_lit is None:
-            v = self.solver.new_var()
-            self._true_lit = mklit(v)
-            self.solver.add_clause([self._true_lit])
+        if self._true_lit < 0:
+            t = self._new_lit()
+            self._true_lit = t
+            self._emit([1, t])
         return self._true_lit
 
     @property
     def lit_false(self) -> int:
-        return neg(self.lit_true)
-
-    def _is_const(self, lit: int) -> bool | None:
-        """True/False when ``lit`` is the constant literal, else None."""
-        if self._true_lit is None:
-            return None
-        if lit == self._true_lit:
-            return True
-        if lit == neg(self._true_lit):
-            return False
-        return None
+        return self.lit_true ^ 1
 
     def token_lit(self, tok: int) -> int:
         """SAT literal for a triplet Boolean token."""
@@ -114,7 +181,7 @@ class Blaster:
             return self.lit_false
         base = self._token_lit.get(tok & ~1)
         if base is None:
-            base = mklit(self.solver.new_var())
+            base = self._new_lit()
             self._token_lit[tok & ~1] = base
             self._lit_token[base] = tok & ~1
         return base ^ (tok & 1)
@@ -140,7 +207,7 @@ class Blaster:
             # circuit the variable feeds, because the gate library folds
             # constant inputs.
             nbits = r.hi.bit_length()
-            vec = [mklit(self.solver.new_var()) for _ in range(nbits)]
+            vec = self._new_lits(nbits)
             vec += [self.lit_false] * (w - nbits)
             self.narrowed_bits += w - nbits
             self._vectors[var.nid] = vec
@@ -150,24 +217,24 @@ class Blaster:
             if r.lo > 0:
                 lo_bits = self.const_bits(r.lo, w)
                 ge = self._unsigned_le_signed_flip(lo_bits, vec)
-                self.solver.add_clause([ge])
+                self._emit([1, ge])
             if r.hi != (1 << nbits) - 1:
                 hi_bits = self.const_bits(r.hi, w)
                 le = self._unsigned_le_signed_flip(vec, hi_bits)
-                self.solver.add_clause([le])
+                self._emit([1, le])
             return vec
-        vec = [mklit(self.solver.new_var()) for _ in range(w)]
+        vec = self._new_lits(w)
         self._vectors[var.nid] = vec
         self._vec_vars[var.nid] = var
         # Assert lo <= var <= hi unless the width makes it vacuous.
         if r.lo != -(1 << (w - 1)):
             lo_bits = self.const_bits(r.lo, w)
             ge = self._unsigned_le_signed_flip(lo_bits, vec)
-            self.solver.add_clause([ge])
+            self._emit([1, ge])
         if r.hi != (1 << (w - 1)) - 1:
             hi_bits = self.const_bits(r.hi, w)
             le = self._unsigned_le_signed_flip(vec, hi_bits)
-            self.solver.add_clause([le])
+            self._emit([1, le])
         return vec
 
     def const_bits(self, value: int, w: int) -> list[int]:
@@ -187,43 +254,46 @@ class Blaster:
     # ------------------------------------------------------------------
 
     def gate_and(self, a: int, b: int) -> int:
-        ca, cb = self._is_const(a), self._is_const(b)
-        if ca is False or cb is False:
-            return self.lit_false
-        if ca is True:
+        t = self._true_lit
+        f = t ^ 1
+        if a == f or b == f:
+            return f
+        if a == t:
             return b
-        if cb is True:
+        if b == t:
             return a
         if a == b:
             return a
-        if a == neg(b):
+        if a == b ^ 1:
             return self.lit_false
-        key = (min(a, b), max(a, b))
+        key = (a, b) if a < b else (b, a)
         out = self._and_cache.get(key)
         if out is None:
-            out = mklit(self.solver.new_var())
+            out = self._new_lit()
             self.gates += 1
-            add = self.solver.add_clause
-            add([neg(out), a])
-            add([neg(out), b])
-            add([out, neg(a), neg(b)])
+            o = out ^ 1
+            self._emit([2, o, a, 2, o, b, 3, out, a ^ 1, b ^ 1])
             self._and_cache[key] = out
         else:
             self.gate_hits += 1
         return out
 
     def gate_or(self, a: int, b: int) -> int:
-        return neg(self.gate_and(neg(a), neg(b)))
+        return self.gate_and(a ^ 1, b ^ 1) ^ 1
 
     def gate_xor(self, a: int, b: int) -> int:
-        ca, cb = self._is_const(a), self._is_const(b)
-        if ca is not None:
-            return neg(b) if ca else b
-        if cb is not None:
-            return neg(a) if cb else a
+        t = self._true_lit
+        if a == t:
+            return b ^ 1
+        if a == t ^ 1:
+            return b
+        if b == t:
+            return a ^ 1
+        if b == t ^ 1:
+            return a
         if a == b:
             return self.lit_false
-        if a == neg(b):
+        if a == b ^ 1:
             return self.lit_true
         # xor(~a, b) == ~xor(a, b): cache one gate per variable pair on
         # the positive polarities and fold the sign parity into the output.
@@ -234,13 +304,13 @@ class Blaster:
         key = (pa, pb)
         out = self._xor_cache.get(key)
         if out is None:
-            out = mklit(self.solver.new_var())
+            out = self._new_lit()
             self.gates += 1
-            add = self.solver.add_clause
-            add([neg(out), pa, pb])
-            add([neg(out), neg(pa), neg(pb)])
-            add([out, neg(pa), pb])
-            add([out, pa, neg(pb)])
+            o = out ^ 1
+            na = pa ^ 1
+            nb = pb ^ 1
+            self._emit([3, o, pa, pb, 3, o, na, nb,
+                        3, out, na, pb, 3, out, pa, nb])
             self._xor_cache[key] = out
         else:
             self.gate_hits += 1
@@ -250,13 +320,14 @@ class Blaster:
         """n-ary AND in one Tseitin gate (n+1 clauses, one variable)
         instead of a chain of binary ANDs (3 clauses and a variable per
         link)."""
+        t = self._true_lit
+        f = t ^ 1
         seen: set[int] = set()
         uniq: list[int] = []
         for b in bits:
-            c = self._is_const(b)
-            if c is False or neg(b) in seen:
+            if b == f or b ^ 1 in seen:
                 return self.lit_false
-            if c is True or b in seen:
+            if b == t or b in seen:
                 continue
             seen.add(b)
             uniq.append(b)
@@ -269,12 +340,16 @@ class Blaster:
         key = tuple(sorted(uniq))
         out = self._and_cache.get(key)
         if out is None:
-            out = mklit(self.solver.new_var())
+            out = self._new_lit()
             self.gates += 1
-            add = self.solver.add_clause
+            o = out ^ 1
+            rec: list[int] = []
             for b in uniq:
-                add([neg(out), b])
-            add([out] + [neg(b) for b in uniq])
+                rec += (2, o, b)
+            rec.append(len(uniq) + 1)
+            rec.append(out)
+            rec += [b ^ 1 for b in uniq]
+            self._emit(rec)
             self._and_cache[key] = out
         else:
             self.gate_hits += 1
@@ -288,51 +363,65 @@ class Blaster:
         composing them from and/or/ite gates by roughly 2x in clauses
         and 3x in auxiliary variables.
         """
-        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            cu = self._is_const(u)
-            if cu is True:
-                return self.gate_or(v, w)
-            if cu is False:
-                return self.gate_and(v, w)
+        t = self._true_lit
+        f = t ^ 1
+        if a == t:
+            return self.gate_or(b, c)
+        if a == f:
+            return self.gate_and(b, c)
+        if b == t:
+            return self.gate_or(c, a)
+        if b == f:
+            return self.gate_and(c, a)
+        if c == t:
+            return self.gate_or(a, b)
+        if c == f:
+            return self.gate_and(a, b)
         if a == b or a == c:
             return a
         if b == c:
             return b
-        if a == neg(b):
+        if a == b ^ 1:
             return c
-        if a == neg(c):
+        if a == c ^ 1:
             return b
-        if b == neg(c):
+        if b == c ^ 1:
             return a
-        key = tuple(sorted((a, b, c)))
+        if a < b:
+            lo, hi = a, b
+        else:
+            lo, hi = b, a
+        if c < lo:
+            key = (c, lo, hi)
+        elif c < hi:
+            key = (lo, c, hi)
+        else:
+            key = (lo, hi, c)
         out = self._maj_cache.get(key)
         if out is None:
-            out = mklit(self.solver.new_var())
+            out = self._new_lit()
             self.gates += 1
-            add = self.solver.add_clause
-            add([neg(out), a, b])
-            add([neg(out), a, c])
-            add([neg(out), b, c])
-            add([out, neg(a), neg(b)])
-            add([out, neg(a), neg(c)])
-            add([out, neg(b), neg(c)])
+            o = out ^ 1
+            na, nb, nc = a ^ 1, b ^ 1, c ^ 1
+            self._emit([3, o, a, b, 3, o, a, c, 3, o, b, c,
+                        3, out, na, nb, 3, out, na, nc, 3, out, nb, nc])
             self._maj_cache[key] = out
         else:
             self.gate_hits += 1
         return out
 
     def gate_ite(self, c: int, t: int, e: int) -> int:
-        cc = self._is_const(c)
-        if cc is True:
+        tl = self._true_lit
+        if c == tl:
             return t
-        if cc is False:
+        if c == tl ^ 1:
             return e
         if t == e:
             return t
-        return self.gate_or(self.gate_and(c, t), self.gate_and(neg(c), e))
+        return self.gate_or(self.gate_and(c, t), self.gate_and(c ^ 1, e))
 
     def gate_iff(self, a: int, b: int) -> int:
-        return neg(self.gate_xor(a, b))
+        return self.gate_xor(a, b) ^ 1
 
     def full_adder(self, x: int, y: int, cin: int) -> tuple[int, int]:
         """Full adder (paper eq. 19): returns (sum, carry-out).
@@ -343,19 +432,18 @@ class Blaster:
         majority gate.
         """
         s = self.gate_xor(self.gate_xor(x, y), cin)
-        if self.pb_mode and all(
-            self._is_const(l) is None for l in (x, y, cin)
-        ):
-            cout = mklit(self.solver.new_var())
-            self.gates += 1
-            # cout <-> (x + y + cin >= 2), as two PB constraints.
-            self.solver.add_pb([neg(cout), x, y, cin], [2, 1, 1, 1], 2)
-            self.solver.add_pb(
-                [cout, neg(x), neg(y), neg(cin)], [2, 1, 1, 1], 2
-            )
-        else:
-            cout = self.gate_maj(x, y, cin)
-        return s, cout
+        if self.pb_mode:
+            t = self._true_lit
+            f = t ^ 1
+            if (x != t and x != f and y != t and y != f
+                    and cin != t and cin != f):
+                cout = self._new_lit()
+                self.gates += 1
+                # cout <-> (x + y + cin >= 2), as two PB constraints.
+                self._add_pb([cout ^ 1, x, y, cin], [2, 1, 1, 1], 2)
+                self._add_pb([cout, x ^ 1, y ^ 1, cin ^ 1], [2, 1, 1, 1], 2)
+                return s, cout
+        return s, self.gate_maj(x, y, cin)
 
     # ------------------------------------------------------------------
     # Arithmetic circuits
@@ -377,7 +465,7 @@ class Blaster:
     def sub_vec(self, x: list[int], y: list[int], w: int) -> list[int]:
         """w-bit difference via x + ~y + 1."""
         x = self.extend(x, w)
-        y = [neg(b) for b in self.extend(y, w)]
+        y = [b ^ 1 for b in self.extend(y, w)]
         return self.add_vec(x, y, w, cin=self.lit_true)
 
     def mul_vec(self, x: list[int], y: list[int], w: int) -> list[int]:
@@ -390,9 +478,10 @@ class Blaster:
         y = self.extend(y, w)
         # Accumulate partial products x_i ? (y << i) : 0.
         acc = [self.lit_false] * w
+        f = self._true_lit ^ 1
         for i in range(w):
             xi = x[i]
-            if self._is_const(xi) is False:
+            if xi == f:
                 continue
             partial = [self.lit_false] * i + [
                 self.gate_and(xi, y[j]) for j in range(w - i)
@@ -413,7 +502,7 @@ class Blaster:
         """
         lt = self.lit_false
         for xi, yi in zip(x, y):  # LSB to MSB
-            lt = self.gate_maj(neg(xi), yi, lt)
+            lt = self.gate_maj(xi ^ 1, yi, lt)
         return lt
 
     def _unsigned_le_signed_flip(self, x: list[int], y: list[int]) -> int:
@@ -421,9 +510,9 @@ class Blaster:
         w = max(len(x), len(y))
         x = self.extend(x, w)
         y = self.extend(y, w)
-        fx = x[:-1] + [neg(x[-1])]
-        fy = y[:-1] + [neg(y[-1])]
-        return neg(self._unsigned_lt(fy, fx))
+        fx = x[:-1] + [x[-1] ^ 1]
+        fy = y[:-1] + [y[-1] ^ 1]
+        return self._unsigned_lt(fy, fx) ^ 1
 
     def cmp_lit(self, op: str, x: list[int], y: list[int]) -> int:
         """Literal for a signed comparison of two vectors."""
@@ -434,12 +523,12 @@ class Blaster:
             return self.gate_and_many(
                 [self.gate_iff(xi, yi) for xi, yi in zip(x, y)]
             )
-        fx = x[:-1] + [neg(x[-1])]
-        fy = y[:-1] + [neg(y[-1])]
+        fx = x[:-1] + [x[-1] ^ 1]
+        fy = y[:-1] + [y[-1] ^ 1]
         if op == "<":
             return self._unsigned_lt(fx, fy)
         if op == "<=":
-            return neg(self._unsigned_lt(fy, fx))
+            return self._unsigned_lt(fy, fx) ^ 1
         raise ValueError(f"unknown comparison op {op!r}")
 
     # ------------------------------------------------------------------
@@ -459,24 +548,24 @@ class Blaster:
         clauses (a narrowed vector has constant high bits; the generic
         two-clause equivalence would emit vacuous or single-literal
         clauses the long way around)."""
-        add = self.solver.add_clause
+        emit = self._emit
+        t = self._true_lit
+        f = t ^ 1
         for a, b in zip(xs, ys):
             if a == b:
                 continue
-            ca, cb = self._is_const(a), self._is_const(b)
-            if ca is not None and cb is not None:
-                if ca != cb:
-                    # Contradictory constants: the instance is UNSAT.
-                    add([self.lit_false])
+            a_const = a == t or a == f
+            if a_const and (b == t or b == f):
+                # Distinct constants: the instance is UNSAT.
+                emit([1, f])
                 continue
-            if ca is not None:
-                add([b if ca else neg(b)])
+            if a_const:
+                emit([1, b if a == t else b ^ 1])
                 continue
-            if cb is not None:
-                add([a if cb else neg(a)])
+            if b == t or b == f:
+                emit([1, a if b == t else a ^ 1])
                 continue
-            add([neg(a), b])
-            add([a, neg(b)])
+            emit([2, a ^ 1, b, 2, a, b ^ 1])
 
     def encode_cmp_def(self, d: CmpDef) -> None:
         """Encode ``token <-> (a OP b)``.
@@ -494,8 +583,7 @@ class Blaster:
             self._token_lit[d.out & ~1] = lit
             return
         out = self.token_lit(d.out)
-        self.solver.add_clause([neg(out), lit])
-        self.solver.add_clause([out, neg(lit)])
+        self._emit([2, out ^ 1, lit, 2, out, lit ^ 1])
 
     def encode_arith_def(self, d: ArithDef) -> None:
         """Encode ``out = a OP b`` by building the circuit and equating it
@@ -518,17 +606,21 @@ class Blaster:
         """Tseitin encoding of ``token <-> AND/OR(args)``."""
         out = self.token_lit(d.out)
         args = [self.token_lit(t) for t in d.args]
-        add = self.solver.add_clause
         if d.op == "and":
-            for a in args:
-                add([neg(out), a])
-            add([out] + [neg(a) for a in args])
+            head, inv = out ^ 1, 0
         elif d.op == "or":
-            for a in args:
-                add([out, neg(a)])
-            add([neg(out)] + args)
+            head, inv = out, 1
         else:
             raise ValueError(f"unknown Boolean op {d.op!r}")
+        # and: ~out | a per argument, then out | ~a1 | ~a2 ...
+        # or:   out | ~a per argument, then ~out | a1 | a2 ...
+        rec: list[int] = []
+        for a in args:
+            rec += (2, head, a ^ inv)
+        rec.append(len(args) + 1)
+        rec.append(head ^ 1)
+        rec += [a ^ inv ^ 1 for a in args]
+        self._emit(rec)
 
     # ------------------------------------------------------------------
     # Model readback

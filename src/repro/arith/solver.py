@@ -10,11 +10,18 @@ what makes the paper's binary-search optimization incremental: each probe
 guard literal and solves with that guard assumed, so learnt clauses carry
 over to later probes (the section 7 speedup) while expired bounds are
 simply never assumed again.
+
+The blaster buffers every clause it emits; each public operation here
+(:meth:`IntSolver.require`, :meth:`IntSolver.literal`,
+:meth:`IntSolver.boost`, and the variable lookups of ``solve`` and
+``value_bool``) ends by flushing that buffer into the SAT engine, so
+between operations the engine always holds the whole formula.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 from repro.arith.ast import BoolExpr, BoolVar, IntVar, intern_counters
 from repro.arith.bitblast import Blaster
@@ -101,31 +108,44 @@ class IntSolver:
         :meth:`repro.sat.solver.Solver.tagged`), so unsat-core diagnosis
         can name the model constraint behind each learnt fact.
         """
-        with self.sat.tagged(label):
+        with self.sat.tagged(label), self._batch() as blaster:
             t0 = time.perf_counter()
             root = self.trip.transform(formula)
             self._t_triplet += time.perf_counter() - t0
             self._flush_new_defs()
             if guard is None:
-                if root == TOK_TRUE:
-                    return self.sat.ok
                 if root == TOK_FALSE:
                     # Empty clause rather than a bare ok=False so proof
                     # logging records the contradiction as an input.
-                    return self.sat.add_clause([])
-                return self.sat.add_clause([self.blaster.token_lit(root)])
-            gtok = self.trip.token_for_boolvar(guard)
-            glit = self.blaster.token_lit(gtok)
-            if root == TOK_TRUE:
-                return self.sat.ok
-            if root == TOK_FALSE:
-                return self.sat.add_clause([neg(glit)])
-            return self.sat.add_clause(
-                [neg(glit), self.blaster.token_lit(root)]
-            )
+                    blaster.emit_clause([])
+                elif root != TOK_TRUE:
+                    blaster.emit_clause([blaster.token_lit(root)])
+            else:
+                gtok = self.trip.token_for_boolvar(guard)
+                glit = blaster.token_lit(gtok)
+                if root == TOK_FALSE:
+                    blaster.emit_clause([neg(glit)])
+                elif root != TOK_TRUE:
+                    blaster.emit_clause([neg(glit), blaster.token_lit(root)])
+        return self.sat.ok
+
+    @contextmanager
+    def _batch(self):
+        """Scope of one operation's gate requests: number new variables
+        after the engine's current ones, and flush the blaster's buffer
+        into the engine on the way out (also when the operation raises,
+        so the engine never lags the blaster's gate caches)."""
+        self.blaster.rebase()
+        try:
+            yield self.blaster
+        finally:
+            self.blaster.flush()
 
     def _flush_new_defs(self) -> None:
+        """Bit-blast the Tripletizer's new definitions into the buffer
+        (``t_blast``; PB-mode loads inside it count as ``t_load``)."""
         t0 = time.perf_counter()
+        load0 = self.blaster.t_load
         bool_defs, cmp_defs, arith_defs = self.trip.drain_new_defs()
         # Arithmetic first: comparison encodings may reference the fresh
         # vectors, and vectors assert their range constraints on creation.
@@ -135,7 +155,9 @@ class IntSolver:
             self.blaster.encode_cmp_def(d)
         for d in bool_defs:
             self.blaster.encode_bool_def(d)
-        self._t_blast += time.perf_counter() - t0
+        self._t_blast += (
+            time.perf_counter() - t0 - (self.blaster.t_load - load0)
+        )
 
     # ------------------------------------------------------------------
     # Solving and models
@@ -152,9 +174,8 @@ class IntSolver:
         (a :class:`repro.robust.budget.Budget`) makes the underlying CDCL
         search interruptible; see :meth:`repro.sat.solver.Solver.solve`.
         """
-        lits: list[int] = []
-        for a in assumptions or []:
-            lits.append(self._assumption_lit(a))
+        with self._batch():
+            lits = [self._assumption_lit(a) for a in assumptions or []]
         return self.sat.solve(assumptions=lits, budget=budget)
 
     def _assumption_lit(self, expr: BoolExpr) -> int:
@@ -178,11 +199,12 @@ class IntSolver:
         engine-level pseudo-Boolean constraints over formula truth values
         (e.g. per-ECU memory capacities).
         """
-        t0 = time.perf_counter()
-        tok = self.trip.transform(formula)
-        self._t_triplet += time.perf_counter() - t0
-        self._flush_new_defs()
-        return self.blaster.token_lit(tok)
+        with self._batch() as blaster:
+            t0 = time.perf_counter()
+            tok = self.trip.transform(formula)
+            self._t_triplet += time.perf_counter() - t0
+            self._flush_new_defs()
+            return blaster.token_lit(tok)
 
     def boost(self, var, amount: float = 1.0) -> None:
         """Seed VSIDS activity for a declared variable's SAT bits.
@@ -191,16 +213,15 @@ class IntSolver:
         it if needed) or a BoolVar.  Used to steer early decisions toward
         the problem's primary decision variables.
         """
-        if isinstance(var, BoolVar):
-            tok = self.trip.token_for_boolvar(var)
-            lit = self.blaster.token_lit(tok)
-            self.sat.boost_activity([lit >> 1], amount)
-            return
-        if isinstance(var, IntVar):
-            vec = self.blaster.vector(var)
-            self.sat.boost_activity([l >> 1 for l in vec], amount)
-            return
-        raise TypeError(f"cannot boost {var!r}")
+        if not isinstance(var, (BoolVar, IntVar)):
+            raise TypeError(f"cannot boost {var!r}")
+        with self._batch() as blaster:
+            if isinstance(var, BoolVar):
+                tok = self.trip.token_for_boolvar(var)
+                lits = [blaster.token_lit(tok)]
+            else:
+                lits = blaster.vector(var)
+        self.sat.boost_activity([l >> 1 for l in lits], amount)
 
     def value(self, var: IntVar) -> int:
         """Value of an integer variable in the last model."""
@@ -255,8 +276,9 @@ class IntSolver:
 
     def value_bool(self, var: BoolVar) -> bool:
         """Value of a Boolean variable in the last model."""
-        tok = self.trip.token_for_boolvar(var)
-        return self.sat.model_value(self.blaster.token_lit(tok))
+        with self._batch() as blaster:
+            lit = blaster.token_lit(self.trip.token_for_boolvar(var))
+        return self.sat.model_value(lit)
 
     # ------------------------------------------------------------------
     # Introspection (the paper's Var./Lit. complexity columns)
@@ -310,5 +332,6 @@ class IntSolver:
             t_simplify=t_simplify,
             t_triplet=t_triplet,
             t_blast=self._t_blast,
-            t_total=t_simplify + t_triplet + self._t_blast,
+            t_load=blaster.t_load,
+            t_total=t_simplify + t_triplet + self._t_blast + blaster.t_load,
         )

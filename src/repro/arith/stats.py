@@ -2,9 +2,10 @@
 
 :class:`EncodeStats` aggregates counters from every layer of the encode
 pipeline -- DSL construction (hash-consing), simplification, triplet
-transformation, bit-blasting, and the final CNF/PB sizes -- plus
-per-stage wall time.  :meth:`repro.arith.solver.IntSolver.encode_stats`
-assembles one; it is surfaced on
+transformation, bit-blasting, clause loading, and the final CNF/PB
+sizes -- plus per-stage wall time.
+:meth:`repro.arith.solver.IntSolver.encode_stats` assembles one; it is
+surfaced on
 :class:`repro.core.allocator.AllocationResult` and by the CLI ``--stats``
 flag as JSON.
 """
@@ -51,10 +52,14 @@ class EncodeStats:
     cnf_clauses: int = 0
     cnf_literals: int = 0
     pb_constraints: int = 0
-    #: Per-stage wall time (seconds).
+    #: Per-stage wall time (seconds): ``t_blast`` is gate construction
+    #: into the clause buffer, ``t_load`` the solver loading it
+    #: (variable reservation, the bulk clause load with its level-0
+    #: propagation, and PB-mode constraints).
     t_simplify: float = 0.0
     t_triplet: float = 0.0
     t_blast: float = 0.0
+    t_load: float = 0.0
     t_total: float = 0.0
 
     def to_dict(self) -> dict:

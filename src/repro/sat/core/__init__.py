@@ -3,8 +3,9 @@
 The solver's state lives in flat, buffer-protocol arrays (see
 :mod:`repro.sat.solver` and ``docs/SOLVER.md``); the inner loops that
 consume them — watched-literal propagation, PB slack scanning, the
-trail unwind on backtrack, and the VSIDS heap pop that picks the next
-decision variable — are swappable.  Two implementations exist:
+trail unwind on backtrack, the VSIDS heap pop that picks the next
+decision variable, and the level-0 bulk clause loader — are swappable.
+Two implementations exist:
 
 - ``pure``  — the reference: plain-Python loops over the same arrays.
   Always available; the semantic ground truth.

@@ -1,4 +1,4 @@
-/* Compiled propagation core for the CDCL/PB engine.
+/* Compiled propagation core and clause loader for the CDCL/PB engine.
  *
  * This file is a statement-by-statement translation of
  * repro/sat/core/pure.py and MUST mirror its iteration order exactly:
@@ -7,10 +7,11 @@
  * bit-identical across backends.  Any change here must be made in
  * pure.py first and then transliterated.
  *
- * The arrays are the solver's own array('b'/'i'/'q') buffers, passed as
- * raw addresses via ctypes (see fast.py); nothing is copied.  All
- * allocation (arena growth, trail slots) happens on the Python side --
- * these functions only read and write inside existing bounds.
+ * The arrays are the solver's own array('b'/'i'/'q'/'d') buffers,
+ * passed as raw addresses via ctypes (see fast.py); nothing is copied.
+ * All allocation (arena growth, trail slots, the loader's pre-extended
+ * clause slots) happens on the Python side -- these functions only read
+ * and write inside existing bounds.
  */
 
 #include <stdint.h>
@@ -241,4 +242,97 @@ int sat_pick_branch(
     }
     io[0] = n;
     return var;
+}
+
+/* --- Level-0 bulk clause loader (see load_clauses in pure.py) ------- */
+
+#define LOAD_DONE 0
+#define LOAD_UNIT 1
+#define LOAD_EMPTY 2
+#define LOAD_BAD 3
+
+int sat_load_clauses(
+    int32_t *buf, int64_t end, int64_t nvars,
+    int8_t *assigns, int8_t *seen, int32_t *arena, int32_t *cla_off,
+    int8_t *cla_flags, double *cla_act,
+    int32_t *watch_head, int32_t *watch_next,
+    int64_t *io /* [pos, arena_n, ncla, lit-out] */)
+{
+    int64_t pos = io[0];
+    int64_t arena_n = io[1];
+    int64_t ncla = io[2];
+    int status = LOAD_DONE;
+    while (pos < end) {
+        int64_t size = buf[pos];
+        int64_t rec_end = pos + 1 + size;
+        if (size < 0 || rec_end > end) {
+            io[3] = size;
+            status = LOAD_BAD;
+            break;
+        }
+        int64_t bad = -1;
+        for (int64_t k = pos + 1; k < rec_end; k++) {
+            int32_t lit = buf[k];
+            if (lit < 0 || (lit >> 1) >= nvars) { bad = k; break; }
+        }
+        if (bad != -1) {
+            io[3] = buf[bad];
+            status = LOAD_BAD;
+            break;
+        }
+        /* Simplify into the arena tail (slot 0 is the size header). */
+        int64_t w = arena_n + 1;
+        int skip = 0;
+        for (int64_t k = pos + 1; k < rec_end; k++) {
+            int32_t lit = buf[k];
+            int32_t var = lit >> 1;
+            int8_t val = assigns[var];
+            if (val != UNASSIGNED) {
+                if ((val ^ (lit & 1)) == 1) { skip = 1; break; }
+                continue; /* false at level 0 */
+            }
+            int8_t mark = seen[var];
+            if (mark) {
+                if (mark == 1 + (lit & 1)) continue; /* duplicate */
+                skip = 1; /* tautology */
+                break;
+            }
+            seen[var] = (int8_t)(1 + (lit & 1));
+            arena[w++] = lit;
+        }
+        for (int64_t k = arena_n + 1; k < w; k++)
+            seen[arena[k] >> 1] = 0;
+        pos = rec_end;
+        if (skip) continue;
+        int64_t n = w - arena_n - 1;
+        if (n >= 2) {
+            arena[arena_n] = (int32_t)n;
+            cla_off[ncla] = (int32_t)arena_n;
+            cla_flags[ncla] = 0;
+            cla_act[ncla] = 0.0;
+            /* Push the two watcher nodes onto the lists of the literals
+             * that falsify the watched slots. */
+            int32_t n0 = (int32_t)(ncla << 1);
+            int32_t wl = arena[arena_n + 1] ^ 1;
+            watch_next[n0] = watch_head[wl];
+            watch_head[wl] = n0;
+            wl = arena[arena_n + 2] ^ 1;
+            watch_next[n0 | 1] = watch_head[wl];
+            watch_head[wl] = n0 | 1;
+            arena_n = w;
+            ncla++;
+            continue;
+        }
+        if (n == 1) {
+            io[3] = arena[arena_n + 1];
+            status = LOAD_UNIT;
+        } else {
+            status = LOAD_EMPTY;
+        }
+        break;
+    }
+    io[0] = pos;
+    io[1] = arena_n;
+    io[2] = ncla;
+    return status;
 }

@@ -1,4 +1,5 @@
-"""Compiled propagation core: ``_core.c`` built on demand via ctypes.
+"""Compiled propagation core and clause loader: ``_core.c`` built on
+demand via ctypes.
 
 The C file is a statement-by-statement translation of
 :mod:`repro.sat.core.pure` (see the banner there), compiled once per
@@ -93,6 +94,7 @@ class FastBackend:
         self._propagate = lib.sat_propagate
         self._unwind = lib.sat_unwind
         self._pick = lib.sat_pick_branch
+        self._load = lib.sat_load_clauses
         longlong_p = ctypes.POINTER(ctypes.c_longlong)
         self._propagate.restype = ctypes.c_int
         self._propagate.argtypes = (
@@ -106,6 +108,11 @@ class FastBackend:
         ]
         self._pick.restype = ctypes.c_int
         self._pick.argtypes = [ctypes.c_void_p] * 4 + [longlong_p]
+        self._load.restype = ctypes.c_int
+        self._load.argtypes = (
+            [ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong]
+            + [ctypes.c_void_p] * 9
+        )
         self.library_path = library_path
         self.fallback_reason = None
 
@@ -151,6 +158,15 @@ class FastBackend:
         s.heap_n = io[0]
         return var
 
+    def load_clauses(self, s, buf, io) -> int:
+        bi = lambda a: a.buffer_info()[0]  # noqa: E731
+        return self._load(
+            bi(buf), len(buf), s.nvars,
+            bi(s.assigns), bi(s._seen), bi(s.arena), bi(s.cla_off),
+            bi(s.cla_flags), bi(s.cla_act),
+            bi(s.watch_head), bi(s.watch_next), bi(io),
+        )
+
 
 def load_fast_backend() -> tuple[FastBackend | None, str | None]:
     """Build (or reuse) the compiled core. Returns (backend, None) on
@@ -170,6 +186,7 @@ def load_fast_backend() -> tuple[FastBackend | None, str | None]:
         lib = ctypes.CDLL(path)
         lib.sat_propagate
         lib.sat_unwind
+        lib.sat_load_clauses
     except (OSError, AttributeError) as exc:
         return None, f"failed to load compiled core: {exc}"
     return FastBackend(lib, path), None

@@ -1,9 +1,10 @@
 """Reference propagation core: plain-Python loops over the flat arenas.
 
-This module is the semantic specification of the propagation algorithm.
-The compiled backend (:mod:`repro.sat.core.fast`, ``_core.c``) is a
-statement-by-statement translation of these two functions and MUST
-mirror their iteration order exactly — trails, conflicts and learnt
+This module is the semantic specification of the propagation algorithm
+and of the level-0 clause loader.  The compiled backend
+(:mod:`repro.sat.core.fast`, ``_core.c``) is a statement-by-statement
+translation of these functions and MUST mirror their iteration order
+exactly — trails, conflicts and learnt
 clauses are asserted bit-identical across backends by
 ``tests/test_sat_backends.py``.
 
@@ -31,7 +32,15 @@ Truth values are inlined constants here (``2`` unassigned, ``1`` true,
 
 from __future__ import annotations
 
-__all__ = ["PureBackend", "propagate", "unwind", "pick_branch"]
+__all__ = ["PureBackend", "propagate", "unwind", "pick_branch",
+           "load_clauses", "LOAD_DONE", "LOAD_UNIT", "LOAD_EMPTY",
+           "LOAD_BAD"]
+
+#: :func:`load_clauses` stop codes.
+LOAD_DONE = 0   # every record consumed
+LOAD_UNIT = 1   # a record reduced to one literal (``io[3]``)
+LOAD_EMPTY = 2  # a record reduced to no literal: UNSAT at level 0
+LOAD_BAD = 3    # the record at ``io[0]`` is malformed (``io[3]``)
 
 
 def propagate(s) -> int:
@@ -233,6 +242,115 @@ def pick_branch(s) -> int:
     return -1
 
 
+def load_clauses(s, buf, io) -> int:
+    """Load ``[size, lit0, lit1, ...]`` problem-clause records from the
+    flat int32 buffer ``buf`` into the solver's clause arena, at
+    decision level 0.
+
+    ``io`` is ``[pos, arena_n, ncla, lit]``: the record to start at and
+    the live ends of the arena and of the per-clause arrays, which the
+    caller has pre-extended far enough for every remaining record.  Each
+    record gets exactly the level-0 treatment of a single
+    ``Solver.add_clause`` call: every literal is validated first (no
+    negative literal, no unknown variable); false and duplicate literals
+    are dropped; satisfied clauses and tautologies are skipped; a clause
+    of two or more literals is stored and its two watchers linked.  The
+    loop stops after a record that reduces to one literal (``LOAD_UNIT``,
+    the literal in ``io[3]``) or to none (``LOAD_EMPTY``), so the caller
+    can enqueue and propagate before resuming, and before a malformed
+    record (``LOAD_BAD``, ``io[0]`` left on it and the offending literal
+    or size in ``io[3]``).  ``io[0..2]`` are written back on every exit.
+
+    Duplicate and tautology detection marks ``s._seen[var]`` with
+    ``1 + sign`` and clears the marks before moving on.
+    """
+    assigns = s.assigns
+    seen = s._seen
+    arena = s.arena
+    cla_off = s.cla_off
+    cla_flags = s.cla_flags
+    cla_act = s.cla_act
+    watch_head = s.watch_head
+    watch_next = s.watch_next
+    nvars = s.nvars
+    end = len(buf)
+    pos = io[0]
+    arena_n = io[1]
+    ncla = io[2]
+    status = LOAD_DONE
+    while pos < end:
+        size = buf[pos]
+        rec_end = pos + 1 + size
+        if size < 0 or rec_end > end:
+            io[3] = size
+            status = LOAD_BAD
+            break
+        bad = -1
+        for k in range(pos + 1, rec_end):
+            lit = buf[k]
+            if lit < 0 or lit >> 1 >= nvars:
+                bad = k
+                break
+        if bad != -1:
+            io[3] = buf[bad]
+            status = LOAD_BAD
+            break
+        # Simplify into the arena tail (slot 0 is the size header).
+        w = arena_n + 1
+        skip = False
+        for k in range(pos + 1, rec_end):
+            lit = buf[k]
+            var = lit >> 1
+            val = assigns[var]
+            if val != 2:
+                if val ^ (lit & 1) == 1:
+                    skip = True  # satisfied at level 0
+                    break
+                continue  # false at level 0
+            mark = seen[var]
+            if mark:
+                if mark == 1 + (lit & 1):
+                    continue  # duplicate
+                skip = True  # tautology
+                break
+            seen[var] = 1 + (lit & 1)
+            arena[w] = lit
+            w += 1
+        for k in range(arena_n + 1, w):
+            seen[arena[k] >> 1] = 0
+        pos = rec_end
+        if skip:
+            continue
+        n = w - arena_n - 1
+        if n >= 2:
+            arena[arena_n] = n
+            cla_off[ncla] = arena_n
+            cla_flags[ncla] = 0
+            cla_act[ncla] = 0.0
+            # Push the two watcher nodes onto the lists of the literals
+            # that falsify the watched slots.
+            n0 = ncla << 1
+            wl = arena[arena_n + 1] ^ 1
+            watch_next[n0] = watch_head[wl]
+            watch_head[wl] = n0
+            wl = arena[arena_n + 2] ^ 1
+            watch_next[n0 | 1] = watch_head[wl]
+            watch_head[wl] = n0 | 1
+            arena_n = w
+            ncla += 1
+            continue
+        if n == 1:
+            io[3] = arena[arena_n + 1]
+            status = LOAD_UNIT
+        else:
+            status = LOAD_EMPTY
+        break
+    io[0] = pos
+    io[1] = arena_n
+    io[2] = ncla
+    return status
+
+
 class PureBackend:
     """Always-available reference backend."""
 
@@ -253,3 +371,6 @@ class PureBackend:
 
     def pick_branch(self, solver) -> int:
         return pick_branch(solver)
+
+    def load_clauses(self, solver, buf, io) -> int:
+        return load_clauses(solver, buf, io)

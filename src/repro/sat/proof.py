@@ -79,6 +79,20 @@ class ProofLog:
         self.steps.append(("i", tuple(lits)))
         self.inputs += 1
 
+    def log_inputs(self, buf, start: int, end: int) -> None:
+        """Record the ``[size, lits...]`` clause records of the flat
+        buffer ``buf`` between word offsets ``start`` and ``end`` as
+        input clauses, in order."""
+        steps = self.steps
+        pos = start
+        n = 0
+        while pos < end:
+            nxt = pos + 1 + buf[pos]
+            steps.append(("i", tuple(buf[pos + 1:nxt])))
+            pos = nxt
+            n += 1
+        self.inputs += n
+
     def log_pb(self, lits: list[int], coefs: list[int], bound: int) -> None:
         """Record an input PB constraint ``sum coefs*lits >= bound``."""
         self.steps.append(("b", tuple(lits), tuple(coefs), bound))

@@ -31,7 +31,8 @@ state lives in flat, buffer-protocol arrays --
 - typed arrays for assignments, levels, trail, reasons, phases and
   VSIDS activities.
 
-The propagation/unwind inner loops run behind a swappable backend
+The propagation/unwind inner loops and the level-0 clause loader
+(:meth:`Solver.add_clauses`) run behind a swappable backend
 (:mod:`repro.sat.core`): a pure-Python reference and a C core compiled
 on demand that works on the *same* arrays through raw pointers.  Both
 execute the identical algorithm in the identical order, so trails,
@@ -49,6 +50,7 @@ from dataclasses import dataclass
 from repro.governor import core as _governor
 from repro.robust.budget import Budget, BudgetExpired
 from repro.sat.core import get_backend
+from repro.sat.core.pure import LOAD_DONE, LOAD_EMPTY, LOAD_UNIT
 from repro.sat.literals import (
     VAL_FALSE,
     VAL_TRUE,
@@ -462,8 +464,38 @@ class Solver:
         return v
 
     def new_vars(self, n: int) -> list[int]:
-        """Allocate ``n`` fresh variables."""
-        return [self.new_var() for _ in range(n)]
+        """Allocate ``n`` fresh variables in one bulk step.
+
+        Byte-for-byte the state ``n`` calls to :meth:`new_var` leave:
+        each per-variable array grows by one ``extend`` and the heap
+        slots are appended directly, which is exact because a fresh
+        variable's activity is 0 and :meth:`_heap_sift_up` stops at the
+        first parent with ``act >= 0`` -- every parent, since activities
+        never go negative.
+        """
+        v0 = self.nvars
+        if n <= 0:
+            return []
+        self.nvars = v0 + n
+        self.assigns.extend(array("b", [VAL_UNASSIGNED]) * n)
+        minus = array("i", [-1]) * n
+        self.level.extend(minus)
+        self.trail_pos.extend(minus)
+        self.reason.extend(array("i", [REASON_NONE]) * n)
+        self.activity.frombytes(bytes(8 * n))
+        self.saved_phase.frombytes(bytes(n))
+        self._seen.frombytes(bytes(n))
+        self.trail.frombytes(bytes(4 * n))  # reserve the trail slots
+        self.watch_head.extend(minus)
+        self.watch_head.extend(minus)
+        self.pb_watch_head.extend(minus)
+        self.pb_watch_head.extend(minus)
+        h = self.heap_n
+        self.heap_pos.extend(range(h, h + n))
+        self.order_heap.extend(minus)      # reserve the capacity slots
+        self.order_heap[h:h + n] = array("i", range(v0, v0 + n))
+        self.heap_n = h + n
+        return list(range(v0, v0 + n))
 
     def set_phases(self, phases) -> None:
         """Overwrite the saved branching phases in place.
@@ -495,39 +527,97 @@ class Solver:
         Must be called at decision level 0 (the standard incremental-SAT
         restriction). Performs the usual simplifications: drops false and
         duplicate literals, discards tautologies and satisfied clauses.
+        A one-record call into :meth:`add_clauses`.
         """
+        try:
+            rec = array("i", lits)
+        except OverflowError:
+            raise ValueError(f"clause {list(lits)} has an out-of-range "
+                             f"literal") from None
+        rec.insert(0, len(rec))
+        return self.add_clauses(rec)
+
+    def add_clauses(self, buf: array, new_vars: int = 0) -> bool:
+        """Add problem clauses from a flat int32 buffer of
+        ``[size, lit0, lit1, ...]`` records, in order.
+
+        Each record gets exactly the treatment of one :meth:`add_clause`
+        call (validation, level-0 simplification, unit propagation,
+        proof logging, the active provenance tag); the per-clause loop
+        runs in the backend's ``load_clauses``, which hands control back
+        only for a unit or empty clause.  ``new_vars`` fresh variables are
+        allocated after dropping to level 0 and before loading -- the
+        order interleaved ``new_var``/``add_clause`` calls produce when a
+        batch's first clause precedes its newest variables.  Returns
+        False if the solver is (or became) UNSAT.
+
+        A malformed record (negative literal, unknown variable, size
+        past the buffer's end) raises :class:`ValueError`; the records
+        before it stay loaded and logged, none after it are.
+        """
+        if not isinstance(buf, array) or buf.typecode != "i":
+            buf = array("i", buf)
+        if self.ok and buf:
+            self._cancel_until(0)
+        if new_vars:
+            self.new_vars(new_vars)
         if not self.ok:
             return False
-        if self.proof is not None:
-            self.proof.log_input(lits)
-        self._cancel_until(0)  # adding constraints resets any search state
-        seen: set[int] = set()
-        out: list[int] = []
-        for lit in lits:
-            if lit >> 1 >= self.nvars:
-                raise ValueError(f"literal {lit} references unknown variable")
-            v = self.value_lit(lit)
-            if v == VAL_TRUE or neg(lit) in seen:
-                return True  # satisfied or tautology
-            if v == VAL_FALSE or lit in seen:
-                continue
-            seen.add(lit)
-            out.append(lit)
-        if not out:
-            self.ok = False
-            return False
-        if len(out) == 1:
-            self._unchecked_enqueue(out[0], REASON_NONE)
-            if self._propagate() != -1:
-                self.ok = False
-                return False
+        if not buf:
             return True
-        cid = self._new_clause(out, learnt=False)
-        if self._active_tag is not None:
-            self.cla_tag[cid] = self._active_tag
-        self._problem_cids.append(cid)
-        self._attach_clause(cid)
-        return True
+        # Pre-extend the clause slots: a stored clause takes at most the
+        # words of its record, and every stored record is >= 3 words.
+        words = len(buf)
+        cap = words // 3 + 1
+        a0 = len(self.arena)
+        c0 = len(self.cla_off)
+        self.arena.frombytes(bytes(4 * words))
+        self.cla_off.frombytes(bytes(4 * cap))
+        self.cla_flags.frombytes(bytes(cap))
+        self.cla_act.frombytes(bytes(8 * cap))
+        self.watch_next.frombytes(bytes(8 * cap))
+        io = array("q", [0, a0, c0, 0])
+        load = self.core.load_clauses
+        proof = self.proof
+        try:
+            while True:
+                seg = io[0]
+                status = load(self, buf, io)
+                if proof is not None:
+                    proof.log_inputs(buf, seg, io[0])
+                if status == LOAD_DONE:
+                    break
+                if status == LOAD_UNIT:
+                    self._unchecked_enqueue(io[3], REASON_NONE)
+                    if self._propagate() != -1:
+                        self.ok = False
+                        break
+                    continue
+                if status == LOAD_EMPTY:
+                    self.ok = False
+                    break
+                size = buf[io[0]]
+                if size < 0 or io[0] + 1 + size > words:
+                    raise ValueError(
+                        f"clause record at {io[0]} has bad size {size}"
+                    )
+                raise ValueError(
+                    f"literal {io[3]} references unknown variable"
+                    if io[3] >= 0 else f"negative literal {io[3]}"
+                )
+        finally:
+            arena_n, ncla = io[1], io[2]
+            del self.arena[arena_n:]
+            del self.cla_off[ncla:]
+            del self.cla_flags[ncla:]
+            del self.cla_act[ncla:]
+            del self.watch_next[2 * ncla:]
+            if ncla > c0:
+                cids = range(c0, ncla)
+                self._problem_cids.extend(cids)
+                if self._active_tag is not None:
+                    self.cla_tag.update(dict.fromkeys(cids, self._active_tag))
+        return self.ok
 
     def add_pb(self, lits: list[int], coefs: list[int], bound: int) -> bool:
         """Add an engine-level PB constraint ``sum coefs[i]*lits[i] >= bound``.
@@ -538,6 +628,15 @@ class Solver:
         """
         if not self.ok:
             return False
+        nvars = self.nvars
+        for lit, coef in zip(lits, coefs):
+            if lit < 0 or lit >> 1 >= nvars:
+                raise ValueError(
+                    f"literal {lit} references unknown variable"
+                    if lit >= 0 else f"negative literal {lit}"
+                )
+            if coef <= 0:
+                raise ValueError("PB coefficients must be positive")
         if self.proof is not None:
             # Log the original constraint: level-0 folding and coefficient
             # saturation are propagation-neutral, so a checker propagating
@@ -550,8 +649,6 @@ class Solver:
         flits: list[int] = []
         fcoefs: list[int] = []
         for lit, coef in zip(lits, coefs):
-            if coef <= 0:
-                raise ValueError("PB coefficients must be positive")
             v = self.value_lit(lit)
             if v == VAL_TRUE:
                 bound -= coef
@@ -615,6 +712,8 @@ class Solver:
         seen: set[int] = set()
         out: list[int] = []
         for lit in lits:
+            if lit < 0:
+                raise ValueError(f"negative literal {lit}")
             if lit >> 1 >= self.nvars:
                 self.stats.rejected_imports += 1
                 return False  # references a variable this solver lacks
@@ -1048,8 +1147,11 @@ class Solver:
         bits, path-closure selectors, media-usage bits) so early search
         branches on them first -- exploiting the paper's observation that
         most Boolean variables functionally depend on "a small set of
-        primary decision variables".
+        primary decision variables".  ``amount`` must be non-negative
+        (activities never go negative; :meth:`new_vars` relies on it).
         """
+        if amount < 0:
+            raise ValueError("activity boosts must be non-negative")
         for var in variables:
             self.activity[var] += amount * self.var_inc
             if self.heap_pos[var] >= 0:

@@ -8,6 +8,10 @@ is *down*), an accidental one should fail here before it reaches the
 benchmarks.
 """
 
+import hashlib
+
+import pytest
+
 from repro.core import EncoderConfig
 from repro.core.encoder import ProblemEncoding
 from repro.model import (
@@ -86,3 +90,82 @@ class TestSeedReductionGuard:
         )
         clauses = enc.formula_size()["clauses"]
         assert clauses <= 0.8 * SEED_ARCH_A_CLAUSES, clauses
+
+
+# SHA-256 of the clause database each encoding leaves in the SAT engine
+# (see ``_db_digest``), recorded before the bit-blaster emitted into a
+# flat clause buffer: buffered emission and the bulk loader must
+# reproduce the one-call-per-clause database byte for byte, so search,
+# conflicts, envelopes and DRUP verdicts cannot move.  ``/minimized``
+# digests are taken after a full binary search (probe bounds added
+# between solves), ``/pb`` ones with the PB-mode full adder.
+ENCODING_DIGESTS = {
+    "table4-arch-a":
+        "5953c6f081a9d4fb76033d03c24844a3549d38b0c242744e1e2fda35efc5d593",
+    "ring4-t14":
+        "65e184fed1c6e5e325b32be8e64a32cc0dc094fa5432a180b8f168ba19ccb850",
+    "ring5-t16":
+        "e376b6e951599375dbb1794fd1e0dcafa5c67c8cfc523b9fe9e1cb678ee40836",
+    "ring6-t16":
+        "7d47f919f32a37900e5502b71b25b88c76f4c7dc448b04b6c4c8bf15c282fd16",
+    "ring5-t10":
+        "19906a274dd9b11ad1e7904bc2125e88f5255017808a3239e395412b165208de",
+    "ring5-t10/minimized":
+        "8192172eec1f5a95d0af178bd7a19bcbc98afc96e43b733b5067e918617b247a",
+    "ring5-t10/pb":
+        "0d331fd6fe5f666cc51f4315b6ba835b0db96f10333ac79da58744248ac87198",
+    "ring5-t10/pb/minimized":
+        "ff36f9d86444685595482549759bb050748c4b12c71f40caa4bc4e2ae8200b18",
+}
+
+
+def _db_digest(sat) -> str:
+    h = hashlib.sha256()
+    for arr in (sat.arena, sat.cla_off, sat.watch_head, sat.watch_next,
+                sat.order_heap, sat.pb_lits, sat.pb_coefs, sat.pb_off,
+                sat.pb_watch_head, sat.pb_watch_next):
+        h.update(arr.tobytes())
+    h.update(sat.trail[: sat.trail_n].tobytes())
+    return h.hexdigest()
+
+
+def _digest_system(name: str):
+    """Table-4 Arch A (sum of TRTs) and the served ``trt:ring``
+    scenario shapes."""
+    from repro.core import MinimizeTRT
+    from repro.core.objectives import MinimizeSumTRT
+    from repro.workloads import architecture_a, tindell_partition
+    from repro.workloads.scaling import ring_architecture, scaling_taskset
+
+    if name == "table4-arch-a":
+        return tindell_partition(10), architecture_a(), MinimizeSumTRT()
+    ecus, tasks = name[4:].split("-t")
+    return (scaling_taskset(int(ecus), int(tasks)),
+            ring_architecture(int(ecus)), MinimizeTRT("ring"))
+
+
+class TestEncodingIdentity:
+    @pytest.mark.parametrize(
+        "name", [k for k in ENCODING_DIGESTS if "/" not in k]
+    )
+    def test_encoding_database_is_pinned(self, name):
+        from repro.core import Allocator
+
+        tasks, arch, objective = _digest_system(name)
+        enc, *_ = Allocator(tasks, arch)._encode(objective)
+        assert _db_digest(enc.solver.sat) == ENCODING_DIGESTS[name]
+
+    @pytest.mark.parametrize("pb_mode", [False, True])
+    def test_binary_search_database_is_pinned(self, pb_mode):
+        from repro.core import Allocator
+
+        key = "ring5-t10/pb" if pb_mode else "ring5-t10"
+        tasks, arch, objective = _digest_system("ring5-t10")
+        enc, cost_var, *_ = Allocator(
+            tasks, arch, EncoderConfig(pb_mode=pb_mode)
+        )._encode(objective)
+        assert _db_digest(enc.solver.sat) == ENCODING_DIGESTS[key]
+        outcome = enc.solver.minimize(cost_var)
+        assert outcome.optimum == 30 and outcome.proven
+        assert (_db_digest(enc.solver.sat)
+                == ENCODING_DIGESTS[key + "/minimized"])

@@ -191,8 +191,9 @@ class TestCli:
         # dump follows when no -o path is given).
         stats, _ = json.JSONDecoder().raw_decode(out[out.index("{"):])
         for key in ("cnf_vars", "cnf_clauses", "triplet_defs", "gates",
-                    "t_total"):
+                    "t_blast", "t_load", "t_total"):
             assert key in stats, key
+        assert stats["t_load"] > 0
         assert stats["cnf_clauses"] > 0
         # SAT-engine counters ride along as a "solver" block.
         solver = stats["solver"]
