@@ -1,6 +1,6 @@
 """Propagation-core microbenchmark: pure vs compiled backend.
 
-Measures end-to-end solve time and propagation throughput on the
+Measures end-to-end solve time, propagation and conflict throughput on the
 deterministic instances of ``_prop_instances.py`` under both backends,
 asserts they stay in bit-identical lockstep, and records the results in
 ``benchmarks/out/BENCH_propagation.json`` next to the frozen pre-arena
@@ -47,6 +47,7 @@ def _measure(backend: str, builder) -> dict:
         "conflicts": s.stats.conflicts,
         "decisions": s.stats.decisions,
         "props_per_sec": round(s.stats.propagations / seconds, 1),
+        "conflicts_per_sec": round(s.stats.conflicts / seconds, 1),
         "trail_digest": hash(tuple(s.trail[: s.trail_n])),
     }
 

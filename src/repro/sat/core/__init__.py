@@ -4,7 +4,8 @@ The solver's state lives in flat, buffer-protocol arrays (see
 :mod:`repro.sat.solver` and ``docs/SOLVER.md``); the inner loops that
 consume them — watched-literal propagation, PB slack scanning, the
 trail unwind on backtrack, the VSIDS heap pop that picks the next
-decision variable, and the level-0 bulk clause loader — are swappable.
+decision variable, first-UIP conflict analysis with its VSIDS bumps,
+and the level-0 bulk clause loader — are swappable.
 Two implementations exist:
 
 - ``pure``  — the reference: plain-Python loops over the same arrays.
@@ -15,7 +16,7 @@ Two implementations exist:
   with a recorded reason when no compiler is available.
 
 Both backends execute the *same* algorithm in the *same* order, so
-trails, learnt clauses, conflict analysis inputs and DRUP proof logs are
+trails, learnt clauses, VSIDS activities and DRUP proof logs are
 bit-identical (asserted by ``tests/test_sat_backends.py``).
 
 Selection:

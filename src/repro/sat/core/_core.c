@@ -1,4 +1,5 @@
-/* Compiled propagation core and clause loader for the CDCL/PB engine.
+/* Compiled propagation core, conflict analysis and clause loader for the
+ * CDCL/PB engine.
  *
  * This file is a statement-by-statement translation of
  * repro/sat/core/pure.py and MUST mirror its iteration order exactly:
@@ -10,8 +11,11 @@
  * The arrays are the solver's own array('b'/'i'/'q'/'d') buffers,
  * passed as raw addresses via ctypes (see fast.py); nothing is copied.
  * All allocation (arena growth, trail slots, the loader's pre-extended
- * clause slots) happens on the Python side -- these functions only read
- * and write inside existing bounds.
+ * clause slots, the analysis scratch buffers) happens on the Python
+ * side -- these functions only read and write inside existing bounds.
+ *
+ * Build with -ffp-contract=off (fast.py does): the VSIDS activities are
+ * doubles computed here and must match the Python reference bit for bit.
  */
 
 #include <stdint.h>
@@ -335,4 +339,211 @@ int sat_load_clauses(
     io[1] = arena_n;
     io[2] = ncla;
     return status;
+}
+
+/* --- First-UIP conflict analysis (see analyze in pure.py) ----------- */
+
+typedef struct {
+    int8_t *assigns;
+    int32_t *level, *trail_pos, *reason, *trail;
+    int8_t *seen;
+    int32_t *arena, *cla_off;
+    int8_t *cla_flags;
+    double *cla_act;
+    int32_t *pb_lits, *pb_off, *pb_len;
+    double *activity;
+    int32_t *order_heap, *heap_pos;
+    int32_t *to_clear, *stack, *pbr;
+    int64_t trail_n, nvars, ncla, nclear;
+    double var_inc, cla_inc, limit;
+} analysis;
+
+/* Literals of the constraint `ref` explaining a conflict (for_lit == -1)
+ * or the propagation of for_lit.  Clause reasons point into the arena;
+ * PB clausal implicates are built in the pbr buffer. */
+static int32_t *reason_lits(analysis *a, int32_t ref, int32_t for_lit,
+                            int64_t *n)
+{
+    if (ref >= 0) {
+        int32_t off = a->cla_off[ref];
+        *n = a->arena[off];
+        return a->arena + off + 1;
+    }
+    int32_t i = -ref - 2;
+    int32_t *out = a->pbr;
+    int64_t k = 0;
+    int64_t pos_limit;
+    if (for_lit == -1) {
+        pos_limit = a->trail_n;
+    } else {
+        /* Reasons may only mention literals assigned before for_lit. */
+        out[k++] = for_lit;
+        pos_limit = a->trail_pos[for_lit >> 1];
+    }
+    int32_t t1 = a->pb_off[i] + a->pb_len[i];
+    for (int32_t t = a->pb_off[i]; t < t1; t++) {
+        int32_t lit = a->pb_lits[t];
+        if (lit == for_lit) continue;
+        int8_t v = a->assigns[lit >> 1];
+        if (v != UNASSIGNED && (v ^ (lit & 1)) == 0
+            && a->trail_pos[lit >> 1] < pos_limit)
+            out[k++] = lit;
+    }
+    *n = k;
+    return out;
+}
+
+static void bump_var(analysis *a, int32_t var)
+{
+    double act = a->activity[var] + a->var_inc;
+    a->activity[var] = act;
+    if (act > a->limit) {
+        double inv = 1.0 / a->limit;
+        for (int64_t v = 0; v < a->nvars; v++) a->activity[v] *= inv;
+        a->var_inc *= inv;
+    }
+    if (a->heap_pos[var] >= 0)
+        heap_sift_up(a->order_heap, a->heap_pos, a->activity,
+                     a->heap_pos[var]);
+}
+
+/* Solver._bump_clause.  The rescale walks the live learnt clauses:
+ * exactly the ids with flags == 1 (learnt, not dead), which is the
+ * solver's _learnt_cids since _reduce_db is the only detach path. */
+static void bump_clause(analysis *a, int32_t cid)
+{
+    double act = a->cla_act[cid] + a->cla_inc;
+    a->cla_act[cid] = act;
+    if (act > a->limit) {
+        double inv = 1.0 / a->limit;
+        for (int64_t c = 0; c < a->ncla; c++)
+            if (a->cla_flags[c] == 1) a->cla_act[c] *= inv;
+        a->cla_inc *= inv;
+    }
+}
+
+static void undo_marks(analysis *a, int64_t top)
+{
+    for (int64_t k = top; k < a->nclear; k++) a->seen[a->to_clear[k]] = 0;
+    a->nclear = top;
+}
+
+/* MiniSat's litRedundant: is lit implied by other learnt literals? */
+static int lit_redundant(analysis *a, int32_t lit, uint32_t abstract_levels)
+{
+    int64_t sp = 0;
+    int64_t top = a->nclear;
+    a->stack[sp++] = lit;
+    while (sp > 0) {
+        int32_t q = a->stack[--sp];
+        int32_t r = a->reason[q >> 1];
+        if (r == -1) { /* decision reached: not redundant */
+            undo_marks(a, top);
+            return 0;
+        }
+        /* q is a FALSE literal of the clause being minimized; the
+         * literal actually propagated (and on the trail) is neg(q). */
+        int64_t n;
+        int32_t *lits = reason_lits(a, r, q ^ 1, &n);
+        for (int64_t k = 1; k < n; k++) {
+            int32_t p = lits[k];
+            int32_t pv = p >> 1;
+            if (!a->seen[pv] && a->level[pv] > 0) {
+                if (a->reason[pv] != -1
+                    && ((1u << (a->level[pv] & 31)) & abstract_levels)) {
+                    a->seen[pv] = 1;
+                    a->to_clear[a->nclear++] = pv;
+                    a->stack[sp++] = p;
+                } else {
+                    undo_marks(a, top);
+                    return 0;
+                }
+            }
+        }
+    }
+    return 1;
+}
+
+/* Returns the learnt clause length (asserting literal first, written to
+ * learnt) and stores the backjump level in io[5].  Every buffer holds
+ * one slot per variable -- a learnt clause, the marked variables and
+ * the minimization stack never repeat a variable -- and pbr also fits
+ * the longest PB constraint plus one. */
+int64_t sat_analyze(
+    int8_t *assigns, int32_t *level, int32_t *trail_pos, int32_t *reason,
+    int32_t *trail, int8_t *seen, int32_t *arena, int32_t *cla_off,
+    int8_t *cla_flags, double *cla_act,
+    int32_t *pb_lits, int32_t *pb_off, int32_t *pb_len,
+    double *activity, int32_t *order_heap, int32_t *heap_pos,
+    int32_t *learnt, int32_t *to_clear, int32_t *stack, int32_t *pbr,
+    int64_t *io /* [confl, trail_n, cur_level, nvars, ncla, bt-out] */,
+    double *dio /* [var_inc, cla_inc] in/out */,
+    double rescale_limit)
+{
+    analysis a = {
+        assigns, level, trail_pos, reason, trail, seen, arena, cla_off,
+        cla_flags, cla_act, pb_lits, pb_off, pb_len, activity, order_heap,
+        heap_pos, to_clear, stack, pbr,
+        io[1], io[3], io[4], 0, dio[0], dio[1], rescale_limit,
+    };
+    int32_t confl = (int32_t)io[0];
+    int32_t cur_level = (int32_t)io[2];
+    int64_t learnt_n = 1; /* slot 0: the asserting literal */
+    int64_t counter = 0;
+    int32_t p = -1;
+    int64_t index = a.trail_n - 1;
+    int first = 1;
+    for (;;) {
+        int64_t n;
+        int32_t *lits = reason_lits(&a, confl, first ? -1 : p, &n);
+        if (confl >= 0 && (cla_flags[confl] & 1)) bump_clause(&a, confl);
+        int64_t start = first ? 0 : 1;
+        first = 0;
+        for (int64_t k = start; k < n; k++) {
+            int32_t q = lits[k];
+            int32_t v = q >> 1;
+            if (!seen[v] && level[v] > 0) {
+                seen[v] = 1;
+                to_clear[a.nclear++] = v;
+                bump_var(&a, v);
+                if (level[v] >= cur_level) counter++;
+                else learnt[learnt_n++] = q;
+            }
+        }
+        /* Pick next literal to expand from the trail. */
+        while (!seen[trail[index] >> 1]) index--;
+        p = trail[index--];
+        int32_t pv = p >> 1;
+        confl = reason[pv];
+        seen[pv] = 0;
+        if (--counter == 0) break;
+    }
+    learnt[0] = p ^ 1;
+    /* Recursive clause minimization (conflict-clause shrinking). */
+    uint32_t abstract_levels = 0;
+    for (int64_t k = 1; k < learnt_n; k++)
+        abstract_levels |= 1u << (level[learnt[k] >> 1] & 31);
+    int64_t keep = 1;
+    for (int64_t k = 1; k < learnt_n; k++) {
+        int32_t q = learnt[k];
+        if (reason[q >> 1] == -1 || !lit_redundant(&a, q, abstract_levels))
+            learnt[keep++] = q;
+    }
+    learnt_n = keep;
+    /* Backtrack level = second-highest level in the clause. */
+    int32_t bt = 0;
+    if (learnt_n > 1) {
+        int64_t max_i = 1;
+        for (int64_t k = 2; k < learnt_n; k++)
+            if (level[learnt[k] >> 1] > level[learnt[max_i] >> 1]) max_i = k;
+        int32_t tmp = learnt[1];
+        learnt[1] = learnt[max_i];
+        learnt[max_i] = tmp;
+        bt = level[learnt[1] >> 1];
+    }
+    for (int64_t k = 0; k < a.nclear; k++) seen[to_clear[k]] = 0;
+    io[5] = bt;
+    dio[0] = a.var_inc;
+    dio[1] = a.cla_inc;
+    return learnt_n;
 }

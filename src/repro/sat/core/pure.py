@@ -1,7 +1,8 @@
 """Reference propagation core: plain-Python loops over the flat arenas.
 
-This module is the semantic specification of the propagation algorithm
-and of the level-0 clause loader.  The compiled backend
+This module is the semantic specification of the propagation algorithm,
+of first-UIP conflict analysis (with recursive minimization and VSIDS
+bumping) and of the level-0 clause loader.  The compiled backend
 (:mod:`repro.sat.core.fast`, ``_core.c``) is a statement-by-statement
 translation of these functions and MUST mirror their iteration order
 exactly — trails, conflicts and learnt
@@ -32,9 +33,14 @@ Truth values are inlined constants here (``2`` unassigned, ``1`` true,
 
 from __future__ import annotations
 
+try:  # optional: the bulk activity rescale only, never required
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is in the base image
+    _np = None
+
 __all__ = ["PureBackend", "propagate", "unwind", "pick_branch",
-           "load_clauses", "LOAD_DONE", "LOAD_UNIT", "LOAD_EMPTY",
-           "LOAD_BAD"]
+           "load_clauses", "analyze", "reason_lits", "LOAD_DONE",
+           "LOAD_UNIT", "LOAD_EMPTY", "LOAD_BAD"]
 
 #: :func:`load_clauses` stop codes.
 LOAD_DONE = 0   # every record consumed
@@ -351,6 +357,174 @@ def load_clauses(s, buf, io) -> int:
     return status
 
 
+def reason_lits(s, ref: int, for_lit: int) -> list:
+    """Literals of the constraint explaining a conflict or propagation.
+
+    ``ref`` is a reason/conflict ref (clause id or PB ref).  For
+    clauses this is the packed clause itself. For PB constraints we
+    build a clausal implicate: the propagated/conflict literal(s)
+    plus the negation of every constraint literal that was already
+    false at the relevant trail position (see the PB reason-weakening
+    discussion in the module docstring of :mod:`repro.pb`).
+    """
+    if ref >= 0:
+        off = s.cla_off[ref]
+        return s.arena[off + 1: off + 1 + s.arena[off]]
+    # PB constraint: build a clausal implicate over the literals that
+    # were already false when the propagation/conflict fired.
+    i = -ref - 2
+    out: list[int] = []
+    assigns = s.assigns
+    trail_pos = s.trail_pos
+    if for_lit == -1:
+        pos_limit = s.trail_n
+    else:
+        # Reasons may only mention literals assigned before `for_lit`.
+        out.append(for_lit)
+        pos_limit = trail_pos[for_lit >> 1]
+        assert s.level[for_lit >> 1] >= 0
+    off = s.pb_off[i]
+    pb_lits = s.pb_lits
+    for t in range(off, off + s.pb_len[i]):
+        lit = pb_lits[t]
+        if lit == for_lit:
+            continue
+        v = assigns[lit >> 1]
+        if v != 2 and v ^ (lit & 1) == 0 and trail_pos[lit >> 1] < pos_limit:
+            out.append(lit)
+    return out
+
+
+def analyze(s, confl: int) -> tuple[list[int], int]:
+    """First-UIP conflict analysis.
+
+    Returns the learnt clause (asserting literal first) and the level
+    to backtrack to.  Bumps the activity of every variable it marks
+    and of every learnt clause it resolves on.
+    """
+    seen = s._seen
+    level = s.level
+    trail = s.trail
+    cla_flags = s.cla_flags
+    cur_level = len(s.trail_lim)
+    learnt: list[int] = [0]  # placeholder for the asserting literal
+    counter = 0
+    p = -1
+    index = s.trail_n - 1
+    to_clear: list[int] = []
+    first = True
+    while True:
+        lits = reason_lits(s, confl, -1 if first else p)
+        if confl >= 0 and cla_flags[confl] & 1:
+            s._bump_clause(confl)
+        start = 0 if first else 1
+        first = False
+        for k in range(start, len(lits)):
+            q = lits[k]
+            v = q >> 1
+            if not seen[v] and level[v] > 0:
+                seen[v] = 1
+                to_clear.append(v)
+                bump_var(s, v)
+                if level[v] >= cur_level:
+                    counter += 1
+                else:
+                    learnt.append(q)
+        # Pick next literal to expand from the trail.
+        while not seen[trail[index] >> 1]:
+            index -= 1
+        p = trail[index]
+        index -= 1
+        pv = p >> 1
+        confl = s.reason[pv]
+        seen[pv] = 0
+        counter -= 1
+        if counter == 0:
+            break
+    learnt[0] = p ^ 1
+    # Recursive clause minimization (conflict-clause shrinking).
+    abstract_levels = 0
+    for q in learnt[1:]:
+        abstract_levels |= 1 << (level[q >> 1] & 31)
+    i_keep = [learnt[0]]
+    for q in learnt[1:]:
+        if s.reason[q >> 1] == -1 or not lit_redundant(
+            s, q, abstract_levels, to_clear
+        ):
+            i_keep.append(q)
+    learnt = i_keep
+    # Find backtrack level = second-highest level in the clause.
+    if len(learnt) == 1:
+        bt = 0
+    else:
+        max_i = 1
+        for k in range(2, len(learnt)):
+            if level[learnt[k] >> 1] > level[learnt[max_i] >> 1]:
+                max_i = k
+        learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
+        bt = level[learnt[1] >> 1]
+    for v in to_clear:
+        seen[v] = 0
+    return learnt, bt
+
+
+def lit_redundant(s, lit: int, abstract_levels: int,
+                  to_clear: list[int]) -> bool:
+    """Check whether ``lit`` is implied by other learnt-clause literals
+    (MiniSat's ``litRedundant``)."""
+    seen = s._seen
+    level = s.level
+    stack = [lit]
+    top = len(to_clear)
+    while stack:
+        q = stack.pop()
+        r = s.reason[q >> 1]
+        if r == -1:
+            # Decision reached: lit is not redundant; undo markings.
+            for v in to_clear[top:]:
+                seen[v] = 0
+            del to_clear[top:]
+            return False
+        # q is a FALSE literal of the clause being minimized; the
+        # literal actually propagated (and on the trail) is neg(q).
+        lits = reason_lits(s, r, q ^ 1)
+        for k in range(1, len(lits)):
+            p = lits[k]
+            pv = p >> 1
+            if not seen[pv] and level[pv] > 0:
+                if (
+                    s.reason[pv] != -1
+                    and (1 << (level[pv] & 31)) & abstract_levels
+                ):
+                    seen[pv] = 1
+                    to_clear.append(pv)
+                    stack.append(p)
+                else:
+                    for v in to_clear[top:]:
+                        seen[v] = 0
+                    del to_clear[top:]
+                    return False
+    return True
+
+
+def bump_var(s, var: int) -> None:
+    """VSIDS bump; past ``s.RESCALE_LIMIT`` every activity and the
+    increment are multiplied by ``1 / RESCALE_LIMIT``."""
+    act = s.activity[var] + s.var_inc
+    s.activity[var] = act
+    if act > s.RESCALE_LIMIT:
+        inv = 1.0 / s.RESCALE_LIMIT
+        if _np is not None:
+            acts = _np.frombuffer(s.activity)
+            acts *= inv
+        else:  # pragma: no cover - numpy is in the base image
+            for v in range(s.nvars):
+                s.activity[v] *= inv
+        s.var_inc *= inv
+    if s.heap_pos[var] >= 0:
+        s._heap_sift_up(s.heap_pos[var])
+
+
 class PureBackend:
     """Always-available reference backend."""
 
@@ -374,3 +548,6 @@ class PureBackend:
 
     def load_clauses(self, solver, buf, io) -> int:
         return load_clauses(solver, buf, io)
+
+    def analyze(self, solver, confl: int) -> tuple[list[int], int]:
+        return analyze(solver, confl)

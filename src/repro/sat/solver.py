@@ -6,7 +6,8 @@ The engine follows the Chaff/MiniSat lineage the paper cites [11, 12]:
 - counter-based propagation for pseudo-Boolean (PB) constraints
   ``sum a_i * l_i >= b`` (the paper's GOBLIN solver [8] is a PB-native
   DPLL engine, so PB constraints are first-class here too),
-- first-UIP conflict analysis with recursive clause minimization,
+- first-UIP conflict analysis with recursive clause minimization
+  (run by the backend's ``analyze``),
 - VSIDS decision heuristic with phase saving,
 - Luby-sequence restarts and activity-based learnt-clause deletion,
 - solving under assumptions (used to retract objective bounds between
@@ -31,7 +32,8 @@ state lives in flat, buffer-protocol arrays --
 - typed arrays for assignments, levels, trail, reasons, phases and
   VSIDS activities.
 
-The propagation/unwind inner loops and the level-0 clause loader
+The propagation/unwind inner loops, the branching heap pop, conflict
+analysis with its VSIDS bumps, and the level-0 clause loader
 (:meth:`Solver.add_clauses`) run behind a swappable backend
 (:mod:`repro.sat.core`): a pure-Python reference and a C core compiled
 on demand that works on the *same* arrays through raw pointers.  Both
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from repro.governor import core as _governor
 from repro.robust.budget import Budget, BudgetExpired
 from repro.sat.core import get_backend
-from repro.sat.core.pure import LOAD_DONE, LOAD_EMPTY, LOAD_UNIT
+from repro.sat.core.pure import LOAD_DONE, LOAD_EMPTY, LOAD_UNIT, reason_lits
 from repro.sat.literals import (
     VAL_FALSE,
     VAL_TRUE,
@@ -74,11 +76,6 @@ REASON_NONE = -1
 def _pb_ref(i: int) -> int:
     """Encode PB constraint index ``i`` as a (negative) reason ref."""
     return -(i + 2)
-
-
-def _pb_index(ref: int) -> int:
-    """Decode a PB reason ref back to the constraint index."""
-    return -ref - 2
 
 
 class ClauseView:
@@ -294,6 +291,14 @@ class Solver:
         self.activity = array("d")
         self.saved_phase = array("b")
         self._seen = array("b")
+        # Conflict-analysis scratch for the compiled core: learnt output,
+        # seen-variable list, minimization stack, PB implicate.  One slot
+        # per variable (the PB buffer also fits the longest constraint),
+        # so no conflict allocates.
+        self._learnt_buf = array("i")
+        self._clear_buf = array("i")
+        self._stack_buf = array("i")
+        self._pbr_buf = array("i")
         # Trail: preallocated (one slot per variable), explicit length.
         self.trail = array("i")
         self.trail_n = 0
@@ -453,6 +458,8 @@ class Solver:
         self.activity.append(0.0)
         self.saved_phase.append(0)
         self._seen.append(0)
+        for buf in self._scratch():
+            buf.append(0)
         self.trail.append(0)           # reserve the trail slot
         self.watch_head.append(-1)
         self.watch_head.append(-1)
@@ -485,6 +492,8 @@ class Solver:
         self.activity.frombytes(bytes(8 * n))
         self.saved_phase.frombytes(bytes(n))
         self._seen.frombytes(bytes(n))
+        for buf in self._scratch():
+            buf.frombytes(bytes(4 * n))
         self.trail.frombytes(bytes(4 * n))  # reserve the trail slots
         self.watch_head.extend(minus)
         self.watch_head.extend(minus)
@@ -496,6 +505,10 @@ class Solver:
         self.order_heap[h:h + n] = array("i", range(v0, v0 + n))
         self.heap_n = h + n
         return list(range(v0, v0 + n))
+
+    def _scratch(self) -> tuple[array, ...]:
+        return (self._learnt_buf, self._clear_buf, self._stack_buf,
+                self._pbr_buf)
 
     def set_phases(self, phases) -> None:
         """Overwrite the saved branching phases in place.
@@ -801,6 +814,9 @@ class Solver:
         """Append a PB record to the term slab and link its terms."""
         i = self._n_pbs
         self._n_pbs = i + 1
+        short = len(lits) + 1 - len(self._pbr_buf)
+        if short > 0:  # implicate: the propagated literal + the others
+            self._pbr_buf.frombytes(bytes(4 * short))
         self.pb_off.append(len(self.pb_lits))
         self.pb_len.append(len(lits))
         self.pb_bound.append(bound)
@@ -901,125 +917,13 @@ class Solver:
         """Propagate all enqueued facts via the active backend.
 
         Returns a conflict ref: -1 none, >=0 a clause id, <=-2 a PB
-        constraint (``_pb_index`` decodes it).
+        constraint (index ``-ref - 2``).
         """
         return self.core.propagate(self)
 
     # ------------------------------------------------------------------
-    # Conflict analysis
+    # Conflict analysis (first UIP runs in the backend: core.analyze)
     # ------------------------------------------------------------------
-
-    def _reason_lits(self, ref: int, for_lit: int) -> list:
-        """Literals of the constraint explaining a conflict or propagation.
-
-        ``ref`` is a reason/conflict ref (clause id or PB ref).  For
-        clauses this is the packed clause itself. For PB constraints we
-        build a clausal implicate: the propagated/conflict literal(s)
-        plus the negation of every constraint literal that was already
-        false at the relevant trail position (see the PB reason-weakening
-        discussion in the module docstring of :mod:`repro.pb`).
-        """
-        if ref >= 0:
-            off = self.cla_off[ref]
-            return self.arena[off + 1: off + 1 + self.arena[off]]
-        # PB constraint: build a clausal implicate over the literals that
-        # were already false when the propagation/conflict fired.
-        i = _pb_index(ref)
-        out: list[int] = []
-        assigns = self.assigns
-        trail_pos = self.trail_pos
-        if for_lit == -1:
-            pos_limit = self.trail_n
-        else:
-            # Reasons may only mention literals assigned before `for_lit`.
-            out.append(for_lit)
-            pos_limit = trail_pos[for_lit >> 1]
-            assert self.level[for_lit >> 1] >= 0
-        off = self.pb_off[i]
-        pb_lits = self.pb_lits
-        for t in range(off, off + self.pb_len[i]):
-            lit = pb_lits[t]
-            if lit == for_lit:
-                continue
-            v = assigns[lit >> 1]
-            if (
-                v != VAL_UNASSIGNED
-                and v ^ (lit & 1) == VAL_FALSE
-                and trail_pos[lit >> 1] < pos_limit
-            ):
-                out.append(lit)
-        return out
-
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
-        """First-UIP conflict analysis.
-
-        Returns the learnt clause (asserting literal first) and the level
-        to backtrack to.
-        """
-        seen = self._seen
-        level = self.level
-        trail = self.trail
-        cla_flags = self.cla_flags
-        cur_level = len(self.trail_lim)
-        learnt: list[int] = [0]  # placeholder for the asserting literal
-        counter = 0
-        p = -1
-        index = self.trail_n - 1
-        to_clear: list[int] = []
-        first = True
-        while True:
-            lits = self._reason_lits(confl, -1 if first else p)
-            if confl >= 0 and cla_flags[confl] & 1:
-                self._bump_clause(confl)
-            start = 0 if first else 1
-            first = False
-            for k in range(start, len(lits)):
-                q = lits[k]
-                v = q >> 1
-                if not seen[v] and level[v] > 0:
-                    seen[v] = 1
-                    to_clear.append(v)
-                    self._bump_var(v)
-                    if level[v] >= cur_level:
-                        counter += 1
-                    else:
-                        learnt.append(q)
-            # Pick next literal to expand from the trail.
-            while not seen[trail[index] >> 1]:
-                index -= 1
-            p = trail[index]
-            index -= 1
-            pv = p >> 1
-            confl = self.reason[pv]
-            seen[pv] = 0
-            counter -= 1
-            if counter == 0:
-                break
-        learnt[0] = p ^ 1
-        # Recursive clause minimization (conflict-clause shrinking).
-        abstract_levels = 0
-        for q in learnt[1:]:
-            abstract_levels |= 1 << (level[q >> 1] & 31)
-        i_keep = [learnt[0]]
-        for q in learnt[1:]:
-            if self.reason[q >> 1] == REASON_NONE or not self._lit_redundant(
-                q, abstract_levels, to_clear
-            ):
-                i_keep.append(q)
-        learnt = i_keep
-        # Find backtrack level = second-highest level in the clause.
-        if len(learnt) == 1:
-            bt = 0
-        else:
-            max_i = 1
-            for k in range(2, len(learnt)):
-                if level[learnt[k] >> 1] > level[learnt[max_i] >> 1]:
-                    max_i = k
-            learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            bt = level[learnt[1] >> 1]
-        for v in to_clear:
-            seen[v] = 0
-        return learnt, bt
 
     def _analyze_final(self, p: int, assumptions: list[int]) -> None:
         """Compute the assumption core when assumption ``neg(p)`` turned
@@ -1054,7 +958,7 @@ class Solver:
                 if q in assumption_set:
                     core.append(q)
             else:
-                for lit in self._reason_lits(r, q):
+                for lit in reason_lits(self, r, q):
                     lv = lit >> 1
                     if lv != v and not seen[lv] and self.level[lv] > 0:
                         seen[lv] = 1
@@ -1069,63 +973,9 @@ class Solver:
             # the probe's assumptions by unit propagation alone.
             self.proof.log_add([neg(l) for l in core])
 
-    def _lit_redundant(
-        self, lit: int, abstract_levels: int, to_clear: list[int]
-    ) -> bool:
-        """Check whether ``lit`` is implied by other learnt-clause literals
-        (MiniSat's ``litRedundant``)."""
-        seen = self._seen
-        level = self.level
-        stack = [lit]
-        top = len(to_clear)
-        while stack:
-            q = stack.pop()
-            r = self.reason[q >> 1]
-            if r == REASON_NONE:
-                # Decision reached: lit is not redundant; undo markings.
-                for v in to_clear[top:]:
-                    seen[v] = 0
-                del to_clear[top:]
-                return False
-            # q is a FALSE literal of the clause being minimized; the
-            # literal actually propagated (and on the trail) is neg(q).
-            lits = self._reason_lits(r, q ^ 1)
-            for k in range(1, len(lits)):
-                p = lits[k]
-                pv = p >> 1
-                if not seen[pv] and level[pv] > 0:
-                    if (
-                        self.reason[pv] != REASON_NONE
-                        and (1 << (level[pv] & 31)) & abstract_levels
-                    ):
-                        seen[pv] = 1
-                        to_clear.append(pv)
-                        stack.append(p)
-                    else:
-                        for v in to_clear[top:]:
-                            seen[v] = 0
-                        del to_clear[top:]
-                        return False
-        return True
-
     # ------------------------------------------------------------------
     # Heuristics
     # ------------------------------------------------------------------
-
-    def _bump_var(self, var: int) -> None:
-        act = self.activity[var] + self.var_inc
-        self.activity[var] = act
-        if act > self.RESCALE_LIMIT:
-            inv = 1.0 / self.RESCALE_LIMIT
-            if _np is not None:
-                acts = _np.frombuffer(self.activity)
-                acts *= inv
-            else:  # pragma: no cover - numpy is in the base image
-                for v in range(self.nvars):
-                    self.activity[v] *= inv
-            self.var_inc *= inv
-        if self.heap_pos[var] >= 0:
-            self._heap_sift_up(self.heap_pos[var])
 
     def _bump_clause(self, cid: int) -> None:
         act = self.cla_act[cid] + self.cla_inc
@@ -1357,7 +1207,7 @@ class Solver:
                     return False  # definitive UNSAT beats budget expiry
                 if budget is not None and budget.step(conflicts=1):
                     self._budget_stop(budget)
-                learnt, bt = self._analyze(confl)
+                learnt, bt = self.core.analyze(self, confl)
                 if self.proof is not None:
                     self.proof.log_add(learnt)
                 if self.learn_hook is not None:

@@ -169,3 +169,48 @@ class TestEncodingIdentity:
         assert outcome.optimum == 30 and outcome.proven
         assert (_db_digest(enc.solver.sat)
                 == ENCODING_DIGESTS[key + "/minimized"])
+
+
+# SHA-256 of one full binary search on the cheapest ``sweep-ring``
+# benchmark cell (3-ECU ring, 6 tasks, utilization 0.6, seed 1,
+# ``sum_resp``, no bounds providers): every learnt clause with its
+# backjump level in conflict order, then the final VSIDS activity bytes.
+# Recorded while conflict analysis still ran in the solver's Python
+# code; both backends' ``analyze`` must reproduce it exactly.
+SEARCH_DIGEST = (
+    "20dfe9324f64e9622144fdadd1ecbb84b4823def051d6d34ccccfd6722cbea9e"
+)
+SEARCH_CONFLICTS = 1085
+
+
+class TestSearchIdentity:
+    @pytest.mark.parametrize("backend", ["pure", "fast"])
+    def test_sweep_cell_search_is_pinned(self, backend, monkeypatch):
+        import repro.sat.core as core_mod
+        from repro.core import Allocator
+        from repro.core.objectives import objective_from_spec
+        from repro.core.optimize import bin_search
+        from repro.workloads import random_taskset, ring_architecture
+
+        if backend == "fast" and not core_mod.backend_status()["fast"][
+                "available"]:
+            pytest.skip("compiled backend unavailable")
+        monkeypatch.setattr(core_mod, "_default", backend)
+        arch = ring_architecture(3)
+        tasks = random_taskset(arch, 6, total_util=0.6, seed=1)
+        enc, cost_var, lo, hi, _ = Allocator(tasks, arch)._encode(
+            objective_from_spec("sum_resp"))
+        sat = enc.solver.sat
+        assert sat.core.name == backend
+        h = hashlib.sha256()
+
+        def hook(learnt):
+            bt = sat.level[learnt[1] >> 1] if len(learnt) > 1 else 0
+            h.update(repr((list(learnt), bt)).encode())
+
+        sat.learn_hook = hook
+        outcome = bin_search(enc.solver, cost_var, lo, hi)
+        h.update(sat.activity.tobytes())
+        assert outcome.optimum == 246 and outcome.proven
+        assert sat.stats.conflicts == SEARCH_CONFLICTS
+        assert h.hexdigest() == SEARCH_DIGEST

@@ -2,13 +2,16 @@
 
 The compiled core (``fast``) must be *bit-identical* to the pure-Python
 reference: same trails, same conflicts, same learnt clauses, same DRUP
-proof lines, same models and same search counters on every instance.
+proof lines, same models, same search counters and the same VSIDS state
+(activity bytes, heap order, increments) on every instance.
 This is what keeps ``--certify`` and the chaos torture suite valid on
 both backends — any divergence is a bug by definition, regardless of
 which backend is "right".
 """
 
 from __future__ import annotations
+
+import subprocess
 
 import pytest
 from hypothesis import given, settings
@@ -65,12 +68,38 @@ def cnf_pb_instances(draw):
     return nvars, clauses, pbs, assumptions
 
 
+def _learnt_stream(s: Solver) -> list:
+    """Install a learn hook recording every learnt clause with its
+    backjump level (the second literal's level, as analysis orders it)."""
+    stream: list = []
+
+    def hook(learnt):
+        bt = s.level[learnt[1] >> 1] if len(learnt) > 1 else 0
+        stream.append((list(learnt), bt))
+
+    s.learn_hook = hook
+    return stream
+
+
+def _vsids_state(s: Solver) -> dict:
+    return {
+        "activity": s.activity.tobytes(),
+        "cla_act": s.cla_act.tobytes(),
+        "order_heap": list(s.order_heap[: s.heap_n]),
+        "heap_pos": list(s.heap_pos),
+        "var_inc": s.var_inc,
+        "cla_inc": s.cla_inc,
+    }
+
+
 def _run(backend: str, instance, with_proof: bool = True):
     """Build and solve the instance on one backend; return everything
-    observable: result, trail, learnt clauses, stats, proof, model."""
+    observable: result, trail, learnt clauses (final and per conflict),
+    VSIDS state, stats, proof, model."""
     nvars, clauses, pbs, assumptions = instance
     s = Solver(backend=backend)
     s.new_vars(nvars)
+    stream = _learnt_stream(s)
     proof = s.start_proof() if with_proof else None
     for cl in clauses:
         s.add_clause(list(cl))
@@ -82,6 +111,8 @@ def _run(backend: str, instance, with_proof: bool = True):
         "ok": s.ok,
         "trail": list(s.trail[: s.trail_n]),
         "learnts": [c.lits for c in s.learnts],
+        "learnt_stream": stream,
+        **_vsids_state(s),
         "conflict_core": list(s.conflict_core),
         "decisions": s.stats.decisions,
         "propagations": s.stats.propagations,
@@ -176,6 +207,89 @@ class TestDifferential:
         assert stats_p["conflicts"] == stats_f["conflicts"]
 
 
+def _php(s: Solver, pigeons: int, holes: int, pb: bool) -> None:
+    """Pigeonhole PHP(pigeons, holes) as clauses or PB cardinalities
+    (the ``php_*`` builders of ``benchmarks/_prop_instances.py``)."""
+    x = [[s.new_var() for _ in range(holes)] for _ in range(pigeons)]
+    for p in range(pigeons):
+        lits = [mklit(x[p][h]) for h in range(holes)]
+        if pb:
+            s.add_pb(lits, [1] * holes, 1)
+        else:
+            s.add_clause(lits)
+    for h in range(holes):
+        if pb:
+            s.add_pb([neg(mklit(x[p][h])) for p in range(pigeons)],
+                     [1] * pigeons, pigeons - 1)
+            continue
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                s.add_clause([neg(mklit(x[p1][h])), neg(mklit(x[p2][h]))])
+
+
+class _CountingCore:
+    """Backend proxy counting the rescales that fire inside analysis
+    (an increment that shrinks across one ``analyze`` call)."""
+
+    def __init__(self, core):
+        self._core = core
+        self.var_rescales = 0
+        self.cla_rescales = 0
+
+    def __getattr__(self, name):
+        return getattr(self._core, name)
+
+    def analyze(self, s, confl):
+        var_inc, cla_inc = s.var_inc, s.cla_inc
+        out = self._core.analyze(s, confl)
+        self.var_rescales += s.var_inc < var_inc
+        self.cla_rescales += s.cla_inc < cla_inc
+        return out
+
+
+class TestRescale:
+    """Both VSIDS rescale branches, reached by a tiny RESCALE_LIMIT."""
+
+    def _solve(self, backend: str, pb: bool):
+        s = Solver(backend=backend)
+        s.RESCALE_LIMIT = 20.0
+        s.max_learnts = 50.0  # frequent _reduce_db: detach under rescale
+        s.core = _CountingCore(s.core)
+        _php(s, 7, 6, pb)
+        proof = s.start_proof()
+        stream = _learnt_stream(s)
+        assert s.solve() is False
+        return s, {
+            "learnt_stream": stream,
+            "learnts": [c.lits for c in s.learnts],
+            "proof": proof.to_lines(),
+            "conflicts": s.stats.conflicts,
+            **_vsids_state(s),
+        }
+
+    @pytest.mark.parametrize("pb", [False, True], ids=["clauses", "pb"])
+    @pytest.mark.parametrize("backend", [
+        "pure", pytest.param("fast", marks=needs_fast)])
+    def test_rescales_fire_and_learnt_set_is_flagged(self, backend, pb):
+        s, _ = self._solve(backend, pb)
+        assert s.core.name == backend
+        assert s.core.var_rescales > 0
+        assert s.core.cla_rescales > 0
+        assert s.stats.deleted_clauses > 0
+        s._reduce_db()
+        # The compiled clause rescale walks flags == 1 instead of
+        # _learnt_cids: the two sets must coincide.
+        flagged = [c for c in range(len(s.cla_off)) if s.cla_flags[c] == 1]
+        assert sorted(s._learnt_cids) == flagged
+
+    @needs_fast
+    @pytest.mark.parametrize("pb", [False, True], ids=["clauses", "pb"])
+    def test_rescaled_search_bit_identical(self, pb):
+        _, obs_pure = self._solve("pure", pb)
+        _, obs_fast = self._solve("fast", pb)
+        assert obs_pure == obs_fast
+
+
 class TestBackendSelection:
     def test_default_is_auto(self):
         b = get_backend("auto")
@@ -213,6 +327,39 @@ class TestBackendSelection:
         b = get_backend("fast")
         assert b.name == "pure"
         assert b.fallback_reason == "no C compiler"
+
+    @needs_fast
+    def test_library_missing_a_symbol_falls_back_with_reason(
+        self, monkeypatch, tmp_path
+    ):
+        """A library lacking one export is a recorded fallback, never an
+        AttributeError out of the backend constructor."""
+        import repro.sat.core as core_mod
+        from repro.sat.core import fast
+
+        src = tmp_path / "partial.c"
+        src.write_text("".join(
+            f"int {name}(void) {{ return 0; }}\n"
+            for name in fast._SYMBOLS if name != "sat_analyze"
+        ))
+        lib = tmp_path / "partial.so"
+        subprocess.run(
+            [fast._find_compiler(), "-shared", "-fPIC", "-o", str(lib),
+             str(src)], check=True,
+        )
+        monkeypatch.setattr(fast, "_build_library",
+                            lambda src, cc: (str(lib), None))
+        backend, reason = fast.load_fast_backend()
+        assert backend is None
+        assert "sat_analyze" in reason
+        pure = core_mod._pure_backend()
+        monkeypatch.setattr(pure, "fallback_reason", pure.fallback_reason)
+        monkeypatch.setattr(core_mod, "_fast", None)
+        monkeypatch.setattr(core_mod, "_fast_reason", "")
+        b = get_backend("fast")
+        assert b.name == "pure"
+        assert "sat_analyze" in b.fallback_reason
+        assert "sat_analyze" in backend_status()["fast"]["reason"]
 
     @needs_fast
     def test_backend_status_reports_library(self):
