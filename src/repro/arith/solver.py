@@ -295,7 +295,7 @@ class IntSolver:
             "bool_vars": self.sat.nvars,
             "literals": self.sat.num_literals(),
             "clauses": self.sat.num_clauses(),
-            "pb_constraints": len(self.sat.pbs),
+            "pb_constraints": self.sat.num_pbs(),
         }
 
     def encode_stats(self) -> EncodeStats:
@@ -328,7 +328,7 @@ class IntSolver:
             cnf_vars=self.sat.nvars,
             cnf_clauses=self.sat.num_clauses(),
             cnf_literals=self.sat.num_literals(),
-            pb_constraints=len(self.sat.pbs),
+            pb_constraints=self.sat.num_pbs(),
             t_simplify=t_simplify,
             t_triplet=t_triplet,
             t_blast=self._t_blast,

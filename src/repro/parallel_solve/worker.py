@@ -142,7 +142,7 @@ def probe_worker_main(conn, spec: WorkerSpec, inbox, peers, enc_pack):
         if spec.share:
             max_len = spec.share_max_len
 
-            def learn_hook(lits, _exp=exported, _seen=seen_exports):
+            def learn_hook(lits, bt, _exp=exported, _seen=seen_exports):
                 if len(lits) <= max_len:
                     key = tuple(sorted(lits))
                     if key not in _seen:

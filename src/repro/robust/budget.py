@@ -113,6 +113,34 @@ class Budget:
                     return True
         return False
 
+    def room(self) -> int:
+        """How many more conflicts and decisions :meth:`step` is certain
+        to accept: the search may charge that many without calling it
+        (and report them through :meth:`charge`), and must call
+        :meth:`step` for the next one.  Never more than
+        ``check_every - 1``, so the wall clock is consulted at the same
+        steps as before and an ``expired_reason`` set from outside (a
+        server drain, the governor) is seen within ``check_every``
+        steps."""
+        if self.expired_reason is not None:
+            return 0
+        room = self.check_every - 1
+        if self._deadline is not None:
+            room -= self._tick
+        if self.max_conflicts is not None:
+            room = min(room, self.max_conflicts - self.conflicts_used - 1)
+        if self.max_decisions is not None:
+            room = min(room, self.max_decisions - self.decisions_used - 1)
+        return max(room, 0)
+
+    def charge(self, conflicts: int, decisions: int) -> None:
+        """Record steps granted by :meth:`room` exactly as that many
+        :meth:`step` calls would have (none of them can expire)."""
+        self.conflicts_used += conflicts
+        self.decisions_used += decisions
+        if self._deadline is not None:
+            self._tick += conflicts + decisions
+
     def expired(self) -> bool:
         """Whether the budget is exhausted (also re-checks the clock)."""
         if self.expired_reason is not None:

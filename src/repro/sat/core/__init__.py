@@ -1,11 +1,13 @@
 """Propagation-core backends for the CDCL/PB engine.
 
 The solver's state lives in flat, buffer-protocol arrays (see
-:mod:`repro.sat.solver` and ``docs/SOLVER.md``); the inner loops that
-consume them — watched-literal propagation, PB slack scanning, the
-trail unwind on backtrack, the VSIDS heap pop that picks the next
-decision variable, first-UIP conflict analysis with its VSIDS bumps,
-and the level-0 bulk clause loader — are swappable.
+:mod:`repro.sat.solver` and ``docs/SOLVER.md``); the loops that consume
+them are swappable.  A backend has four calls: ``propagate``
+(watched-literal and PB slack propagation), ``unwind`` (the trail undo
+on backtrack), ``load_clauses`` (the level-0 bulk clause loader with
+its unit propagation) and ``search`` (the CDCL loop: VSIDS branching,
+propagation, first-UIP analysis with its VSIDS bumps, learning and
+backjumping, run until the solver has work to do).
 Two implementations exist:
 
 - ``pure``  — the reference: plain-Python loops over the same arrays.

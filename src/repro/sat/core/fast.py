@@ -1,5 +1,4 @@
-"""Compiled propagation core, conflict analysis and clause loader:
-``_core.c`` built on demand via ctypes.
+"""Compiled search core: ``_core.c`` built on demand via ctypes.
 
 The C file is a statement-by-statement translation of
 :mod:`repro.sat.core.pure` (see the banner there), compiled once per
@@ -8,10 +7,18 @@ library cached under the system temp directory.  It operates directly on
 the solver's ``array`` buffers through raw addresses — zero copies, zero
 conversion.
 
-Addresses are re-fetched on every call because ``array`` reallocates its
-buffer when it grows (clause learning appends to the arena between
-propagations); ``buffer_info()`` is a few tens of nanoseconds, far below
-the cost of the propagation it precedes.  Conflict analysis writes into
+Every call re-fetches the addresses (``array`` reallocates its buffer
+when it grows) and packs the solver's scalars into an io block.  That
+costs microseconds even when the call has nothing to do: a no-op
+``propagate`` measured 6.3 µs when the loop still ran in Python, and
+13 µs with the 30-array address table on a 2-CPU x86-64 container --
+as much as a short propagation.  That is why
+the CDCL loop itself runs in C: one ``search`` call covers a whole run
+of decisions and conflicts (a restart's worth without a budget).  An
+8-cell ``sweep-ring`` cycle makes 138 ``search`` calls (67 restarts, 71
+answers) where a per-step interface made 115,000 crossings, and the
+loader propagates level-0 units itself, so encoding makes one call per
+clause batch.  Conflict analysis writes into
 solver-owned scratch buffers (``Solver._learnt_buf`` and friends, one
 slot per variable), so no conflict allocates one.
 
@@ -30,16 +37,34 @@ import shutil
 import subprocess
 import tempfile
 from array import array
+from operator import attrgetter
 from pathlib import Path
 
 __all__ = ["FastBackend", "load_fast_backend"]
 
-_N_PROP_ARRAYS = 19  # pointer args of sat_propagate before the io block
-_N_ANALYZE_ARRAYS = 22  # pointer args of sat_analyze before the limit
+#: The arrays whose addresses every call passes, in the order of
+#: ``core_open`` in ``_core.c``.
+_ARRAYS = (
+    "assigns", "level", "trail_pos", "reason", "trail", "trail_lim",
+    "saved_phase", "activity", "order_heap", "heap_pos", "_seen",
+    "arena", "cla_off", "cla_flags", "cla_act", "watch_head", "watch_next",
+    "pb_lits", "pb_coefs", "pb_owner", "pb_off", "pb_len", "pb_slack",
+    "pb_maxcoef", "pb_watch_head", "pb_watch_next",
+    "_learnt_buf", "_clear_buf", "_stack_buf", "_pbr_buf",
+)
+_arrays = attrgetter(*_ARRAYS)
+
+#: ``SearchState`` fields in ``sat_search``'s io slots ``S_RESUME`` ..
+#: ``S_LOG_N``, all written back.
+_SEARCH_IO = ("resume", "aux", "restart_conflicts", "restart_limit",
+              "n_learnts", "gov_active", "budget_room", "charged_conflicts",
+              "charged_decisions", "arena_n", "log_n")
+_search_fields = attrgetter(*_SEARCH_IO)
+_IO_PREFIX = 10  # slots of the shared io prefix (IO_PREFIX in _core.c)
 
 #: Every function the library must export.
-_SYMBOLS = ("sat_propagate", "sat_unwind", "sat_pick_branch",
-            "sat_load_clauses", "sat_analyze")
+_SYMBOLS = ("sat_propagate", "sat_unwind", "sat_load_clauses",
+            "sat_search")
 
 #: Compiler flags; part of the cache key.  ``-ffp-contract=off`` keeps
 #: the VSIDS double arithmetic free of fused multiply-adds, so it rounds
@@ -99,111 +124,84 @@ def _build_library(src: Path, cc: str) -> tuple[str | None, str | None]:
         return None, f"compile error: {exc}"
 
 
+def _io(s, ncla: int, *extra: int) -> array:
+    """The io prefix (``IO_*`` in ``_core.c``) followed by ``extra``."""
+    return array("q", (s.qhead, s.trail_n, s.trail_lim_n, s.heap_n, s.nvars,
+                       ncla, 0, s.stats.max_trail, 0, 0, *extra))
+
+
 class FastBackend:
-    """Propagation core running the compiled ``_core.c`` loops."""
+    """Search core running the compiled ``_core.c`` loops."""
 
     name = "fast"
     compiled = True
 
     def __init__(self, lib: ctypes.CDLL, library_path: str):
+        for name in _SYMBOLS:
+            fn = getattr(lib, name)
+            fn.restype = None if name == "sat_unwind" else ctypes.c_int
+            fn.argtypes = [ctypes.c_void_p] * 3
         self._propagate = lib.sat_propagate
         self._unwind = lib.sat_unwind
-        self._pick = lib.sat_pick_branch
         self._load = lib.sat_load_clauses
-        self._analyze = lib.sat_analyze
-        longlong_p = ctypes.POINTER(ctypes.c_longlong)
-        self._propagate.restype = ctypes.c_int
-        self._propagate.argtypes = (
-            [ctypes.c_void_p] * _N_PROP_ARRAYS + [longlong_p]
-        )
-        self._unwind.restype = None
-        self._unwind.argtypes = [ctypes.c_void_p] * 12 + [
-            ctypes.c_longlong,
-            ctypes.c_longlong,
-            longlong_p,
-        ]
-        self._pick.restype = ctypes.c_int
-        self._pick.argtypes = [ctypes.c_void_p] * 4 + [longlong_p]
-        self._load.restype = ctypes.c_int
-        self._load.argtypes = (
-            [ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong]
-            + [ctypes.c_void_p] * 9
-        )
-        self._analyze.restype = ctypes.c_longlong
-        self._analyze.argtypes = (
-            [ctypes.c_void_p] * _N_ANALYZE_ARRAYS + [ctypes.c_double]
-        )
+        self._search = lib.sat_search
         self.library_path = library_path
         self.fallback_reason = None
 
-    def propagate(self, s) -> int:
-        io = (ctypes.c_longlong * 4)(s.qhead, s.trail_n, len(s.trail_lim), 0)
-        bi = lambda a: a.buffer_info()[0]  # noqa: E731 - hot, tiny
-        confl = self._propagate(
-            bi(s.assigns), bi(s.level), bi(s.trail_pos), bi(s.reason),
-            bi(s.trail), bi(s.arena), bi(s.cla_off), bi(s.cla_flags),
-            bi(s.watch_head), bi(s.watch_next),
-            bi(s.pb_lits), bi(s.pb_coefs), bi(s.pb_owner),
-            bi(s.pb_off), bi(s.pb_len), bi(s.pb_slack), bi(s.pb_maxcoef),
-            bi(s.pb_watch_head), bi(s.pb_watch_next),
-            io,
-        )
-        s.qhead = io[0]
-        s.trail_n = io[1]
+    @staticmethod
+    def _call(fn, s, io: array, *dio_extra: float) -> int:
+        """Run ``fn`` on solver ``s`` and write the io prefix back."""
+        dio = array("d", (s.var_inc, s.cla_inc, float(s.RESCALE_LIMIT),
+                          *dio_extra))
+        addrs = array("q", [a.buffer_info()[0] for a in _arrays(s)])
+        ret = fn(addrs.buffer_info()[0], io.buffer_info()[0],
+                 dio.buffer_info()[0])
+        s.qhead, s.trail_n, s.trail_lim_n, s.heap_n = io[0], io[1], io[2], io[3]
         st = s.stats
-        st.propagations += io[3]
-        if io[1] > st.max_trail:
-            st.max_trail = io[1]
-        return confl
-
-    def unwind(self, s, bound: int) -> None:
-        io = (ctypes.c_longlong * 1)(s.heap_n)
-        bi = lambda a: a.buffer_info()[0]  # noqa: E731
-        self._unwind(
-            bi(s.assigns), bi(s.reason), bi(s.trail), bi(s.saved_phase),
-            bi(s.pb_owner), bi(s.pb_coefs), bi(s.pb_slack),
-            bi(s.pb_watch_head), bi(s.pb_watch_next),
-            bi(s.order_heap), bi(s.heap_pos), bi(s.activity),
-            s.trail_n, bound, io,
-        )
-        s.heap_n = io[0]
-
-    def pick_branch(self, s) -> int:
-        io = (ctypes.c_longlong * 1)(s.heap_n)
-        bi = lambda a: a.buffer_info()[0]  # noqa: E731
-        var = self._pick(
-            bi(s.assigns), bi(s.order_heap), bi(s.heap_pos),
-            bi(s.activity), io,
-        )
-        s.heap_n = io[0]
-        return var
-
-    def load_clauses(self, s, buf, io) -> int:
-        bi = lambda a: a.buffer_info()[0]  # noqa: E731
-        return self._load(
-            bi(buf), len(buf), s.nvars,
-            bi(s.assigns), bi(s._seen), bi(s.arena), bi(s.cla_off),
-            bi(s.cla_flags), bi(s.cla_act),
-            bi(s.watch_head), bi(s.watch_next), bi(io),
-        )
-
-    def analyze(self, s, confl: int) -> tuple[list[int], int]:
-        io = array("q", (confl, s.trail_n, len(s.trail_lim), s.nvars,
-                         len(s.cla_off), 0))
-        dio = array("d", (s.var_inc, s.cla_inc))
-        bi = lambda a: a.buffer_info()[0]  # noqa: E731
-        n = self._analyze(
-            bi(s.assigns), bi(s.level), bi(s.trail_pos), bi(s.reason),
-            bi(s.trail), bi(s._seen), bi(s.arena), bi(s.cla_off),
-            bi(s.cla_flags), bi(s.cla_act),
-            bi(s.pb_lits), bi(s.pb_off), bi(s.pb_len),
-            bi(s.activity), bi(s.order_heap), bi(s.heap_pos),
-            bi(s._learnt_buf), bi(s._clear_buf), bi(s._stack_buf),
-            bi(s._pbr_buf), bi(io), bi(dio), float(s.RESCALE_LIMIT),
-        )
+        st.propagations += io[6]
+        st.max_trail = io[7]
+        st.var_rescales += io[8]
+        st.cla_rescales += io[9]
         s.var_inc = dio[0]
         s.cla_inc = dio[1]
-        return s._learnt_buf[:n].tolist(), io[5]
+        return ret
+
+    def propagate(self, s) -> int:
+        return self._call(self._propagate, s, _io(s, 0))
+
+    def unwind(self, s, bound: int) -> None:
+        self._call(self._unwind, s, _io(s, 0, bound))
+
+    def load_clauses(self, s, buf, io) -> int:
+        cio = _io(s, io[2], buf.buffer_info()[0], len(buf), io[0], io[1], 0)
+        status = self._call(self._load, s, cio)
+        p = _IO_PREFIX
+        io[0], io[1], io[2], io[3] = cio[p + 2], cio[p + 3], cio[5], cio[p + 4]
+        return status
+
+    def search(self, s, st) -> int:
+        log = st.log
+        io = _io(
+            s, st.ncla, *_search_fields(st),
+            s._gov_countdown, len(s.arena), len(s.cla_off),
+            st.assumptions.buffer_info()[0], len(st.assumptions),
+            0 if log is None else log.buffer_info()[0],
+            0 if log is None else len(log),
+            0, 0, 0, 0,
+        )
+        status = self._call(self._search, s, io, st.max_learnts,
+                            s.VAR_DECAY, s.CLA_DECAY)
+        p = _IO_PREFIX
+        for k, name in enumerate(_SEARCH_IO):
+            setattr(st, name, io[p + k])
+        st.ncla = io[5]
+        s._gov_countdown = io[p + 11]
+        stats = s.stats
+        stats.conflicts += io[p + 18]
+        stats.decisions += io[p + 19]
+        stats.learnt_clauses += io[p + 20]
+        stats.learnt_literals += io[p + 21]
+        return status
 
 
 def load_fast_backend() -> tuple[FastBackend | None, str | None]:

@@ -1,12 +1,13 @@
-"""Reference propagation core: plain-Python loops over the flat arenas.
+"""Reference search core: plain-Python loops over the flat arenas.
 
 This module is the semantic specification of the propagation algorithm,
-of first-UIP conflict analysis (with recursive minimization and VSIDS
-bumping) and of the level-0 clause loader.  The compiled backend
-(:mod:`repro.sat.core.fast`, ``_core.c``) is a statement-by-statement
-translation of these functions and MUST mirror their iteration order
-exactly — trails, conflicts and learnt
-clauses are asserted bit-identical across backends by
+of the level-0 clause loader (with its unit propagation), of first-UIP
+conflict analysis (with recursive minimization and VSIDS bumping) and
+of the CDCL search loop that strings them together (:func:`search`).
+The compiled backend (:mod:`repro.sat.core.fast`, ``_core.c``) is a
+statement-by-statement translation of these functions and MUST mirror
+their iteration order exactly — trails, conflicts and learnt clauses
+are asserted bit-identical across backends by
 ``tests/test_sat_backends.py``.
 
 Data layout (all owned by :class:`repro.sat.solver.Solver`):
@@ -25,7 +26,8 @@ Data layout (all owned by :class:`repro.sat.solver.Solver`):
   update is a direct walk.
 - ``assigns/level/trail_pos/reason/trail``: per-variable search state;
   ``reason`` is an int ref (-1 none, >=0 clause id, <=-2 PB constraint
-  ``-(ref)-2``).
+  ``-(ref)-2``).  ``trail_lim[:trail_lim_n]`` holds the trail index at
+  which each decision level starts.
 
 Truth values are inlined constants here (``2`` unassigned, ``1`` true,
 ``0`` false) — they match :mod:`repro.sat.literals`.
@@ -33,20 +35,39 @@ Truth values are inlined constants here (``2`` unassigned, ``1`` true,
 
 from __future__ import annotations
 
-try:  # optional: the bulk activity rescale only, never required
+from array import array
+
+try:  # optional: the bulk activity rescales only, never required
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is in the base image
     _np = None
 
-__all__ = ["PureBackend", "propagate", "unwind", "pick_branch",
-           "load_clauses", "analyze", "reason_lits", "LOAD_DONE",
-           "LOAD_UNIT", "LOAD_EMPTY", "LOAD_BAD"]
+__all__ = ["PureBackend", "SearchState", "propagate", "unwind",
+           "load_clauses", "search", "analyze", "reason_lits",
+           "LOAD_DONE", "LOAD_CONFLICT", "LOAD_EMPTY", "LOAD_BAD"]
 
 #: :func:`load_clauses` stop codes.
-LOAD_DONE = 0   # every record consumed
-LOAD_UNIT = 1   # a record reduced to one literal (``io[3]``)
-LOAD_EMPTY = 2  # a record reduced to no literal: UNSAT at level 0
-LOAD_BAD = 3    # the record at ``io[0]`` is malformed (``io[3]``)
+LOAD_DONE = 0      # every record consumed
+LOAD_CONFLICT = 1  # a unit record propagated to a conflict: UNSAT
+LOAD_EMPTY = 2     # a record reduced to no literal: UNSAT at level 0
+LOAD_BAD = 3       # the record at ``io[0]`` is malformed (``io[3]``)
+
+#: :func:`search` stop codes: why control came back to the solver.
+SEARCH_SAT = 0         # every variable is assigned
+SEARCH_UNSAT = 1       # conflict at decision level 0
+SEARCH_ASSUMPTION = 2  # assumption ``st.aux`` is false
+SEARCH_RESTART = 3     # restart limit reached; the trail is at level 0
+SEARCH_REDUCE = 4      # learnt DB reached ``max_learnts + trail_n``
+SEARCH_GOVERNOR = 5    # the governor countdown ran out
+SEARCH_BUDGET = 6      # the next budget step might expire
+SEARCH_ROOM = 7        # too little learnt room for the next conflict
+
+#: :func:`search` resume points (``st.resume``).
+RESUME_PROPAGATE = 0   # the top of the loop
+RESUME_ANALYZE = 1     # analyze conflict ``st.aux`` (budget step done)
+RESUME_GOVERNOR = 2    # past the reduce check: governor countdown
+RESUME_DECIDE = 3      # past the governor: assumptions, then branch
+RESUME_BRANCH = 4      # assign decision variable ``st.aux`` (step done)
 
 
 def propagate(s) -> int:
@@ -78,7 +99,7 @@ def propagate(s) -> int:
 
     qhead = s.qhead
     trail_n = s.trail_n
-    cur_level = len(s.trail_lim)
+    cur_level = s.trail_lim_n
     nprops = 0
     confl = -1
 
@@ -260,10 +281,11 @@ def load_clauses(s, buf, io) -> int:
     ``Solver.add_clause`` call: every literal is validated first (no
     negative literal, no unknown variable); false and duplicate literals
     are dropped; satisfied clauses and tautologies are skipped; a clause
-    of two or more literals is stored and its two watchers linked.  The
-    loop stops after a record that reduces to one literal (``LOAD_UNIT``,
-    the literal in ``io[3]``) or to none (``LOAD_EMPTY``), so the caller
-    can enqueue and propagate before resuming, and before a malformed
+    of two or more literals is stored and its two watchers linked; a
+    record that reduces to one literal is enqueued at level 0 and
+    propagated before the next record is read.  The loop stops after a
+    unit that propagates to a conflict (``LOAD_CONFLICT``) or a record
+    that reduces to no literal (``LOAD_EMPTY``), and before a malformed
     record (``LOAD_BAD``, ``io[0]`` left on it and the offending literal
     or size in ``io[3]``).  ``io[0..2]`` are written back on every exit.
 
@@ -346,8 +368,10 @@ def load_clauses(s, buf, io) -> int:
             ncla += 1
             continue
         if n == 1:
-            io[3] = arena[arena_n + 1]
-            status = LOAD_UNIT
+            s._unchecked_enqueue(arena[arena_n + 1], -1)
+            if propagate(s) == -1:
+                continue
+            status = LOAD_CONFLICT
         else:
             status = LOAD_EMPTY
         break
@@ -406,7 +430,7 @@ def analyze(s, confl: int) -> tuple[list[int], int]:
     level = s.level
     trail = s.trail
     cla_flags = s.cla_flags
-    cur_level = len(s.trail_lim)
+    cur_level = s.trail_lim_n
     learnt: list[int] = [0]  # placeholder for the asserting literal
     counter = 0
     p = -1
@@ -416,7 +440,7 @@ def analyze(s, confl: int) -> tuple[list[int], int]:
     while True:
         lits = reason_lits(s, confl, -1 if first else p)
         if confl >= 0 and cla_flags[confl] & 1:
-            s._bump_clause(confl)
+            bump_clause(s, confl)
         start = 0 if first else 1
         first = False
         for k in range(start, len(lits)):
@@ -521,8 +545,200 @@ def bump_var(s, var: int) -> None:
             for v in range(s.nvars):
                 s.activity[v] *= inv
         s.var_inc *= inv
+        s.stats.var_rescales += 1
     if s.heap_pos[var] >= 0:
         s._heap_sift_up(s.heap_pos[var])
+
+
+def bump_clause(s, cid: int) -> None:
+    """Clause-activity bump; past ``s.RESCALE_LIMIT`` the activity of
+    every live learnt clause (flags exactly 1: learnt, not dead) and the
+    increment are multiplied by ``1 / RESCALE_LIMIT``."""
+    act = s.cla_act[cid] + s.cla_inc
+    s.cla_act[cid] = act
+    if act > s.RESCALE_LIMIT:
+        inv = 1.0 / s.RESCALE_LIMIT
+        if _np is not None:
+            acts = _np.frombuffer(s.cla_act)
+            acts[_np.frombuffer(s.cla_flags, dtype=_np.int8) == 1] *= inv
+        else:  # pragma: no cover - numpy is in the base image
+            flags = s.cla_flags
+            for c in range(len(flags)):
+                if flags[c] == 1:
+                    s.cla_act[c] *= inv
+        s.cla_inc *= inv
+        s.stats.cla_rescales += 1
+
+
+class SearchState:
+    """What one ``Solver.solve`` call carries from one :func:`search`
+    call to the next.
+
+    The solver fills it, calls ``search``, and acts on the stop code:
+    ``resume`` and ``aux`` say where the loop stopped, so the next call
+    continues the *same* iteration (after ``_reduce_db`` it goes on to
+    the governor countdown, after a governor tick to the decision --
+    neither re-runs the checks before it).  ``budget_room`` is how many
+    more conflicts and decisions the loop may charge before it must stop
+    at ``SEARCH_BUDGET`` so the solver can call ``Budget.step`` itself;
+    the ones it did charge are counted in ``charged_*``.  Learnt clauses
+    go to the reserved tails of the clause arrays (``arena_n``/``ncla``
+    are their live ends).  When ``log`` is an array, each learnt clause
+    is also appended to it as a ``[size, bt, lits...]`` record
+    (``log_n`` words used), in conflict order.
+    """
+
+    __slots__ = ("assumptions", "resume", "aux", "restart_conflicts",
+                 "restart_limit", "max_learnts", "n_learnts", "gov_active",
+                 "budget_room", "charged_conflicts", "charged_decisions",
+                 "arena_n", "ncla", "log", "log_n")
+
+    def __init__(self, assumptions, restart_limit: int, max_learnts: float,
+                 log: bool):
+        self.assumptions = array("i", assumptions)
+        self.resume = RESUME_PROPAGATE
+        self.aux = 0
+        self.restart_conflicts = 0
+        self.restart_limit = restart_limit
+        self.max_learnts = max_learnts
+        self.n_learnts = 0
+        self.gov_active = False
+        self.budget_room = 0
+        self.charged_conflicts = 0
+        self.charged_decisions = 0
+        self.arena_n = 0
+        self.ncla = 0
+        self.log = array("i") if log else None
+        self.log_n = 0
+
+
+def search(s, st: SearchState) -> int:
+    """Run the CDCL loop -- propagate, analyze, learn, backjump, decide
+    -- from ``st.resume`` until the solver has work to do; return the
+    ``SEARCH_*`` stop code.
+
+    A conflict at level 0 stops with ``SEARCH_UNSAT`` and a false
+    assumption with ``SEARCH_ASSUMPTION`` (the literal in ``st.aux``).
+    A restart backtracks to level 0 before it stops.  ``SEARCH_ROOM``
+    stops before the analysis when the reserved learnt room (arena
+    words, clause slots, ``st.log`` words) could not take a clause over
+    every variable assigned above level 0; the solver grows the room and
+    the call resumes at the same conflict.
+    """
+    stats = s.stats
+    assigns = s.assigns
+    assumptions = st.assumptions
+    stage = st.resume
+    aux = st.aux
+    while True:
+        if stage == RESUME_PROPAGATE:
+            confl = propagate(s)
+            if confl == -1:
+                if st.restart_conflicts >= st.restart_limit:
+                    # Restart (keep assumptions semantics: just backtrack).
+                    st.restart_conflicts = 0
+                    s._cancel_until(0)
+                    st.resume = RESUME_PROPAGATE
+                    return SEARCH_RESTART
+                if st.n_learnts >= st.max_learnts + s.trail_n:
+                    st.resume = RESUME_GOVERNOR
+                    return SEARCH_REDUCE
+                stage = RESUME_GOVERNOR
+            else:
+                stats.conflicts += 1
+                st.restart_conflicts += 1
+                if s.trail_lim_n == 0:
+                    return SEARCH_UNSAT
+                aux = confl
+                if st.budget_room == 0:
+                    st.resume = RESUME_ANALYZE
+                    st.aux = aux
+                    return SEARCH_BUDGET
+                st.budget_room -= 1
+                st.charged_conflicts += 1
+                stage = RESUME_ANALYZE
+        if stage == RESUME_ANALYZE:
+            need = s.trail_n - s.trail_lim[0] + 1
+            log = st.log
+            if (st.arena_n + need > len(s.arena)
+                    or st.ncla == len(s.cla_off)
+                    or (log is not None and st.log_n + need + 1 > len(log))):
+                st.resume = RESUME_ANALYZE
+                st.aux = aux
+                return SEARCH_ROOM
+            learnt, bt = analyze(s, aux)
+            n = len(learnt)
+            if log is not None:
+                k = st.log_n
+                log[k] = n
+                log[k + 1] = bt
+                log[k + 2:k + 2 + n] = array("i", learnt)
+                st.log_n = k + 2 + n
+            s._cancel_until(bt)
+            if n == 1:
+                s._unchecked_enqueue(learnt[0], -1)
+            else:
+                # Store into the reserved tails, then attach.
+                cid = st.ncla
+                off = st.arena_n
+                s.arena[off] = n
+                s.arena[off + 1:off + 1 + n] = array("i", learnt)
+                s.cla_off[cid] = off
+                s.cla_flags[cid] = 1
+                s.cla_act[cid] = 0.0
+                s._attach_clause(cid)
+                st.arena_n = off + 1 + n
+                st.ncla = cid + 1
+                st.n_learnts += 1
+                bump_clause(s, cid)
+                stats.learnt_clauses += 1
+                stats.learnt_literals += n
+                s._unchecked_enqueue(learnt[0], cid)
+            s.var_inc *= s.VAR_DECAY
+            s.cla_inc *= s.CLA_DECAY
+            stage = RESUME_PROPAGATE
+            continue
+        if stage == RESUME_GOVERNOR:
+            if st.gov_active:
+                s._gov_countdown -= 1
+                if s._gov_countdown <= 0:
+                    s._gov_countdown = 256
+                    st.resume = RESUME_DECIDE
+                    return SEARCH_GOVERNOR
+            stage = RESUME_DECIDE
+        if stage == RESUME_DECIDE:
+            # Re-apply assumptions not yet on the trail.
+            lvl = s.trail_lim_n
+            if lvl < len(assumptions):
+                p = assumptions[lvl]
+                v = assigns[p >> 1]
+                if v != 2 and v ^ (p & 1) == 1:
+                    # Already satisfied: open a dummy level to keep the
+                    # level <-> assumption-index correspondence.
+                    s._new_decision_level()
+                    stage = RESUME_PROPAGATE
+                    continue
+                if v != 2:
+                    st.aux = p
+                    return SEARCH_ASSUMPTION
+                s._new_decision_level()
+                s._unchecked_enqueue(p, -1)
+                stage = RESUME_PROPAGATE
+                continue
+            aux = pick_branch(s)
+            if aux == -1:
+                return SEARCH_SAT  # all variables assigned
+            stats.decisions += 1
+            if st.budget_room == 0:
+                st.resume = RESUME_BRANCH
+                st.aux = aux
+                return SEARCH_BUDGET
+            st.budget_room -= 1
+            st.charged_decisions += 1
+        # RESUME_BRANCH: assign the decision variable in its saved phase.
+        s._new_decision_level()
+        s._unchecked_enqueue(aux << 1 | (s.saved_phase[aux] == 0), -1)
+        stage = RESUME_PROPAGATE
 
 
 class PureBackend:
@@ -543,11 +759,8 @@ class PureBackend:
     def unwind(self, solver, bound: int) -> None:
         unwind(solver, bound)
 
-    def pick_branch(self, solver) -> int:
-        return pick_branch(solver)
-
     def load_clauses(self, solver, buf, io) -> int:
         return load_clauses(solver, buf, io)
 
-    def analyze(self, solver, confl: int) -> tuple[list[int], int]:
-        return analyze(solver, confl)
+    def search(self, solver, st: SearchState) -> int:
+        return search(solver, st)

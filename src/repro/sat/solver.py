@@ -7,7 +7,7 @@ The engine follows the Chaff/MiniSat lineage the paper cites [11, 12]:
   ``sum a_i * l_i >= b`` (the paper's GOBLIN solver [8] is a PB-native
   DPLL engine, so PB constraints are first-class here too),
 - first-UIP conflict analysis with recursive clause minimization
-  (run by the backend's ``analyze``),
+  (inside the backend's ``search``),
 - VSIDS decision heuristic with phase saving,
 - Luby-sequence restarts and activity-based learnt-clause deletion,
 - solving under assumptions (used to retract objective bounds between
@@ -32,13 +32,16 @@ state lives in flat, buffer-protocol arrays --
 - typed arrays for assignments, levels, trail, reasons, phases and
   VSIDS activities.
 
-The propagation/unwind inner loops, the branching heap pop, conflict
-analysis with its VSIDS bumps, and the level-0 clause loader
-(:meth:`Solver.add_clauses`) run behind a swappable backend
+The CDCL loop itself (propagate, analyze, learn, backjump, decide),
+the trail unwind and the level-0 clause loader with its unit
+propagation (:meth:`Solver.add_clauses`) run behind a swappable backend
 (:mod:`repro.sat.core`): a pure-Python reference and a C core compiled
-on demand that works on the *same* arrays through raw pointers.  Both
-execute the identical algorithm in the identical order, so trails,
-learnt clauses and DRUP proof logs are bit-identical across backends.
+on demand that works on the *same* arrays through raw pointers.  The
+backend's ``search`` returns to :meth:`Solver.solve` only where the
+solver has work to do -- an answer, a restart, a learnt-DB reduction, a
+governor tick, a budget step that might expire, a full learnt buffer.
+Both backends execute the identical algorithm in the identical order,
+so trails, learnt clauses and DRUP proof logs are bit-identical.
 Select with ``REPRO_SAT_BACKEND`` / CLI ``--backend`` /
 ``Solver(backend=...)``.
 """
@@ -52,12 +55,26 @@ from dataclasses import dataclass
 from repro.governor import core as _governor
 from repro.robust.budget import Budget, BudgetExpired
 from repro.sat.core import get_backend
-from repro.sat.core.pure import LOAD_DONE, LOAD_EMPTY, LOAD_UNIT, reason_lits
+from repro.sat.core.pure import (
+    LOAD_CONFLICT,
+    LOAD_DONE,
+    LOAD_EMPTY,
+    RESUME_ANALYZE,
+    RESUME_BRANCH,
+    SEARCH_BUDGET,
+    SEARCH_GOVERNOR,
+    SEARCH_REDUCE,
+    SEARCH_RESTART,
+    SEARCH_ROOM,
+    SEARCH_SAT,
+    SEARCH_UNSAT,
+    SearchState,
+    reason_lits,
+)
 from repro.sat.literals import (
     VAL_FALSE,
     VAL_TRUE,
     VAL_UNASSIGNED,
-    mklit,
     neg,
 )
 
@@ -71,6 +88,9 @@ __all__ = ["Solver", "SolverStats", "Clause", "PBConstraintRef",
 
 #: ``reason`` array sentinel: no reason (decision / assumption / unit).
 REASON_NONE = -1
+
+#: ``SearchState.budget_room`` without a budget: never reached.
+_NO_BUDGET = 1 << 62
 
 
 def _pb_ref(i: int) -> int:
@@ -213,6 +233,12 @@ class SolverStats:
     #: ``props_per_sec`` in the ``--stats`` block.
     solve_seconds: float = 0.0
     backend: str = ""
+    #: Calls into the backend's ``search`` (each returns at a restart, a
+    #: reduction, a governor tick, a budget step, a learnt-room refill
+    #: or an answer), and the VSIDS variable / clause activity rescales.
+    search_calls: int = 0
+    var_rescales: int = 0
+    cla_rescales: int = 0
 
     def props_per_sec(self) -> float:
         """Propagation throughput over the cumulative solve time."""
@@ -237,6 +263,9 @@ class SolverStats:
             "solve_seconds": round(self.solve_seconds, 6),
             "props_per_sec": round(self.props_per_sec(), 1),
             "backend": self.backend,
+            "search_calls": self.search_calls,
+            "var_rescales": self.var_rescales,
+            "cla_rescales": self.cla_rescales,
         }
 
 
@@ -302,7 +331,10 @@ class Solver:
         # Trail: preallocated (one slot per variable), explicit length.
         self.trail = array("i")
         self.trail_n = 0
-        self.trail_lim: list[int] = []
+        # Level starts: one slot per variable plus a spare, and one per
+        # assumption while solving (satisfied ones open empty levels).
+        self.trail_lim = array("i", [0])
+        self.trail_lim_n = 0
         self.qhead = 0
         # Clause arena: packed [size, lit0, lit1, ...] records addressed
         # by clause id (cid) through cla_off; flags bit0=learnt bit1=dead.
@@ -312,6 +344,7 @@ class Solver:
         self.cla_act = array("d")
         self.cla_tag: dict[int, str] = {}
         self._problem_cids: list[int] = []
+        self._n_problem_lits = 0       # literals over _problem_cids
         self._learnt_cids: list[int] = []
         self._dead_lits = 0            # reclaimable arena words
         # Watcher lists: nodes 2*cid / 2*cid+1 singly linked per literal.
@@ -357,9 +390,12 @@ class Solver:
         #: Provenance label applied to constraints added while a
         #: :meth:`tagged` block is active.
         self._active_tag: str | None = None
-        #: Called with every freshly learnt clause (a list the engine may
-        #: permute later -- the hook must copy).  Clause-sharing races use
-        #: it to export short lemmas; None keeps the hot path free.
+        #: Called as ``learn_hook(learnt, bt)`` with every learnt clause
+        #: (a fresh list) and its backjump level, in conflict order.  The
+        #: calls happen when the backend's search returns, not at the
+        #: conflict, so the hook must not read assignment state.
+        #: Clause-sharing races use it to export short lemmas; None keeps
+        #: learnt clauses out of the record buffer.
         self.learn_hook = None
         #: Decisions until the next resource-governor pressure check
         #: (only decremented while a governor is installed).
@@ -461,6 +497,7 @@ class Solver:
         for buf in self._scratch():
             buf.append(0)
         self.trail.append(0)           # reserve the trail slot
+        self.trail_lim.append(0)
         self.watch_head.append(-1)
         self.watch_head.append(-1)
         self.pb_watch_head.append(-1)
@@ -495,6 +532,7 @@ class Solver:
         for buf in self._scratch():
             buf.frombytes(bytes(4 * n))
         self.trail.frombytes(bytes(4 * n))  # reserve the trail slots
+        self.trail_lim.frombytes(bytes(4 * n))
         self.watch_head.extend(minus)
         self.watch_head.extend(minus)
         self.pb_watch_head.extend(minus)
@@ -556,9 +594,10 @@ class Solver:
 
         Each record gets exactly the treatment of one :meth:`add_clause`
         call (validation, level-0 simplification, unit propagation,
-        proof logging, the active provenance tag); the per-clause loop
-        runs in the backend's ``load_clauses``, which hands control back
-        only for a unit or empty clause.  ``new_vars`` fresh variables are
+        proof logging, the active provenance tag); the per-clause loop,
+        unit propagation included, runs in the backend's
+        ``load_clauses``, which hands control back only when the batch
+        is done, UNSAT, or malformed.  ``new_vars`` fresh variables are
         allocated after dropping to level 0 and before loading -- the
         order interleaved ``new_var``/``add_clause`` calls produce when a
         batch's first clause precedes its newest variables.  Returns
@@ -590,25 +629,13 @@ class Solver:
         self.cla_act.frombytes(bytes(8 * cap))
         self.watch_next.frombytes(bytes(8 * cap))
         io = array("q", [0, a0, c0, 0])
-        load = self.core.load_clauses
-        proof = self.proof
         try:
-            while True:
-                seg = io[0]
-                status = load(self, buf, io)
-                if proof is not None:
-                    proof.log_inputs(buf, seg, io[0])
-                if status == LOAD_DONE:
-                    break
-                if status == LOAD_UNIT:
-                    self._unchecked_enqueue(io[3], REASON_NONE)
-                    if self._propagate() != -1:
-                        self.ok = False
-                        break
-                    continue
-                if status == LOAD_EMPTY:
-                    self.ok = False
-                    break
+            status = self.core.load_clauses(self, buf, io)
+            if self.proof is not None:
+                self.proof.log_inputs(buf, 0, io[0])
+            if status in (LOAD_CONFLICT, LOAD_EMPTY):
+                self.ok = False
+            elif status != LOAD_DONE:
                 size = buf[io[0]]
                 if size < 0 or io[0] + 1 + size > words:
                     raise ValueError(
@@ -628,6 +655,7 @@ class Solver:
             if ncla > c0:
                 cids = range(c0, ncla)
                 self._problem_cids.extend(cids)
+                self._n_problem_lits += (arena_n - a0) - (ncla - c0)
                 if self._active_tag is not None:
                     self.cla_tag.update(dict.fromkeys(cids, self._active_tag))
         return self.ok
@@ -869,13 +897,13 @@ class Solver:
     # ------------------------------------------------------------------
 
     def _decision_level(self) -> int:
-        return len(self.trail_lim)
+        return self.trail_lim_n
 
     def _unchecked_enqueue(self, lit: int, reason_ref: int = REASON_NONE
                            ) -> None:
         var = lit >> 1
         self.assigns[var] = VAL_TRUE ^ (lit & 1)
-        self.level[var] = len(self.trail_lim)
+        self.level[var] = self.trail_lim_n
         self.trail_pos[var] = self.trail_n
         self.reason[var] = reason_ref
         self.trail[self.trail_n] = lit
@@ -895,18 +923,19 @@ class Solver:
             self.stats.max_trail = self.trail_n
 
     def _new_decision_level(self) -> None:
-        self.trail_lim.append(self.trail_n)
+        self.trail_lim[self.trail_lim_n] = self.trail_n
+        self.trail_lim_n += 1
 
     def _cancel_until(self, lvl: int) -> None:
         """Backtrack to decision level ``lvl``."""
-        if len(self.trail_lim) <= lvl:
+        if self.trail_lim_n <= lvl:
             return
         bound = self.trail_lim[lvl]
         # Assignment/PB-slack undo and VSIDS heap re-insertion both run
         # in the backend; only the trail bookkeeping stays here.
         self.core.unwind(self, bound)
         self.trail_n = bound
-        del self.trail_lim[lvl:]
+        self.trail_lim_n = lvl
         self.qhead = bound
 
     # ------------------------------------------------------------------
@@ -922,7 +951,7 @@ class Solver:
         return self.core.propagate(self)
 
     # ------------------------------------------------------------------
-    # Conflict analysis (first UIP runs in the backend: core.analyze)
+    # Assumption cores (first-UIP analysis runs inside core.search)
     # ------------------------------------------------------------------
 
     def _analyze_final(self, p: int, assumptions: list[int]) -> None:
@@ -976,19 +1005,6 @@ class Solver:
     # ------------------------------------------------------------------
     # Heuristics
     # ------------------------------------------------------------------
-
-    def _bump_clause(self, cid: int) -> None:
-        act = self.cla_act[cid] + self.cla_inc
-        self.cla_act[cid] = act
-        if act > self.RESCALE_LIMIT:
-            inv = 1.0 / self.RESCALE_LIMIT
-            for c in self._learnt_cids:
-                self.cla_act[c] *= inv
-            self.cla_inc *= inv
-
-    def _decay(self) -> None:
-        self.var_inc *= self.VAR_DECAY
-        self.cla_inc *= self.CLA_DECAY
 
     def boost_activity(self, variables: list[int], amount: float = 1.0) -> None:
         """Seed the VSIDS activity of chosen variables.
@@ -1073,11 +1089,6 @@ class Solver:
             pos[last] = 0
             self._heap_sift_down(0)
         return top
-
-    def _pick_branch_var(self) -> int:
-        """Next unassigned variable by activity (-1 when all assigned);
-        pops through the backend so the heap walk runs compiled."""
-        return self.core.pick_branch(self)
 
     # ------------------------------------------------------------------
     # Learnt-clause DB management
@@ -1189,92 +1200,118 @@ class Solver:
             if budget.expired():
                 self._budget_stop(budget)
         assumptions = list(assumptions or [])
+        for lit in assumptions:
+            if lit < 0 or lit >> 1 >= self.nvars:
+                raise ValueError(
+                    f"assumption {lit} references unknown variable"
+                    if lit >= 0 else f"negative literal {lit}"
+                )
         self._cancel_until(0)
-        conflicts_this_restart = 0
+        short = self.nvars + len(assumptions) + 1 - len(self.trail_lim)
+        if short > 0:
+            self.trail_lim.frombytes(bytes(4 * short))
+        st = SearchState(
+            assumptions, self.luby_base * luby(1), self.max_learnts,
+            log=self.proof is not None or self.learn_hook is not None,
+        )
         restart_num = 0
-        restart_limit = self.luby_base * luby(1)
-        max_learnts = self.max_learnts
-
+        room = 2 * (self.nvars + 2)  # learnt words reserved per search
         while True:
-            confl = self._propagate()
-            if confl != -1:
-                self.stats.conflicts += 1
-                conflicts_this_restart += 1
-                if self._decision_level() == 0:
-                    if self.proof is not None:
-                        self.proof.log_add([])
-                    self.ok = False
-                    return False  # definitive UNSAT beats budget expiry
-                if budget is not None and budget.step(conflicts=1):
-                    self._budget_stop(budget)
-                learnt, bt = self.core.analyze(self, confl)
-                if self.proof is not None:
-                    self.proof.log_add(learnt)
-                if self.learn_hook is not None:
-                    self.learn_hook(learnt)
-                self._cancel_until(bt)
-                if len(learnt) == 1:
-                    self._unchecked_enqueue(learnt[0], REASON_NONE)
+            st.n_learnts = len(self._learnt_cids)
+            st.gov_active = bool(_governor._ACTIVE)
+            st.budget_room = _NO_BUDGET if budget is None else budget.room()
+            status = self._search(st, room)
+            if budget is not None:
+                budget.charge(st.charged_conflicts, st.charged_decisions)
+                st.charged_conflicts = st.charged_decisions = 0
+            if status == SEARCH_RESTART:
+                restart_num += 1
+                self.stats.restarts += 1
+                st.restart_limit = self.luby_base * luby(restart_num + 1)
+            elif status == SEARCH_REDUCE:
+                self._reduce_db()
+                st.max_learnts *= self.learnt_growth
+            elif status == SEARCH_GOVERNOR:
+                if self._governor_tick():
+                    # Memory pressure: reduce aggressively and halve the
+                    # learnt-DB ceiling (it regrows through learnt_growth
+                    # once pressure lifts).
+                    st.max_learnts = max(256.0, st.max_learnts / 2)
+                    if len(self._learnt_cids) >= st.max_learnts:
+                        self._reduce_db()
+            elif status == SEARCH_BUDGET:
+                if st.resume == RESUME_ANALYZE:
+                    expired = budget.step(conflicts=1)
                 else:
-                    cid = self._new_clause(learnt, learnt=True)
-                    self._learnt_cids.append(cid)
-                    self._attach_clause(cid)
-                    self._bump_clause(cid)
-                    self.stats.learnt_clauses += 1
-                    self.stats.learnt_literals += len(learnt)
-                    self._unchecked_enqueue(learnt[0], cid)
-                self._decay()
-            else:
-                if conflicts_this_restart >= restart_limit:
-                    # Restart (keep assumptions semantics: just backtrack).
-                    restart_num += 1
-                    self.stats.restarts += 1
-                    conflicts_this_restart = 0
-                    restart_limit = self.luby_base * luby(restart_num + 1)
-                    self._cancel_until(0)
-                    continue
-                if len(self._learnt_cids) >= max_learnts + self.trail_n:
-                    self._reduce_db()
-                    max_learnts *= self.learnt_growth
-                if _governor._ACTIVE:
-                    self._gov_countdown -= 1
-                    if self._gov_countdown <= 0:
-                        self._gov_countdown = 256
-                        if self._governor_tick():
-                            # Memory pressure: reduce aggressively and
-                            # halve the learnt-DB ceiling (it regrows
-                            # through learnt_growth once pressure lifts).
-                            max_learnts = max(256.0, max_learnts / 2)
-                            if len(self._learnt_cids) >= max_learnts:
-                                self._reduce_db()
-                # Re-apply assumptions not yet on the trail.
-                lvl = self._decision_level()
-                if lvl < len(assumptions):
-                    p = assumptions[lvl]
-                    v = self.value_lit(p)
-                    if v == VAL_TRUE:
-                        # Already satisfied: open a dummy level to keep the
-                        # level <-> assumption-index correspondence.
-                        self._new_decision_level()
-                        continue
-                    if v == VAL_FALSE:
-                        self._analyze_final(neg(p), assumptions)
-                        return False  # conflicting assumptions
-                    self._new_decision_level()
-                    self._unchecked_enqueue(p, REASON_NONE)
-                    continue
-                var = self._pick_branch_var()
-                if var == -1:
-                    self.max_learnts = max_learnts
-                    self._snapshot_model()
-                    return True  # all variables assigned: SAT
-                self.stats.decisions += 1
-                if budget is not None and budget.step(decisions=1):
+                    expired = budget.step(decisions=1)
+                if expired:
+                    if st.resume == RESUME_BRANCH:
+                        # The popped decision variable is on neither the
+                        # trail nor the heap: put it back first.
+                        self._heap_insert(st.aux)
                     self._budget_stop(budget)
-                self._new_decision_level()
-                phase = self.saved_phase[var]
-                lit = mklit(var, phase == VAL_FALSE)
-                self._unchecked_enqueue(lit, REASON_NONE)
+            elif status == SEARCH_ROOM:
+                room *= 2
+            elif status == SEARCH_SAT:
+                self.max_learnts = st.max_learnts
+                self._snapshot_model()
+                return True
+            elif status == SEARCH_UNSAT:
+                if self.proof is not None:
+                    self.proof.log_add([])
+                self.ok = False
+                return False  # definitive UNSAT beats budget expiry
+            else:  # SEARCH_ASSUMPTION
+                self._analyze_final(neg(st.aux), assumptions)
+                return False  # conflicting assumptions
+
+    def _search(self, st: SearchState, room: int) -> int:
+        """One ``core.search`` call with ``room`` arena words (and a clause
+        slot per three of them) reserved for learnt clauses.  On return
+        the clause arrays are trimmed to their live ends, the new learnt
+        ids are recorded, and the learnt records are handed to the proof
+        log and ``learn_hook`` in conflict order."""
+        a0 = len(self.arena)
+        c0 = len(self.cla_off)
+        slots = room // 3 + 1
+        self.arena.frombytes(bytes(4 * room))
+        self.cla_off.frombytes(bytes(4 * slots))
+        self.cla_flags.frombytes(bytes(slots))
+        self.cla_act.frombytes(bytes(8 * slots))
+        self.watch_next.frombytes(bytes(8 * slots))
+        if st.log is not None and len(st.log) < 2 * room:
+            st.log = array("i", bytes(8 * room))
+        st.arena_n, st.ncla, st.log_n = a0, c0, 0
+        try:
+            return self.core.search(self, st)
+        finally:
+            self.stats.search_calls += 1
+            ncla = st.ncla
+            del self.arena[st.arena_n:]
+            del self.cla_off[ncla:]
+            del self.cla_flags[ncla:]
+            del self.cla_act[ncla:]
+            del self.watch_next[2 * ncla:]
+            if ncla > c0:
+                self._learnt_cids.extend(range(c0, ncla))
+            if st.log_n:
+                self._drain_learnts(st)
+
+    def _drain_learnts(self, st: SearchState) -> None:
+        """Log and announce the ``[size, bt, lits...]`` learnt records of
+        the last search call."""
+        log = st.log
+        proof = self.proof
+        hook = self.learn_hook
+        pos = 0
+        while pos < st.log_n:
+            n = log[pos]
+            learnt = log[pos + 2:pos + 2 + n].tolist()
+            if proof is not None:
+                proof.log_add(learnt)
+            if hook is not None:
+                hook(learnt, log[pos + 1])
+            pos += 2 + n
 
     def _snapshot_model(self) -> None:
         if _np is not None and self.nvars > 256:
@@ -1317,11 +1354,13 @@ class Solver:
 
     def num_literals(self) -> int:
         """Total literal count over problem clauses and PB constraints —
-        the 'Lit.' column of the paper's tables."""
-        arena = self.arena
-        cla_off = self.cla_off
-        n = sum(arena[cla_off[cid]] for cid in self._problem_cids)
-        return n + len(self.pb_lits)
+        the 'Lit.' column of the paper's tables (kept as a running count:
+        problem clauses are only ever appended)."""
+        return self._n_problem_lits + len(self.pb_lits)
+
+    def num_pbs(self) -> int:
+        """Number of PB constraints in the database."""
+        return self._n_pbs
 
     def check_model(self) -> bool:
         """Verify the last model against every original constraint

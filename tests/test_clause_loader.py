@@ -154,6 +154,27 @@ class TestLoaderDifferential:
         for mode in ("pure-bulk", "fast-bulk", "pure-single", "fast-single"):
             assert replay(mode, stream) == want, mode
 
+    @settings(max_examples=100, deadline=None)
+    @given(stream=clause_streams())
+    def test_literal_count_matches_a_rescan(self, stream):
+        """``num_literals`` is a running count kept by the loader."""
+        nvars, batches, _ = stream
+        for backend in BACKENDS:
+            s = Solver(backend=backend)
+            s.new_vars(nvars)
+            for grow, _tag, records in batches:
+                s.new_vars(grow)
+                try:
+                    s.add_clauses(pack(records))
+                except ValueError:
+                    pass
+                if s.nvars >= 2:
+                    s.add_pb([0, 2], [1, 1], 1)
+                rescan = sum(len(c) for c in s.clauses) + sum(
+                    len(pb.lits) for pb in s.pbs)
+                assert s.num_literals() == rescan
+                assert s.num_pbs() == len(s.pbs)
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_unit_chain_propagates_between_records(self, backend):
         # The unit fixes var 0, which falsifies the next clause's first
@@ -225,6 +246,17 @@ class TestNegativeLiterals:
         with pytest.raises(ValueError, match="negative"):
             s.import_clause([-1, 2])
         assert snapshot(s) == before
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("lit", [-1, 4])
+    def test_solve_assumption(self, backend, lit):
+        s = Solver(backend=backend)
+        s.new_vars(2)
+        s.add_clause([0, 2])
+        with pytest.raises(ValueError, match="negative|unknown variable"):
+            s.solve(assumptions=[1, lit])
+        assert s.trail_lim_n == 0
+        assert s.solve(assumptions=[1]) is True
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_add_pb(self, backend):

@@ -204,8 +204,7 @@ class TestSearchIdentity:
         assert sat.core.name == backend
         h = hashlib.sha256()
 
-        def hook(learnt):
-            bt = sat.level[learnt[1] >> 1] if len(learnt) > 1 else 0
+        def hook(learnt, bt):
             h.update(repr((list(learnt), bt)).encode())
 
         sat.learn_hook = hook

@@ -331,7 +331,7 @@ class TestImportClause:
     def test_learn_hook_receives_learnt_clauses(self):
         s, _ = _pigeonhole_solver()
         learnt = []
-        s.learn_hook = lambda lits: learnt.append(tuple(lits))
+        s.learn_hook = lambda lits, bt: learnt.append(tuple(lits))
         assert not s.solve()
         assert learnt  # refuting PHP(3,2) must learn something
 

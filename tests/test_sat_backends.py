@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.robust.budget import Budget, BudgetExpired
 from repro.sat import Solver, mklit, neg
 from repro.sat.core import backend_status, get_backend, set_default_backend
-from repro.sat.literals import VAL_TRUE
+from repro.sat.literals import VAL_TRUE, VAL_UNASSIGNED
 
 FAST_AVAILABLE = backend_status()["fast"]["available"]
 
@@ -70,11 +71,10 @@ def cnf_pb_instances(draw):
 
 def _learnt_stream(s: Solver) -> list:
     """Install a learn hook recording every learnt clause with its
-    backjump level (the second literal's level, as analysis orders it)."""
+    backjump level."""
     stream: list = []
 
-    def hook(learnt):
-        bt = s.level[learnt[1] >> 1] if len(learnt) > 1 else 0
+    def hook(learnt, bt):
         stream.append((list(learnt), bt))
 
     s.learn_hook = hook
@@ -227,26 +227,6 @@ def _php(s: Solver, pigeons: int, holes: int, pb: bool) -> None:
                 s.add_clause([neg(mklit(x[p1][h])), neg(mklit(x[p2][h]))])
 
 
-class _CountingCore:
-    """Backend proxy counting the rescales that fire inside analysis
-    (an increment that shrinks across one ``analyze`` call)."""
-
-    def __init__(self, core):
-        self._core = core
-        self.var_rescales = 0
-        self.cla_rescales = 0
-
-    def __getattr__(self, name):
-        return getattr(self._core, name)
-
-    def analyze(self, s, confl):
-        var_inc, cla_inc = s.var_inc, s.cla_inc
-        out = self._core.analyze(s, confl)
-        self.var_rescales += s.var_inc < var_inc
-        self.cla_rescales += s.cla_inc < cla_inc
-        return out
-
-
 class TestRescale:
     """Both VSIDS rescale branches, reached by a tiny RESCALE_LIMIT."""
 
@@ -254,7 +234,6 @@ class TestRescale:
         s = Solver(backend=backend)
         s.RESCALE_LIMIT = 20.0
         s.max_learnts = 50.0  # frequent _reduce_db: detach under rescale
-        s.core = _CountingCore(s.core)
         _php(s, 7, 6, pb)
         proof = s.start_proof()
         stream = _learnt_stream(s)
@@ -273,8 +252,8 @@ class TestRescale:
     def test_rescales_fire_and_learnt_set_is_flagged(self, backend, pb):
         s, _ = self._solve(backend, pb)
         assert s.core.name == backend
-        assert s.core.var_rescales > 0
-        assert s.core.cla_rescales > 0
+        assert s.stats.var_rescales > 0
+        assert s.stats.cla_rescales > 0
         assert s.stats.deleted_clauses > 0
         s._reduce_db()
         # The compiled clause rescale walks flags == 1 instead of
@@ -288,6 +267,204 @@ class TestRescale:
         _, obs_pure = self._solve("pure", pb)
         _, obs_fast = self._solve("fast", pb)
         assert obs_pure == obs_fast
+
+
+#: ``(conflicts, decisions, restarts)`` when the budget expires on
+#: PHP(7, 6) with ``max_learnts = 50``, keyed by (PB encoding, limit)
+#: and the limit's value.  Recorded with the per-step search loop that
+#: ``core.search`` replaced; the return points must not move them.
+EXPIRY_PINS = {
+    (False, "max_conflicts"): {
+        1: (1, 16, 0), 2: (2, 16, 0), 63: (63, 94, 0), 64: (64, 94, 0),
+        65: (65, 94, 0), 500: (500, 645, 2)},
+    (False, "max_decisions"): {
+        1: (0, 1, 0), 2: (0, 2, 0), 63: (39, 63, 0), 64: (39, 64, 0),
+        65: (39, 65, 0), 500: (381, 500, 2)},
+    (True, "max_conflicts"): {
+        1: (1, 16, 0), 2: (2, 16, 0), 63: (63, 90, 0), 64: (64, 90, 0),
+        65: (65, 90, 0), 500: (500, 633, 2)},
+    (True, "max_decisions"): {
+        1: (0, 1, 0), 2: (0, 2, 0), 63: (38, 63, 0), 64: (38, 64, 0),
+        65: (38, 65, 0), 500: (387, 500, 2)},
+}
+
+BACKENDS = ["pure", pytest.param("fast", marks=needs_fast)]
+
+
+def _assert_heap_complete(s: Solver) -> None:
+    """Every unassigned variable is on the VSIDS heap."""
+    missing = [v for v in range(s.nvars)
+               if s.assigns[v] == VAL_UNASSIGNED and s.heap_pos[v] < 0]
+    assert missing == []
+
+
+class TestBudgetReturnPoints:
+    """``search`` stops wherever a budget step might expire; the solver
+    charges the step and either resumes the same iteration or stops."""
+
+    @staticmethod
+    def _expire(backend: str, pb: bool, limit: str, k: int) -> dict:
+        s = Solver(backend=backend)
+        s.max_learnts = 50.0  # reductions inside the budgeted run
+        _php(s, 7, 6, pb)
+        proof = s.start_proof()
+        stream = _learnt_stream(s)
+        budget = Budget(**{limit: k})
+        with pytest.raises(BudgetExpired):
+            s.solve(budget=budget)
+        assert s.trail_lim_n == 0
+        _assert_heap_complete(s)
+        return {
+            "counts": (s.stats.conflicts, s.stats.decisions,
+                       s.stats.restarts),
+            "used": (budget.conflicts_used, budget.decisions_used),
+            "trail": list(s.trail[: s.trail_n]),
+            "learnts": [c.lits for c in s.learnts],
+            "learnt_stream": stream,
+            "proof": proof.to_lines(),
+            **_vsids_state(s),
+        }
+
+    @pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 500])
+    @pytest.mark.parametrize("limit", ["max_conflicts", "max_decisions"])
+    @pytest.mark.parametrize("pb", [False, True], ids=["clauses", "pb"])
+    def test_expiry_is_pinned_and_bit_identical(self, pb, limit, k):
+        pure = self._expire("pure", pb, limit, k)
+        assert pure["counts"] == EXPIRY_PINS[(pb, limit)][k]
+        assert pure["used"] == pure["counts"][:2]
+        if FAST_AVAILABLE:
+            assert self._expire("fast", pb, limit, k) == pure
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_decision_expiry_keeps_the_variable_on_the_heap(self, backend):
+        """An expiry charged to a decision used to drop the popped
+        variable from the heap for good: a later solve() then answered
+        SAT with (a or b) false."""
+        s = Solver(backend=backend)
+        a, b = s.new_vars(2)
+        s.add_clause([mklit(a), mklit(b)])
+        for _ in range(2):
+            with pytest.raises(BudgetExpired):
+                s.solve(budget=Budget(max_decisions=1))
+            _assert_heap_complete(s)
+        assert s.solve() is True
+        assert s.check_model()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_wall_clock_is_read_every_check_every_steps(self, backend,
+                                                         monkeypatch):
+        import repro.robust.budget as budget_mod
+
+        reads = []
+        clock = budget_mod.time.monotonic
+
+        def monotonic():
+            reads.append(1)
+            return clock()
+
+        s = Solver(backend=backend)
+        _php(s, 7, 6, False)
+        budget = Budget(wall_seconds=1000.0, max_conflicts=300)
+        budget.start()
+        monkeypatch.setattr(budget_mod.time, "monotonic", monotonic)
+        with pytest.raises(BudgetExpired):
+            s.solve(budget=budget)
+        steps = budget.conflicts_used + budget.decisions_used
+        # solve() re-checks once on entry; step() every check_every.
+        assert len(reads) == 1 + (steps - 1) // budget.check_every
+
+
+class StopTally:
+    """Backend proxy recording the stop code of every ``search`` call."""
+
+    def __init__(self, core):
+        self._core = core
+        self.stops: list[int] = []
+
+    def __getattr__(self, name):
+        return getattr(self._core, name)
+
+    def search(self, s, st):
+        status = self._core.search(s, st)
+        self.stops.append(status)
+        return status
+
+
+def _counters(s: Solver) -> dict:
+    """The search counters of ``s.stats`` (no timing, no backend name)."""
+    snap = s.stats.snapshot()
+    for key in ("solve_seconds", "props_per_sec", "backend"):
+        del snap[key]
+    return snap
+
+
+class TestReduceResume:
+    """After ``_reduce_db`` the search goes on to the decision without
+    re-checking the threshold, so a learnt DB that reduction cannot
+    shrink below ``max_learnts + trail_n`` cannot stall it."""
+
+    @staticmethod
+    def _run(backend: str):
+        s = Solver(backend=backend)
+        s.max_learnts = 0.0
+        s.learnt_growth = 1.0
+        _php(s, 6, 5, False)
+        s.core = StopTally(s.core)
+        assert s.solve() is False
+        return s
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_terminates_with_an_undeletable_learnt_db(self, backend):
+        from repro.sat.core.pure import SEARCH_REDUCE
+
+        s = self._run(backend)
+        assert s.core.stops.count(SEARCH_REDUCE) > 10
+        assert len(s.learnts) > 0  # reduction could not empty it
+
+    @needs_fast
+    def test_stats_equal_across_backends(self):
+        s_pure = self._run("pure")
+        s_fast = self._run("fast")
+        assert s_pure.core.stops == s_fast.core.stops
+        assert _counters(s_pure) == _counters(s_fast)
+
+
+class TestCrossings:
+    """Guard against per-step crossings: the compiled search comes back
+    to Python only at a restart, a reduction, a governor tick, a
+    learnt-room refill, or with an answer (one per solve)."""
+
+    @needs_fast
+    def test_sweep_cell_search_calls_are_bounded(self, monkeypatch):
+        import repro.sat.core as core_mod
+        from repro.core import Allocator
+        from repro.core.objectives import objective_from_spec
+        from repro.core.optimize import bin_search
+        from repro.sat.core.pure import (
+            SEARCH_GOVERNOR,
+            SEARCH_REDUCE,
+            SEARCH_RESTART,
+            SEARCH_ROOM,
+        )
+        from repro.workloads import random_taskset, ring_architecture
+
+        # The sweep-ring cell u0.6-s1 (TestSearchIdentity's instance).
+        monkeypatch.setattr(core_mod, "_default", "fast")
+        arch = ring_architecture(3)
+        tasks = random_taskset(arch, 6, total_util=0.6, seed=1)
+        enc, cost_var, lo, hi, _ = Allocator(tasks, arch)._encode(
+            objective_from_spec("sum_resp"))
+        sat = enc.solver.sat
+        sat.core = StopTally(sat.core)
+        assert bin_search(enc.solver, cost_var, lo, hi).optimum == 246
+        st = sat.stats
+        stops = sat.core.stops
+        assert st.search_calls == len(stops)
+        assert stops.count(SEARCH_RESTART) == st.restarts
+        refills = sum(stops.count(code) for code in (
+            SEARCH_REDUCE, SEARCH_GOVERNOR, SEARCH_ROOM))
+        assert st.search_calls <= st.restarts + refills + st.solve_calls
+        assert st.conflicts > 10 * st.search_calls
 
 
 class TestBackendSelection:
@@ -340,7 +517,7 @@ class TestBackendSelection:
         src = tmp_path / "partial.c"
         src.write_text("".join(
             f"int {name}(void) {{ return 0; }}\n"
-            for name in fast._SYMBOLS if name != "sat_analyze"
+            for name in fast._SYMBOLS if name != "sat_search"
         ))
         lib = tmp_path / "partial.so"
         subprocess.run(
@@ -351,15 +528,15 @@ class TestBackendSelection:
                             lambda src, cc: (str(lib), None))
         backend, reason = fast.load_fast_backend()
         assert backend is None
-        assert "sat_analyze" in reason
+        assert "sat_search" in reason
         pure = core_mod._pure_backend()
         monkeypatch.setattr(pure, "fallback_reason", pure.fallback_reason)
         monkeypatch.setattr(core_mod, "_fast", None)
         monkeypatch.setattr(core_mod, "_fast_reason", "")
         b = get_backend("fast")
         assert b.name == "pure"
-        assert "sat_analyze" in b.fallback_reason
-        assert "sat_analyze" in backend_status()["fast"]["reason"]
+        assert "sat_search" in b.fallback_reason
+        assert "sat_search" in backend_status()["fast"]["reason"]
 
     @needs_fast
     def test_backend_status_reports_library(self):
