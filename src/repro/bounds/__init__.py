@@ -20,10 +20,8 @@ from repro.bounds.relaxation import (
     dual_floor,
     repaired_upper,
 )
-from repro.bounds.sidecar import BoundsRacer
 
 __all__ = [
-    "BoundsRacer",
     "HintBoundsProvider",
     "RelaxationBoundsProvider",
     "dual_floor",

@@ -2,8 +2,8 @@
 
 :func:`resolve_bounds` is the single gate between bounds providers and
 the binary search.  It runs every :class:`~repro.core.api.
-BoundsProvider` on :attr:`SolveRequest.bounds` (plus any the engine
-injects) and audits each proposal:
+BoundsProvider` on :attr:`SolveRequest.bounds` and audits each
+proposal:
 
 - an ``upper`` backed by a ``witness`` is re-checked by the independent
   analysis; the *recomputed* cost (never the claim) becomes a trusted
@@ -87,7 +87,7 @@ def _audit_witness_payload(tasks, arch, objective, payload):
     return alloc, int(cost)
 
 
-def resolve_bounds(tasks, arch, objective, request, extra=()):
+def resolve_bounds(tasks, arch, objective, request):
     """Run and audit all bounds providers for one solve.
 
     Returns ``(resolved, witness_alloc, meta)``: the
@@ -107,7 +107,7 @@ def resolve_bounds(tasks, arch, objective, request, extra=()):
     if mode == "off" or objective is None:
         return rb, None, meta
 
-    providers = list(extra) + list(getattr(request, "bounds", ()) or ())
+    providers = list(getattr(request, "bounds", ()) or ())
 
     # Providers read the objective off the request.
     req = request

@@ -185,9 +185,8 @@ class RelaxationBoundsProvider(BoundsProvider):
     Proposes a :class:`~repro.core.api.BoundsReport` combining the
     certificate-backed relaxation floor (:func:`dual_floor`) with a
     witness-backed heuristic upper bound (:func:`repaired_upper`).
-    Stateless and cheap enough to run synchronously
-    (``bounds_mode="auto"``); the parallel engine can also race it
-    mid-flight (``bounds_mode="race"``).
+    Stateless and cheap enough to run synchronously before the search
+    (``bounds_mode="auto"``).
     """
 
     name = "relaxation"

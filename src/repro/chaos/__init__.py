@@ -19,7 +19,6 @@ from repro.chaos.schedule import (
     active,
     chaos_data,
     chaos_flag,
-    chaos_lits,
     chaos_point,
     current,
     install,
@@ -40,7 +39,6 @@ __all__ = [
     "active",
     "chaos_data",
     "chaos_flag",
-    "chaos_lits",
     "chaos_point",
     "current",
     "install",

@@ -18,9 +18,9 @@ Design constraints, in order:
    process continues the counts, so an already-fired one-shot fault
    does not re-fire).
 2. **Free when off.**  ``chaos_point`` returns after one module-global
-   truthiness check when no schedule is installed; sites on hot paths
-   (the solver slice loop, IPC exchange) cost a function call and a
-   falsy check.  ``benchmarks/test_chaos_overhead.py`` guards this.
+   truthiness check when no schedule is installed, so a site costs a
+   function call and a falsy check.  ``benchmarks/test_chaos_overhead.py``
+   guards this.
 3. **Observable.**  Every injected fault is appended to
    ``state_dir/chaos-events.jsonl`` (one JSON object per line, written
    with a single ``write`` call so concurrent workers interleave whole
@@ -37,8 +37,8 @@ Fault kinds
   the failed write / failed spawn / wedged queue case.
 - ``"torn-write"``    -- data faults only: the first half of the bytes
   reach the medium, the rest are lost (crash between two ``write``\\ s).
-- ``"corrupt-bytes"`` -- data faults only: one byte (or literal) is
-  flipped in transit (bit rot, a buggy NIC, a hostile filesystem).
+- ``"corrupt-bytes"`` -- data faults only: one byte is flipped in
+  transit (bit rot, a buggy NIC, a hostile filesystem).
 - ``"disk-full"``     -- raise :class:`ChaosDiskFull` (an ``OSError``
   with ``errno.ENOSPC``); at data sites the *prefix* of the frame up to
   the fault's ``offset`` (default: half) reaches the medium first --
@@ -51,14 +51,9 @@ Sites
 -----
 
 ======================  ====================================================
-``solver.slice``        worker probe loop, once per solve slice
-``worker.spawn``        parent, before starting a probe worker process
-``worker.ipc.put``      clause-sharing queue export
-``worker.ipc.get``      clause-sharing queue import
 ``checkpoint.write``    checkpoint bytes on their way to disk (data)
 ``checkpoint.fsync``    the fsync of a checkpoint temp file
 ``proof.append``        proof-artifact record bytes on their way to disk
-``race.import``         an imported peer lemma, literal-level (data)
 ``supervisor.stage``    entry of a supervised exact stage
 ``fabric.store.append`` result-store record bytes on their way to disk (data)
 ``fabric.store.fsync``  the fsync after a result-store append
@@ -97,7 +92,6 @@ __all__ = [
     "ChaosSchedule",
     "chaos_point",
     "chaos_data",
-    "chaos_lits",
     "chaos_flag",
     "install",
     "uninstall",
@@ -113,14 +107,9 @@ CHAOS_EXIT_CODE = 86
 EVENT_LOG_NAME = "chaos-events.jsonl"
 
 SITES = (
-    "solver.slice",
-    "worker.spawn",
-    "worker.ipc.put",
-    "worker.ipc.get",
     "checkpoint.write",
     "checkpoint.fsync",
     "proof.append",
-    "race.import",
     "supervisor.stage",
     "fabric.store.append",
     "fabric.store.fsync",
@@ -145,16 +134,11 @@ KINDS = ("crash", "hang", "io-error", "torn-write", "corrupt-bytes",
 #: the SIGKILL scenario, covered by tests/test_kill_resume.py killing
 #: the whole process from outside rather than by an in-process site.
 SITE_KINDS = {
-    "solver.slice": ("crash", "hang", "io-error"),
-    "worker.spawn": ("io-error",),
-    "worker.ipc.put": ("crash", "hang", "io-error"),
-    "worker.ipc.get": ("crash", "hang", "io-error"),
     "checkpoint.write": ("io-error", "torn-write", "corrupt-bytes",
                          "disk-full"),
     "checkpoint.fsync": ("io-error", "hang", "disk-full"),
     "proof.append": ("io-error", "torn-write", "corrupt-bytes",
                      "disk-full"),
-    "race.import": ("torn-write", "corrupt-bytes", "io-error"),
     "supervisor.stage": ("io-error",),
     "fabric.store.append": ("io-error", "torn-write", "corrupt-bytes",
                             "disk-full"),
@@ -243,16 +227,6 @@ PROFILES: dict[str, tuple[tuple[str, int, str, int], ...]] = {
         ("checkpoint.write", 2, "torn-write", 1),
         ("checkpoint.write", 4, "corrupt-bytes", 1),
     ),
-    "worker-carnage": (
-        ("worker.spawn", 1, "io-error", 1),
-        ("solver.slice", 2, "crash", 1),
-        ("solver.slice", 5, "io-error", 1),
-    ),
-    "ipc-flake": (
-        ("worker.ipc.put", 1, "io-error", 2),
-        ("worker.ipc.get", 2, "io-error", 2),
-        ("race.import", 1, "corrupt-bytes", 2),
-    ),
     "proof-tamper": (
         ("proof.append", 1, "torn-write", 1),
         ("proof.append", 3, "corrupt-bytes", 1),
@@ -273,8 +247,6 @@ PROFILES: dict[str, tuple[tuple[str, int, str, int], ...]] = {
     "full-stack": (
         ("checkpoint.write", 1, "torn-write", 1),
         ("checkpoint.fsync", 2, "io-error", 1),
-        ("solver.slice", 3, "crash", 1),
-        ("worker.ipc.put", 1, "io-error", 1),
         ("proof.append", 2, "torn-write", 1),
         ("supervisor.stage", 1, "io-error", 1),
     ),
@@ -539,36 +511,6 @@ def chaos_data(site: str, data: bytes) -> tuple[bytes, str | None]:
     buf = bytearray(data)
     buf[len(buf) // 2] ^= 0xFF
     return bytes(buf), kind
-
-
-def chaos_lits(site: str, lits: tuple) -> tuple | None:
-    """A data fault site for a clause in transit (literal level).
-
-    Returns the (possibly damaged) literal tuple, or ``None`` when the
-    clause was lost in transit (``io-error``).  ``corrupt-bytes``
-    negates one literal, ``torn-write`` drops the tail literal --
-    either way the receiver's RUP verification, not luck, must decide
-    whether the damaged lemma is still sound.
-    """
-    if not _ACTIVE:
-        return lits
-    sched = _ACTIVE[-1]
-    kind = sched.hit(site)
-    if kind is None:
-        return lits
-    if kind == "crash":
-        os._exit(CHAOS_EXIT_CODE)
-    if kind == "hang":
-        time.sleep(sched.hang_seconds)
-        return lits
-    if kind == "io-error":
-        return None
-    if not lits:
-        return lits
-    if kind == "torn-write":
-        return lits[:-1]
-    mid = len(lits) // 2
-    return lits[:mid] + (-lits[mid],) + lits[mid + 1:]
 
 
 def chaos_flag(site: str) -> bool:

@@ -26,12 +26,10 @@ Objectives: ``trt:<medium>``, ``sum_trt``, ``can:<medium>``,
 ``sum_resp``, ``max_util``.
 
 ``solve`` builds one :class:`repro.core.SolveRequest` from argv, so the
-CLI and the library cannot drift apart; ``--processes``/``--speculate``/
-``--race`` route it to the parallel solve engine (see
-``docs/PARALLEL.md``).  Exit codes follow :class:`repro.core.ExitCode`:
-0 answer produced, 1 usage/internal error, 2 certified infeasibility /
-failed schedulability, 3 certificate failure under ``--certify``, 4
-budget exhausted before anything usable.
+CLI and the library cannot drift apart.  Exit codes follow
+:class:`repro.core.ExitCode`: 0 answer produced, 1 usage/internal
+error, 2 certified infeasibility / failed schedulability, 3 certificate
+failure under ``--certify``, 4 budget exhausted before anything usable.
 """
 
 from __future__ import annotations
@@ -107,37 +105,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-reuse", action="store_true",
                          help="rebuild the encoding per binary-search probe")
     p_solve.add_argument(
-        "--processes", type=int, default=1, metavar="N",
-        help="worker processes for the speculative parallel binary "
-        "search (certified optimum is identical to the sequential one)",
-    )
-    p_solve.add_argument(
-        "--speculate", type=int, default=0, metavar="K",
-        help="concurrent speculative probes (default: derived from "
-        "--processes / --race)",
-    )
-    p_solve.add_argument(
-        "--race", type=int, default=1, metavar="R",
-        help="diversified CDCL configurations racing each probe "
-        "(first answer wins; learnt clauses are shared)",
-    )
-    p_solve.add_argument(
-        "--no-share-clauses", action="store_true",
-        help="disable learnt-clause exchange between probe racers",
-    )
-    p_solve.add_argument(
         "--certify", action="store_true",
         help="certify every answer: UNSAT probes log a DRUP-style proof "
         "replayed by an independent checker, SAT probes are re-audited "
         "against the analysis; exit code 3 on any certificate failure",
     )
     p_solve.add_argument(
-        "--bounds", choices=("off", "auto", "race"), default="auto",
+        "--bounds", choices=("off", "auto"), default="auto",
         help="certified dual-bounds sidecar (relaxation lower bounds "
         "with audited certificates + repaired heuristic upper bounds): "
-        "auto resolves before the search, race runs it alongside the "
-        "parallel engine, off disables it; the certified answer is "
-        "bit-identical either way (see docs/BOUNDS.md)",
+        "auto resolves before the search, off disables it; the "
+        "certified answer is bit-identical either way (see "
+        "docs/BOUNDS.md)",
     )
     p_solve.add_argument(
         "--proof-log", default=None, metavar="PATH",
@@ -152,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--chaos-profile", default=None, metavar="NAME",
         help="inject a named fault profile instead of a seeded one "
-        "(checkpoint-torture, worker-carnage, ipc-flake, proof-tamper, "
-        "full-stack, fabric)",
+        "(checkpoint-torture, proof-tamper, fabric, serve, full-stack, "
+        "resource)",
     )
     p_solve.add_argument(
         "--chaos-dir", default=None, metavar="DIR",
@@ -575,10 +554,6 @@ def _request_from_args(args, cfg, objective, budget, checkpoint
         checkpoint=checkpoint,
         certify=args.certify,
         strategy="rebuild" if args.no_reuse else "auto",
-        processes=args.processes,
-        speculate=args.speculate,
-        race=args.race,
-        share_clauses=not args.no_share_clauses,
         chaos=_chaos_from_args(args),
         proof_log=args.proof_log,
         governor=_governor_from_args(args),
@@ -960,7 +935,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.sat.core import BACKEND_ENV, set_default_backend
 
         # Process default for in-process solves; environment for worker
-        # processes (parallel races, fabric cells) spawned later.
+        # processes (sweep and fabric cells) spawned later.
         set_default_backend(args.backend)
         os.environ[BACKEND_ENV] = args.backend
     handler = {

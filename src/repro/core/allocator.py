@@ -152,11 +152,6 @@ class Allocator:
         search (:func:`repro.bounds.providers.resolve_bounds`); audited
         bounds seed the interval, unaudited ones reorder probes, and the
         certified answer is bit-identical either way.
-
-        A request with ``processes > 1``, ``race > 1`` or strategy
-        ``speculative`` routes to the parallel engine
-        (:func:`repro.parallel_solve.speculative_minimize`), which
-        returns the same certified optimum as the sequential search.
         """
         if isinstance(objective, SolveRequest):
             if request is not None:
@@ -190,16 +185,6 @@ class Allocator:
         self, objective: Objective, request: SolveRequest
     ) -> AllocationResult:
         ckpt = self._as_checkpoint(request.checkpoint)
-        if (
-            request.parallel
-            and request.effective_groups() * request.effective_racers()
-            > 1
-        ):
-            from repro.parallel_solve import speculative_minimize
-
-            return speculative_minimize(
-                self, objective, request.merged(checkpoint=ckpt)
-            )
         if request.strategy == "rebuild" or not request.reuse_learned:
             return self._minimize_rebuild(
                 objective, request.time_limit, request.verify,

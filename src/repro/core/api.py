@@ -53,6 +53,11 @@ __all__ = [
 ]
 
 
+#: Accepted :attr:`SolveRequest.strategy` / ``bounds_mode`` values.
+_STRATEGIES = ("auto", "incremental", "rebuild")
+_BOUNDS_MODES = ("auto", "off")
+
+
 class ExitCode(IntEnum):
     """Normalized CLI exit codes (see module docstring)."""
 
@@ -146,30 +151,21 @@ class SolveRequest:
     checkpoint: object | None = None
     #: Certify every probe (DRUP proof check / witness audit).
     certify: bool = False
-    #: ``auto`` / ``incremental`` / ``rebuild`` / ``speculative``.
+    #: ``auto`` / ``incremental`` / ``rebuild``.
     strategy: str = "auto"
-    #: Worker processes for the speculative parallel search (<=1 = off).
-    processes: int = 1
-    #: Concurrent speculative probes (groups); 0 = derive from processes.
-    speculate: int = 0
-    #: CDCL configurations racing each probe (clause-sharing portfolio).
-    race: int = 1
-    #: Exchange short learnt clauses between racers of one probe.
-    share_clauses: bool = True
-    #: Maximum length of an exchanged learnt clause.
-    share_max_len: int = 8
-    #: Watchdog timeout per worker cell (portfolio baselines).
+    #: Watchdog timeout per baseline cell of the portfolio sweep
+    #: (:func:`repro.core.portfolio.solve_portfolio`).
     cell_timeout: float | None = None
-    #: Respawn attempts for a crashed probe worker / sweep cell.
+    #: Retry attempts for a crashed or hung portfolio baseline cell.
     retries: int = 1
     #: Heuristic fallback chain for supervised solves.
     heuristics: tuple = ("greedy", "annealing")
     #: :class:`repro.chaos.ChaosSchedule` of deterministic fault
-    #: injection (picklable; worker processes install it too); None = off.
+    #: injection; None = off.
     chaos: object | None = None
     #: Persist the certifier's DRUP proof to this path as crash-safe
     #: length-prefixed records (:mod:`repro.certify.proofio`); implies
-    #: nothing unless ``certify`` is set.  Sequential strategies only.
+    #: nothing unless ``certify`` is set.  Incremental strategy only.
     #: A *directory* path (existing, or ending in the path separator)
     #: namespaces the spool file by request fingerprint, so concurrent
     #: solves sharing one proof directory never collide.
@@ -183,10 +179,7 @@ class SolveRequest:
     #: :meth:`fingerprint`.
     bounds: tuple = ()
     #: How the providers run: ``"auto"`` resolves them synchronously
-    #: before the search; ``"race"`` runs them as a sidecar racer of the
-    #: parallel engine whose audited bounds tighten the shared interval
-    #: mid-flight (sequential solves treat ``race`` as ``auto``);
-    #: ``"off"`` ignores all providers.
+    #: before the search; ``"off"`` ignores all providers.
     bounds_mode: str = "auto"
     #: :class:`repro.governor.GovernorConfig` of resource limits (disk
     #: quota over the run's state files, memory watermark with graduated
@@ -200,6 +193,16 @@ class SolveRequest:
     #: (:class:`repro.robust.flight.FlightRecorder`); None = off.
     flight_log: str | None = None
 
+    def __post_init__(self) -> None:
+        for name, allowed in (("strategy", _STRATEGIES),
+                              ("bounds_mode", _BOUNDS_MODES)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"SolveRequest.{name} must be one of "
+                    f"{', '.join(allowed)}; got {value!r}"
+                )
+
     def merged(self, **updates) -> "SolveRequest":
         """A copy with ``updates`` applied."""
         return replace(self, **updates)
@@ -211,14 +214,15 @@ class SolveRequest:
         :func:`repro.fabric.jobs.job_key`), so only fields that can
         change the reported answer participate: the objective (type and
         parameters), the encoder configuration, the limits that decide
-        how far the search may run, and ``certify``.  Execution
-        topology (``processes``/``speculate``/``race``) is excluded on
-        purpose -- the parallel engine's contract is a bit-identical
-        certified optimum -- as are persistence, fault-injection and
-        resource-governance knobs (``checkpoint``, ``proof_log``,
-        ``chaos``, ``governor``) and the serving hints (``bounds``,
-        ``bounds_mode``, ``flight_log``), which never change the
-        answer, only how it survives or how fast it arrives.
+        how far the search may run, and ``certify``.  The probe
+        strategy (``strategy``/``reuse_learned``) is excluded on
+        purpose -- incremental and rebuild certify the same optimum --
+        as are the portfolio watchdog (``cell_timeout``/``retries``),
+        persistence, fault-injection and resource-governance knobs
+        (``checkpoint``, ``proof_log``, ``chaos``, ``governor``) and the
+        serving hints (``bounds``, ``bounds_mode``, ``flight_log``),
+        which never change the answer, only how it survives or how fast
+        it arrives.
         """
         import hashlib
 
@@ -248,25 +252,6 @@ class SolveRequest:
             "certify": self.certify,
         })
         return hashlib.sha256(b"REPRO-REQ v1\x00" + blob).hexdigest()[:16]
-
-    @property
-    def parallel(self) -> bool:
-        """Whether this request asks for the parallel solve engine."""
-        if self.strategy == "speculative":
-            return True
-        return self.strategy == "auto" and (
-            self.processes > 1 or self.race > 1
-        )
-
-    def effective_groups(self) -> int:
-        """Number of concurrent speculative probes (groups)."""
-        if self.speculate > 0:
-            return self.speculate
-        return max(1, self.processes // max(1, self.race))
-
-    def effective_racers(self) -> int:
-        """Racers per probe group."""
-        return max(1, self.race)
 
 
 #: The removed warm-hint fields, rejected by name with a pointer at the
@@ -379,8 +364,7 @@ def solve(tasks, arch, request: SolveRequest) -> SolveReport:
 
     Routes to the supervised escalation chain when a budget is given
     (graceful degradation), otherwise straight to the
-    :class:`~repro.core.allocator.Allocator` (which itself dispatches to
-    the speculative parallel engine when the request asks for it).
+    :class:`~repro.core.allocator.Allocator`.
     """
     from repro.core.allocator import Allocator
 

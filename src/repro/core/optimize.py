@@ -78,25 +78,18 @@ class ProbeLog:
     #: strategy only; defaults keep old checkpoints loadable).
     vars_added: int = 0
     clauses_added: int = 0
-    #: True when the probe was dispatched speculatively by the parallel
-    #: engine (:mod:`repro.parallel_solve`); sequential probes keep the
-    #: defaults, so old checkpoints stay loadable.
-    speculative: bool = False
-    #: Speculative probes only: True when the answer tightened the shared
-    #: [L, R] interval (a *hit*), False when it arrived too late to add
-    #: information (a *miss*); None for sequential probes.
-    hit: bool | None = None
-    #: True when the engine cancelled this in-flight probe because a
-    #: concurrent answer made it obsolete (``sat`` then means nothing).
-    cancelled: bool = False
-    #: Worker group that served the probe (-1 = in-process).
-    group: int = -1
     #: Why this probe ran: ``"initial"`` (the unconstrained SOLVE),
     #: ``"bisect"``, ``"recertify"`` (the final [R, R] audit), or a
     #: ``"bounds:*"`` provenance tag when a :class:`ResolvedBounds`
     #: interval shaped it (``bounds:confirm`` / ``bounds:upper_hint`` /
     #: ``bounds:lower_hint``).  Default keeps old checkpoints loadable.
     origin: str = ""
+
+
+#: Probe fields of the removed parallel engine.  Checkpoints written
+#: before its deletion still carry them (with their sequential
+#: defaults); resume drops exactly these keys.
+_RETIRED_PROBE_KEYS = frozenset(("speculative", "hit", "cancelled", "group"))
 
 
 @dataclass
@@ -139,24 +132,6 @@ class OptimizationOutcome:
         return sum(
             1 for p in self.probes if p.origin.startswith("bounds:")
         )
-
-    @property
-    def speculative_hits(self) -> int:
-        """Speculative probes whose answer tightened the interval."""
-        return sum(1 for p in self.probes if p.speculative and p.hit)
-
-    @property
-    def speculative_misses(self) -> int:
-        """Speculative probes that answered but added no information."""
-        return sum(
-            1 for p in self.probes
-            if p.speculative and p.hit is False and not p.cancelled
-        )
-
-    @property
-    def cancelled_probes(self) -> int:
-        """In-flight probes cancelled as obsolete by the parallel engine."""
-        return sum(1 for p in self.probes if p.cancelled)
 
     @property
     def status(self) -> str:
@@ -404,7 +379,11 @@ def bin_search(
                 f"does not match this search's [{lower}, {upper}]"
             )
         out.resumed = True
-        out.probes = [ProbeLog(**p) for p in checkpoint.probes]
+        out.probes = [
+            ProbeLog(**{k: v for k, v in p.items()
+                        if k not in _RETIRED_PROBE_KEYS})
+            for p in checkpoint.probes
+        ]
         note_bounds(ignored="resumed from checkpoint")
         if checkpoint.feasible is False:
             out.proven = True

@@ -120,9 +120,7 @@ def solve_portfolio(
     Accepts a :class:`~repro.core.api.SolveRequest` (positionally or as
     ``request=``); the legacy per-kwarg shim is gone, and passing one
     raises :class:`TypeError` with a migration hint.  ``request.
-    processes`` sizes the baseline sweep *and* the speculative exact
-    engine -- a request with ``processes > 1`` (or ``race > 1``) runs
-    the exact route on the parallel solve engine.
+    cell_timeout`` / ``retries`` arm the baseline sweep's watchdog.
 
     Heuristic contenders run in (watchdog-supervised) worker processes;
     the SAT optimization runs in this process, under the supervisor's
@@ -145,14 +143,13 @@ def solve_portfolio(
     if objective is not None:
         request = request.merged(objective=objective)
     objective = request.objective
-    sweep_processes = request.processes if request.processes > 1 else None
 
     result = PortfolioResult()
     spec = objective_spec(objective)
     blob = system_to_dict(tasks, arch)
     cells = [(m, blob, spec) for m in ("greedy", "annealing", "genetic")]
     sweep = run_sweep(
-        _baseline_cell, cells, processes=sweep_processes,
+        _baseline_cell, cells,
         cell_timeout=request.cell_timeout, retries=request.retries,
     )
 

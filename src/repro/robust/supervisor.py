@@ -149,10 +149,6 @@ class SolveSupervisor:
     def _solve(self) -> SupervisedResult:
         out = SupervisedResult(status="unknown")
         exact_chain = ["incremental", "rebuild"]
-        if self.request.parallel:
-            # Parallel requests lead with the speculative engine; the
-            # sequential stages remain behind it as the degradation path.
-            exact_chain.insert(0, "speculative")
         self._record("solve.start", chain=exact_chain)
         for i, stage in enumerate(exact_chain):
             if i > 0 and self.budget is not None and self.budget.expired():
@@ -179,15 +175,10 @@ class SolveSupervisor:
     def _stage_request(self, stage: str) -> SolveRequest:
         """The per-stage :class:`SolveRequest` variant."""
         req = self.request
-        if stage == "speculative":
-            return req
         if stage == "incremental":
-            return req.merged(
-                strategy="incremental", processes=1, race=1, speculate=0
-            )
+            return req.merged(strategy="incremental")
         return req.merged(
-            strategy="rebuild", reuse_learned=False,
-            processes=1, race=1, speculate=0, checkpoint=None,
+            strategy="rebuild", reuse_learned=False, checkpoint=None,
         )
 
     def _exact_stage(

@@ -72,7 +72,6 @@ from repro.sat.core.pure import (
     reason_lits,
 )
 from repro.sat.literals import (
-    VAL_FALSE,
     VAL_TRUE,
     VAL_UNASSIGNED,
     neg,
@@ -224,10 +223,6 @@ class SolverStats:
     deleted_clauses: int = 0
     max_trail: int = 0
     solve_calls: int = 0
-    #: Clauses accepted from a peer solver via :meth:`Solver.import_clause`
-    #: (clause-sharing races) and clauses a peer rejected.
-    imported_clauses: int = 0
-    rejected_imports: int = 0
     #: Cumulative wall time inside :meth:`Solver.solve` and the active
     #: propagation backend name -- the raw-throughput counters behind
     #: ``props_per_sec`` in the ``--stats`` block.
@@ -258,8 +253,6 @@ class SolverStats:
             "deleted_clauses": self.deleted_clauses,
             "max_trail": self.max_trail,
             "solve_calls": self.solve_calls,
-            "imported_clauses": self.imported_clauses,
-            "rejected_imports": self.rejected_imports,
             "solve_seconds": round(self.solve_seconds, 6),
             "props_per_sec": round(self.props_per_sec(), 1),
             "backend": self.backend,
@@ -394,8 +387,8 @@ class Solver:
         #: (a fresh list) and its backjump level, in conflict order.  The
         #: calls happen when the backend's search returns, not at the
         #: conflict, so the hook must not read assignment state.
-        #: Clause-sharing races use it to export short lemmas; None keeps
-        #: learnt clauses out of the record buffer.
+        #: Search observers (the search-identity digest) hook in here;
+        #: None keeps learnt clauses out of the record buffer.
         self.learn_hook = None
         #: Decisions until the next resource-governor pressure check
         #: (only decremented while a governor is installed).
@@ -547,23 +540,6 @@ class Solver:
     def _scratch(self) -> tuple[array, ...]:
         return (self._learnt_buf, self._clear_buf, self._stack_buf,
                 self._pbr_buf)
-
-    def set_phases(self, phases) -> None:
-        """Overwrite the saved branching phases in place.
-
-        ``phases`` is either a single VAL_TRUE/VAL_FALSE applied to every
-        variable or an iterable of per-variable values.  In-place by
-        design: the phase array is a typed buffer shared with the
-        propagation backends, so callers must not rebind the attribute
-        (see :func:`repro.parallel_solve.race.apply_race_config`).
-        """
-        sp = self.saved_phase
-        if isinstance(phases, int):
-            for v in range(self.nvars):
-                sp[v] = phases
-        else:
-            for v, val in enumerate(phases):
-                sp[v] = val
 
     def value_lit(self, lit: int) -> int:
         """Current value of a literal (VAL_TRUE/VAL_FALSE/VAL_UNASSIGNED)."""
@@ -732,74 +708,6 @@ class Solver:
         """Convenience: exactly-one over ``lits`` (clause + pairwise AMO)."""
         ok = self.add_clause(list(lits))
         return self.add_at_most_one(lits) and ok
-
-    def import_clause(self, lits: list[int]) -> bool:
-        """Import a clause learnt by a *peer* solver over the same
-        variable numbering (clause-sharing races).
-
-        The clause is accepted only when it is RUP with respect to THIS
-        solver's database: its negated literals are asserted on a
-        throwaway decision level and unit propagation must derive a
-        conflict.  An accepted clause is then proof-logged as a derived
-        addition, so the importing solver's DRUP log stays self-contained
-        and the independent checker accepts it; anything else (unknown
-        variables, satisfied/tautological clauses, lemmas that do not
-        unit-propagate to a conflict here) is rejected without side
-        effects.  Returns True when the clause was imported.
-        """
-        if not self.ok:
-            return False
-        self._cancel_until(0)
-        seen: set[int] = set()
-        out: list[int] = []
-        for lit in lits:
-            if lit < 0:
-                raise ValueError(f"negative literal {lit}")
-            if lit >> 1 >= self.nvars:
-                self.stats.rejected_imports += 1
-                return False  # references a variable this solver lacks
-            v = self.value_lit(lit)
-            if v == VAL_TRUE or neg(lit) in seen:
-                self.stats.rejected_imports += 1
-                return False  # already satisfied / tautology: no value
-            if v == VAL_FALSE or lit in seen:
-                continue
-            seen.add(lit)
-            out.append(lit)
-        if not out:
-            self.stats.rejected_imports += 1
-            return False
-        # RUP check: assert every negation on a fresh level and propagate.
-        self._new_decision_level()
-        refutable = True
-        for lit in out:
-            v = self.value_lit(lit)
-            if v == VAL_TRUE:
-                refutable = False  # clause satisfied mid-assertion
-                break
-            if v == VAL_UNASSIGNED:
-                self._unchecked_enqueue(neg(lit), REASON_NONE)
-        confl = self._propagate() if refutable else -1
-        self._cancel_until(0)
-        if confl == -1:
-            self.stats.rejected_imports += 1
-            return False
-        if self.proof is not None:
-            self.proof.log_add(out)
-        self.stats.imported_clauses += 1
-        if len(out) == 1:
-            self._unchecked_enqueue(out[0], REASON_NONE)
-            if self._propagate() != -1:
-                if self.proof is not None:
-                    self.proof.log_add([])
-                self.ok = False
-            return True
-        cid = self._new_clause(out, learnt=True)
-        self._learnt_cids.append(cid)
-        self._attach_clause(cid)
-        self.stats.learnt_clauses += 1
-        self.stats.learnt_literals += len(out)
-        return True
 
     # ------------------------------------------------------------------
     # Arena / watcher machinery

@@ -11,10 +11,8 @@ Three layers of coverage:
    deliberately corrupted certificate is demoted to a hint and cannot
    change the ``{cost, proven, status}`` envelope.
 3. **Wiring** -- trusted bounds shrink the probe count through
-   ``ResolvedBounds`` only, the parallel interval arithmetic
-   (``tighten_upper``/``tighten_lower``) mirrors the sequential rules,
-   and the non-exact ``sum_resp`` witness path is never promoted to a
-   trusted lower bound.
+   ``ResolvedBounds`` only, and the non-exact ``sum_resp`` witness path
+   is never promoted to a trusted lower bound.
 """
 
 import dataclasses
@@ -55,7 +53,6 @@ from repro.model import (
     Task,
     TaskSet,
 )
-from repro.parallel_solve.plan import SearchInconsistency, SpeculativeSearch
 from repro.workloads import tindell_architecture, tindell_partition
 
 
@@ -306,7 +303,7 @@ class TestCorruptedCertificate:
 
 
 # ---------------------------------------------------------------------------
-# 3. Wiring: probe savings, parallel arithmetic, sum_resp non-promotion
+# 3. Wiring: probe savings, sum_resp non-promotion
 # ---------------------------------------------------------------------------
 
 
@@ -374,43 +371,6 @@ class TestSearchWiring:
         )
         entry = res.outcome.bounds["providers"][0]
         assert "kaboom" in entry["error"]
-
-    def test_tighten_upper_mirrors_sat_answer(self):
-        s = SpeculativeSearch(0, 100)
-        s.tighten_upper(40)
-        assert s.feasible is True and s.right == 40
-        # A later, better witness keeps shrinking; a worse one is a
-        # no-op, exactly like late SAT answers.
-        s.tighten_upper(30)
-        assert s.right == 30
-        s.tighten_upper(90)
-        assert s.right == 30
-
-    def test_tighten_lower_mirrors_unsat_answer(self):
-        s = SpeculativeSearch(0, 100)
-        s.tighten_lower(25)
-        assert s.left == 25
-        s.tighten_upper(25)
-        assert s.done
-
-    def test_tighten_contradictions_raise(self):
-        s = SpeculativeSearch(0, 100)
-        s.tighten_lower(50)
-        with pytest.raises(SearchInconsistency):
-            s.tighten_upper(10)
-        s2 = SpeculativeSearch(0, 100)
-        s2.tighten_upper(10)
-        with pytest.raises(SearchInconsistency):
-            s2.tighten_lower(50)
-
-    def test_tighten_cancels_obsolete_probes(self):
-        s = SpeculativeSearch(0, 100)
-        s.feasible = True
-        s.right = 101
-        specs = {p.probe_id: p for p in s.probe_points(3)}
-        obsolete = set(s.tighten_upper(5))
-        for pid in obsolete:
-            assert specs[pid].hi is None or specs[pid].hi >= 5
 
 
 class TestSumRespNeverTrustedLower:

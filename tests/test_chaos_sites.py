@@ -2,9 +2,11 @@
 
 Covers, in order:
 
-1. schedule construction -- determinism, validation, profiles;
-2. fault-site semantics -- chaos_point / chaos_data / chaos_lits,
-   cross-process counting, the event log;
+1. schedule construction -- determinism, validation, profiles, and a
+   static check that every registered site and profile entry names a
+   live call site under ``src/repro``;
+2. fault-site semantics -- chaos_point / chaos_data, cross-process
+   counting, the event log;
 3. checkpoint generations -- rotation, integrity envelope, fallback,
    quarantine, the typed CheckpointCorrupt;
 4. proof artifacts -- length-prefixed records, torn-tail detection,
@@ -12,19 +14,18 @@ Covers, in order:
 5. atomic_write_json litter-freedom (failure leaves no temp files and
    the previous file intact);
 6. legacy solve kwargs raising TypeError with a migration hint;
-7. worker IPC retry helpers and the engine / supervisor degradation
-   paths under injected faults.
+7. the supervisor / CLI degradation paths under injected faults.
 
 The end-to-end randomized sweep lives in tests/test_chaos_torture.py.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import multiprocessing
 import os
-import queue
-import warnings
+import pathlib
 
 import pytest
 
@@ -39,7 +40,6 @@ from repro.chaos import (
     ChaosSchedule,
     active,
     chaos_data,
-    chaos_lits,
     chaos_point,
     current,
 )
@@ -125,7 +125,7 @@ class TestScheduleConstruction:
 
     def test_trigger_must_be_positive(self):
         with pytest.raises(ValueError, match="trigger and repeat"):
-            ChaosFault("solver.slice", 0, "crash")
+            ChaosFault("fabric.lease.renew", 0, "crash")
 
     def test_profiles_are_all_valid(self, tmp_path):
         for name in PROFILES:
@@ -137,11 +137,47 @@ class TestScheduleConstruction:
         with pytest.raises(ValueError, match="unknown chaos profile"):
             ChaosSchedule.from_profile("nonsense", str(tmp_path))
 
+    @pytest.mark.parametrize("name", ["worker-carnage", "ipc-flake"])
+    def test_removed_engine_profile_raises(self, name, tmp_path):
+        assert name not in PROFILES
+        with pytest.raises(ValueError, match="unknown chaos profile"):
+            ChaosSchedule.from_profile(name, str(tmp_path))
+
     def test_all_kinds_documented(self):
         for site, kinds in SITE_KINDS.items():
             assert site in SITES
             for kind in kinds:
                 assert kind in KINDS
+
+    def test_every_site_and_profile_entry_is_live(self):
+        # A site whose call was deleted would linger in SITES and the
+        # profiles, drawing seeded faults that can never fire.
+        called = _called_sites()
+        assert sorted(set(SITES) - called) == []
+        dead = sorted((name, entry[0]) for name, spec in PROFILES.items()
+                      for entry in spec if entry[0] not in called)
+        assert dead == []
+
+
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+_SITE_CALLS = {"chaos_point", "chaos_data", "chaos_flag"}
+
+
+def _called_sites() -> set[str]:
+    """Site names passed literally to a fault-site call under src/repro."""
+    found = set()
+    for path in _SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            arg = node.args[0]
+            if (name in _SITE_CALLS and isinstance(arg, ast.Constant)
+                    and isinstance(arg.value, str)):
+                found.add(arg.value)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +196,11 @@ def _sched(tmp_path, *faults, hang_seconds=0.01):
 class TestFaultSites:
     def test_points_are_noops_without_schedule(self):
         assert current() is None
-        chaos_point("solver.slice")
+        chaos_point("supervisor.stage")
         assert chaos_data("checkpoint.write", b"xy") == (b"xy", None)
-        assert chaos_lits("race.import", (1, 2)) == (1, 2)
 
     def test_unscheduled_site_skips_counter_file(self, tmp_path):
-        sched = _sched(tmp_path, ("solver.slice", 1, "io-error"))
+        sched = _sched(tmp_path, ("checkpoint.fsync", 1, "io-error"))
         with active(sched):
             chaos_point("supervisor.stage")  # not in the schedule
         assert sched.executions_of("supervisor.stage") == 0
@@ -189,15 +224,16 @@ class TestFaultSites:
         # Two objects over one state_dir model the parent and a worker
         # holding pickled copies of the same schedule.
         d = tmp_path / "shared"
-        a = ChaosSchedule(str(d), [ChaosFault("solver.slice", 2, "io-error")])
-        b = ChaosSchedule(str(d), [ChaosFault("solver.slice", 2, "io-error")])
-        assert a.hit("solver.slice") is None  # global execution 1
-        assert b.hit("solver.slice") == "io-error"  # global execution 2
-        assert a.executions_of("solver.slice") == 2
+        fault = ChaosFault("fabric.lease.renew", 2, "io-error")
+        a = ChaosSchedule(str(d), [fault])
+        b = ChaosSchedule(str(d), [fault])
+        assert a.hit("fabric.lease.renew") is None  # global execution 1
+        assert b.hit("fabric.lease.renew") == "io-error"  # execution 2
+        assert a.executions_of("fabric.lease.renew") == 2
 
     def test_repeat_covers_a_window(self, tmp_path):
-        sched = _sched(tmp_path, ("worker.ipc.put", 2, "io-error", 2))
-        hits = [sched.hit("worker.ipc.put") for _ in range(4)]
+        sched = _sched(tmp_path, ("fabric.lease.renew", 2, "io-error", 2))
+        hits = [sched.hit("fabric.lease.renew") for _ in range(4)]
         assert hits == [None, "io-error", "io-error", None]
 
     def test_event_log_records_injections(self, tmp_path):
@@ -213,11 +249,11 @@ class TestFaultSites:
         assert events[0]["pid"] == os.getpid()
 
     def test_crash_kills_the_process(self, tmp_path):
-        sched = _sched(tmp_path, ("solver.slice", 1, "crash"))
+        sched = _sched(tmp_path, ("fabric.lease.renew", 1, "crash"))
 
         def victim():
             with active(sched):
-                chaos_point("solver.slice")
+                chaos_point("fabric.lease.renew")
 
         ctx = multiprocessing.get_context("fork")
         proc = ctx.Process(target=victim)
@@ -239,24 +275,12 @@ class TestFaultSites:
         assert len(data) == 8
         assert sum(1 for x, y in zip(data, b"abcdefgh") if x != y) == 1
 
-    def test_lits_lost_torn_and_corrupt(self, tmp_path):
-        sched = ChaosSchedule(str(tmp_path / "lits"), [
-            ChaosFault("race.import", 1, "io-error"),
-            ChaosFault("race.import", 2, "torn-write"),
-            ChaosFault("race.import", 3, "corrupt-bytes"),
-        ])
-        with active(sched):
-            assert chaos_lits("race.import", (1, 2, 3)) is None
-            assert chaos_lits("race.import", (1, 2, 3)) == (1, 2)
-            assert chaos_lits("race.import", (1, 2, 3)) == (1, -2, 3)
-            assert chaos_lits("race.import", (1, 2, 3)) == (1, 2, 3)
-
     def test_active_none_is_noop(self):
         with active(None):
             assert current() is None
 
     def test_active_nests(self, tmp_path):
-        outer = _sched(tmp_path, ("solver.slice", 1, "io-error"))
+        outer = _sched(tmp_path, ("supervisor.stage", 1, "io-error"))
         inner = ChaosSchedule(str(tmp_path / "inner"), [])
         with active(outer):
             assert current() is outer
@@ -628,75 +652,8 @@ class TestLegacyKwargRemoval:
 
 
 # ---------------------------------------------------------------------------
-# 7. IPC retry helpers + degradation paths
+# 7. Degradation paths
 # ---------------------------------------------------------------------------
-
-
-class _FlakyQueue:
-    def __init__(self, failures=0, full=False):
-        self.failures = failures
-        self.full = full
-        self.items = []
-
-    def put_nowait(self, item):
-        if self.failures > 0:
-            self.failures -= 1
-            raise OSError("wedged pipe")
-        if self.full:
-            raise queue.Full()
-        self.items.append(item)
-
-    def get_nowait(self):
-        if self.failures > 0:
-            self.failures -= 1
-            raise OSError("wedged pipe")
-        if not self.items:
-            raise queue.Empty()
-        return self.items.pop(0)
-
-
-class TestIpcRetry:
-    def test_put_retries_transient_failures(self):
-        from repro.parallel_solve.worker import _IPC_ATTEMPTS, _ipc_put
-
-        q = _FlakyQueue(failures=_IPC_ATTEMPTS - 1)
-        assert _ipc_put(q, (1, 2)) is True
-        assert q.items == [(1, 2)]
-
-    def test_put_gives_up_after_bounded_attempts(self):
-        from repro.parallel_solve.worker import _IPC_ATTEMPTS, _ipc_put
-
-        q = _FlakyQueue(failures=_IPC_ATTEMPTS)
-        assert _ipc_put(q, (1, 2)) is False
-        assert q.items == []
-
-    def test_put_full_queue_is_a_normal_drop(self):
-        from repro.parallel_solve.worker import _ipc_put
-
-        assert _ipc_put(_FlakyQueue(full=True), (1,)) is False
-
-    def test_get_retries_then_returns_item(self):
-        from repro.parallel_solve.worker import _IPC_ATTEMPTS, _ipc_get
-
-        q = _FlakyQueue(failures=_IPC_ATTEMPTS - 1)
-        q.items.append((3, 4))
-        assert _ipc_get(q) == (True, (3, 4))
-
-    def test_get_empty_queue_is_normal(self):
-        from repro.parallel_solve.worker import _ipc_get
-
-        assert _ipc_get(_FlakyQueue()) == (False, None)
-
-    def test_chaos_site_drops_put_without_touching_queue(self, tmp_path):
-        from repro.parallel_solve.worker import _IPC_ATTEMPTS, _ipc_put
-
-        sched = _sched(
-            tmp_path, ("worker.ipc.put", 1, "io-error", _IPC_ATTEMPTS)
-        )
-        q = _FlakyQueue()
-        with active(sched):
-            assert _ipc_put(q, (1,)) is False
-        assert q.items == []
 
 
 class TestDegradationPaths:
@@ -714,47 +671,6 @@ class TestDegradationPaths:
         assert sup.status == "optimal"
         assert sup.cost == tiny_optimum
         assert len(sched.events()) == 1
-
-    def test_engine_survives_one_failed_spawn_attempt(self, tiny,
-                                                      tiny_optimum, tmp_path):
-        sched = _sched(tmp_path, ("worker.spawn", 1, "io-error"))
-        res = Allocator(tiny[0], tiny[1]).minimize(
-            request=SolveRequest(
-                objective=MinimizeTRT("ring"), processes=2, chaos=sched,
-            )
-        )
-        assert res.proven and res.cost == tiny_optimum
-        assert res.solver_stats["parallel"]["spawn_failures"] >= 1
-
-    def test_supervisor_degrades_when_no_worker_ever_spawns(
-            self, tiny, tiny_optimum, tmp_path):
-        from repro.robust import SolveSupervisor
-
-        sched = _sched(tmp_path, ("worker.spawn", 1, "io-error", 1000))
-        sup = SolveSupervisor(
-            tiny[0], tiny[1],
-            request=SolveRequest(
-                objective=MinimizeTRT("ring"), processes=2, chaos=sched,
-            ),
-        ).solve()
-        # The speculative stage cannot place a single worker; the
-        # sequential escalation chain still delivers the optimum.
-        assert sup.status == "optimal"
-        assert sup.cost == tiny_optimum
-        assert sup.stages[0].stage == "speculative"
-        assert sup.stages[0].status in ("failed", "unknown")
-
-    def test_worker_carnage_profile_still_proves_optimum(
-            self, tiny, tiny_optimum, tmp_path):
-        sched = ChaosSchedule.from_profile(
-            "worker-carnage", str(tmp_path / "carnage"), hang_seconds=0.01
-        )
-        res = Allocator(tiny[0], tiny[1]).minimize(
-            request=SolveRequest(
-                objective=MinimizeTRT("ring"), processes=2, chaos=sched,
-            )
-        )
-        assert res.proven and res.cost == tiny_optimum
 
     def test_cli_chaos_flags_round_trip(self, tiny, tmp_path, capsys):
         from repro.cli import main

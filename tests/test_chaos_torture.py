@@ -2,8 +2,8 @@
 
 For every pinned seed, a full certified solve runs under a randomized
 :class:`repro.chaos.ChaosSchedule` -- faults injected across the whole
-stack (worker spawn/crash, clause-sharing IPC, checkpoint writes and
-fsyncs, proof-artifact appends, supervised-stage entry).  The contract,
+stack (checkpoint writes and fsyncs, proof-artifact appends,
+supervised-stage entry).  The contract,
 checked against a fault-free oracle run of the same system:
 
 1. **Never a hang** -- every run returns (the per-test timeout is the
@@ -42,8 +42,7 @@ from repro.robust import Budget, SearchCheckpoint
 
 from tests.test_chaos_sites import tiny_system
 
-#: >= 25 pinned seeds (ISSUE acceptance floor); every fifth runs the
-#: speculative parallel engine so worker/IPC sites get real traffic.
+#: >= 25 pinned seeds.
 SEEDS = list(range(1, 29))
 
 OBJECTIVE = "ring"
@@ -88,7 +87,6 @@ def test_torture_seed(system, oracle, seed, tmp_path):
         proof_log=proof_path,
         checkpoint=ckpt,
         budget=Budget(wall_seconds=60.0),
-        processes=2 if seed % 5 == 0 else 1,
         chaos=schedule,
     )
 

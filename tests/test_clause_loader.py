@@ -239,15 +239,6 @@ class TestNegativeLiterals:
         assert [c.lits for c in s.clauses] == [[0, 2]]
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_import_clause(self, backend):
-        s = Solver(backend=backend)
-        s.new_vars(2)
-        before = snapshot(s)
-        with pytest.raises(ValueError, match="negative"):
-            s.import_clause([-1, 2])
-        assert snapshot(s) == before
-
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("lit", [-1, 4])
     def test_solve_assumption(self, backend, lit):
         s = Solver(backend=backend)

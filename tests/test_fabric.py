@@ -64,7 +64,7 @@ def test_solve_request_fingerprint_ignores_topology():
 
     base = SolveRequest(time_limit=5.0)
     assert base.fingerprint() == SolveRequest(
-        time_limit=5.0, processes=8, race=3, proof_log="x.bin"
+        time_limit=5.0, strategy="rebuild", retries=3, proof_log="x.bin"
     ).fingerprint()
     assert base.fingerprint() != SolveRequest(time_limit=9.0).fingerprint()
     assert base.fingerprint() != SolveRequest(

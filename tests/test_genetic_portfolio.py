@@ -87,7 +87,7 @@ class TestPortfolio:
         ts = tindell_partition(7)
         out = solve_portfolio(
             ts, arch, MinimizeTRT("ring"),
-            request=SolveRequest(processes=2),
+            request=SolveRequest(),
         )
         methods = {e.method for e in out.entries}
         assert methods == {"greedy", "annealing", "genetic", "sat"}
@@ -105,6 +105,6 @@ class TestPortfolio:
         ])
         out = solve_portfolio(
             ts, arch, MinimizeTRT("ring"),
-            request=SolveRequest(processes=1),
+            request=SolveRequest(),
         )
         assert out.exact is not None and out.exact.feasible

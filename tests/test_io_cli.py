@@ -231,6 +231,21 @@ class TestCli:
         pick = (lambda s: [ln for ln in s.splitlines() if "cost" in ln])
         assert pick(default_out) == pick(plain_out)
 
+    def test_solve_no_reuse_matches_default(self, system_file, tmp_path):
+        inc_file = tmp_path / "inc.json"
+        reb_file = tmp_path / "reb.json"
+        assert main(["solve", str(system_file), "--objective", "trt:ring",
+                     "-o", str(inc_file)]) == 0
+        assert main(["solve", str(system_file), "--objective", "trt:ring",
+                     "--no-reuse", "-o", str(reb_file)]) == 0
+        inc = json.loads(inc_file.read_text())
+        reb = json.loads(reb_file.read_text())
+        assert reb["cost"] == inc["cost"] == 160
+
+    def test_solve_no_reuse_infeasible_exit_code(self, infeasible_file):
+        assert main(["solve", str(infeasible_file), "--objective",
+                     "sum_trt", "--no-reuse"]) == int(ExitCode.INFEASIBLE)
+
     def test_check_roundtrip(self, system_file, tmp_path, capsys):
         out_file = tmp_path / "alloc.json"
         main(["solve", str(system_file), "--objective", "trt:ring",
@@ -333,22 +348,6 @@ class TestCli:
             main(["solve", str(system_file), "--objective", "bogus"])
         with pytest.raises(SystemExit):
             main(["solve", str(system_file), "--objective", "trt"])
-
-    def test_solve_parallel_matches_sequential(self, system_file,
-                                               tmp_path, capsys):
-        seq_file = tmp_path / "seq.json"
-        par_file = tmp_path / "par.json"
-        assert main(["solve", str(system_file), "--objective", "trt:ring",
-                     "-o", str(seq_file)]) == 0
-        assert main(["solve", str(system_file), "--objective", "trt:ring",
-                     "--processes", "2", "-o", str(par_file)]) == 0
-        seq = json.loads(seq_file.read_text())
-        par = json.loads(par_file.read_text())
-        assert par["cost"] == seq["cost"] == 160
-
-    def test_solve_parallel_infeasible_exit_code(self, infeasible_file):
-        assert main(["solve", str(infeasible_file),
-                     "--processes", "2"]) == int(ExitCode.INFEASIBLE)
 
 
 class TestExitCodes:

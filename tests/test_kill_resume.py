@@ -120,17 +120,6 @@ def test_kill_resume_sequential(system_file, reference, tmp_path):
 
 
 @pytest.mark.tier1_timeout(300)
-def test_kill_resume_parallel(system_file, reference, tmp_path):
-    # The parallel engine may pick a different (equally optimal)
-    # witness on cost ties, so the determinism contract is: identical
-    # {cost, proven, status} and an independently verified allocation.
-    report = _run_killed_then_resume(
-        system_file[0], tmp_path, "--processes", "2"
-    )
-    _assert_matches_reference(system_file, reference, report)
-
-
-@pytest.mark.tier1_timeout(300)
 def test_straight_and_resumed_certify_the_same_optimum(system_file,
                                                        tmp_path):
     """Two *sequential* runs -- one straight through, one killed and

@@ -7,6 +7,7 @@ uninterrupted run would have -- with a model to show for it.
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -14,6 +15,9 @@ from repro.arith import IntSolver
 from repro.core import SolveRequest
 from repro.core.optimize import bin_search
 from repro.robust import Budget, SearchCheckpoint, SweepCheckpoint
+from repro.robust.checkpoint import _fingerprint
+
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _solver():
@@ -180,6 +184,74 @@ class TestBinSearchResume:
             bin_search(s, x, 0, 1023, checkpoint=ck)
 
 
+class TestRetiredProbeKeys:
+    """Checkpoints written while the parallel solve engine existed carry
+    its four probe fields (``speculative``/``hit``/``cancelled``/
+    ``group``).  ``tests/data/legacy_checkpoint.json`` is such a file:
+    written by commit 655c2b2 for the system next to it, interrupted by
+    a conflict budget at the interval [9, 10]."""
+
+    RETIRED = {"speculative", "hit", "cancelled", "group"}
+
+    def test_legacy_checkpoint_resumes_to_straight_envelope(self, tmp_path):
+        from repro.core import Allocator, MinimizeSumTRT
+        from repro.io import load_system
+
+        tasks, arch = load_system(
+            os.path.join(_DATA, "legacy_checkpoint_system.json")
+        )
+        path = str(tmp_path / "ck.json")
+        shutil.copy(os.path.join(_DATA, "legacy_checkpoint.json"), path)
+        legacy = SearchCheckpoint.load(path)
+        assert legacy.started and not legacy.finished
+        assert all(self.RETIRED <= set(p) for p in legacy.probes)
+
+        straight = Allocator(tasks, arch).minimize(
+            MinimizeSumTRT(), request=SolveRequest(certify=True)
+        )
+        resumed = Allocator(tasks, arch).minimize(
+            MinimizeSumTRT(),
+            request=SolveRequest(certify=True, checkpoint=path),
+        )
+        assert resumed.outcome.resumed
+        envelope = ("cost", "proven", "status")
+        assert {k: getattr(resumed, k) for k in envelope} == {
+            k: getattr(straight, k) for k in envelope
+        }
+        assert resumed.certified and resumed.verified
+        # The resumed run rewrites the checkpoint without the old keys.
+        assert not any(self.RETIRED & set(p)
+                       for p in SearchCheckpoint.load(path).probes)
+
+    @pytest.mark.parametrize("key, value", [
+        ("speculative", False), ("hit", None), ("cancelled", False),
+        ("group", -1),
+    ])
+    def test_each_retired_key_is_dropped_on_resume(self, key, value):
+        s, x = _solver()
+        probe = {"lo": 0, "hi": 1023, "sat": True, "cost": 40,
+                 "seconds": 0.0, "conflicts": 0, "decisions": 0,
+                 key: value}
+        ck = SearchCheckpoint(lower=0, upper=1023, left=0, right=40,
+                              feasible=True, probes=[probe])
+        out = bin_search(s, x, 0, 1023, checkpoint=ck)
+        assert out.resumed and out.proven
+        assert out.probes[0].cost == 40
+        assert not any(key in p for p in ck.probes)
+
+    def test_other_unknown_probe_keys_still_fail(self):
+        s, x = _solver()
+        probe = {"lo": 0, "hi": 1023, "sat": True, "cost": 40,
+                 "seconds": 0.0, "conflicts": 0, "decisions": 0}
+        ck = SearchCheckpoint(lower=0, upper=1023, left=37, right=40,
+                              feasible=True, probes=[
+                                  dict(probe, hit=None, group=-1),
+                                  dict(probe, bogus=1),
+                              ])
+        with pytest.raises(TypeError, match="bogus"):
+            bin_search(s, x, 0, 1023, checkpoint=ck)
+
+
 class TestAllocatorResume:
     def _system(self):
         from repro.model import (
@@ -298,3 +370,45 @@ class TestSweepCheckpoint:
         ck = SweepCheckpoint.for_params([0])
         ck.record(0, value=object())
         assert ck.get(0) is None  # cell will re-run on resume
+
+
+class TestSweepFingerprint:
+    def test_tuples_and_lists_fingerprint_identically(self):
+        # Checkpoints round-trip through JSON, which rewrites tuples as
+        # lists; the fingerprint must not care.
+        assert _fingerprint([(1, 2), ("a", 3)]) == \
+            _fingerprint([[1, 2], ["a", 3]])
+        assert _fingerprint([{"k": (1, 2)}]) == _fingerprint([{"k": [1, 2]}])
+
+    def test_different_params_still_differ(self):
+        assert _fingerprint([(1, 2)]) != _fingerprint([(2, 1)])
+
+    def test_resume_accepts_tuple_params_after_json_roundtrip(self,
+                                                              tmp_path):
+        params = [("cellA", 1), ("cellB", 2)]
+        path = str(tmp_path / "sweep.json")
+        ckpt = SweepCheckpoint.for_params(params, path=path)
+        ckpt.record(0, value=41)
+        ckpt.save()
+        resumed = SweepCheckpoint.load_or_create(path, params)
+        assert resumed.matches(params)
+        assert resumed.get(0)["value"] == 41  # cell survives the resume
+
+    def test_run_sweep_resumes_with_tuple_params(self, tmp_path):
+        from repro.parallel import run_sweep
+
+        params = [("x", 1), ("x", 2)]
+        path = str(tmp_path / "sweep.json")
+        first = run_sweep(lambda p: p[1] * 10, params, processes=None,
+                          checkpoint=path)
+        assert [r.value for r in first] == [10, 20]
+        # Force a JSON round-trip, then resume: no cell may re-run.
+        blob = json.loads(open(path).read())
+        open(path, "w").write(json.dumps(blob))
+
+        def exploding(p):
+            raise AssertionError("checkpointed cell re-ran on resume")
+
+        second = run_sweep(exploding, params, processes=None,
+                           checkpoint=path)
+        assert [r.value for r in second] == [10, 20]

@@ -76,6 +76,27 @@ class TestEscalationChain:
         # The rebuild stage must NOT burn a dead budget.
         assert stages.get("rebuild") == "skipped"
 
+    def test_incremental_stage_keeps_the_callers_request(self, tmp_path):
+        tasks, arch = feasible_system()
+        ck = str(tmp_path / "ck.json")
+        sup = SolveSupervisor(tasks, arch, request=SolveRequest(
+            objective=MinimizeTRT("ring"), checkpoint=ck,
+        ))
+        req = sup._stage_request("incremental")
+        assert req.strategy == "incremental"
+        assert req.reuse_learned and req.checkpoint == ck
+
+    def test_rebuild_stage_drops_reuse_and_checkpoint(self, tmp_path):
+        tasks, arch = feasible_system()
+        sup = SolveSupervisor(tasks, arch, request=SolveRequest(
+            objective=MinimizeTRT("ring"),
+            checkpoint=str(tmp_path / "ck.json"), certify=True,
+        ))
+        req = sup._stage_request("rebuild")
+        assert req.strategy == "rebuild"
+        assert not req.reuse_learned and req.checkpoint is None
+        assert req.certify  # everything else carries over
+
     def test_incremental_crash_escalates_to_rebuild(self, monkeypatch):
         tasks, arch = feasible_system()
         monkeypatch.setattr(
@@ -175,7 +196,7 @@ class TestPortfolioDegradation:
 
         monkeypatch.setattr(pf, "_baseline_cell", faulty)
         res = solve_portfolio(tasks, arch, MinimizeTRT("ring"),
-                              request=SolveRequest(processes=1))
+                              request=SolveRequest())
         by_method = {e.method: e for e in res.entries}
         bad = by_method["greedy"]
         assert not bad.feasible
@@ -198,7 +219,7 @@ class TestPortfolioDegradation:
         )
         with pytest.raises(PortfolioInvariantError, match="beat the proven"):
             solve_portfolio(tasks, arch, MinimizeTRT("ring"),
-                            request=SolveRequest(processes=1))
+                            request=SolveRequest())
 
     def test_unproven_bound_may_be_beaten(self, monkeypatch):
         # An anytime (unproven) exact bound is allowed to lose to a
@@ -211,9 +232,7 @@ class TestPortfolioDegradation:
         )
         res = solve_portfolio(
             tasks, arch, MinimizeTRT("ring"),
-            request=SolveRequest(
-                processes=1, budget=Budget(max_decisions=1)
-            ),
+            request=SolveRequest(budget=Budget(max_decisions=1)),
         )
         by_method = {e.method: e for e in res.entries}
         assert not by_method["sat"].optimal
@@ -223,9 +242,7 @@ class TestPortfolioDegradation:
         tasks, arch = feasible_system()
         res = solve_portfolio(
             tasks, arch, MinimizeTRT("ring"),
-            request=SolveRequest(
-                processes=1, budget=Budget(wall_seconds=60)
-            ),
+            request=SolveRequest(budget=Budget(wall_seconds=60)),
         )
         by_method = {e.method: e for e in res.entries}
         assert by_method["sat"].optimal

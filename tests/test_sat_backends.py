@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.robust.budget import Budget, BudgetExpired
 from repro.sat import Solver, mklit, neg
 from repro.sat.core import backend_status, get_backend, set_default_backend
-from repro.sat.literals import VAL_TRUE, VAL_UNASSIGNED
+from repro.sat.literals import VAL_UNASSIGNED
 
 FAST_AVAILABLE = backend_status()["fast"]["available"]
 
@@ -666,13 +666,3 @@ class TestArenaViews:
         assert pb.bound == 2
         assert pb.tag == "cap"
         assert s.tag_counts() == {"cap": 1}
-
-    def test_set_phases_in_place(self):
-        s = Solver(backend="pure")
-        s.new_vars(4)
-        buf = s.saved_phase
-        s.set_phases(VAL_TRUE)
-        assert s.saved_phase is buf  # same buffer: shared with backends
-        assert all(v == VAL_TRUE for v in s.saved_phase)
-        s.set_phases([VAL_TRUE, VAL_TRUE, VAL_TRUE, VAL_TRUE][:4])
-        assert s.saved_phase is buf

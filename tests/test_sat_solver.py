@@ -356,3 +356,38 @@ class TestStats:
         assert snap["solve_calls"] == 1
         assert snap["propagations"] > 0
         assert s.num_literals() > 0
+
+
+class TestNoImportPath:
+    """Clauses enter only through the loader and the search's own
+    learning: the import counters of the removed parallel engine are
+    gone from both backends' stats."""
+
+    @pytest.mark.parametrize("backend", ["pure", "fast"])
+    def test_snapshot_has_no_import_counters(self, backend):
+        s = Solver(backend=backend)
+        a, b = s.new_vars(2)
+        s.add_clause([mklit(a), mklit(b)])
+        assert s.solve()
+        snap = s.stats.snapshot()
+        assert snap["solve_calls"] == 1
+        assert "imported_clauses" not in snap
+        assert "rejected_imports" not in snap
+
+
+class TestLearnHook:
+    def test_learn_hook_receives_learnt_clauses(self):
+        # 3 pigeons, 2 holes: x[p][h] = pigeon p sits in hole h.
+        s = Solver()
+        x = [[s.new_var() for _ in range(2)] for _ in range(3)]
+        for p in range(3):
+            s.add_clause([mklit(x[p][0]), mklit(x[p][1])])
+        for h in range(2):
+            for p1 in range(3):
+                for p2 in range(p1 + 1, 3):
+                    s.add_clause([neg(mklit(x[p1][h])),
+                                  neg(mklit(x[p2][h]))])
+        learnt = []
+        s.learn_hook = lambda lits, bt: learnt.append(tuple(lits))
+        assert not s.solve()
+        assert learnt  # refuting PHP(3,2) must learn something
