@@ -1,22 +1,21 @@
 """Deterministic chaos engineering for the solve stack.
 
-This module generalizes :mod:`repro.robust.faults` (sweep-cell
-injection) into a stack-wide registry of **named fault sites**.  Code on
-a hardened path declares a site by calling :func:`chaos_point` (control
-faults) or :func:`chaos_data` (data faults) at the exact moment the real
-world could misbehave; a seeded :class:`ChaosSchedule` decides *if* and
-*how* that site misbehaves on its n-th execution.
+This module is the stack-wide registry of **named fault sites**, the
+one fault injector of the repository.  Code on a hardened path declares
+a site by calling :func:`chaos_point` (control faults) or
+:func:`chaos_data` (data faults) at the exact moment the real world
+could misbehave; a seeded :class:`ChaosSchedule` decides *if* and *how*
+that site misbehaves on its n-th execution.
 
 Design constraints, in order:
 
 1. **Deterministic.**  A schedule is a finite list of
    :class:`ChaosFault` entries built from a seed or a named profile.
-   Site executions are counted in ``state_dir`` through the same
-   atomic single-byte-append counter files as :class:`repro.robust.
-   faults.FaultPlan`, so counting is correct across worker processes
-   *and* across a kill/resume sequence of the same run (a resumed
-   process continues the counts, so an already-fired one-shot fault
-   does not re-fire).
+   Site executions are counted in ``state_dir`` through atomic
+   single-byte-append counter files, so counting is correct across
+   worker processes *and* across a kill/resume sequence of the same
+   run (a resumed process continues the counts, so an already-fired
+   one-shot fault does not re-fire).
 2. **Free when off.**  ``chaos_point`` returns after one module-global
    truthiness check when no schedule is installed, so a site costs a
    function call and a falsy check.  ``benchmarks/test_chaos_overhead.py``
@@ -59,6 +58,7 @@ Sites
 ``fabric.store.fsync``  the fsync after a result-store append
 ``fabric.lease.renew``  a fabric worker's lease heartbeat renewal
 ``fabric.worker.claim`` a fabric worker claiming a job lease
+``sweep.cell``          a sweep cell about to run (crash / hang / raise)
 ``serve.accept``        the allocation server admitting one request
 ``serve.queue``         enqueue/dequeue on a tenant admission queue
 ``serve.cache``         a warm-start cache lookup or store
@@ -100,8 +100,8 @@ __all__ = [
     "EVENT_LOG_NAME",
 ]
 
-#: Exit code of a chaos-injected process crash (distinct from the sweep
-#: fault injector's 87 so logs attribute deaths to the right harness).
+#: Exit code of a chaos-injected process crash (distinctive, so logs
+#: tell an injected death from a real one).
 CHAOS_EXIT_CODE = 86
 
 EVENT_LOG_NAME = "chaos-events.jsonl"
@@ -115,6 +115,7 @@ SITES = (
     "fabric.store.fsync",
     "fabric.lease.renew",
     "fabric.worker.claim",
+    "sweep.cell",
     "serve.accept",
     "serve.queue",
     "serve.cache",
@@ -145,6 +146,10 @@ SITE_KINDS = {
     "fabric.store.fsync": ("io-error", "hang", "disk-full"),
     "fabric.lease.renew": ("crash", "hang", "io-error"),
     "fabric.worker.claim": ("crash", "hang", "io-error"),
+    # The cell itself: crash = a segfaulting / OOM-killed worker, hang =
+    # a wedged solve, io-error = an ordinary cell error (raised inside
+    # the cell's try, so it is recorded like any exception of ``fn``).
+    "sweep.cell": ("crash", "hang", "io-error"),
     # Serve sites run inside the (long-lived) server process, so crash
     # is excluded like supervisor.stage: killing the whole server is the
     # SIGTERM/SIGKILL restart scenario, covered by the drain/resume
@@ -335,7 +340,7 @@ class ChaosSchedule:
         return cls(state_dir, faults, hang_seconds=hang_seconds,
                    label=f"profile:{name}")
 
-    # -- cross-process counting (FaultPlan's atomic-append pattern) -----
+    # -- cross-process counting (atomic single-byte appends) ------------
 
     def _counter_path(self, site: str) -> str:
         return os.path.join(

@@ -1,20 +1,22 @@
-"""Portfolio solving: heuristics race the exact method.
+"""Portfolio solving: heuristics next to the exact method.
 
-Runs the greedy, annealing and genetic baselines (cheap) alongside the
-SAT optimizer and reports everything: the heuristics provide instant
-upper bounds, the SAT route the proven optimum.  Baselines run in worker
-processes via :mod:`repro.parallel` so the (GIL-bound) SAT search keeps
-one core to itself in the meantime -- the sweep-style parallelism the
-hpc-parallel guides recommend when real shared-memory threading is
-unavailable.
+Runs the greedy, annealing and genetic baselines (cheap) and the SAT
+optimizer and reports everything: the heuristics provide instant upper
+bounds, the SAT route the proven optimum.  The three baselines run first,
+as one sweep through :func:`repro.fabric.fabric_sweep` -- in
+``default_processes()`` worker processes, so they run in parallel with
+each other, or inline when that is one and no ``cell_timeout`` asks for
+a killable worker.  The sweep returns before the exact solve starts, so
+nothing overlaps the SAT search.
 
 Supervision: ``budget`` bounds the exact route end-to-end through the
 :class:`repro.robust.supervisor.SolveSupervisor` escalation chain
-(heuristic fallback disabled -- the portfolio already races its own
-heuristics), and ``cell_timeout``/``retries`` arm the sweep watchdog for
-the baseline workers, so neither a hung probe nor a hung worker can
-stall the portfolio.  Failed baseline cells keep their full error
-traceback and elapsed time in :class:`PortfolioEntry`.
+(heuristic fallback disabled -- the portfolio already runs its own
+heuristics), and ``cell_timeout``/``retries`` bound each baseline cell
+(its lease stops renewing past the timeout, the worker is killed and the
+cell re-run up to ``retries`` times), so neither a hung probe nor a hung
+worker can stall the portfolio.  Failed baseline cells keep their full
+error traceback and elapsed time in :class:`PortfolioEntry`.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from repro.baselines.common import evaluate_cost
 from repro.core.allocator import AllocationResult, Allocator
 from repro.core.api import SolveRequest, reject_legacy
 from repro.core.objectives import Objective, objective_spec
+from repro.fabric import default_processes, fabric_sweep
 from repro.model.architecture import Architecture
 from repro.model.task import TaskSet
-from repro.parallel import run_sweep
 from repro.robust.supervisor import SolveSupervisor
 
 __all__ = [
@@ -115,16 +117,17 @@ def solve_portfolio(
     request: SolveRequest | None = None,
     **legacy,
 ) -> PortfolioResult:
-    """Race heuristics against the exact SAT route.
+    """Run the heuristics, then the exact SAT route, and report both.
 
     Accepts a :class:`~repro.core.api.SolveRequest` (positionally or as
     ``request=``); the legacy per-kwarg shim is gone, and passing one
     raises :class:`TypeError` with a migration hint.  ``request.
-    cell_timeout`` / ``retries`` arm the baseline sweep's watchdog.
+    cell_timeout`` / ``retries`` bound the baseline sweep's cells.
 
-    Heuristic contenders run in (watchdog-supervised) worker processes;
-    the SAT optimization runs in this process, under the supervisor's
-    escalation chain when a ``budget`` is given.  A heuristic cost below
+    Heuristic contenders run first, as one fabric sweep (see the module
+    docstring for when it uses worker processes); the SAT optimization
+    then runs in this process, under the supervisor's escalation chain
+    when a ``budget`` is given.  A heuristic cost below
     a *certified* optimum raises :class:`PortfolioInvariantError`; an
     anytime (unproven) exact bound may legitimately be beaten, so it is
     not checked against.
@@ -148,10 +151,14 @@ def solve_portfolio(
     spec = objective_spec(objective)
     blob = system_to_dict(tasks, arch)
     cells = [(m, blob, spec) for m in ("greedy", "annealing", "genetic")]
-    sweep = run_sweep(
+    processes = default_processes()
+    inline = processes == 1 and request.cell_timeout is None
+    sweep = fabric_sweep(
         _baseline_cell, cells,
-        cell_timeout=request.cell_timeout, retries=request.retries,
-    )
+        workers=0 if inline else processes,
+        job_timeout=request.cell_timeout,
+        max_attempts=request.retries + 1,
+    ).results
 
     t0 = time.perf_counter()
     exact_error: str | None = None
@@ -162,7 +169,7 @@ def solve_portfolio(
     else:
         supervised = SolveSupervisor(
             tasks, arch,
-            # The portfolio already races its own heuristics.
+            # The portfolio already runs its own heuristics.
             request=request.merged(heuristics=()),
         ).solve()
         exact = supervised.result

@@ -1,10 +1,12 @@
-"""The sharded experiment fabric: crash-surviving sweeps at scale.
+"""The sharded experiment fabric: the repository's one sweep runner.
 
-``repro.parallel.run_sweep`` runs one process pool on one box; this
-package lifts the checkpoint-generation discipline of PR 5 one level
-into a **fault-tolerant experiment fabric** for the 10k-100k-cell
-parametric sweeps the roadmap asks for (the workload class of
-parametric schedulability studies, cf. arXiv 1302.1306):
+Every sweep -- a table's grid of independent (workload, architecture,
+objective) cells, the CLI's ``repro sweep``, the portfolio's baseline
+contenders -- runs here.  The package lifts the checkpoint-generation
+discipline of PR 5 one level into a **fault-tolerant experiment
+fabric** for the 10k-100k-cell parametric sweeps the roadmap asks for
+(the workload class of parametric schedulability studies, cf. arXiv
+1302.1306):
 
 - :mod:`repro.fabric.jobs` -- every sweep cell is a **content-addressed
   job**: SHA-256 over the canonicalized parameter, the solve-config
@@ -21,15 +23,23 @@ parametric schedulability studies, cf. arXiv 1302.1306):
   retry/backoff plus a poison-job quarantine guarantee the run degrades
   to an honest partial report instead of hanging.
 
-Entry points: :func:`repro.fabric.fabric_sweep` (or
-``repro.parallel.run_sweep(..., fabric_dir=...)``, or the CLI's
-``repro sweep --fabric-dir``).  Chaos sites ``fabric.store.append``,
-``fabric.store.fsync``, ``fabric.lease.renew`` and
-``fabric.worker.claim`` make the whole protocol torture-testable
+Entry points: :func:`repro.fabric.fabric_sweep` (without
+``fabric_dir`` it runs against a private temporary store) or the CLI's
+``repro sweep [--fabric-dir DIR]``.  Cell values must be
+JSON-serializable, and duplicate parameters run once.  Chaos sites
+``fabric.store.append``, ``fabric.store.fsync``, ``fabric.lease.renew``,
+``fabric.worker.claim`` and ``sweep.cell`` (the cell itself crashing,
+hanging or raising) make the whole protocol torture-testable
 (``tests/test_fabric_torture.py``); see ``docs/FABRIC.md``.
 """
 
-from repro.fabric.coordinator import EVENTS_NAME, FabricOutcome, fabric_sweep
+from repro.fabric.coordinator import (
+    EVENTS_NAME,
+    FabricOutcome,
+    SweepResult,
+    default_processes,
+    fabric_sweep,
+)
 from repro.fabric.jobs import Job, code_fingerprint, job_key, make_jobs
 from repro.fabric.lease import LeaseBoard
 from repro.fabric.store import (
@@ -43,6 +53,8 @@ from repro.fabric.store import (
 __all__ = [
     "fabric_sweep",
     "FabricOutcome",
+    "SweepResult",
+    "default_processes",
     "EVENTS_NAME",
     "Job",
     "job_key",

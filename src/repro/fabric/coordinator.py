@@ -24,6 +24,12 @@ Worker/coordinator lifecycle events are appended to
 ``<fabric_dir>/fabric-events.jsonl`` (one JSON object per line, single
 ``write`` call each, so concurrent writers interleave whole lines) --
 the fabric's flight recorder, uploaded by the CI smoke job.
+
+This is the repository's only sweep runner.  Two contract points
+follow from the store: cell values must be JSON-serializable (a value
+that is not becomes an error record; tuples come back as lists), and
+duplicate parameters share one content address, so they run once and
+report the same record.
 """
 
 from __future__ import annotations
@@ -31,21 +37,24 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import os
+import tempfile
 import threading
 import time
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+from repro.chaos import active, chaos_point
 from repro.fabric.jobs import Job, make_jobs
 from repro.fabric.lease import LeaseBoard
 from repro.fabric.store import FabricStoreError, ResultStore
-from repro.parallel import SweepResult
 
 __all__ = [
     "FabricOutcome",
+    "SweepResult",
+    "default_processes",
     "fabric_sweep",
-    "import_sweep_checkpoint",
     "EVENTS_NAME",
 ]
 
@@ -54,6 +63,26 @@ EVENTS_NAME = "fabric-events.jsonl"
 #: A worker whose heartbeat file is older than this many lease TTLs is
 #: presumed wedged and killed (its leases then expire and are stolen).
 _HB_STALE_TTLS = 4.0
+
+
+@dataclass
+class SweepResult:
+    """Outcome of one sweep cell (``error`` holds the full traceback)."""
+
+    param: Any
+    value: Any = None
+    error: str | None = None
+    seconds: float = 0.0
+    attempts: int = 1
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
+def default_processes() -> int:
+    """A conservative worker count: physical parallelism minus one."""
+    return max(1, (os.cpu_count() or 2) - 1)
 
 
 class _EventLog:
@@ -146,6 +175,7 @@ def _run_leased(spec: _WorkerSpec, board: LeaseBoard, job: Job
     t0 = time.perf_counter()
     value, error = None, None
     try:
+        chaos_point("sweep.cell")
         value = spec.fn(job.param)
     except Exception:  # noqa: BLE001 - cell isolation by design
         error = traceback.format_exc()
@@ -263,70 +293,6 @@ def _worker_main(spec: _WorkerSpec) -> None:  # pragma: no cover - subprocess
     _worker_loop(spec)
 
 
-def import_sweep_checkpoint(
-    fabric_dir: str,
-    checkpoint,
-    params: Sequence[Any],
-    config: Any = None,
-    code: str | None = None,
-) -> int:
-    """Migrate a legacy :class:`~repro.robust.checkpoint.SweepCheckpoint`
-    (object or JSON path) into the fabric store, once.
-
-    Cells are re-keyed by content address; cells already in the store,
-    recorded for a different parameter list, or failing JSON-shape
-    validation are skipped silently -- the fabric re-runs anything it
-    cannot trust.  Returns the number of records imported.
-    """
-    from repro.robust.checkpoint import SweepCheckpoint
-
-    if isinstance(checkpoint, str):
-        if not os.path.exists(checkpoint):
-            return 0
-        try:
-            ckpt = SweepCheckpoint.load(checkpoint)
-        except (ValueError, OSError):
-            return 0  # corrupt legacy file: nothing trustworthy to keep
-    else:
-        ckpt = checkpoint
-    params = list(params)
-    if ckpt is None or not ckpt.cells or not ckpt.matches(params):
-        return 0
-    store = ResultStore(fabric_dir)
-    existing = set(store.scan().records)
-    writer = None
-    imported = 0
-    try:
-        for job in make_jobs(params, config=config, code=code):
-            cell = ckpt.get(job.index)
-            if (cell is None or job.key in existing
-                    or not SweepCheckpoint.valid_cell(cell)):
-                continue
-            if writer is None:
-                writer = store.writer("legacy-import")
-            try:
-                writer.append({
-                    "key": job.key, "param": job.param,
-                    "value": cell.get("value"),
-                    "error": cell.get("error"),
-                    "seconds": cell.get("seconds", 0.0),
-                    "attempts": cell.get("attempts", 1),
-                    "worker": "legacy-import",
-                })
-            except (TypeError, ValueError, FabricStoreError, OSError):
-                continue  # this cell re-runs; the rest still import
-            existing.add(job.key)
-            imported += 1
-    finally:
-        if writer is not None:
-            writer.close()
-    if imported:
-        _EventLog(os.path.abspath(fabric_dir), "coordinator").log(
-            "legacy-import", records=imported,
-        )
-    return imported
-
-
 @dataclass
 class FabricOutcome:
     """What a fabric run produced, with its honesty flags."""
@@ -380,7 +346,7 @@ def fabric_sweep(
     fn: Callable[[Any], Any],
     params: Sequence[Any],
     *,
-    fabric_dir: str,
+    fabric_dir: str | None = None,
     workers: int = 2,
     steal: bool = True,
     lease_ttl: float = 3.0,
@@ -398,14 +364,48 @@ def fabric_sweep(
 
     ``workers <= 0`` runs the same claim/lease/append protocol inline in
     this process (deterministic tests, coverage tools); ``workers >= 1``
-    spawns that many work-stealing processes.  ``config``/``code`` feed
-    the content address (:func:`repro.fabric.jobs.job_key`); ``chaos``
-    is a :class:`repro.chaos.ChaosSchedule` installed in every worker.
-    Results come back as :class:`repro.parallel.SweepResult` in
-    parameter order, restored from the store wherever a previous run --
-    any previous run sharing the directory -- already recorded them.
+    spawns that many work-stealing processes.  Inline mode cannot kill
+    a cell, so it rejects a ``job_timeout`` and a ``chaos`` schedule
+    holding a ``crash`` fault (which would exit this process) with
+    :class:`ValueError`.  ``config``/``code`` feed the content address
+    (:func:`repro.fabric.jobs.job_key`); ``chaos`` is a
+    :class:`repro.chaos.ChaosSchedule` installed in every worker.
+    Without ``fabric_dir`` the sweep runs against a private temporary
+    store that is deleted on return (``stats["events_path"]`` is then
+    None).  Results come back as :class:`SweepResult` in parameter
+    order, restored from the store wherever a previous run -- any
+    previous run sharing the directory -- already recorded them.  Cell
+    values must be JSON-serializable, and duplicate parameters run once.
     """
-    fabric_dir = os.path.abspath(fabric_dir)
+    if workers <= 0:
+        if job_timeout is not None:
+            raise ValueError("an inline sweep (workers <= 0) cannot "
+                             "enforce job_timeout; use workers >= 1")
+        if chaos is not None and any(f.kind == "crash"
+                                     for f in chaos.faults):
+            raise ValueError("a crash fault would exit the inline "
+                             "sweep's own process; use workers >= 1")
+    scratch = (
+        tempfile.TemporaryDirectory(prefix="repro-fabric-",
+                                    ignore_cleanup_errors=True)
+        if fabric_dir is None else nullcontext(fabric_dir)
+    )
+    with scratch as root:
+        outcome = _sweep_in(
+            os.path.abspath(root), fn, params, workers, steal, lease_ttl,
+            max_attempts, retry_errors, backoff, job_timeout, run_timeout,
+            poll_interval, chaos, config, code,
+        )
+    if fabric_dir is None:
+        outcome.stats["events_path"] = None  # deleted with the store
+    return outcome
+
+
+def _sweep_in(fabric_dir, fn, params, workers, steal, lease_ttl,
+              max_attempts, retry_errors, backoff, job_timeout,
+              run_timeout, poll_interval, chaos, config, code
+              ) -> FabricOutcome:
+    """The body of :func:`fabric_sweep` over a resolved store root."""
     os.makedirs(fabric_dir, exist_ok=True)
     store = ResultStore(fabric_dir)
     board = LeaseBoard(fabric_dir, ttl=lease_ttl,
@@ -436,8 +436,6 @@ def fabric_sweep(
             poll_interval=poll_interval, chaos=None,
         )
         os.makedirs(os.path.join(fabric_dir, "workers"), exist_ok=True)
-        from repro.chaos import active
-
         deadline = (time.monotonic() + run_timeout
                     if run_timeout is not None else None)
         with active(chaos):

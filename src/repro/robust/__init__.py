@@ -1,24 +1,24 @@
-"""Solve supervision: budgets, checkpoints, watchdogs, degradation.
+"""Solve supervision: budgets, checkpoints, degradation.
 
-The SOLVE/BIN_SEARCH loop (paper section 5.2) and the tables-1-4 sweeps
-are long-running searches over NP-hard instances; serving them at
-production scale demands that every solve is *bounded*, *resumable*, and
-*degradable*.  This package supplies the supervision layer:
+The SOLVE/BIN_SEARCH loop (paper section 5.2) is a long-running search
+over NP-hard instances; serving it at production scale demands that
+every solve is *bounded*, *resumable*, and *degradable*.  This package
+supplies the supervision layer:
 
 - :mod:`repro.robust.budget` -- cooperative :class:`Budget` limits
   (wall time / conflicts / decisions) honored inside the CDCL search
   loop, so a single probe is interruptible mid-search,
 - :mod:`repro.robust.checkpoint` -- JSON checkpoint/resume state for
-  binary searches (:class:`SearchCheckpoint`) and benchmark sweeps
-  (:class:`SweepCheckpoint`),
+  binary searches (:class:`SearchCheckpoint`),
 - :mod:`repro.robust.supervisor` -- the :class:`SolveSupervisor`
   escalation chain (incremental -> rebuild -> heuristic) that always
   returns a usable allocation with an honest status,
-- :mod:`repro.robust.faults` -- deterministic fault injection (worker
-  hangs, crashes, mid-cell errors) for testing all of the above.
+- :mod:`repro.robust.faults` -- deterministic proof and witness
+  corruption for testing the certifiers.
 
-The sweep watchdog itself lives in :func:`repro.parallel.run_sweep`
-(per-cell timeouts, hung-worker kill, bounded retry); see
+Sweeps -- per-cell timeouts, hung- and crashed-worker recovery, bounded
+retry, resume -- run through :func:`repro.fabric.fabric_sweep`, and
+process-level faults are injected through :mod:`repro.chaos`; see
 ``docs/ROBUSTNESS.md`` for the full picture.
 """
 
@@ -27,15 +27,10 @@ from repro.robust.checkpoint import (
     CheckpointCorrupt,
     CorruptArtifact,
     SearchCheckpoint,
-    SweepCheckpoint,
 )
 from repro.robust.flight import FlightRecorder, read_events
 from repro.robust.faults import (
-    FAULT_EXIT_CODE,
     PROOF_CORRUPTIONS,
-    FaultInjected,
-    FaultInjector,
-    FaultPlan,
     corrupt_allocation,
     corrupt_proof_line,
 )
@@ -49,7 +44,6 @@ __all__ = [
     "Budget",
     "BudgetExpired",
     "SearchCheckpoint",
-    "SweepCheckpoint",
     "CheckpointCorrupt",
     "CorruptArtifact",
     "SolveSupervisor",
@@ -57,10 +51,6 @@ __all__ = [
     "SupervisedResult",
     "FlightRecorder",
     "read_events",
-    "FaultPlan",
-    "FaultInjector",
-    "FaultInjected",
-    "FAULT_EXIT_CODE",
     "PROOF_CORRUPTIONS",
     "corrupt_proof_line",
     "corrupt_allocation",

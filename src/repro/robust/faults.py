@@ -1,112 +1,26 @@
-"""Deterministic fault injection for the supervision layer's tests.
+"""Deterministic certificate corruption for the certifier's tests.
 
-Production-hardening code is only trustworthy when its failure paths are
-exercised; this module makes worker crashes, hangs, and mid-cell errors
-*reproducible*.  A :class:`FaultPlan` names, per sweep parameter, which
-fault to inject and how many times; :class:`FaultInjector` wraps the cell
-function and consults the plan inside the worker process.
+A checker is only trustworthy when it demonstrably rejects tampered
+input.  :func:`corrupt_proof_line` and :func:`corrupt_allocation` inject
+single-point defects into proof logs and SAT witnesses, so the tests can
+show that the :mod:`repro.certify` checkers reject tampered artifacts
+instead of silently passing them.
 
-Attempt counting crosses process boundaries through a one-byte-append
-counter file per parameter key in ``state_dir`` (single-byte appends are
-atomic on POSIX), so "hang once, then succeed on retry" is expressible --
-exactly the scenario the sweep watchdog must handle.
-
-Fault kinds
------------
-
-- ``"hang"``  -- sleep ``hang_seconds`` (simulates a wedged worker; the
-  watchdog must kill it),
-- ``"crash"`` -- ``os._exit(FAULT_EXIT_CODE)`` (simulates a segfaulting /
-  OOM-killed worker: the process dies without reporting),
-- ``"raise"`` -- raise :class:`FaultInjected` (an ordinary cell error).
-
-Mid-probe *solver* interrupts need no machinery of their own: a
-:class:`repro.robust.budget.Budget` with a small ``max_decisions`` or
-``max_conflicts`` interrupts the CDCL loop deterministically.
-
-Certificate corruption (:func:`corrupt_proof_line`,
-:func:`corrupt_allocation`) injects single-point defects into proof logs
-and SAT witnesses, so the tests can demonstrate that the
-:mod:`repro.certify` checkers reject tampered artifacts instead of
-silently passing them.
+Process-level faults (worker crashes, hangs, mid-cell errors) are
+injected through :mod:`repro.chaos` instead -- the ``sweep.cell`` site
+covers sweep cells.  Mid-probe *solver* interrupts need no machinery of
+their own: a :class:`repro.robust.budget.Budget` with a small
+``max_decisions`` or ``max_conflicts`` interrupts the CDCL loop
+deterministically.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from dataclasses import dataclass, field
-
 __all__ = [
-    "FaultInjected",
-    "FaultPlan",
-    "FaultInjector",
-    "FAULT_EXIT_CODE",
     "corrupt_proof_line",
     "corrupt_allocation",
     "PROOF_CORRUPTIONS",
 ]
-
-FAULT_EXIT_CODE = 87  # distinctive worker exit code for injected crashes
-
-_KINDS = ("hang", "crash", "raise")
-
-
-class FaultInjected(RuntimeError):
-    """The error raised by a ``"raise"`` fault."""
-
-
-@dataclass
-class FaultPlan:
-    """Which faults to inject, keyed by ``repr(param)`` of the sweep cell.
-
-    ``faults`` maps the parameter key to ``(kind, times)``: the fault
-    fires on the first ``times`` executions of that cell (attempts are
-    counted in ``state_dir`` across worker processes), then the cell runs
-    normally -- so a killed-and-retried cell can succeed.
-    """
-
-    state_dir: str
-    faults: dict[str, tuple[str, int]] = field(default_factory=dict)
-    hang_seconds: float = 3600.0
-
-    def __post_init__(self) -> None:
-        for key, (kind, times) in self.faults.items():
-            if kind not in _KINDS:
-                raise ValueError(f"unknown fault kind {kind!r} for {key!r}")
-            if times < 1:
-                raise ValueError(f"fault for {key!r} must fire >= 1 time")
-        os.makedirs(self.state_dir, exist_ok=True)
-
-    def _counter_path(self, key: str) -> str:
-        digest = "".join(c if c.isalnum() else "_" for c in key)[:80]
-        return os.path.join(self.state_dir, f"fault-{digest}.count")
-
-    def executions_of(self, key: str) -> int:
-        """How many times the cell for ``key`` has started executing."""
-        try:
-            return os.path.getsize(self._counter_path(key))
-        except OSError:
-            return 0
-
-    def fault_for(self, param) -> str | None:
-        """Consult (and advance) the plan for one cell execution.
-
-        Returns the fault kind to inject now, or ``None`` to run the cell
-        normally.  Called inside the worker process.
-        """
-        key = repr(param)
-        entry = self.faults.get(key)
-        if entry is None:
-            return None
-        kind, times = entry
-        path = self._counter_path(key)
-        with open(path, "ab") as fh:
-            fh.write(b".")
-            fh.flush()
-            count = fh.tell()  # executions including this one
-        return kind if count <= times else None
-
 
 #: Supported single-line proof corruption modes.
 PROOF_CORRUPTIONS = ("flip-lit", "drop-lit", "drop-line", "bump-bound")
@@ -176,28 +90,3 @@ def corrupt_allocation(alloc, ecu_names: list[str]):
         raise ValueError("cannot corrupt: only one ECU in the architecture")
     out.task_ecu[name] = others[0]
     return out
-
-
-class FaultInjector:
-    """Picklable wrapper injecting a :class:`FaultPlan` into a cell fn.
-
-    Usage::
-
-        plan = FaultPlan(state_dir, faults={repr(3): ("hang", 1)})
-        results = run_sweep(FaultInjector(fn, plan), params,
-                            processes=2, cell_timeout=1.0, retries=1)
-    """
-
-    def __init__(self, fn, plan: FaultPlan):
-        self.fn = fn
-        self.plan = plan
-
-    def __call__(self, param):
-        kind = self.plan.fault_for(param)
-        if kind == "hang":
-            time.sleep(self.plan.hang_seconds)
-        elif kind == "crash":
-            os._exit(FAULT_EXIT_CODE)
-        elif kind == "raise":
-            raise FaultInjected(f"injected fault for param {param!r}")
-        return self.fn(param)

@@ -143,6 +143,12 @@ class TestScheduleConstruction:
         with pytest.raises(ValueError, match="unknown chaos profile"):
             ChaosSchedule.from_profile(name, str(tmp_path))
 
+    def test_sweep_cell_takes_process_and_cell_faults(self):
+        assert "sweep.cell" in SITES
+        assert SITE_KINDS["sweep.cell"] == ("crash", "hang", "io-error")
+        with pytest.raises(ValueError, match="not allowed"):
+            ChaosFault("sweep.cell", 1, "torn-write")
+
     def test_all_kinds_documented(self):
         for site, kinds in SITE_KINDS.items():
             assert site in SITES
@@ -701,21 +707,6 @@ class TestDegradationPaths:
         with pytest.raises(SystemExit, match="unknown chaos profile"):
             main(["solve", str(sys_path), "--objective", "trt:ring",
                   "--chaos-profile", "nonsense"])
-
-    def test_sweep_survives_checkpoint_loss(self, tmp_path, monkeypatch):
-        from repro.parallel import run_sweep
-
-        path = tmp_path / "sweep.json"
-        import repro.robust.checkpoint as ckmod
-
-        def always_fails(p, payload, gen):
-            raise OSError("mount revoked")
-
-        monkeypatch.setattr(ckmod, "save_generations", always_fails)
-        results = run_sweep(
-            lambda x: x * x, [1, 2, 3], processes=1, checkpoint=str(path),
-        )
-        assert [r.value for r in results] == [1, 4, 9]
 
 
 def test_tiny_system_roundtrips_for_other_suites():

@@ -23,10 +23,7 @@ from repro.fabric import (
     make_jobs,
     scan_segment,
 )
-from repro.fabric.coordinator import import_sweep_checkpoint
 from repro.fabric.jobs import code_fingerprint
-from repro.parallel import run_sweep
-from repro.robust.checkpoint import SweepCheckpoint
 
 # ---------------------------------------------------------------------------
 # jobs: content addressing
@@ -420,87 +417,6 @@ def test_heartbeat_rideses_out_injected_renew_io_error(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# legacy checkpoint migration + classic run_sweep requeue (satellite c)
-
-
-def test_import_sweep_checkpoint_migrates_valid_cells(tmp_path):
-    params = [[0], [1], [2]]
-    ckpt = SweepCheckpoint.for_params(params)
-    ckpt.record(0, value={"doubled": 0}, seconds=0.1, attempts=1)
-    ckpt.record(1, error="it broke", seconds=0.2, attempts=2)
-    fabric_dir = str(tmp_path / "fabric")
-    n = import_sweep_checkpoint(fabric_dir, ckpt, params, code=_CODE)
-    assert n == 2
-
-    def boom(param):
-        if param[0] != 2:
-            raise AssertionError("imported cell re-ran")
-        return {"doubled": 4}
-
-    out = fabric_sweep(boom, params, fabric_dir=fabric_dir, workers=0,
-                       code=_CODE)
-    assert out.stats["restored"] == 2
-    assert out.results[0].value == {"doubled": 0}
-    assert out.results[1].error == "it broke"
-    assert out.results[2].value == {"doubled": 4}
-    # Importing again is a no-op: the store already has those keys.
-    assert import_sweep_checkpoint(fabric_dir, ckpt, params,
-                                   code=_CODE) == 0
-
-
-def test_import_skips_invalid_cells_and_corrupt_files(tmp_path):
-    params = [[0], [1]]
-    ckpt = SweepCheckpoint.for_params(params)
-    ckpt.record(0, value=1, seconds=0.1, attempts=1)
-    ckpt.cells["1"] = {"error": None, "seconds": "NaN-ish"}  # invalid shape
-    fabric_dir = str(tmp_path / "fabric")
-    assert import_sweep_checkpoint(fabric_dir, ckpt, params,
-                                   code=_CODE) == 1
-    bad = tmp_path / "corrupt.json"
-    bad.write_text("{definitely not json")
-    assert import_sweep_checkpoint(str(tmp_path / "f2"), str(bad),
-                                   params, code=_CODE) == 0
-    assert import_sweep_checkpoint(
-        str(tmp_path / "f3"), str(tmp_path / "missing.json"), params,
-        code=_CODE) == 0
-
-
-def test_run_sweep_requeues_corrupted_checkpoint_cell(tmp_path):
-    """Satellite (c): a checkpoint-restored cell that fails JSON-shape
-    validation is re-queued and re-run, not trusted and not fatal."""
-    params = [(0,), (1,)]
-    path = str(tmp_path / "sweep.json")
-    first = run_sweep(_double, params, processes=0, checkpoint=path)
-    assert all(r.ok for r in first)
-    # Hand-corrupt cell 0 (error=None demands a "value" key), re-sealing
-    # the envelope so the damage is byte-intact but structurally wrong.
-    ckpt = SweepCheckpoint.load(path)
-    ckpt.cells["0"] = {"error": None, "seconds": 0.0, "attempts": 1}
-    ckpt.save(path)
-    second = run_sweep(_double, params, processes=0, checkpoint=path)
-    assert all(r.ok for r in second)
-    assert second[0].value == {"doubled": 0}
-    assert second[1].attempts == first[1].attempts  # restored, not re-run
-
-
-def test_valid_cell_shape_rules():
-    ok = {"value": 1, "error": None, "seconds": 0.5, "attempts": 1}
-    assert SweepCheckpoint.valid_cell(ok)
-    assert SweepCheckpoint.valid_cell(
-        {"value": None, "error": "boom", "seconds": 1, "attempts": 2})
-    assert not SweepCheckpoint.valid_cell(None)
-    assert not SweepCheckpoint.valid_cell([1, 2])
-    assert not SweepCheckpoint.valid_cell(
-        {"error": None, "seconds": 0.5, "attempts": 1})  # no value
-    assert not SweepCheckpoint.valid_cell(
-        {"value": 1, "error": 17, "seconds": 0.5, "attempts": 1})
-    assert not SweepCheckpoint.valid_cell(
-        {"value": 1, "error": None, "seconds": "slow", "attempts": 1})
-    assert not SweepCheckpoint.valid_cell(
-        {"value": 1, "error": None, "seconds": 0.5, "attempts": None})
-
-
-# ---------------------------------------------------------------------------
 # multiprocess: races, stealing, reaping
 
 _RACE_PARAMS = [["solo"]]
@@ -574,13 +490,3 @@ def test_no_steal_keeps_workers_on_their_slice(tmp_path):
     even = {out.results[i].value["pid"] for i in range(0, 6, 2)}
     odd = {out.results[i].value["pid"] for i in range(1, 6, 2)}
     assert len(even) == 1 and len(odd) == 1 and even != odd
-
-
-def test_run_sweep_fabric_mode_roundtrip(tmp_path):
-    params = [[i] for i in range(4)]
-    first = run_sweep(_double, params, processes=2,
-                      fabric_dir=str(tmp_path / "fab"))
-    assert all(r.ok for r in first)
-    again = run_sweep(_double, params, processes=2,
-                      fabric_dir=str(tmp_path / "fab"))
-    assert [r.value for r in again] == [r.value for r in first]

@@ -7,7 +7,10 @@ fault-free oracle's result set** -- zero lost cells, zero duplicates in
 the merged view, values bit-identical to what an undisturbed run
 produces.  Crash kinds run with real worker processes (the in-process
 ``os._exit`` is the SIGKILL drill); pure data/control faults run the
-same protocol inline for determinism.
+same protocol inline for determinism.  The single-fault sweeps pass
+``retry_errors=True``: an io-error at ``sweep.cell`` is an ordinary cell
+error, which is otherwise recorded as the cell's (failed) result by
+design.
 """
 
 import json
@@ -27,6 +30,7 @@ _FABRIC_SITES = (
     "fabric.store.fsync",
     "fabric.lease.renew",
     "fabric.worker.claim",
+    "sweep.cell",
 )
 
 
@@ -72,7 +76,8 @@ def test_single_fault_converges_to_oracle(tmp_path, site, kind):
     fn = _slow_cell if site == "fabric.lease.renew" else _cell
     kwargs = dict(
         fabric_dir=fabric_dir, workers=workers, lease_ttl=0.3,
-        max_attempts=6, backoff=0.0, poll_interval=0.05, code=_CODE,
+        max_attempts=6, retry_errors=True, backoff=0.0,
+        poll_interval=0.05, code=_CODE,
     )
     fabric_sweep(fn, _PARAMS, chaos=chaos, **kwargs)
     assert any(e["site"] == site and e["kind"] == kind

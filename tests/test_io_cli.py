@@ -401,3 +401,93 @@ class TestCliAnalyze:
             ExitCode.INFEASIBLE
         )
         assert "NOT SCHEDULABLE" in capsys.readouterr().out
+
+
+_SWEEP = ["sweep", "--utils", "0.5,0.8", "--seeds", "0-1", "--ecus", "3",
+          "--tasks", "4", "--time-limit", "60"]
+
+
+@pytest.fixture
+def private_tmp(tmp_path, monkeypatch):
+    """Route ``tempfile`` into a fresh directory and return a probe
+    listing the private fabric stores left in it."""
+    import tempfile
+
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    return lambda: sorted(scratch.glob("repro-fabric-*"))
+
+
+class TestCliSweep:
+    def test_plain_sweep_writes_summary_and_drops_its_store(
+            self, tmp_path, private_tmp, capsys):
+        out_file = tmp_path / "summary.json"
+        rc = main(_SWEEP + ["--workers", "2", "--cell-timeout", "60",
+                            "-o", str(out_file)])
+        assert rc == int(ExitCode.OK)
+        summary = json.loads(out_file.read_text())
+        assert len(summary["cells"]) == 4
+        assert all(c["error"] is None and c["value"]["feasible"]
+                   for c in summary["cells"])
+        assert summary["fabric"]["completed"] == 4
+        assert summary["fabric"]["events_path"] is None
+        assert private_tmp() == []  # the store is gone
+        assert "4 completed" in capsys.readouterr().err
+
+    def test_checkpoint_flag_is_an_argparse_usage_error(self, tmp_path,
+                                                        capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_SWEEP + ["--checkpoint", str(tmp_path / "ck.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "unrecognized arguments: --checkpoint" in err
+
+    def test_chaos_profile_runs_without_fabric_dir(self, tmp_path,
+                                                   private_tmp):
+        out_file = tmp_path / "summary.json"
+        chaos_dir = tmp_path / "chaos"
+        rc = main(_SWEEP + ["--workers", "2", "--lease-ttl", "0.5",
+                            "--retries", "4",
+                            "--chaos-profile", "fabric",
+                            "--chaos-dir", str(chaos_dir),
+                            "-o", str(out_file)])
+        assert rc == int(ExitCode.OK)
+        summary = json.loads(out_file.read_text())
+        assert all(c["error"] is None for c in summary["cells"])
+        events = (chaos_dir / "chaos-events.jsonl").read_text()
+        assert "fabric.worker.claim" in events  # the crash fired
+        assert private_tmp() == []
+
+    def test_inline_sweep_rejects_a_crash_schedule(self, tmp_path):
+        chaos_dir = tmp_path / "chaos"
+        with pytest.raises(SystemExit, match="crash fault"):
+            main(_SWEEP + ["--workers", "0", "--chaos-profile", "fabric",
+                           "--chaos-dir", str(chaos_dir)])
+        assert not (chaos_dir / "chaos-events.jsonl").exists()
+
+    def test_inline_sweep_rejects_a_cell_timeout(self):
+        with pytest.raises(SystemExit, match="job_timeout"):
+            main(_SWEEP + ["--workers", "0", "--cell-timeout", "5"])
+
+    def test_private_store_returns_the_kept_store_values(self, tmp_path,
+                                                         private_tmp):
+        from repro.cli import _sweep_cell
+        from repro.fabric import ResultStore, fabric_sweep
+
+        cells = [[u, s, 3, 4, "sum_resp", 60.0]
+                 for u in (0.5, 0.8) for s in (0, 1)]
+        kept_dir = str(tmp_path / "kept")
+        kept = fabric_sweep(_sweep_cell, cells, fabric_dir=kept_dir,
+                            workers=0)
+        private = fabric_sweep(_sweep_cell, cells, workers=0)
+
+        def answers(outcome):  # everything but the wall-clock field
+            return [{k: v for k, v in r.value.items() if k != "seconds"}
+                    for r in outcome.results]
+
+        assert kept.complete and private.complete
+        assert answers(private) == answers(kept)
+        assert len(ResultStore(kept_dir).scan().records) == 4
+        assert private_tmp() == []

@@ -1,7 +1,5 @@
 """Tests for the reporting helpers, the allocation renderer, the
-parallel sweep runner and the arith-level minimize convenience."""
-
-import pytest
+sweep runner and the arith-level minimize convenience."""
 
 from repro.analysis import Allocation, MsgRef, check_allocation
 from repro.arith import IntSolver
@@ -14,7 +12,7 @@ from repro.model import (
     Task,
     TaskSet,
 )
-from repro.parallel import SweepResult, default_processes, run_sweep
+from repro.fabric import default_processes, fabric_sweep
 from repro.reporting import (
     ExperimentRow,
     fmt_seconds,
@@ -99,25 +97,26 @@ def _fail_on_three(x):
     return x
 
 
-class TestRunSweep:
+class TestFabricSweep:
     def test_sequential(self):
-        results = run_sweep(_square, [1, 2, 3], processes=1)
+        results = fabric_sweep(_square, [1, 2, 3], workers=0).results
         assert [r.value for r in results] == [1, 4, 9]
         assert all(r.ok for r in results)
 
     def test_parallel(self):
-        results = run_sweep(_square, list(range(6)), processes=2)
+        results = fabric_sweep(_square, list(range(6)), workers=2).results
         assert [r.value for r in results] == [0, 1, 4, 9, 16, 25]
 
     def test_errors_isolated(self):
-        results = run_sweep(_fail_on_three, [2, 3, 4], processes=2)
+        results = fabric_sweep(_fail_on_three, [2, 3, 4],
+                               workers=2).results
         assert results[0].ok and results[2].ok
         assert not results[1].ok
         assert "three is right out" in results[1].error
 
     def test_param_order_preserved(self):
         params = list(range(10))
-        results = run_sweep(_square, params, processes=3)
+        results = fabric_sweep(_square, params, workers=3).results
         assert [r.param for r in results] == params
 
     def test_default_processes_positive(self):

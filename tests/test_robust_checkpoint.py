@@ -14,8 +14,8 @@ import pytest
 from repro.arith import IntSolver
 from repro.core import SolveRequest
 from repro.core.optimize import bin_search
-from repro.robust import Budget, SearchCheckpoint, SweepCheckpoint
-from repro.robust.checkpoint import _fingerprint
+from repro.robust import Budget, SearchCheckpoint
+from repro.robust.checkpoint import canonical_blob
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -346,69 +346,33 @@ class TestAllocatorResume:
         assert resumed.allocation is not None
 
 
-class TestSweepCheckpoint:
-    def test_record_and_resume(self, tmp_path):
-        params = [1, 2, 3]
-        path = str(tmp_path / "sweep.json")
-        ck = SweepCheckpoint.load_or_create(path, params)
-        ck.record(0, value=10, seconds=0.5)
-        ck.record(2, error="Traceback ...", seconds=0.1, attempts=2)
+class TestCanonicalBlob:
+    """The normalization the fabric's job keys hash (see
+    ``repro.fabric.jobs.job_key``)."""
 
-        back = SweepCheckpoint.load_or_create(path, params)
-        assert back.get(0)["value"] == 10
-        assert back.get(1) is None
-        assert back.get(2)["attempts"] == 2
+    def test_tuples_and_lists_blob_identically(self):
+        # Stored parameters round-trip through JSON, which rewrites
+        # tuples as lists; the content address must not care.
+        assert canonical_blob([(1, 2), ("a", 3)]) == \
+            canonical_blob([[1, 2], ["a", 3]])
+        assert canonical_blob([{"k": (1, 2)}]) == \
+            canonical_blob([{"k": [1, 2]}])
 
-    def test_fingerprint_guards_against_other_params(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        ck = SweepCheckpoint.load_or_create(path, [1, 2])
-        ck.record(0, value=1)
-        fresh = SweepCheckpoint.load_or_create(path, [9, 9, 9])
-        assert fresh.cells == {}  # mismatch: start over
+    def test_dict_key_order_does_not_matter(self):
+        assert canonical_blob({"b": 1, "a": 2}) == \
+            canonical_blob({"a": 2, "b": 1})
 
-    def test_unserializable_values_are_skipped(self):
-        ck = SweepCheckpoint.for_params([0])
-        ck.record(0, value=object())
-        assert ck.get(0) is None  # cell will re-run on resume
+    def test_different_values_still_differ(self):
+        assert canonical_blob([(1, 2)]) != canonical_blob([(2, 1)])
 
+    def test_json_round_trip_is_invisible(self):
+        params = [("cellA", 1), ("cellB", {"x": (2, 3)})]
+        back = json.loads(json.dumps(params))
+        assert canonical_blob(back) == canonical_blob(params)
 
-class TestSweepFingerprint:
-    def test_tuples_and_lists_fingerprint_identically(self):
-        # Checkpoints round-trip through JSON, which rewrites tuples as
-        # lists; the fingerprint must not care.
-        assert _fingerprint([(1, 2), ("a", 3)]) == \
-            _fingerprint([[1, 2], ["a", 3]])
-        assert _fingerprint([{"k": (1, 2)}]) == _fingerprint([{"k": [1, 2]}])
+    def test_unserializable_values_fall_back_to_repr(self):
+        class Opaque:
+            def __repr__(self):
+                return "Opaque()"
 
-    def test_different_params_still_differ(self):
-        assert _fingerprint([(1, 2)]) != _fingerprint([(2, 1)])
-
-    def test_resume_accepts_tuple_params_after_json_roundtrip(self,
-                                                              tmp_path):
-        params = [("cellA", 1), ("cellB", 2)]
-        path = str(tmp_path / "sweep.json")
-        ckpt = SweepCheckpoint.for_params(params, path=path)
-        ckpt.record(0, value=41)
-        ckpt.save()
-        resumed = SweepCheckpoint.load_or_create(path, params)
-        assert resumed.matches(params)
-        assert resumed.get(0)["value"] == 41  # cell survives the resume
-
-    def test_run_sweep_resumes_with_tuple_params(self, tmp_path):
-        from repro.parallel import run_sweep
-
-        params = [("x", 1), ("x", 2)]
-        path = str(tmp_path / "sweep.json")
-        first = run_sweep(lambda p: p[1] * 10, params, processes=None,
-                          checkpoint=path)
-        assert [r.value for r in first] == [10, 20]
-        # Force a JSON round-trip, then resume: no cell may re-run.
-        blob = json.loads(open(path).read())
-        open(path, "w").write(json.dumps(blob))
-
-        def exploding(p):
-            raise AssertionError("checkpointed cell re-ran on resume")
-
-        second = run_sweep(exploding, params, processes=None,
-                           checkpoint=path)
-        assert [r.value for r in second] == [10, 20]
+        assert canonical_blob([Opaque()]) == b"[Opaque()]"

@@ -238,6 +238,35 @@ class TestPortfolioDegradation:
         assert not by_method["sat"].optimal
         assert by_method["greedy"].cost == 0
 
+    @pytest.mark.parametrize("processes,cell_timeout,workers", [
+        (1, None, 0),  # one process to spare, nothing to kill: inline
+        (1, 30.0, 1),  # a timeout needs a killable worker
+        (3, None, 3),
+    ])
+    def test_baseline_sweep_process_count(self, monkeypatch, processes,
+                                          cell_timeout, workers):
+        tasks, arch = feasible_system()
+        import repro.core.portfolio as pf
+
+        real = pf.fabric_sweep
+        seen = {}
+
+        def spy(fn, cells, **kwargs):
+            seen.update(kwargs)
+            return real(fn, cells, workers=0)
+
+        monkeypatch.setattr(pf, "default_processes", lambda: processes)
+        monkeypatch.setattr(pf, "fabric_sweep", spy)
+        res = solve_portfolio(
+            tasks, arch, MinimizeTRT("ring"),
+            request=SolveRequest(cell_timeout=cell_timeout, retries=2),
+        )
+        assert seen["workers"] == workers
+        assert seen["job_timeout"] == cell_timeout
+        assert seen["max_attempts"] == 3
+        assert {e.method for e in res.entries} == {
+            "greedy", "annealing", "genetic", "sat"}
+
     def test_supervised_portfolio_with_healthy_budget(self):
         tasks, arch = feasible_system()
         res = solve_portfolio(
