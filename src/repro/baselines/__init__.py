@@ -13,7 +13,9 @@ provides:
 - :mod:`repro.baselines.branch_bound` -- exhaustive branch-and-bound
   (optimal; used to cross-validate the SAT route on small instances),
 - :mod:`repro.baselines.greedy` -- first-fit-decreasing utilization
-  balancing.
+  balancing,
+- :mod:`repro.baselines.heuristics` -- the heuristics by name, as the
+  supervisor and the portfolio run them.
 """
 
 from repro.baselines.annealing import AnnealingResult, simulated_annealing
@@ -21,6 +23,7 @@ from repro.baselines.branch_bound import branch_and_bound
 from repro.baselines.common import derive_allocation, evaluate_cost
 from repro.baselines.genetic import GeneticResult, genetic_allocator
 from repro.baselines.greedy import greedy_first_fit
+from repro.baselines.heuristics import HEURISTICS, run_heuristic
 
 __all__ = [
     "simulated_annealing",
@@ -31,4 +34,6 @@ __all__ = [
     "GeneticResult",
     "derive_allocation",
     "evaluate_cost",
+    "HEURISTICS",
+    "run_heuristic",
 ]

@@ -24,11 +24,7 @@ from repro.certify.bounds import (
     audit_lower_certificate,
     bound_objective_key,
 )
-from repro.certify.certifier import (
-    ProbeCertifier,
-    certify_sat_probe,
-    certify_unsat_probe,
-)
+from repro.certify.certifier import ProbeCertifier
 from repro.certify.drup import ProofError, RupChecker, check_proof_lines
 from repro.certify.proofio import (
     ProofArtifactError,
@@ -54,8 +50,6 @@ __all__ = [
     "scan_artifact",
     "RupChecker",
     "audit_witness",
-    "certify_sat_probe",
-    "certify_unsat_probe",
     "check_proof_lines",
     "independent_cost",
 ]

@@ -1,22 +1,25 @@
 """Per-probe certification wired into the binary search.
 
-:class:`ProbeCertifier` attaches to one *incremental* BIN_SEARCH run: it
-starts proof logging on the shared CDCL engine, and after every probe
-either
+:class:`ProbeCertifier` attaches to one BIN_SEARCH run
+(:func:`repro.core.optimize.bin_search`) and to the single SOLVE of a
+feasibility query.  It starts proof logging on the CDCL engine, and
+after every probe either
 
 - **UNSAT** -- feeds the proof steps logged since the last probe to an
   independent :class:`repro.certify.drup.RupChecker` (each learnt clause
   is RUP-checked on arrival) and requires the checker to refute the
-  probe's guard assumption by unit propagation, or
+  probe's guard assumption by unit propagation -- or, for an unguarded
+  probe, to derive unsatisfiability outright, or
 - **SAT** -- re-checks the model against every original constraint
   (:meth:`Solver.check_model`, plain evaluation, no propagation code),
   decodes the allocation and audits it with
   :func:`repro.certify.audit.audit_witness`.
 
 Interrupted probes answered nothing, so they are recorded as
-``skipped``.  The rebuild strategy (fresh solver per probe) uses the
-stateless helpers :func:`certify_sat_probe` / :func:`certify_unsat_probe`
-instead.
+``skipped``.  In the incremental probe mode one proof grows across all
+probes; in the fresh-encoding mode (``reuse_learned=False``)
+:meth:`ProbeCertifier.reset` gives every new encoding its own proof and
+checker.
 """
 
 from __future__ import annotations
@@ -29,37 +32,11 @@ from repro.certify.result import CertifiedResult, ProbeCertificate
 from repro.sat.literals import to_dimacs
 from repro.sat.proof import format_step
 
-__all__ = [
-    "ProbeCertifier",
-    "certify_sat_probe",
-    "certify_unsat_probe",
-]
-
-
-def _audit_sat(tasks, arch, enc, objective, claimed_cost, index):
-    """Shared SAT-side certification: model re-check + witness audit."""
-    t0 = time.perf_counter()
-    problems: list[str] = []
-    if not enc.solver.sat.check_model():
-        problems.append("model violates an original clause/PB constraint")
-    alloc = enc.decode()
-    report = audit_witness(
-        tasks, arch, alloc, objective=objective, claimed_cost=claimed_cost
-    )
-    problems.extend(report.problems)
-    return ProbeCertificate(
-        index=index,
-        kind="sat",
-        ok=not problems,
-        detail="; ".join(problems) or None,
-        claimed_cost=claimed_cost,
-        recomputed_cost=report.recomputed_cost,
-        seconds=time.perf_counter() - t0,
-    )
+__all__ = ["ProbeCertifier"]
 
 
 class ProbeCertifier:
-    """Certify every probe of one incremental binary search.
+    """Certify every probe of one binary search (or one SOLVE).
 
     ``spool`` (a :class:`repro.certify.proofio.ProofSpool`) persists the
     proof to disk as crash-safe length-prefixed records alongside the
@@ -77,10 +54,22 @@ class ProbeCertifier:
         self.proof = enc.solver.sat.start_proof()
         self.checker = RupChecker()
         self._fed = 0
+        #: Proof lines of the encodings certified before this one.
+        self._lines_before = 0
         self.spool = spool
         self.result = CertifiedResult()
         if spool is not None:
             self.result.proof_artifact = spool.path
+
+    def reset(self, enc) -> None:
+        """Certify the next probes on ``enc``, a fresh encoding: a new
+        proof and a new checker, since nothing derived on the previous
+        encoding holds there.  ``proof_lines`` keeps the total."""
+        self._lines_before += len(self.proof.steps)
+        self.enc = enc
+        self.proof = enc.solver.sat.start_proof()
+        self.checker = RupChecker()
+        self._fed = 0
 
     # -- bin_search hook ------------------------------------------------
 
@@ -94,14 +83,35 @@ class ProbeCertifier:
             )
             return
         if probe.sat:
-            self.result.add(
-                _audit_sat(
-                    self.tasks, self.arch, self.enc, self.objective,
-                    probe.cost, index,
-                )
+            self.result.add(self._check_sat(index, probe.cost))
+        else:
+            self.result.add(self._check_unsat(index, guard))
+
+    # -- SAT side -------------------------------------------------------
+
+    def _check_sat(self, index: int, claimed_cost) -> ProbeCertificate:
+        """Model re-check against the original constraints + witness
+        audit of the decoded allocation."""
+        t0 = time.perf_counter()
+        problems: list[str] = []
+        if not self.enc.solver.sat.check_model():
+            problems.append(
+                "model violates an original clause/PB constraint"
             )
-            return
-        self.result.add(self._check_unsat(index, guard))
+        report = audit_witness(
+            self.tasks, self.arch, self.enc.decode(),
+            objective=self.objective, claimed_cost=claimed_cost,
+        )
+        problems.extend(report.problems)
+        return ProbeCertificate(
+            index=index,
+            kind="sat",
+            ok=not problems,
+            detail="; ".join(problems) or None,
+            claimed_cost=claimed_cost,
+            recomputed_cost=report.recomputed_cost,
+            seconds=time.perf_counter() - t0,
+        )
 
     # -- UNSAT side -----------------------------------------------------
 
@@ -111,12 +121,18 @@ class ProbeCertifier:
         detail = None
         try:
             self._feed()
-            glit = to_dimacs(self.enc.solver._assumption_lit(guard))
-            ok = self.checker.check_assumptions([glit])
-            if not ok:
-                detail = (
-                    "proof does not refute the probe's guard assumption"
-                )
+            if guard is None:
+                ok = self.checker.check_assumptions([])
+                if not ok:
+                    detail = "proof does not establish unsatisfiability"
+            else:
+                glit = to_dimacs(self.enc.solver._assumption_lit(guard))
+                ok = self.checker.check_assumptions([glit])
+                if not ok:
+                    detail = (
+                        "proof does not refute the probe's guard "
+                        "assumption"
+                    )
         except ProofError as exc:
             ok = False
             detail = f"proof check failed: {exc}"
@@ -146,12 +162,9 @@ class ProbeCertifier:
         if self.spool is not None and self.result.proof_artifact_ok:
             try:
                 self.spool.append(lines)
-            except OSError as exc:
-                # ProofArtifactError subclasses RuntimeError, OSError
-                # covers the raw-IO failures; both condemn the artifact.
-                self.result.proof_artifact_ok = False
-                self.result.proof_artifact_error = str(exc)
             except Exception as exc:  # noqa: BLE001 - artifact boundary
+                # ProofArtifactError (a RuntimeError) and raw-IO
+                # OSErrors alike condemn the artifact.
                 self.result.proof_artifact_ok = False
                 self.result.proof_artifact_error = str(exc)
 
@@ -161,53 +174,9 @@ class ProbeCertifier:
         # Flush trailing proof steps (logged after the last UNSAT check)
         # so the on-disk artifact holds the *complete* proof.
         self._feed()
-        self.result.proof_lines = len(self.proof.steps)
+        self.result.proof_lines = self._lines_before + len(self.proof.steps)
         if self.spool is not None:
             self.result.proof_repairs = self.spool.repairs
             self.spool.close()
         return self.result
 
-
-def certify_sat_probe(
-    tasks, arch, enc, objective=None, claimed_cost=None, index=0
-) -> ProbeCertificate:
-    """Certify one satisfiable probe of a fresh (rebuild) solver."""
-    return _audit_sat(tasks, arch, enc, objective, claimed_cost, index)
-
-
-def certify_unsat_probe(enc, index=0) -> tuple[ProbeCertificate, int]:
-    """Certify one unsatisfiable probe of a fresh (rebuild) solver.
-
-    The probe ran without assumptions, so the proof must establish
-    outright unsatisfiability.  Returns ``(certificate, proof_lines)``.
-    """
-    t0 = time.perf_counter()
-    proof = enc.solver.sat.proof
-    if proof is None:
-        return (
-            ProbeCertificate(
-                index=index, kind="unsat", ok=False,
-                detail="no proof was logged for this probe",
-            ),
-            0,
-        )
-    checker = RupChecker()
-    detail = None
-    try:
-        for line in proof.lines():
-            checker.add_line(line)
-        ok = checker.check_assumptions([])
-        if not ok:
-            detail = "proof does not establish unsatisfiability"
-    except ProofError as exc:
-        ok = False
-        detail = f"proof check failed: {exc}"
-    cert = ProbeCertificate(
-        index=index,
-        kind="unsat",
-        ok=ok,
-        detail=detail,
-        proof_steps_checked=checker.stats["rup_checks"],
-        seconds=time.perf_counter() - t0,
-    )
-    return cert, len(proof.steps)

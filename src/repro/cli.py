@@ -103,8 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="resume the binary search from --checkpoint if it exists",
     )
-    p_solve.add_argument("--no-reuse", action="store_true",
-                         help="rebuild the encoding per binary-search probe")
+    p_solve.add_argument(
+        "--no-reuse", action="store_true",
+        help="run every binary-search probe after the first on a fresh "
+        "encoding (the paper's section-7 baseline, no learnt-clause "
+        "reuse); honours --bounds and --checkpoint, rejects --proof-log",
+    )
     p_solve.add_argument(
         "--certify", action="store_true",
         help="certify every answer: UNSAT probes log a DRUP-style proof "
@@ -541,21 +545,23 @@ def _request_from_args(args, cfg, objective, budget, checkpoint
         from repro.bounds import RelaxationBoundsProvider
 
         bounds = (RelaxationBoundsProvider(),)
-    return SolveRequest(
-        bounds=bounds,
-        bounds_mode=bounds_mode,
-        objective=objective,
-        config=cfg,
-        time_limit=args.time_limit,
-        reuse_learned=not args.no_reuse,
-        budget=budget,
-        checkpoint=checkpoint,
-        certify=args.certify,
-        strategy="rebuild" if args.no_reuse else "auto",
-        chaos=_chaos_from_args(args),
-        proof_log=args.proof_log,
-        governor=_governor_from_args(args),
-    )
+    try:
+        return SolveRequest(
+            bounds=bounds,
+            bounds_mode=bounds_mode,
+            objective=objective,
+            config=cfg,
+            time_limit=args.time_limit,
+            reuse_learned=not args.no_reuse,
+            budget=budget,
+            checkpoint=checkpoint,
+            certify=args.certify,
+            chaos=_chaos_from_args(args),
+            proof_log=args.proof_log,
+            governor=_governor_from_args(args),
+        )
+    except ValueError as exc:  # e.g. --no-reuse with --proof-log
+        raise SystemExit(f"solve: {exc}") from None
 
 
 def _cmd_solve_supervised(args, tasks, arch, request) -> int:

@@ -25,22 +25,36 @@ from repro.core.api import SolveRequest, reject_legacy
 from repro.core.config import EncoderConfig
 from repro.core.encoder import ProblemEncoding
 from repro.core.objectives import Objective
-from repro.core.optimize import OptimizationOutcome, bin_search
+from repro.core.optimize import OptimizationOutcome, ProbeLog, bin_search
 from repro.model.architecture import Architecture
 from repro.model.task import TaskSet
-from repro.robust.budget import Budget, BudgetExpired
+from repro.robust.budget import BudgetExpired
 from repro.robust.checkpoint import SearchCheckpoint
 
 __all__ = ["Allocator", "AllocationResult"]
 
 
-def _governor_recorder(request: SolveRequest):
-    """The governor's flight-recorder hook for this request (or None)."""
-    if request.governor is None or not request.flight_log:
-        return None
-    from repro.robust.flight import FlightRecorder
+def _governed(request: SolveRequest, solve) -> "AllocationResult":
+    """``solve()`` under the request's chaos schedule and governor; the
+    governor's stats land in the result's ``solver_stats``."""
+    from repro.chaos import active
+    from repro.governor import governed
 
-    return FlightRecorder(request.flight_log, actor="governor").log
+    recorder = None
+    if request.governor is not None and request.flight_log:
+        from repro.robust.flight import FlightRecorder
+
+        recorder = FlightRecorder(request.flight_log, actor="governor").log
+    with active(request.chaos), governed(
+        request.governor, recorder=recorder
+    ) as gov:
+        if gov is not None and request.budget is not None:
+            gov.register_budget(request.budget)
+        res = solve()
+        if gov is not None:
+            res.solver_stats = dict(res.solver_stats or {})
+            res.solver_stats["governor"] = gov.stats_dict()
+        return res
 
 
 @dataclass
@@ -134,10 +148,12 @@ class Allocator:
         are audited against the analysis; verdicts land on
         ``result.certificate``.
 
-        ``request.reuse_learned=False`` (strategy ``rebuild``) rebuilds
-        the encoding from scratch for every binary-search probe (the
-        paper's pre-section-7 baseline; used by the clause-reuse
-        ablation benchmark).
+        ``request.reuse_learned=False`` runs every binary-search probe
+        after the first on a fresh encoding (the paper's pre-section-7
+        baseline; used by the clause-reuse ablation benchmark).  It is
+        the same :func:`~repro.core.optimize.bin_search` with the same
+        bounds, checkpoints and budgets; only ``proof_log`` is rejected
+        (one spool cannot hold several fresh proofs as one proof).
 
         ``request.budget`` bounds the whole search (wall time /
         conflicts / decisions) and can interrupt a probe mid-search; the
@@ -167,43 +183,7 @@ class Allocator:
         objective = request.objective
         if objective is None:
             raise TypeError("Allocator.minimize requires an objective")
-        from repro.chaos import active
-        from repro.governor import governed
-
-        with active(request.chaos), governed(
-            request.governor, recorder=_governor_recorder(request)
-        ) as gov:
-            if gov is not None and request.budget is not None:
-                gov.register_budget(request.budget)
-            res = self._dispatch_minimize(objective, request)
-            if gov is not None:
-                res.solver_stats = dict(res.solver_stats or {})
-                res.solver_stats["governor"] = gov.stats_dict()
-            return res
-
-    def _dispatch_minimize(
-        self, objective: Objective, request: SolveRequest
-    ) -> AllocationResult:
-        ckpt = self._as_checkpoint(request.checkpoint)
-        if request.strategy == "rebuild" or not request.reuse_learned:
-            return self._minimize_rebuild(
-                objective, request.time_limit, request.verify,
-                request.budget, request.certify,
-            )
-        proof_log = request.proof_log
-        if proof_log is not None:
-            from repro.certify.proofio import resolve_spool_path
-
-            # Concurrent solves may share one --proof-log directory;
-            # namespacing by request fingerprint (+ a per-process
-            # sequence) keeps their spools from clobbering each
-            # other (see docs/SERVING.md).
-            proof_log = resolve_spool_path(
-                proof_log, request.fingerprint()
-            )
-        return self._minimize_incremental(
-            objective, request, ckpt, proof_log=proof_log,
-        )
+        return _governed(request, lambda: self._minimize(objective, request))
 
     @staticmethod
     def _as_checkpoint(
@@ -219,17 +199,22 @@ class Allocator:
         out.path = checkpoint
         return out
 
-    def _minimize_incremental(
-        self,
-        objective: Objective,
-        request: SolveRequest,
-        checkpoint: SearchCheckpoint | None = None,
-        proof_log: str | None = None,
+    def _minimize(
+        self, objective: Objective, request: SolveRequest
     ) -> AllocationResult:
-        time_limit = request.time_limit
-        verify = request.verify
-        budget = request.budget
         certify = request.certify
+        checkpoint = self._as_checkpoint(request.checkpoint)
+        proof_log = request.proof_log
+        if proof_log is not None:
+            from repro.certify.proofio import resolve_spool_path
+
+            # Concurrent solves may share one --proof-log directory;
+            # namespacing by request fingerprint (+ a per-process
+            # sequence) keeps their spools from clobbering each
+            # other (see docs/SERVING.md).
+            proof_log = resolve_spool_path(
+                proof_log, request.fingerprint()
+            )
         from repro.bounds.providers import resolve_bounds
 
         rb, witness, bmeta = resolve_bounds(
@@ -241,6 +226,10 @@ class Allocator:
             rb.model_loaded = False
         enc, cost_var, lo, hi, enc_secs = self._encode(objective)
         assert cost_var is not None
+        # The encoding the latest probe ran on, and the encode time of
+        # every encoding built so far.
+        current = [enc]
+        encode_total = [enc_secs]
         certifier = None
         if certify:
             from repro.certify import ProbeCertifier
@@ -290,7 +279,20 @@ class Allocator:
         best: list[Allocation | None] = [witness]
 
         def snapshot() -> None:
-            best[0] = enc.decode()
+            best[0] = current[0].decode()
+
+        fresh = None
+        if not request.reuse_learned:
+
+            def fresh():
+                # The paper's section-7 baseline: a new encoding per
+                # probe, so nothing learnt carries over.
+                probe_enc, probe_cost, _, _, secs = self._encode(objective)
+                current[0] = probe_enc
+                encode_total[0] += secs
+                if certifier is not None:
+                    certifier.reset(probe_enc)
+                return probe_enc.solver, probe_cost
 
         on_checkpoint = None
         if checkpoint is not None:
@@ -305,10 +307,11 @@ class Allocator:
 
         outcome = bin_search(
             enc.solver, cost_var, lo, hi, on_sat=snapshot,
-            time_limit=time_limit, budget=budget,
+            time_limit=request.time_limit, budget=request.budget,
             checkpoint=checkpoint, on_checkpoint=on_checkpoint,
             on_probe=certifier.on_probe if certifier is not None else None,
             bounds=rb if bmeta.get("providers") else None,
+            fresh=fresh,
         )
         if bmeta.get("providers"):
             outcome.bounds.setdefault("mode", bmeta["mode"])
@@ -322,157 +325,8 @@ class Allocator:
             best[0] = allocation_from_dict(checkpoint.payload)
         certificate = certifier.finalize() if certifier is not None else None
         return self._finish(
-            enc, outcome, best[0], enc_secs, verify, certificate
-        )
-
-    def _minimize_rebuild(
-        self,
-        objective: Objective,
-        time_limit: float | None,
-        verify: bool,
-        budget: Budget | None = None,
-        certify: bool = False,
-    ) -> AllocationResult:
-        """BIN_SEARCH with a fresh solver per probe (no clause reuse).
-
-        One ``budget`` spans all probes (each fresh solver charges the
-        same pool), so the rebuild strategy honors the same end-to-end
-        bound as the incremental one.  With ``certify=True`` every fresh
-        solver logs its own self-contained proof, checked right after the
-        probe answers (UNSAT probes here run without assumptions, so
-        their proof must derive the empty clause outright).
-        """
-        from repro.core.optimize import OptimizationOutcome, ProbeLog
-
-        certificate = None
-        if certify:
-            from repro.certify import CertifiedResult
-
-            certificate = CertifiedResult()
-
-        t0 = time.perf_counter()
-        enc, cost_var, lo, hi, enc_secs = self._encode(objective)
-        outcome = OptimizationOutcome(feasible=False, optimum=None,
-                                      proven=False)
-        best: Allocation | None = None
-        last_enc = enc
-
-        def probe(lo_b: int | None, hi_b: int | None):
-            nonlocal best, last_enc, enc_secs
-            if lo_b is None and hi_b is None:
-                probe_enc, pcost = enc, cost_var
-            else:
-                probe_enc, pcost, _, _, secs = self._encode(objective)
-                enc_secs += secs
-                if lo_b is not None and lo_b > lo:
-                    probe_enc.solver.require(pcost >= lo_b)
-                if hi_b is not None:
-                    probe_enc.solver.require(pcost <= hi_b)
-            last_enc = probe_enc
-            if certificate is not None:
-                probe_enc.solver.sat.start_proof()
-            p0 = time.perf_counter()
-            try:
-                sat = probe_enc.solver.solve(budget=budget)
-            except BudgetExpired as exc:
-                outcome.probes.append(
-                    ProbeLog(
-                        lo=lo_b if lo_b is not None else lo,
-                        hi=hi_b if hi_b is not None else hi,
-                        sat=False,
-                        cost=None,
-                        seconds=time.perf_counter() - p0,
-                        conflicts=probe_enc.solver.stats.conflicts,
-                        decisions=probe_enc.solver.stats.decisions,
-                        interrupted=True,
-                    )
-                )
-                outcome.interrupted = True
-                outcome.interrupt_reason = str(exc)
-                if certificate is not None:
-                    from repro.certify import ProbeCertificate
-
-                    certificate.add(
-                        ProbeCertificate(
-                            index=len(certificate.probes),
-                            kind="skipped",
-                            ok=True,
-                        )
-                    )
-                raise
-            secs = time.perf_counter() - p0
-            cost = probe_enc.solver.value(pcost) if sat else None
-            outcome.probes.append(
-                ProbeLog(
-                    lo=lo_b if lo_b is not None else lo,
-                    hi=hi_b if hi_b is not None else hi,
-                    sat=sat,
-                    cost=cost,
-                    seconds=secs,
-                    conflicts=probe_enc.solver.stats.conflicts,
-                    decisions=probe_enc.solver.stats.decisions,
-                )
-            )
-            if sat:
-                best = probe_enc.decode()
-            if certificate is not None:
-                from repro.certify import (
-                    certify_sat_probe,
-                    certify_unsat_probe,
-                )
-
-                index = len(certificate.probes)
-                if sat:
-                    certificate.add(
-                        certify_sat_probe(
-                            self.tasks, self.arch, probe_enc, objective,
-                            claimed_cost=cost, index=index,
-                        )
-                    )
-                else:
-                    cert, lines = certify_unsat_probe(probe_enc, index)
-                    certificate.add(cert)
-                    certificate.proof_lines += lines
-            return sat, cost
-
-        try:
-            sat, cost = probe(None, None)
-        except BudgetExpired:
-            outcome.seconds = time.perf_counter() - t0
-            return self._finish(
-                last_enc, outcome, best, enc_secs, verify, certificate
-            )
-        if sat:
-            outcome.feasible = True
-            assert cost is not None
-            left, right = lo, cost
-            while left < right:
-                if (
-                    time_limit is not None
-                    and time.perf_counter() - t0 > time_limit
-                ):
-                    outcome.interrupted = True
-                    outcome.interrupt_reason = (
-                        f"time limit ({time_limit:g}s) expired"
-                    )
-                    break
-                mid = (left + right) // 2
-                try:
-                    sat, cost = probe(left, mid)
-                except BudgetExpired:
-                    break
-                if not sat:
-                    left = mid + 1
-                else:
-                    assert cost is not None
-                    right = cost
-            outcome.optimum = right
-            outcome.proven = left >= right
-        else:
-            outcome.proven = True  # certified infeasibility
-        outcome.seconds = time.perf_counter() - t0
-        return self._finish(
-            last_enc, outcome, best, enc_secs, verify, certificate
+            current[0], outcome, best[0], encode_total[0], request.verify,
+            certificate,
         )
 
     def find_feasible(
@@ -489,64 +343,42 @@ class Allocator:
         """
         reject_legacy("Allocator.find_feasible", legacy)
         request = request if request is not None else SolveRequest()
-        from repro.chaos import active
-        from repro.governor import governed
-
-        with active(request.chaos), governed(
-            request.governor, recorder=_governor_recorder(request)
-        ) as gov:
-            if gov is not None and request.budget is not None:
-                gov.register_budget(request.budget)
-            res = self._find_feasible(request)
-            if gov is not None:
-                res.solver_stats = dict(res.solver_stats or {})
-                res.solver_stats["governor"] = gov.stats_dict()
-            return res
+        return _governed(request, lambda: self._find_feasible(request))
 
     def _find_feasible(self, request: SolveRequest) -> AllocationResult:
-        verify = request.verify
-        budget = request.budget
-        certify = request.certify
         enc, _, _, _, enc_secs = self._encode(None)
-        certificate = None
-        if certify:
-            from repro.certify import CertifiedResult
+        certifier = None
+        if request.certify:
+            from repro.certify import ProbeCertifier
 
-            certificate = CertifiedResult()
-            enc.solver.sat.start_proof()
+            certifier = ProbeCertifier(self.tasks, self.arch, enc, None)
         t0 = time.perf_counter()
+        reason = None
         try:
-            sat = enc.solver.solve(budget=budget)
+            sat = enc.solver.solve(budget=request.budget)
         except BudgetExpired as exc:
-            outcome = OptimizationOutcome(
-                feasible=False, optimum=None, proven=False,
-                interrupted=True, interrupt_reason=str(exc),
-            )
-            outcome.seconds = time.perf_counter() - t0
-            if certificate is not None:
-                from repro.certify import ProbeCertificate
-
-                certificate.add(
-                    ProbeCertificate(index=0, kind="skipped", ok=True)
-                )
-            return self._finish(
-                enc, outcome, None, enc_secs, verify, certificate
-            )
-        outcome = OptimizationOutcome(feasible=sat, optimum=None)
-        outcome.seconds = time.perf_counter() - t0
+            sat, reason = False, str(exc)
+        outcome = OptimizationOutcome(
+            feasible=sat, optimum=None, proven=reason is None,
+            interrupted=reason is not None, interrupt_reason=reason,
+            seconds=time.perf_counter() - t0,
+        )
         alloc = enc.decode() if sat else None
-        if certificate is not None:
-            from repro.certify import certify_sat_probe, certify_unsat_probe
-
-            if sat:
-                certificate.add(
-                    certify_sat_probe(self.tasks, self.arch, enc)
-                )
-            else:
-                cert, lines = certify_unsat_probe(enc)
-                certificate.add(cert)
-                certificate.proof_lines += lines
-        return self._finish(enc, outcome, alloc, enc_secs, verify, certificate)
+        certificate = None
+        if certifier is not None:
+            # The single SOLVE is one unguarded probe.
+            certifier.on_probe(
+                ProbeLog(lo=0, hi=0, sat=sat, cost=None,
+                         seconds=outcome.seconds,
+                         conflicts=enc.solver.stats.conflicts,
+                         decisions=enc.solver.stats.decisions,
+                         interrupted=reason is not None),
+                None,
+            )
+            certificate = certifier.finalize()
+        return self._finish(
+            enc, outcome, alloc, enc_secs, request.verify, certificate
+        )
 
     def _finish(
         self,

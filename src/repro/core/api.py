@@ -12,7 +12,11 @@ command line cannot drift apart.  Every entry point -- ``Allocator``,
 the legacy kwarg shims (and the deprecated ``warm_start`` /
 ``warm_allocation`` request fields) are gone, and passing one raises
 :class:`TypeError` with a migration hint (:func:`reject_legacy`).
-Interval hints go through :attr:`SolveRequest.bounds` providers.
+Interval hints go through :attr:`SolveRequest.bounds` providers.  There
+is one binary search (:func:`repro.core.optimize.bin_search`); its probe
+mode is the one field :attr:`SolveRequest.reuse_learned` (guarded probes
+on one solver, or a fresh encoding per probe -- the paper's §7
+baseline), and both modes honour bounds, budgets and checkpoints.
 
 :class:`BoundsProvider` / :class:`BoundsReport` are the one sanctioned
 channel for search-interval hints: warm caches, heuristic baselines and
@@ -53,8 +57,7 @@ __all__ = [
 ]
 
 
-#: Accepted :attr:`SolveRequest.strategy` / ``bounds_mode`` values.
-_STRATEGIES = ("auto", "incremental", "rebuild")
+#: Accepted :attr:`SolveRequest.bounds_mode` values.
 _BOUNDS_MODES = ("auto", "off")
 
 
@@ -141,7 +144,11 @@ class SolveRequest:
     config: object | None = None
     #: Anytime wall-clock limit, checked between probes.
     time_limit: float | None = None
-    #: Keep learnt clauses between probes (the paper's section-7 reuse).
+    #: The probe mode of the one binary search: True keeps learnt
+    #: clauses between guarded probes on one solver (the paper's
+    #: section-7 reuse); False runs every probe after the first on a
+    #: fresh encoding (the §7 baseline).  Both honour bounds, budgets
+    #: and checkpoints; False rejects ``proof_log``.
     reuse_learned: bool = True
     #: Re-check the final allocation with the independent analysis.
     verify: bool = True
@@ -151,8 +158,6 @@ class SolveRequest:
     checkpoint: object | None = None
     #: Certify every probe (DRUP proof check / witness audit).
     certify: bool = False
-    #: ``auto`` / ``incremental`` / ``rebuild``.
-    strategy: str = "auto"
     #: Watchdog timeout per baseline cell of the portfolio sweep
     #: (:func:`repro.core.portfolio.solve_portfolio`).
     cell_timeout: float | None = None
@@ -165,10 +170,12 @@ class SolveRequest:
     chaos: object | None = None
     #: Persist the certifier's DRUP proof to this path as crash-safe
     #: length-prefixed records (:mod:`repro.certify.proofio`); implies
-    #: nothing unless ``certify`` is set.  Incremental strategy only.
-    #: A *directory* path (existing, or ending in the path separator)
-    #: namespaces the spool file by request fingerprint, so concurrent
-    #: solves sharing one proof directory never collide.
+    #: nothing unless ``certify`` is set.  Requires ``reuse_learned``:
+    #: one spool cannot hold the separate proofs of several fresh
+    #: encodings as one checkable proof.  A *directory* path (existing,
+    #: or ending in the path separator) namespaces the spool file by
+    #: request fingerprint, so concurrent solves sharing one proof
+    #: directory never collide.
     proof_log: str | None = None
     #: Bounds providers consulted before the binary search starts: each
     #: :class:`BoundsProvider` proposes an interval, the allocator
@@ -194,14 +201,17 @@ class SolveRequest:
     flight_log: str | None = None
 
     def __post_init__(self) -> None:
-        for name, allowed in (("strategy", _STRATEGIES),
-                              ("bounds_mode", _BOUNDS_MODES)):
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ValueError(
-                    f"SolveRequest.{name} must be one of "
-                    f"{', '.join(allowed)}; got {value!r}"
-                )
+        if self.bounds_mode not in _BOUNDS_MODES:
+            raise ValueError(
+                f"SolveRequest.bounds_mode must be one of "
+                f"{', '.join(_BOUNDS_MODES)}; got {self.bounds_mode!r}"
+            )
+        if self.proof_log is not None and not self.reuse_learned:
+            raise ValueError(
+                "SolveRequest.proof_log needs reuse_learned=True: the "
+                "fresh-encoding probe mode checks a separate proof per "
+                "probe, which one spool cannot hold as one proof"
+            )
 
     def merged(self, **updates) -> "SolveRequest":
         """A copy with ``updates`` applied."""
@@ -214,13 +224,13 @@ class SolveRequest:
         :func:`repro.fabric.jobs.job_key`), so only fields that can
         change the reported answer participate: the objective (type and
         parameters), the encoder configuration, the limits that decide
-        how far the search may run, and ``certify``.  The probe
-        strategy (``strategy``/``reuse_learned``) is excluded on
-        purpose -- incremental and rebuild certify the same optimum --
-        as are the portfolio watchdog (``cell_timeout``/``retries``),
-        persistence, fault-injection and resource-governance knobs
-        (``checkpoint``, ``proof_log``, ``chaos``, ``governor``) and the
-        serving hints (``bounds``, ``bounds_mode``, ``flight_log``),
+        how far the search may run, and ``certify``.  The probe mode
+        (``reuse_learned``) is excluded on purpose -- guarded probes on
+        one solver and fresh encodings per probe run the same binary
+        search to the same certified optimum -- as are the portfolio
+        watchdog (``cell_timeout``/``retries``), persistence,
+        fault-injection and resource-governance knobs (``checkpoint``,
+        ``proof_log``, ``chaos``, ``governor``) and the serving hints (``bounds``, ``bounds_mode``, ``flight_log``),
         which never change the answer, only how it survives or how fast
         it arrives.
         """

@@ -14,7 +14,7 @@ its range, issuing one satisfiability query per probe::
 ``R = L + 1`` is UNSAT -- ``L := M`` does not shrink the interval; we use
 the obviously intended ``L := M + 1``.)
 
-Two probe strategies:
+There is one BIN_SEARCH, :func:`bin_search`, with two probe modes:
 
 - **incremental** (default): one persistent solver; each probe adds its
   bound constraints under a fresh *guard* literal and solves with that
@@ -22,8 +22,13 @@ Two probe strategies:
   satisfying a probe remain valid for later probes -- this is exactly the
   "reuse of knowledge derived by the SAT solver's learning algorithm"
   the paper's section 7 reports a >= 2x speedup for.
-- **rebuild**: a fresh encoding per probe (the paper's baseline
-  behaviour); used by the ablation benchmark.
+- **fresh encoding per probe** (``fresh=`` factory; the paper's §7
+  baseline, ``SolveRequest.reuse_learned=False``): every probe after
+  the first runs on a new encoding, adds its bounds unguarded and
+  solves without assumptions, so nothing learnt carries over.
+
+Both modes share the interval logic, budgets, bounds, checkpoints and
+probe ``origin`` tags.
 
 Supervision (see ``docs/ROBUSTNESS.md``): the search is bounded and
 resumable.  A :class:`repro.robust.budget.Budget` interrupts a probe
@@ -74,8 +79,8 @@ class ProbeLog:
     #: True when the probe was cut off by a budget before answering --
     #: ``sat`` is then False but means UNKNOWN, not UNSAT.
     interrupted: bool = False
-    #: CNF growth caused by this probe's bound constraints (incremental
-    #: strategy only; defaults keep old checkpoints loadable).
+    #: CNF growth caused by this probe's bound constraints (defaults
+    #: keep old checkpoints loadable).
     vars_added: int = 0
     clauses_added: int = 0
     #: Why this probe ran: ``"initial"`` (the unconstrained SOLVE),
@@ -202,6 +207,7 @@ def bin_search(
     on_checkpoint: Callable[[SearchCheckpoint], None] | None = None,
     on_probe: Callable[[ProbeLog, object], None] | None = None,
     bounds: ResolvedBounds | None = None,
+    fresh: Callable[[], tuple[object, IntVar]] | None = None,
 ) -> OptimizationOutcome:
     """Minimize ``cost_var`` over an :class:`repro.arith.IntSolver`.
 
@@ -211,8 +217,16 @@ def bin_search(
 
     ``on_probe`` is invoked after *every* probe (including interrupted
     ones) with the fresh :class:`ProbeLog` and the probe's guard
-    literal; :class:`repro.certify.ProbeCertifier` uses it to check each
+    literal (None for an unguarded probe);
+    :class:`repro.certify.ProbeCertifier` uses it to check each
     answer's certificate while the probe's state is still loaded.
+
+    ``fresh`` (a zero-argument factory returning a new ``(solver,
+    cost_var)``) selects the fresh-encoding probe mode: every probe
+    after the first runs on the factory's encoding, adds its bounds
+    *unguarded* and solves without assumptions.  ``on_sat`` and
+    ``on_probe`` then run while that encoding is loaded; the factory is
+    where a caller tracks which encoding that is.
 
     ``time_limit`` (seconds) turns the search into an anytime algorithm:
     on expiry the best known upper bound is returned with ``feasible``
@@ -284,10 +298,16 @@ def bin_search(
         else:
             ckpt_failures[0] = 0
 
+    probes_run = 0
+
     def run_probe(
         lo: int | None, hi: int | None, origin: str = "bisect"
     ) -> tuple[bool, int | None]:
-        guard = solver.new_guard()
+        nonlocal solver, cost_var, probes_run
+        if fresh is not None and probes_run:
+            solver, cost_var = fresh()
+        probes_run += 1
+        guard = solver.new_guard() if fresh is None else None
         sat_engine = getattr(solver, "sat", None)
         v0 = sat_engine.nvars if sat_engine is not None else 0
         n0 = sat_engine.num_clauses() if sat_engine is not None else 0
@@ -296,7 +316,10 @@ def bin_search(
             parts.append(cost_var >= lo)
         if hi is not None:
             parts.append(cost_var <= hi)
-        if parts:
+        if guard is None:
+            for part in parts:
+                solver.require(part)
+        elif parts:
             solver.require(And(*parts) if len(parts) > 1 else parts[0],
                            guard=guard)
         vars_added = (
@@ -308,32 +331,14 @@ def bin_search(
         p0 = time.perf_counter()
         c0 = solver.stats.conflicts
         d0 = solver.stats.decisions
+        expired: BudgetExpired | None = None
         try:
-            if budget is not None:
-                sat = solver.solve(assumptions=[guard], budget=budget)
-            else:
-                sat = solver.solve(assumptions=[guard])
-        except BudgetExpired as exc:
-            out.probes.append(
-                ProbeLog(
-                    lo=lo if lo is not None else lower,
-                    hi=hi if hi is not None else upper,
-                    sat=False,
-                    cost=None,
-                    seconds=time.perf_counter() - p0,
-                    conflicts=solver.stats.conflicts - c0,
-                    decisions=solver.stats.decisions - d0,
-                    interrupted=True,
-                    vars_added=vars_added,
-                    clauses_added=clauses_added,
-                    origin=origin,
-                )
+            sat = solver.solve(
+                assumptions=[guard] if guard is not None else [],
+                budget=budget,
             )
-            out.interrupted = True
-            out.interrupt_reason = str(exc)
-            if on_probe is not None:
-                on_probe(out.probes[-1], guard)
-            raise
+        except BudgetExpired as exc:
+            sat, expired = False, exc
         seconds = time.perf_counter() - p0
         cost = solver.value(cost_var) if sat else None
         out.probes.append(
@@ -345,15 +350,21 @@ def bin_search(
                 seconds=seconds,
                 conflicts=solver.stats.conflicts - c0,
                 decisions=solver.stats.decisions - d0,
+                interrupted=expired is not None,
                 vars_added=vars_added,
                 clauses_added=clauses_added,
                 origin=origin,
             )
         )
-        if sat and on_sat is not None:
+        if expired is not None:
+            out.interrupted = True
+            out.interrupt_reason = str(expired)
+        elif sat and on_sat is not None:
             on_sat()
         if on_probe is not None:
             on_probe(out.probes[-1], guard)
+        if expired is not None:
+            raise expired
         return sat, cost
 
     left: int | None = None

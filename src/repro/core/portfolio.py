@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.baselines.common import evaluate_cost
+from repro.baselines.heuristics import HEURISTICS, run_heuristic
 from repro.core.allocator import AllocationResult, Allocator
 from repro.core.api import SolveRequest, reject_legacy
 from repro.core.objectives import Objective, objective_spec
@@ -79,35 +79,9 @@ def _baseline_cell(param):
     from repro.io import system_from_dict
 
     tasks, arch = system_from_dict(system_blob)
-    objective, medium = spec
     t0 = time.perf_counter()
-    if method == "greedy":
-        from repro.baselines.greedy import greedy_first_fit
-
-        out = greedy_first_fit(tasks, arch)
-        cost = (
-            evaluate_cost(tasks, arch, out.allocation, objective, medium)
-            if out.feasible
-            else None
-        )
-        return (out.feasible, cost, time.perf_counter() - t0)
-    if method == "annealing":
-        from repro.baselines.annealing import simulated_annealing
-
-        out = simulated_annealing(
-            tasks, arch, objective=objective, medium=medium,
-            iterations=800, seed=1,
-        )
-        return (out.feasible, out.cost, time.perf_counter() - t0)
-    if method == "genetic":
-        from repro.baselines.genetic import genetic_allocator
-
-        out = genetic_allocator(
-            tasks, arch, objective=objective, medium=medium,
-            population=24, generations=25, seed=1,
-        )
-        return (out.feasible, out.cost, time.perf_counter() - t0)
-    raise ValueError(method)
+    feasible, _, cost = run_heuristic(method, tasks, arch, *spec)
+    return (feasible, cost, time.perf_counter() - t0)
 
 
 def solve_portfolio(
@@ -150,7 +124,7 @@ def solve_portfolio(
     result = PortfolioResult()
     spec = objective_spec(objective)
     blob = system_to_dict(tasks, arch)
-    cells = [(m, blob, spec) for m in ("greedy", "annealing", "genetic")]
+    cells = [(m, blob, spec) for m in HEURISTICS]
     processes = default_processes()
     inline = processes == 1 and request.cell_timeout is None
     sweep = fabric_sweep(

@@ -64,6 +64,13 @@ EVENTS_NAME = "fabric-events.jsonl"
 #: presumed wedged and killed (its leases then expire and are stolen).
 _HB_STALE_TTLS = 4.0
 
+#: Seconds each worker gets to exit on its own once STOP is touched: short
+#: when every job is done or poisoned (a worker still busy can only be
+#: re-running a recorded cell), long on a degraded exit, where a worker
+#: may still be finishing a cell nobody recorded yet.
+_DONE_GRACE = 1.0
+_DEGRADED_GRACE = 5.0
+
 
 @dataclass
 class SweepResult:
@@ -528,6 +535,7 @@ def _supervise(fn, jobs, workers, steal, fabric_dir, stop_path, board,
     deadline = (time.monotonic() + run_timeout
                 if run_timeout is not None else None)
     degraded = False
+    settled = False  # every job done or poisoned
     reap_count = 0
     try:
         while True:
@@ -537,6 +545,7 @@ def _supervise(fn, jobs, workers, steal, fabric_dir, stop_path, board,
             done = set(store.scan().records)
             if all(j.key in done or board.poisoned(j.key) is not None
                    for j in jobs):
+                settled = True
                 break
             if deadline is not None and time.monotonic() > deadline:
                 events.log("run-timeout")
@@ -580,6 +589,7 @@ def _supervise(fn, jobs, workers, steal, fabric_dir, stop_path, board,
                 done = set(store.scan().records)
                 if all(j.key in done or board.poisoned(j.key) is not None
                        for j in jobs):
+                    settled = True
                     break
                 events.log("workers-exhausted")
                 degraded = True
@@ -587,8 +597,13 @@ def _supervise(fn, jobs, workers, steal, fabric_dir, stop_path, board,
             time.sleep(poll_interval)
     finally:
         _touch(stop_path)
+        # A worker asleep in a hung cell only sees STOP between cells,
+        # so after the grace it is terminated.  Cutting one that is
+        # re-running a recorded cell can at most leave a torn tail in
+        # its own segment, which the store tolerates.
+        grace = _DONE_GRACE if settled else _DEGRADED_GRACE
         for w in fleet:
-            w.proc.join(5.0)
+            w.proc.join(grace)
             if w.proc.is_alive():
                 w.proc.terminate()
                 w.proc.join(1.0)

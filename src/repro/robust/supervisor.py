@@ -37,7 +37,6 @@ from repro.robust.budget import Budget
 
 if TYPE_CHECKING:  # annotation-only: see the lazy import in __init__
     from repro.core.api import SolveRequest
-from repro.robust.checkpoint import SearchCheckpoint
 
 __all__ = ["StageReport", "SupervisedResult", "SolveSupervisor"]
 
@@ -116,12 +115,7 @@ class SolveSupervisor:
         self.objective = request.objective
         self.config = request.config
         self.budget: Budget | None = request.budget
-        self.checkpoint: SearchCheckpoint | str | None = request.checkpoint
         self.heuristics = tuple(request.heuristics)
-        self.verify = request.verify
-        #: Ask the exact stages for per-probe certificates (proof-checked
-        #: UNSAT answers, audited SAT witnesses); see :mod:`repro.certify`.
-        self.certify = request.certify
         #: JSONL flight recorder for stage transitions (``None`` = off);
         #: every escalation step lands in the log with a timestamp and
         #: the reason, so a production operator can reconstruct *why* a
@@ -174,11 +168,12 @@ class SolveSupervisor:
 
     def _stage_request(self, stage: str) -> SolveRequest:
         """The per-stage :class:`SolveRequest` variant."""
-        req = self.request
         if stage == "incremental":
-            return req.merged(strategy="incremental")
-        return req.merged(
-            strategy="rebuild", reuse_learned=False, checkpoint=None,
+            return self.request
+        # A fresh encoding per probe sidesteps incremental-solver state;
+        # the incremental stage's checkpoint and proof spool stay its own.
+        return self.request.merged(
+            reuse_learned=False, checkpoint=None, proof_log=None,
         )
 
     def _exact_stage(
@@ -237,7 +232,7 @@ class SolveSupervisor:
     def _heuristic_stages(self, out: SupervisedResult) -> SupervisedResult:
         """Last resort: a cheap, bounded heuristic allocation with an
         honest ``heuristic`` status."""
-        from repro.baselines.common import evaluate_cost
+        from repro.baselines.heuristics import run_heuristic
         from repro.core.objectives import objective_spec
 
         spec, medium = objective_spec(self.objective)
@@ -245,7 +240,9 @@ class SolveSupervisor:
             t0 = time.perf_counter()
             self._record("stage.start", stage=f"heuristic:{name}")
             try:
-                feasible, alloc = self._run_heuristic(name, spec, medium)
+                feasible, alloc, cost = run_heuristic(
+                    name, self.tasks, self.arch, spec, medium
+                )
             except Exception as exc:  # noqa: BLE001 - supervision boundary
                 out.stages.append(
                     StageReport(
@@ -268,7 +265,6 @@ class SolveSupervisor:
                              status="unknown", seconds=round(secs, 4),
                              reason="no feasible allocation found")
                 continue
-            cost = evaluate_cost(self.tasks, self.arch, alloc, spec, medium)
             out.stages.append(
                 StageReport(f"heuristic:{name}", "heuristic", seconds=secs)
             )
@@ -283,27 +279,3 @@ class SolveSupervisor:
         # Nothing anywhere: status stays "unknown" (or whatever an exact
         # stage certified before failing to produce a model).
         return out
-
-    def _run_heuristic(self, name: str, spec: str, medium: str | None):
-        if name == "greedy":
-            from repro.baselines.greedy import greedy_first_fit
-
-            res = greedy_first_fit(self.tasks, self.arch)
-            return res.feasible, res.allocation
-        if name == "annealing":
-            from repro.baselines.annealing import simulated_annealing
-
-            res = simulated_annealing(
-                self.tasks, self.arch, objective=spec, medium=medium,
-                iterations=800, seed=1,
-            )
-            return res.feasible, res.allocation
-        if name == "genetic":
-            from repro.baselines.genetic import genetic_allocator
-
-            res = genetic_allocator(
-                self.tasks, self.arch, objective=spec, medium=medium,
-                population=24, generations=25, seed=1,
-            )
-            return res.feasible, res.allocation
-        raise ValueError(f"unknown heuristic {name!r}")

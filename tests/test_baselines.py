@@ -226,3 +226,69 @@ class TestBranchBound:
         assert (
             bb.allocation.task_ecu["a"] != bb.allocation.task_ecu["b"]
         )
+
+
+class TestRunHeuristic:
+    """``run_heuristic`` is the one dispatcher the supervisor's fallback
+    chain and the portfolio's baseline sweep share; both report the
+    cost and allocation they reported with their own copies."""
+
+    #: tindell_partition(7) on the tindell ring, objective trt:ring.
+    PINNED = {
+        "greedy": (66, {"c0_t0": "p0", "c0_t1": "p2", "c0_t2": "p3",
+                        "c0_t3": "p4", "c0_t4": "p3", "c1_t0": "p1",
+                        "c1_t1": "p4"}),
+        "annealing": (39, {"c0_t0": "p0", "c0_t1": "p3", "c0_t2": "p3",
+                           "c0_t3": "p3", "c0_t4": "p3", "c1_t0": "p1",
+                           "c1_t1": "p3"}),
+        "genetic": (39, {"c0_t0": "p0", "c0_t1": "p3", "c0_t2": "p3",
+                         "c0_t3": "p3", "c0_t4": "p3", "c1_t0": "p1",
+                         "c1_t1": "p2"}),
+    }
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        from repro.workloads import tindell_architecture, tindell_partition
+
+        return tindell_partition(7), tindell_architecture()
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_dispatcher_matches_pinned(self, system, name):
+        from repro.baselines import run_heuristic
+
+        feasible, alloc, cost = run_heuristic(name, *system, "trt", "ring")
+        assert feasible
+        assert (cost, alloc.task_ecu) == self.PINNED[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_supervisor_fallback_matches_pinned(self, system, name,
+                                                monkeypatch):
+        from repro.core import SolveRequest
+        from repro.robust import SolveSupervisor
+
+        monkeypatch.setattr(
+            Allocator, "minimize",
+            lambda self, *a, **k: (_ for _ in ()).throw(
+                RuntimeError("exact stages off")),
+        )
+        out = SolveSupervisor(*system, request=SolveRequest(
+            objective=MinimizeTRT("ring"), heuristics=(name,),
+        )).solve()
+        assert out.status == "heuristic"
+        assert (out.cost, out.allocation.task_ecu) == self.PINNED[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_portfolio_cell_matches_pinned(self, system, name):
+        from repro.core.portfolio import _baseline_cell
+        from repro.io import system_to_dict
+
+        feasible, cost, _ = _baseline_cell(
+            (name, system_to_dict(*system), ("trt", "ring"))
+        )
+        assert (feasible, cost) == (True, self.PINNED[name][0])
+
+    def test_unknown_name_raises(self, system):
+        from repro.baselines import run_heuristic
+
+        with pytest.raises(ValueError, match="unknown heuristic 'tabu'"):
+            run_heuristic("tabu", *system, "trt", "ring")

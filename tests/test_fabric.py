@@ -61,7 +61,10 @@ def test_solve_request_fingerprint_ignores_topology():
 
     base = SolveRequest(time_limit=5.0)
     assert base.fingerprint() == SolveRequest(
-        time_limit=5.0, strategy="rebuild", retries=3, proof_log="x.bin"
+        time_limit=5.0, reuse_learned=False, retries=3
+    ).fingerprint()
+    assert base.fingerprint() == SolveRequest(
+        time_limit=5.0, proof_log="x.bin"
     ).fingerprint()
     assert base.fingerprint() != SolveRequest(time_limit=9.0).fingerprint()
     assert base.fingerprint() != SolveRequest(

@@ -218,6 +218,10 @@ class TestCli:
             # The flag exports the choice for spawned workers too.
             assert os.environ[BACKEND_ENV] == "pure"
         finally:
+            # delenv recorded nothing when the variable was unset, so
+            # drop the export here or the rest of the session runs on
+            # the pure core; monkeypatch restores a preset value.
+            os.environ.pop(BACKEND_ENV, None)
             set_default_backend(None)
 
     def test_solve_no_simplify_matches_default_cost(self, system_file,

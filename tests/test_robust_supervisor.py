@@ -83,7 +83,7 @@ class TestEscalationChain:
             objective=MinimizeTRT("ring"), checkpoint=ck,
         ))
         req = sup._stage_request("incremental")
-        assert req.strategy == "incremental"
+        assert req == sup.request
         assert req.reuse_learned and req.checkpoint == ck
 
     def test_rebuild_stage_drops_reuse_and_checkpoint(self, tmp_path):
@@ -91,19 +91,23 @@ class TestEscalationChain:
         sup = SolveSupervisor(tasks, arch, request=SolveRequest(
             objective=MinimizeTRT("ring"),
             checkpoint=str(tmp_path / "ck.json"), certify=True,
+            proof_log=str(tmp_path / "run.proof"),
         ))
         req = sup._stage_request("rebuild")
-        assert req.strategy == "rebuild"
         assert not req.reuse_learned and req.checkpoint is None
+        assert req.proof_log is None  # fresh encodings take no spool
         assert req.certify  # everything else carries over
 
     def test_incremental_crash_escalates_to_rebuild(self, monkeypatch):
         tasks, arch = feasible_system()
-        monkeypatch.setattr(
-            Allocator, "_minimize_incremental",
-            lambda self, *a, **k: (_ for _ in ()).throw(
-                RuntimeError("injected incremental crash")),
-        )
+        real = Allocator._minimize
+
+        def crash_incremental(self, objective, request):
+            if request.reuse_learned:
+                raise RuntimeError("injected incremental crash")
+            return real(self, objective, request)
+
+        monkeypatch.setattr(Allocator, "_minimize", crash_incremental)
         out = SolveSupervisor(tasks, arch, MinimizeTRT("ring")).solve()
         assert out.status == "optimal"  # the rebuild stage recovered
         assert out.proven

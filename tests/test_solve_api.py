@@ -2,9 +2,12 @@
 
 1. Every public entry point accepts only a :class:`SolveRequest`; the
    legacy per-entry-point kwargs raise :class:`TypeError`.
-2. A request is validated when it is built: an unknown ``strategy`` or
-   ``bounds_mode`` raises :class:`ValueError` naming the allowed values
-   instead of silently solving as ``auto``.
+2. A request is validated when it is built: an unknown ``bounds_mode``
+   raises :class:`ValueError` naming the allowed values instead of
+   silently solving as ``auto``, and ``reuse_learned=False`` with a
+   ``proof_log`` raises instead of silently writing no artifact.
+3. ``reuse_learned`` is the only probe-mode selector: both modes run
+   the one binary search to the same certified envelope.
 """
 
 import warnings
@@ -107,19 +110,40 @@ class TestLegacyShim:
 
 
 class TestRequestValidation:
-    @pytest.mark.parametrize("field, value, allowed", [
-        ("strategy", "rebuid", "auto, incremental, rebuild"),
-        ("strategy", "speculative", "auto, incremental, rebuild"),
-        ("bounds_mode", "of", "auto, off"),
-        ("bounds_mode", "race", "auto, off"),
-    ])
-    def test_unknown_strategy_or_bounds_mode_rejected(self, field, value,
-                                                      allowed):
-        with pytest.raises(ValueError, match=f"{field} must be one of "
-                                             f"{allowed}; got '{value}'"):
-            SolveRequest(objective=MinimizeSumTRT(), **{field: value})
-        with pytest.raises(ValueError, match=field):
-            SolveRequest().merged(**{field: value})
+    @pytest.mark.parametrize("value", ["of", "race"])
+    def test_unknown_bounds_mode_rejected(self, value):
+        with pytest.raises(ValueError, match=f"bounds_mode must be one of "
+                                             f"auto, off; got '{value}'"):
+            SolveRequest(objective=MinimizeSumTRT(), bounds_mode=value)
+        with pytest.raises(ValueError, match="bounds_mode"):
+            SolveRequest().merged(bounds_mode=value)
+
+    def test_fresh_encodings_reject_a_proof_log(self):
+        with pytest.raises(ValueError, match="proof_log needs "
+                                             "reuse_learned=True"):
+            SolveRequest(objective=MinimizeSumTRT(), reuse_learned=False,
+                         certify=True, proof_log="run.proof")
+        with pytest.raises(ValueError, match="proof_log"):
+            SolveRequest(proof_log="run.proof").merged(reuse_learned=False)
+        # Either one alone is fine.
+        SolveRequest(reuse_learned=False)
+        SolveRequest(proof_log="run.proof")
+
+    def test_no_reuse_with_proof_log_is_a_usage_error(self, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+        from repro.io import save_system
+        from tests.test_chaos_sites import tiny_system
+
+        system = str(tmp_path / "system.json")
+        save_system(*tiny_system(), system)
+        proof = tmp_path / "x.proof"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", system, "--objective", "trt:ring", "--certify",
+                  "--no-reuse", "--proof-log", str(proof)])
+        assert exc.value.code not in (0, None, 2)
+        assert "proof_log" in str(exc.value.code)
+        assert not proof.exists()
 
 
 class TestRemovedKnobs:
@@ -132,6 +156,8 @@ class TestRemovedKnobs:
         ("speculate", 2),
         ("race", 2),
         ("share_max_len", 8),
+        ("strategy", "rebuild"),
+        ("strategy", "auto"),
     ])
     def test_removed_request_field_raises_type_error(self, field, value):
         with pytest.raises(TypeError, match=field):
@@ -152,16 +178,17 @@ class TestRemovedKnobs:
         assert argv[0] in capsys.readouterr().err
 
 
-class TestSequentialStrategies:
-    """Both probe strategies of the one remaining search reach the
+class TestProbeModes:
+    """Both probe modes of the one search (``reuse_learned``) reach the
     same certified envelope."""
 
-    @pytest.mark.parametrize("strategy", ["incremental", "rebuild"])
-    def test_strategy_matches_auto(self, small_system, sequential_result,
-                                   strategy):
+    @pytest.mark.parametrize("reuse", [True, False],
+                             ids=["incremental", "rebuild"])
+    def test_probe_mode_matches_default(self, small_system,
+                                        sequential_result, reuse):
         tasks, arch, obj = small_system
         res = Allocator(tasks, arch).minimize(
-            request=SolveRequest(objective=obj, strategy=strategy)
+            request=SolveRequest(objective=obj, reuse_learned=reuse)
         )
         envelope = ("cost", "proven", "feasible")
         assert {k: getattr(res, k) for k in envelope} == {
@@ -169,8 +196,9 @@ class TestSequentialStrategies:
         }
         assert res.verified
 
-    @pytest.mark.parametrize("strategy", ["incremental", "rebuild"])
-    def test_infeasible_is_certified_infeasible(self, strategy):
+    @pytest.mark.parametrize("reuse", [True, False],
+                             ids=["incremental", "rebuild"])
+    def test_infeasible_is_certified_infeasible(self, reuse):
         from repro.model import (
             TOKEN_RING,
             Architecture,
@@ -191,14 +219,15 @@ class TestSequentialStrategies:
         ])
         res = Allocator(tasks, arch).minimize(
             request=SolveRequest(objective=MinimizeSumTRT(),
-                                 strategy=strategy)
+                                 reuse_learned=reuse)
         )
         assert (res.feasible, res.proven, res.status) == (
             False, True, "infeasible"
         )
 
-    @pytest.mark.parametrize("strategy", ["incremental", "rebuild"])
-    def test_certify_all_verified(self, strategy):
+    @pytest.mark.parametrize("reuse", [True, False],
+                             ids=["incremental", "rebuild"])
+    def test_certify_all_verified(self, reuse):
         from repro.core import MinimizeSumResponseTimes
 
         arch = ring_architecture(3)
@@ -208,7 +237,7 @@ class TestSequentialStrategies:
             request=SolveRequest(objective=obj)
         )
         res = Allocator(tasks, arch).minimize(
-            request=SolveRequest(objective=obj, strategy=strategy,
+            request=SolveRequest(objective=obj, reuse_learned=reuse,
                                  certify=True)
         )
         assert res.cost == plain.cost
@@ -221,17 +250,17 @@ class TestSequentialStrategies:
     @pytest.mark.parametrize("objective", [
         "sum_trt", "trt:ring", "sum_resp", "max_util",
     ])
-    def test_strategies_agree_on_every_objective(self, small_system,
-                                                 objective):
+    def test_probe_modes_agree_on_every_objective(self, small_system,
+                                                  objective):
         from repro.core.objectives import objective_from_spec
 
         tasks, arch, _ = small_system
         obj = objective_from_spec(objective)
         inc, reb = (
             Allocator(tasks, arch).minimize(
-                request=SolveRequest(objective=obj, strategy=strategy)
+                request=SolveRequest(objective=obj, reuse_learned=reuse)
             )
-            for strategy in ("incremental", "rebuild")
+            for reuse in (True, False)
         )
         assert (inc.cost, inc.proven, inc.status) == (
             reb.cost, reb.proven, reb.status
@@ -240,12 +269,11 @@ class TestSequentialStrategies:
 
 
 class TestFingerprint:
-    """Only answer-relevant fields address a request: the probe
-    strategy and the persistence/serving knobs never change the
-    certified answer, so they never change the fingerprint."""
+    """Only answer-relevant fields address a request: the probe mode
+    and the persistence/serving knobs never change the certified
+    answer, so they never change the fingerprint."""
 
     @pytest.mark.parametrize("field, value", [
-        ("strategy", "rebuild"),
         ("reuse_learned", False),
         ("bounds_mode", "off"),
         ("cell_timeout", 5.0),
