@@ -1,37 +1,33 @@
-"""Crash-safe on-disk proof artifacts (length-prefixed records).
+"""Crash-safe on-disk proof artifacts.
 
 The in-memory :class:`repro.sat.proof.ProofLog` is the source of truth
 while a solve runs; this module persists it so a certificate can be
-re-checked offline.  A bare text file cannot distinguish "the run ended
-here" from "the machine died mid-``write``" -- a truncated tail parses
-as a shorter-but-well-formed proof and could silently mis-certify a
-weaker claim.  The spool format makes truncation *detectable*:
-
-- header: ``REPRO-PROOF v1\\n``;
-- each proof line is one record: ``<u32 length> <u32 crc32> payload``
-  (little endian, payload = the UTF-8 text of one proof line).
-
-A torn tail (partial record, or a record whose CRC does not match) is
-therefore evidence of damage, never a plausible shorter proof.  On
-damage the reader raises the typed :class:`ProofArtifactError`; the
-writer (:class:`ProofSpool`) *verifies every append by reading it
-back*, truncates the artifact to the last intact record boundary, and
-rewrites the missing suffix once -- so a single injected fault
-self-heals, while persistent write failure surfaces as a failed
-certificate rather than a silently-accepted corrupt artifact.
+re-checked offline.  The artifact is a :mod:`repro.robust.records` file
+(magic ``REPRO-PROOF v1``), one proof line per frame, so a truncated
+tail is detectable damage, never a shorter proof that could certify a
+weaker claim.  Readers raise :class:`ProofArtifactError` on damage; the
+writer repairs a damaged append once and otherwise fails the
+certificate -- a failed fsync included, because a certificate must be
+durable.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import struct
 import threading
-import zlib
 from dataclasses import dataclass
 
-from repro import governor as _governor
-from repro.chaos import ChaosDiskFull, chaos_data
+from repro.chaos import chaos_data
+from repro.robust.records import (
+    BAD_HEADER,
+    BadPayload,
+    RecordFormat,
+    RecordScan,
+    RecordWriter,
+    quarantine,
+    scan_file,
+)
 
 __all__ = [
     "MAGIC",
@@ -40,16 +36,28 @@ __all__ = [
     "ProofSpool",
     "scan_artifact",
     "load_proof",
-    "quarantine_artifact",
     "resolve_spool_path",
 ]
 
 MAGIC = b"REPRO-PROOF v1\n"
-_HEADER = struct.Struct("<II")  # payload length, crc32(payload)
 
 
 class ProofArtifactError(RuntimeError):
     """A proof artifact failed its structural integrity check."""
+
+
+def _decode_line(payload: bytes) -> str:
+    try:
+        return payload.decode()
+    except UnicodeDecodeError:
+        raise BadPayload("record payload is not UTF-8") from None
+
+
+_FORMAT = RecordFormat(
+    magic=MAGIC, encode=str.encode, decode=_decode_line,
+    chaos=lambda blob: chaos_data("proof.append", blob),
+    category="proof", error=ProofArtifactError,
+)
 
 
 @dataclass
@@ -63,49 +71,22 @@ class ArtifactScan:
     reason: str | None = None
 
 
-def _pack(line: str) -> bytes:
-    payload = line.encode()
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-
-
-def _scan_records(buf: bytes, base: int) -> tuple[list[str], int, str | None]:
-    """Parse records out of ``buf`` (which starts at file offset
-    ``base``).  Returns ``(lines, end_of_valid_offset, damage_reason)``
-    where a non-None reason means bytes past the end are damaged."""
-    lines: list[str] = []
-    pos = 0
-    while pos < len(buf):
-        if pos + _HEADER.size > len(buf):
-            return lines, base + pos, "torn record header at tail"
-        length, crc = _HEADER.unpack_from(buf, pos)
-        start = pos + _HEADER.size
-        payload = buf[start:start + length]
-        if len(payload) < length:
-            return lines, base + pos, "torn record payload at tail"
-        if zlib.crc32(payload) != crc:
-            return lines, base + pos, "record CRC mismatch"
-        try:
-            lines.append(payload.decode())
-        except UnicodeDecodeError:
-            return lines, base + pos, "record payload is not UTF-8"
-        pos = start + length
-    return lines, base + pos, None
-
-
 def scan_artifact(path: str) -> ArtifactScan:
     """Structurally scan an artifact without raising (damage is data)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(MAGIC):
-        return ArtifactScan(
-            records=0, valid_end=0, size=len(blob), damaged=True,
-            reason="missing or damaged header",
-        )
-    lines, end, reason = _scan_records(blob[len(MAGIC):], len(MAGIC))
+    scan = scan_file(path, _FORMAT)
     return ArtifactScan(
-        records=len(lines), valid_end=end, size=len(blob),
-        damaged=reason is not None, reason=reason,
+        records=len(scan.records), valid_end=scan.valid_end,
+        size=scan.size, damaged=scan.damaged, reason=scan.reason,
     )
+
+
+def _scan_with_header(path: str) -> RecordScan:
+    scan = scan_file(path, _FORMAT)
+    if scan.reason == BAD_HEADER:
+        raise ProofArtifactError(
+            f"{path}: missing or damaged proof artifact header"
+        )
+    return scan
 
 
 def load_proof(path: str, strict: bool = True) -> list[str]:
@@ -113,28 +94,13 @@ def load_proof(path: str, strict: bool = True) -> list[str]:
     structural damage raises :class:`ProofArtifactError` -- a truncated
     artifact must never pass for a complete proof.  ``strict=False``
     returns the intact prefix (post-mortem tooling)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(MAGIC):
+    scan = _scan_with_header(path)
+    if scan.damaged and strict:
         raise ProofArtifactError(
-            f"{path}: missing or damaged proof artifact header"
+            f"{path}: damaged after {len(scan.records)} records: "
+            f"{scan.reason}"
         )
-    lines, _end, reason = _scan_records(blob[len(MAGIC):], len(MAGIC))
-    if reason is not None and strict:
-        raise ProofArtifactError(
-            f"{path}: damaged after {len(lines)} records: {reason}"
-        )
-    return lines
-
-
-def quarantine_artifact(path: str) -> str | None:
-    """Move a damaged artifact aside (rename, never delete evidence)."""
-    target = f"{path}.quarantined"
-    try:
-        os.replace(path, target)
-        return target
-    except OSError:
-        return None
+    return scan.records
 
 
 #: Per-process sequence disambiguating concurrent spools that share a
@@ -165,120 +131,23 @@ def resolve_spool_path(proof_log: str, fingerprint: str) -> str:
     return os.path.join(proof_log, name)
 
 
-class ProofSpool:
-    """Append-only writer with verified appends and tail repair.
-
-    ``fresh=True`` (a new run) starts an empty artifact at ``path``; a
-    pre-existing *damaged* file there is quarantined first (an intact
-    one is simply replaced -- it belonged to a previous run).  The
-    resume path (``fresh=False``) repairs a torn tail by truncating to
-    the last intact record boundary and keeps appending.
-    """
+class ProofSpool(RecordWriter):
+    """Append-only proof writer.  ``fresh=True`` (a new run) starts an
+    empty artifact, quarantining a *damaged* leftover first (an intact
+    one belonged to a previous run and is replaced); ``fresh=False``
+    resumes, repairing a torn tail and refusing a damaged header."""
 
     def __init__(self, path: str, fresh: bool = True):
-        self.path = path
-        self.records = 0
-        self.repairs = 0
-        self.recovered_tail_bytes = 0
-        self.quarantined_from: str | None = None
+        super().__init__(path, _FORMAT)
         if fresh:
-            if os.path.exists(path):
-                scan = scan_artifact(path)
-                if scan.damaged:
-                    self.quarantined_from = quarantine_artifact(path)
-            self._fh = open(path, "w+b")
-            self._fh.write(MAGIC)
-            self._fh.flush()
-            self._end = len(MAGIC)
-        else:
-            self._fh = open(path, "r+b")
-            scan = scan_artifact(path)
-            if scan.reason == "missing or damaged header":
-                self._fh.close()
-                raise ProofArtifactError(
-                    f"{path}: missing or damaged proof artifact header"
-                )
-            if scan.damaged:
-                self.recovered_tail_bytes = scan.size - scan.valid_end
-                self._fh.truncate(scan.valid_end)
-                self.repairs += 1
-            self.records = scan.records
-            self._end = scan.valid_end
-
-    # ------------------------------------------------------------------
-
-    def _write_at(self, offset: int, data: bytes) -> None:
-        self._fh.seek(offset)
-        self._fh.write(data)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def _verify_tail(self, offset: int) -> tuple[int, int, str | None]:
-        """Re-read everything past ``offset``: (records, valid_end,
-        damage_reason)."""
-        self._fh.seek(offset)
-        buf = self._fh.read()
-        lines, end, reason = _scan_records(buf, offset)
-        return len(lines), end, reason
+            if os.path.exists(path) and scan_file(path, _FORMAT).damaged:
+                self.quarantined_from = quarantine(path)
+            self._start()
+            return
+        self._resume(_scan_with_header(path))
 
     def append(self, lines: list[str]) -> None:
-        """Append proof lines; verified by read-back.
-
-        Damage observed on read-back (an injected or real torn /
-        corrupt write) is repaired once: truncate to the last intact
-        boundary, rewrite the missing suffix.  A second consecutive
-        failure raises :class:`ProofArtifactError` -- the caller must
-        fail its certificate, not trust the artifact.
-        """
-        if not lines:
-            return
-        pending = list(lines)
-        for _attempt in (0, 1):
-            blob = b"".join(_pack(line) for line in pending)
-            try:
-                # A quota rejection is ENOSPC-shaped and lands on the
-                # same retry-then-condemn path as a real full disk: the
-                # governor never truncates a live proof spool.
-                _governor.charge("proof", len(blob), path=self.path)
-                data, _damage = chaos_data("proof.append", blob)
-                self._write_at(self._end, data)
-                self._fh.truncate(self._end + len(data))
-            except ChaosDiskFull as exc:
-                # ENOSPC mid-write: the frame prefix reached the disk
-                # before space ran out.  Land it (a torn record the
-                # read-back verification must catch), then retry once.
-                if exc.partial:
-                    try:
-                        self._write_at(self._end, exc.partial)
-                    except OSError:
-                        pass
-                continue
-            except OSError:
-                continue  # transient write failure: one retry
-
-            got, end, reason = self._verify_tail(self._end)
-            self.records += got
-            self._end = end
-            if reason is None and got == len(pending):
-                return
-            # Torn or corrupt tail: truncate the damage away and retry
-            # the lines that did not make it intact.
-            self.repairs += 1
-            self._fh.truncate(self._end)
-            pending = pending[got:]
-        raise ProofArtifactError(
-            f"{self.path}: append failed verification twice "
-            f"({len(pending)} lines not durably recorded)"
-        )
-
-    def close(self) -> None:
-        try:
-            self._fh.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "ProofSpool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """Append proof lines; verified by read-back.  A second
+        consecutive failure raises :class:`ProofArtifactError` -- the
+        caller must fail its certificate, not trust the artifact."""
+        self.extend(lines)

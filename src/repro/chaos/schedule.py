@@ -23,7 +23,9 @@ Design constraints, in order:
 3. **Observable.**  Every injected fault is appended to
    ``state_dir/chaos-events.jsonl`` (one JSON object per line, written
    with a single ``write`` call so concurrent workers interleave whole
-   lines) -- CI uploads this log as an artifact of the chaos smoke job.
+   lines; read back through the torn-tolerant
+   :func:`repro.robust.flight.read_events`) -- CI uploads this log as
+   an artifact of the chaos smoke job.
 
 Fault kinds
 -----------
@@ -359,14 +361,16 @@ class ChaosSchedule:
         return os.path.join(self.state_dir, EVENT_LOG_NAME)
 
     def events(self) -> list[dict]:
-        """The injected-fault log (empty when nothing fired yet)."""
-        try:
-            with open(self.event_log_path) as fh:
-                return [json.loads(line) for line in fh if line.strip()]
-        except OSError:
-            return []
+        """The injected-fault log (empty when nothing fired yet; a torn
+        last line is skipped)."""
+        # Imported here: the flight recorder is itself a chaos site.
+        from repro.robust.flight import read_events
+
+        return read_events(self.event_log_path)
 
     def _log_event(self, site: str, kind: str, count: int) -> None:
+        # A raw append, not a FlightRecorder: a writer behind the
+        # ``flight.append`` site would count (and fault) its own site.
         record = {
             "site": site,
             "kind": kind,

@@ -20,10 +20,10 @@
    ``run_timeout`` is exhausted the run returns a **partial** result
    set with explicit per-cell errors -- never a hang.
 
-Worker/coordinator lifecycle events are appended to
-``<fabric_dir>/fabric-events.jsonl`` (one JSON object per line, single
-``write`` call each, so concurrent writers interleave whole lines) --
-the fabric's flight recorder, uploaded by the CI smoke job.
+Worker/coordinator lifecycle events go to
+``<fabric_dir>/fabric-events.jsonl`` through a
+:class:`~repro.robust.flight.FlightRecorder` (``actor`` is
+``coordinator`` or the worker name) -- uploaded by the CI smoke job.
 
 This is the repository's only sweep runner.  Two contract points
 follow from the store: cell values must be JSON-serializable (a value
@@ -34,7 +34,6 @@ report the same record.
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
 import os
 import tempfile
@@ -49,6 +48,7 @@ from repro.chaos import active, chaos_point
 from repro.fabric.jobs import Job, make_jobs
 from repro.fabric.lease import LeaseBoard
 from repro.fabric.store import FabricStoreError, ResultStore
+from repro.robust.flight import FlightRecorder
 
 __all__ = [
     "FabricOutcome",
@@ -90,24 +90,6 @@ class SweepResult:
 def default_processes() -> int:
     """A conservative worker count: physical parallelism minus one."""
     return max(1, (os.cpu_count() or 2) - 1)
-
-
-class _EventLog:
-    """Append-only JSONL flight recorder (never takes the run down)."""
-
-    def __init__(self, root: str, actor: str):
-        self.path = os.path.join(root, EVENTS_NAME)
-        self.actor = actor
-
-    def log(self, event: str, **extra) -> None:
-        record = {"ts": round(time.time(), 3), "actor": self.actor,
-                  "event": event}
-        record.update(extra)
-        try:
-            with open(self.path, "a") as fh:
-                fh.write(json.dumps(record) + "\n")
-        except OSError:
-            pass
 
 
 def _touch(path: str) -> None:
@@ -192,7 +174,7 @@ def _run_leased(spec: _WorkerSpec, board: LeaseBoard, job: Job
     return value, error, time.perf_counter() - t0
 
 
-def _append_result(writer, events: _EventLog, record: dict) -> bool:
+def _append_result(writer, events: FlightRecorder, record: dict) -> bool:
     """Append one record, degrading honestly: an unserializable value
     becomes an error record, a store failure is logged and the job is
     left unrecorded (a peer or retry re-runs it)."""
@@ -222,7 +204,9 @@ def _worker_loop(spec: _WorkerSpec) -> None:
                        max_attempts=spec.max_attempts)
     store = ResultStore(spec.fabric_dir)
     writer = store.writer(spec.name)
-    events = _EventLog(spec.fabric_dir, spec.name)
+    events = FlightRecorder(
+        os.path.join(spec.fabric_dir, EVENTS_NAME), spec.name
+    )
     try:
         while True:
             _touch(spec.hb_path)
@@ -417,7 +401,8 @@ def _sweep_in(fabric_dir, fn, params, workers, steal, lease_ttl,
     store = ResultStore(fabric_dir)
     board = LeaseBoard(fabric_dir, ttl=lease_ttl,
                        max_attempts=max_attempts)
-    events = _EventLog(fabric_dir, "coordinator")
+    events = FlightRecorder(os.path.join(fabric_dir, EVENTS_NAME),
+                            "coordinator")
     stop_path = os.path.join(fabric_dir, "STOP")
     try:
         os.unlink(stop_path)  # a stale STOP from a previous run

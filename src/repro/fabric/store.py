@@ -1,49 +1,44 @@
 """The append-only, deduplicating result store.
 
-One fabric directory holds a ``segments/`` subdirectory of independent
-**segment files**, one per writer, so concurrent workers never share a
-file descriptor or interleave partial writes.  A segment is:
+A fabric directory holds ``segments/<writer>.seg``, one segment per
+writer, so concurrent workers never share a file descriptor.  A segment
+is a :mod:`repro.robust.records` file (magic ``REPRO-FABRIC v1``), one
+canonical-JSON result record per frame:
 
-- header: ``REPRO-FABRIC v1\\n``;
-- records: ``<u32 length> <u32 crc32> payload`` (little endian), the
-  payload being the UTF-8 canonical JSON of one result record --
-  exactly the length-prefixed discipline of the PR 5 proof spool
-  (:mod:`repro.certify.proofio`), because it makes truncation
-  *detectable*: a torn tail is evidence of damage, never a plausible
-  shorter history.
-
-Crash safety:
-
-- **verified appends**: every append is read back; a torn or corrupt
-  landing (injected via the ``fabric.store.append`` chaos site, or a
-  real dying disk) is repaired once -- truncate to the last intact
-  record boundary, rewrite -- and a second consecutive failure raises
-  the typed :class:`FabricStoreError` so the caller degrades honestly
-  instead of trusting the artifact;
-- **torn-tail repair on open**: re-opening a segment (a worker resuming
-  after SIGKILL) truncates trailing damage and keeps appending at the
-  last intact boundary;
+- **verified appends**: a damaged landing (chaos site
+  ``fabric.store.append``, or a dying disk) is repaired once; a second
+  failure raises :class:`FabricStoreError` and the cell stays
+  unrecorded.  A failed fsync (site ``fabric.store.fsync``) is
+  tolerated: the record is readable, and a record lost to power
+  failure only re-runs its cell;
+- **torn-tail repair on open**: a worker resuming after SIGKILL
+  truncates trailing damage and appends at the last intact boundary; a
+  damaged *header* quarantines the segment and restarts it;
 - **dedupe on key**: :meth:`ResultStore.scan` merges all segments into
-  one ``key -> record`` map; when several records carry the same job
-  key (two workers raced the same cell; a re-run after a lost lease)
-  the winner is deterministic -- first record in segment-name order --
-  so repeated scans of the same bytes agree bit for bit;
+  one ``key -> record`` map; among duplicates (two workers raced a
+  cell, a re-run after a lost lease) the first record in segment-name
+  order wins, so the merged view is a pure function of the bytes;
 - **compaction that quarantines**: :meth:`ResultStore.compact` rewrites
   the deduped records into one fresh segment and renames unreadable
-  segments to ``*.quarantined`` (evidence, not garbage collection)
-  instead of dying on them.
+  segments to ``*.quarantined`` instead of dying on them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import struct
-import zlib
 from dataclasses import dataclass, field
 
-from repro import governor as _governor
-from repro.chaos import ChaosDiskFull, chaos_data, chaos_point
+from repro.chaos import chaos_data, chaos_point
+from repro.robust.records import (
+    BAD_HEADER,
+    BadPayload,
+    RecordFormat,
+    RecordScan,
+    RecordWriter,
+    quarantine,
+    scan_file,
+)
 
 __all__ = [
     "MAGIC",
@@ -55,7 +50,9 @@ __all__ = [
 ]
 
 MAGIC = b"REPRO-FABRIC v1\n"
-_FRAME = struct.Struct("<II")  # payload length, crc32(payload)
+
+#: What a structural scan of one segment found.
+SegmentScan = RecordScan
 
 
 class FabricStoreError(RuntimeError):
@@ -63,181 +60,57 @@ class FabricStoreError(RuntimeError):
     not be repaired."""
 
 
-@dataclass
-class SegmentScan:
-    """What a structural scan of one segment found."""
-
-    path: str
-    records: list = field(default_factory=list)
-    valid_end: int = 0
-    size: int = 0
-    damaged: bool = False
-    reason: str | None = None
+def _encode(record: dict) -> bytes:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _pack(record: dict) -> bytes:
-    payload = json.dumps(
-        record, sort_keys=True, separators=(",", ":")
-    ).encode()
-    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+def _decode(payload: bytes) -> dict:
+    try:
+        obj = json.loads(payload.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise BadPayload("record payload is not JSON") from None
+    if not isinstance(obj, dict):
+        raise BadPayload("record is not a JSON object")
+    return obj
 
 
-def _scan_frames(buf: bytes, base: int) -> tuple[list[dict], int, str | None]:
-    """Parse records out of ``buf`` (starting at file offset ``base``).
-    Returns ``(records, end_of_valid_offset, damage_reason)``."""
-    records: list[dict] = []
-    pos = 0
-    while pos < len(buf):
-        if pos + _FRAME.size > len(buf):
-            return records, base + pos, "torn record header at tail"
-        length, crc = _FRAME.unpack_from(buf, pos)
-        start = pos + _FRAME.size
-        payload = buf[start:start + length]
-        if len(payload) < length:
-            return records, base + pos, "torn record payload at tail"
-        if zlib.crc32(payload) != crc:
-            return records, base + pos, "record CRC mismatch"
-        try:
-            obj = json.loads(payload.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return records, base + pos, "record payload is not JSON"
-        if not isinstance(obj, dict):
-            return records, base + pos, "record is not a JSON object"
-        records.append(obj)
-        pos = start + length
-    return records, base + pos, None
+_FORMAT = RecordFormat(
+    magic=MAGIC, encode=_encode, decode=_decode,
+    chaos=lambda blob: chaos_data("fabric.store.append", blob),
+    category="fabric", error=FabricStoreError,
+    tolerated_fsync=lambda: chaos_point("fabric.store.fsync"),
+)
 
 
 def scan_segment(path: str) -> SegmentScan:
     """Structurally scan one segment without raising (damage is data)."""
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        return scan_file(path, _FORMAT)
     except OSError as exc:
         return SegmentScan(path=path, damaged=True,
                            reason=f"unreadable: {exc}")
-    if not blob.startswith(MAGIC):
-        return SegmentScan(path=path, size=len(blob), damaged=True,
-                           reason="missing or damaged segment header")
-    records, end, reason = _scan_frames(blob[len(MAGIC):], len(MAGIC))
-    return SegmentScan(
-        path=path, records=records, valid_end=end, size=len(blob),
-        damaged=reason is not None, reason=reason,
-    )
 
 
-class SegmentWriter:
-    """Append-only writer for one segment, with verified appends.
-
-    Re-opening an existing segment repairs a torn tail (truncate to the
-    last intact record boundary) and appends after it; a segment whose
-    *header* is damaged is quarantined and restarted fresh -- its
-    records were never readable, so nothing is lost that was ever
-    durable.
-    """
+class SegmentWriter(RecordWriter):
+    """Append-only writer for one segment.  Re-opening a segment repairs
+    a torn tail; a damaged *header* quarantines it and starts afresh
+    (its records were never readable, so nothing durable is lost)."""
 
     def __init__(self, path: str):
-        self.path = path
-        self.records = 0
-        self.repairs = 0
-        self.quarantined_from: str | None = None
-        if os.path.exists(path):
-            scan = scan_segment(path)
-            if scan.reason == "missing or damaged segment header":
-                self.quarantined_from = _quarantine(path)
-                self._start_fresh()
-                return
-            self._fh = open(path, "r+b")
-            if scan.damaged:
-                self._fh.truncate(scan.valid_end)
-                self.repairs += 1
-            self.records = len(scan.records)
-            self._end = scan.valid_end
+        super().__init__(path, _FORMAT)
+        scan = scan_segment(path) if os.path.exists(path) else None
+        if scan is not None and scan.reason == BAD_HEADER:
+            self.quarantined_from = quarantine(path)
+            scan = None
+        if scan is None:
+            self._start()
         else:
-            self._start_fresh()
-
-    def _start_fresh(self) -> None:
-        self._fh = open(self.path, "w+b")
-        self._fh.write(MAGIC)
-        self._fh.flush()
-        self._end = len(MAGIC)
+            self._resume(scan)
 
     def append(self, record: dict) -> None:
-        """Durably append one record; verified by read-back.
-
-        Damage observed on read-back is repaired once (truncate +
-        rewrite); a second consecutive failure raises
-        :class:`FabricStoreError`.  An fsync failure alone does *not*
-        fail the append -- the record is readable, only its
-        power-loss durability is reduced (and a lost record merely
-        re-runs its job).
-        """
-        for _attempt in (0, 1):
-            blob = _pack(record)
-            try:
-                # Quota rejections are ENOSPC-shaped: the governor never
-                # evicts a fabric segment, so persistent rejection
-                # surfaces as this cell's typed FabricStoreError below.
-                _governor.charge("fabric", len(blob), path=self.path)
-                data, _damage = chaos_data("fabric.store.append", blob)
-                self._fh.seek(self._end)
-                self._fh.write(data)
-                self._fh.flush()
-            except ChaosDiskFull as exc:
-                # ENOSPC mid-write: land the frame prefix that reached
-                # the disk (a torn record read-back must catch), retry.
-                if exc.partial:
-                    try:
-                        self._fh.seek(self._end)
-                        self._fh.write(exc.partial)
-                        self._fh.flush()
-                    except OSError:
-                        pass
-                continue
-            except OSError:
-                continue  # transient write failure: one retry
-            try:
-                chaos_point("fabric.store.fsync")
-                os.fsync(self._fh.fileno())
-            except OSError:
-                pass  # durability reduced, readability intact
-            self._fh.truncate(self._end + len(data))
-            self._fh.seek(self._end)
-            tail = self._fh.read()
-            got, end, reason = _scan_frames(tail, self._end)
-            if reason is None and len(got) == 1:
-                self.records += 1
-                self._end = end
-                return
-            # Torn or corrupt landing: truncate the damage, retry once.
-            self.repairs += 1
-            self._fh.truncate(end)
-            self._end = end
-        raise FabricStoreError(
-            f"{self.path}: append failed verification twice"
-        )
-
-    def close(self) -> None:
-        try:
-            self._fh.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "SegmentWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _quarantine(path: str) -> str | None:
-    """Move a damaged segment aside (rename, never delete evidence)."""
-    target = f"{path}.quarantined"
-    try:
-        os.replace(path, target)
-        return target
-    except OSError:
-        return None
+        """Durably append one record (:class:`FabricStoreError` after a
+        second failed attempt)."""
+        self.extend([record])
 
 
 @dataclass
@@ -291,8 +164,7 @@ class ResultStore:
             scan = scan_segment(path)
             if scan.damaged:
                 out.damaged_segments.append(scan)
-                if scan.reason not in (None,
-                                       "missing or damaged segment header"):
+                if scan.reason not in (None, BAD_HEADER):
                     out.repaired_tails += 1
             for rec in scan.records:
                 key = rec.get("key")
@@ -331,8 +203,8 @@ class ResultStore:
             writer.close()
         quarantined = []
         for scan in merged.damaged_segments:
-            if scan.reason == "missing or damaged segment header":
-                moved = _quarantine(scan.path)
+            if scan.reason == BAD_HEADER:
+                moved = quarantine(scan.path)
                 if moved:
                     quarantined.append(moved)
         for path in old:

@@ -41,6 +41,7 @@ from typing import Any
 
 from repro import governor as _governor
 from repro.chaos import ChaosDiskFull, chaos_data, chaos_point
+from repro.robust.records import quarantine
 
 __all__ = [
     "SearchCheckpoint",
@@ -221,16 +222,6 @@ def _generation_paths(path: str) -> list[str]:
     return [path] + [f"{path}.g{i}" for i in range(1, GENERATIONS)]
 
 
-def _quarantine(path: str) -> str | None:
-    """Move a damaged artifact aside (never delete the evidence)."""
-    target = f"{path}.quarantined"
-    try:
-        os.replace(path, target)
-        return target
-    except OSError:
-        return None
-
-
 def save_generations(path: str, payload: dict, generation: int) -> None:
     """Seal ``payload`` and write it to ``path``, rotating the previous
     files into the ``.g1``/``.g2``/... generation slots first.  The
@@ -265,7 +256,7 @@ def load_generations(path: str) -> tuple[dict, int, list[CorruptArtifact]]:
             payload, gen = _open_verified(cand)
         except _Damaged as exc:
             reports.append(
-                CorruptArtifact(cand, str(exc), _quarantine(cand))
+                CorruptArtifact(cand, str(exc), quarantine(cand))
             )
             continue
         if gen > best_gen or best is None:

@@ -1,12 +1,12 @@
 """A JSONL flight recorder for long-lived solve components.
 
-The fabric (:mod:`repro.fabric.coordinator`) introduced the pattern: an
-append-only ``*.jsonl`` event log written with one ``write`` call per
-record, so concurrent writers (threads, worker processes) interleave
-whole lines and a crash never leaves a half-parsable file worse than a
-torn last line.  This module lifts the pattern into :mod:`repro.robust`
-so the supervisor's stage transitions and the allocation server's
-request lifecycle land in the same kind of log CI can upload.
+An append-only ``*.jsonl`` event log written with one ``write`` call
+per record, so concurrent writers (threads, worker processes)
+interleave whole lines and a crash never leaves a half-parsable file
+worse than a torn last line.  The supervisor's stage transitions, the
+allocation server's request lifecycle and the fabric's worker and
+coordinator events (``fabric-events.jsonl``) all land in this kind of
+log, which CI uploads.
 
 A recorder must *never* take its host down: every filesystem failure is
 swallowed (the events are observability, not state).  That includes
@@ -14,7 +14,8 @@ resource exhaustion -- ``flight.append`` is a named chaos data site
 (torn/corrupt/ENOSPC bytes degrade to a torn last line at worst), and
 each append is charged to the resource governor's ``flight`` category,
 whose quota reclaim *rotates* the log (truncate to a marker) rather
-than failing the run.
+than failing the run.  :func:`read_events` is the one torn-tolerant
+reader of these logs (and of the chaos harness's own event log).
 """
 
 from __future__ import annotations

@@ -13,9 +13,8 @@ import time
 
 import pytest
 
-from repro.chaos import ChaosFault, ChaosSchedule, active
+from repro.chaos import ChaosFault, ChaosSchedule
 from repro.fabric import (
-    FabricStoreError,
     LeaseBoard,
     ResultStore,
     fabric_sweep,
@@ -171,49 +170,6 @@ def _single_fault(tmp_path, site, kind, trigger=1, repeat=1):
         [ChaosFault(site, trigger, kind, repeat)],
         hang_seconds=0.05,
     )
-
-
-@pytest.mark.parametrize("kind", ["torn-write", "corrupt-bytes"])
-def test_verified_append_repairs_damaged_landing(tmp_path, kind):
-    store = ResultStore(str(tmp_path))
-    chaos = _single_fault(tmp_path, "fabric.store.append", kind)
-    with active(chaos), store.writer("w0") as w:
-        w.append({"key": "a", "value": 1})
-        assert w.repairs == 1
-        w.append({"key": "b", "value": 2})
-    scan = store.scan()
-    assert {k: r["value"] for k, r in scan.records.items()} == \
-        {"a": 1, "b": 2}
-    assert not scan.damaged_segments
-
-
-def test_verified_append_retries_io_error(tmp_path):
-    store = ResultStore(str(tmp_path))
-    chaos = _single_fault(tmp_path, "fabric.store.append", "io-error")
-    with active(chaos), store.writer("w0") as w:
-        w.append({"key": "a", "value": 1})
-    assert store.scan().records["a"]["value"] == 1
-
-
-def test_append_survives_fsync_failure(tmp_path):
-    store = ResultStore(str(tmp_path))
-    chaos = _single_fault(tmp_path, "fabric.store.fsync", "io-error")
-    with active(chaos), store.writer("w0") as w:
-        w.append({"key": "a", "value": 1})
-    assert store.scan().records["a"]["value"] == 1
-
-
-def test_append_gives_up_after_second_damaged_landing(tmp_path):
-    store = ResultStore(str(tmp_path))
-    chaos = _single_fault(tmp_path, "fabric.store.append", "torn-write",
-                          repeat=2)
-    with active(chaos), store.writer("w0") as w:
-        with pytest.raises(FabricStoreError):
-            w.append({"key": "a", "value": 1})
-    # The failed append left no partial garbage behind.
-    scan = scan_segment(store.segment_path("w0"))
-    assert not scan.damaged
-    assert scan.records == []
 
 
 # ---------------------------------------------------------------------------
