@@ -194,6 +194,8 @@ class RelaxationBoundsProvider(BoundsProvider):
     def __init__(self, anneal_iterations: int = 800, seed: int = 0):
         self.anneal_iterations = anneal_iterations
         self.seed = seed
+        if not anneal_iterations:
+            self.name = "relaxation:no-anneal"
 
     def propose(self, tasks, arch, request) -> BoundsReport | None:
         from repro.io.json_codec import allocation_to_dict

@@ -53,7 +53,7 @@ Sites
 
 ======================  ====================================================
 ``checkpoint.write``    checkpoint bytes on their way to disk (data)
-``checkpoint.fsync``    the fsync of a checkpoint temp file
+``checkpoint.fsync``    the fsync of a checkpoint record append
 ``proof.append``        proof-artifact record bytes on their way to disk
 ``supervisor.stage``    entry of a supervised exact stage
 ``fabric.store.append`` result-store record bytes on their way to disk (data)

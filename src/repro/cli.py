@@ -97,7 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument(
         "--checkpoint", default=None, metavar="PATH",
-        help="write binary-search progress to this JSON file",
+        help="append binary-search progress to this checkpoint file "
+        "(one framed record per probe; JSON checkpoints of earlier "
+        "releases still resume)",
     )
     p_solve.add_argument(
         "--resume", action="store_true",
@@ -147,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--disk-quota", default=None, metavar="BYTES",
         help="bound the summed size of this solve's state files "
-        "(checkpoint generations evicted first, flight log rotated; "
+        "(quarantined checkpoints evicted first, flight log rotated; "
         "proof spools are condemned typed, never truncated); accepts "
         "k/M/G suffixes (see docs/GOVERNOR.md)",
     )
@@ -340,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--disk-quota", default=None, metavar="BYTES",
-        help="quota over the server's state directory: checkpoint "
-        "generations are evicted first, the flight recorder rotated "
+        help="quota over the server's state directory: quarantined "
+        "checkpoints are evicted first, the flight recorder rotated "
         "to a marker; k/M/G suffixes (see docs/GOVERNOR.md)",
     )
     p_srv.add_argument(
@@ -413,9 +415,7 @@ def _solve_checkpoint(args):
                 f"cannot resume from {args.checkpoint}: {exc}"
             )
     # Fresh run: start over even when the file exists.
-    out = SearchCheckpoint()
-    out.path = args.checkpoint
-    return out
+    return SearchCheckpoint(path=args.checkpoint)
 
 
 def _emit_allocation(args, alloc, cost, proven, status) -> None:

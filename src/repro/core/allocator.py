@@ -195,9 +195,7 @@ class Allocator:
 
         if os.path.exists(checkpoint):
             return SearchCheckpoint.load(checkpoint)
-        out = SearchCheckpoint()
-        out.path = checkpoint
-        return out
+        return SearchCheckpoint(path=checkpoint)
 
     def _minimize(
         self, objective: Objective, request: SolveRequest

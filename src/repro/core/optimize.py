@@ -117,9 +117,10 @@ class OptimizationOutcome:
     #: Checkpoint saves that failed with an OSError (full disk, injected
     #: io-error, ...).  The search keeps running -- persistence degrades,
     #: the answer does not -- and disables checkpointing after
-    #: :data:`CHECKPOINT_FAILURE_LIMIT` consecutive failures.
+    #: :data:`CHECKPOINT_FAILURE_LIMIT` consecutive failures, or at
+    #: once when another search is writing the same checkpoint file.
     checkpoint_errors: int = 0
-    #: True when checkpointing was disabled after repeated save failures.
+    #: True when checkpointing was disabled after save failures.
     checkpoint_disabled: bool = False
     #: Bounds provenance: providers consulted, the audited interval the
     #: search started from vs. the cold one, and which probes the bounds
@@ -256,6 +257,17 @@ def bin_search(
     :attr:`ProbeLog.origin` and the interval arithmetic in
     :attr:`OptimizationOutcome.bounds`.
     """
+    try:
+        return _search(solver, cost_var, lower, upper, on_sat, time_limit,
+                       budget, checkpoint, on_checkpoint, on_probe, bounds,
+                       fresh)
+    finally:
+        if checkpoint is not None:
+            checkpoint.close()  # its writer and file lock: one search
+
+
+def _search(solver, cost_var, lower, upper, on_sat, time_limit, budget,
+            checkpoint, on_checkpoint, on_probe, bounds, fresh):
     t0 = time.perf_counter()
     out = OptimizationOutcome(feasible=False, optimum=None, proven=False)
     if budget is not None:
@@ -294,7 +306,8 @@ def bin_search(
             ckpt_failures[0] += 1
             if ckpt_failures[0] >= CHECKPOINT_FAILURE_LIMIT:
                 checkpoint.path = None
-                out.checkpoint_disabled = True
+            # (A save that found the file owned elsewhere dropped it.)
+            out.checkpoint_disabled = checkpoint.path is None
         else:
             ckpt_failures[0] = 0
 

@@ -2,11 +2,10 @@
 
 Every sweep -- a table's grid of independent (workload, architecture,
 objective) cells, the CLI's ``repro sweep``, the portfolio's baseline
-contenders -- runs here.  The package lifts the checkpoint-generation
-discipline of PR 5 one level into a **fault-tolerant experiment
-fabric** for the 10k-100k-cell parametric sweeps the roadmap asks for
-(the workload class of parametric schedulability studies, cf. arXiv
-1302.1306):
+contenders -- runs here.  The package lifts checkpoint/resume one
+level up, into a **fault-tolerant experiment fabric** for the
+10k-100k-cell parametric sweeps the roadmap asks for (the workload
+class of parametric schedulability studies, cf. arXiv 1302.1306):
 
 - :mod:`repro.fabric.jobs` -- every sweep cell is a **content-addressed
   job**: SHA-256 over the canonicalized parameter, the solve-config

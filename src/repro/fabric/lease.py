@@ -40,6 +40,22 @@ import time
 
 from repro.chaos import chaos_point
 
+
+def _replace_json(path: str, payload: dict) -> None:
+    """Write ``payload`` to ``path`` by rename, so a reader never sees a
+    half-written file; the temp file goes again on failure."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps(payload))
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
 __all__ = ["LeaseBoard"]
 
 
@@ -94,20 +110,8 @@ class LeaseBoard:
         holder = self.holder(key)
         if holder is None or holder.get("worker") != worker:
             return False
-        path = self._lease_path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        payload = dict(holder)
-        payload["expires"] = time.time() + self.ttl
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(json.dumps(payload))
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _replace_json(self._lease_path(key),
+                      dict(holder, expires=time.time() + self.ttl))
         return True
 
     def release(self, key: str, worker: str) -> None:
@@ -214,23 +218,15 @@ class LeaseBoard:
 
     def poison(self, key: str, reason: str) -> None:
         """Quarantine ``key``: no worker will claim it again."""
-        path = self._poison_path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
         try:
-            with open(tmp, "w") as fh:
-                fh.write(json.dumps({
-                    "key": key,
-                    "reason": reason,
-                    "attempts": self.attempts(key),
-                    "time": time.time(),
-                }))
-            os.replace(tmp, path)
+            _replace_json(self._poison_path(key), {
+                "key": key,
+                "reason": reason,
+                "attempts": self.attempts(key),
+                "time": time.time(),
+            })
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            # quarantine is advisory; attempts still gate claims
+            pass  # quarantine is advisory; attempts still gate claims
 
     def poisoned(self, key: str) -> dict | None:
         try:

@@ -25,17 +25,17 @@ canonical-JSON result record per frame:
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
 from repro.chaos import chaos_data, chaos_point
 from repro.robust.records import (
     BAD_HEADER,
-    BadPayload,
     RecordFormat,
     RecordScan,
     RecordWriter,
+    decode_json,
+    encode_json,
     quarantine,
     scan_file,
 )
@@ -60,25 +60,12 @@ class FabricStoreError(RuntimeError):
     not be repaired."""
 
 
-def _encode(record: dict) -> bytes:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
-
-
-def _decode(payload: bytes) -> dict:
-    try:
-        obj = json.loads(payload.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise BadPayload("record payload is not JSON") from None
-    if not isinstance(obj, dict):
-        raise BadPayload("record is not a JSON object")
-    return obj
-
-
 _FORMAT = RecordFormat(
-    magic=MAGIC, encode=_encode, decode=_decode,
+    magic=MAGIC, encode=encode_json, decode=decode_json,
     chaos=lambda blob: chaos_data("fabric.store.append", blob),
     category="fabric", error=FabricStoreError,
-    tolerated_fsync=lambda: chaos_point("fabric.store.fsync"),
+    fsync_chaos=lambda: chaos_point("fabric.store.fsync"),
+    fsync_tolerated=True,
 )
 
 

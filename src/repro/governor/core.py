@@ -1,7 +1,7 @@
 """Resource governance: disk quotas, memory watermarks, typed degradation.
 
 Long-lived deployments of the allocation stack (``repro serve``,
-``repro sweep``) write unboundedly to disk -- checkpoint generations,
+``repro sweep``) write unboundedly to disk -- search checkpoints,
 proof spools, fabric store segments, flight-recorder JSONL -- and grow
 memory without limit: the SAT solver's clause arena and learnt DB, the
 warm-start cache, admission queues.  The dominant real-world failure of
@@ -21,8 +21,8 @@ on-disk sizes (self-correcting: retries, repairs and truncations never
 double-count).  When the projected usage exceeds the quota the governor
 runs its **reclaimers** in priority order:
 
-1. old checkpoint generations (``*.gN``) and quarantined corpses --
-   redundant by construction, the newest generation survives;
+1. quarantined checkpoint corpses (``*.quarantined``) -- evidence
+   nothing reads again; the live checkpoint survives;
 2. flight-recorder rotation -- observability, truncated to a single
    rotation marker.
 
@@ -92,7 +92,7 @@ __all__ = [
 ]
 
 #: Disk accounting categories, in eviction-priority order where
-#: applicable (checkpoint generations first, then flight rotation;
+#: applicable (quarantined checkpoints first, then flight rotation;
 #: proof and fabric are never evicted).
 CATEGORIES = ("checkpoint", "flight", "proof", "fabric")
 
@@ -244,26 +244,17 @@ class Governor:
 
     def _tracked_files(self) -> list[tuple[str, str, int]]:
         """(path, category, size) for every tracked file that exists,
-        including checkpoint generation/quarantine siblings."""
+        including the quarantined corpse of a checkpoint."""
         with self._lock:
             items = list(self._paths.items())
+        items += [(f"{path}.quarantined", category)
+                  for path, category in items if category == "checkpoint"]
         out = []
-        seen = set()
-        for path, category in items:
-            candidates = [path]
-            if category == "checkpoint":
-                # Rotation corpses ride along with the live file.
-                candidates += [f"{path}.g{i}" for i in range(1, 8)]
-                candidates += [f"{path}.quarantined",
-                               f"{path}.tmp.{os.getpid()}"]
-            for cand in candidates:
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                try:
-                    out.append((cand, category, os.path.getsize(cand)))
-                except OSError:
-                    continue
+        for path, category in dict(items).items():
+            try:
+                out.append((path, category, os.path.getsize(path)))
+            except OSError:
+                continue
         return out
 
     def disk_used(self) -> int:
@@ -318,27 +309,17 @@ class Governor:
 
     def _reclaim(self, need: int) -> int:
         """Free at least ``need`` bytes if possible; returns bytes
-        freed.  Priority: checkpoint generations, then flight rotation.
+        freed.  Priority: quarantined checkpoints, then flight rotation.
         Proof spools and fabric segments are never touched."""
         freed = 0
         evicted = []
-        # 1. checkpoint rotation corpses: .gN (oldest, i.e. highest N,
-        # first) and quarantined files.  The live newest file survives.
-        victims = []
+        # 1. quarantined checkpoint corpses; the live file survives.
         for path, category, size in self._tracked_files():
-            if category != "checkpoint":
-                continue
-            base, dot, suffix = path.rpartition(".")
-            if suffix == "quarantined":
-                victims.append((2, 0, path, size))
-            elif (dot and suffix.startswith("g")
-                  and suffix[1:].isdigit()):
-                # Reverse-sorted below: higher N (older) goes first.
-                victims.append((1, int(suffix[1:]), path, size))
-        victims.sort(reverse=True)
-        for _, _, path, size in victims:
             if freed >= need:
                 break
+            if category != "checkpoint" or not path.endswith(
+                    ".quarantined"):
+                continue
             try:
                 os.unlink(path)
             except OSError:

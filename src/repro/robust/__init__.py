@@ -8,8 +8,9 @@ supplies the supervision layer:
 - :mod:`repro.robust.budget` -- cooperative :class:`Budget` limits
   (wall time / conflicts / decisions) honored inside the CDCL search
   loop, so a single probe is interruptible mid-search,
-- :mod:`repro.robust.checkpoint` -- JSON checkpoint/resume state for
-  binary searches (:class:`SearchCheckpoint`),
+- :mod:`repro.robust.checkpoint` -- checkpoint/resume state for
+  binary searches (:class:`SearchCheckpoint`), one framed record per
+  save; JSON checkpoints of earlier releases still load,
 - :mod:`repro.robust.supervisor` -- the :class:`SolveSupervisor`
   escalation chain (incremental -> rebuild -> heuristic) that always
   returns a usable allocation with an honest status,

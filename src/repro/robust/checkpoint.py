@@ -1,65 +1,70 @@
 """Checkpoint/resume state for binary searches.
 
-:class:`SearchCheckpoint` serializes to plain JSON so an interrupted run
-can be inspected, archived, or resumed on another machine.  It records
-the BIN_SEARCH interval ``[left, right]``, the probe log, and an
-optional caller payload (the best allocation found so far).
-:func:`repro.core.optimize.bin_search` updates it after every probe and
-consults it on resume -- a resumed search re-certifies the optimum with
-a final probe, so the result is exactly the one an uninterrupted run
-would have produced.  Sweeps resume through the experiment fabric's
-result store instead (:mod:`repro.fabric`), whose job keys use
+:class:`SearchCheckpoint` records the BIN_SEARCH interval ``[left,
+right]``, the probe log, and an optional caller payload (the best
+allocation found so far).  :func:`repro.core.optimize.bin_search`
+updates it after every probe and consults it on resume -- a resumed
+search re-certifies the optimum with a final probe, so the result is
+exactly the one an uninterrupted run would have produced.
+
+A search only adds probes and narrows one interval, so the checkpoint
+is an append-only :mod:`repro.robust.records` file: each save appends
+one JSON record of what changed, and a load folds the intact records
+(a torn tail loses at most that save; a damaged header raises
+:class:`CheckpointCorrupt` and quarantines the file).  One search
+writes a file at a time, under an exclusive ``flock``.  JSON
+checkpoints of earlier releases still load, read-only.  See
+``docs/ROBUSTNESS.md`` section 3.  The fabric's job keys use
 :func:`canonical_blob` from this module.
-
-Crash safety is layered:
-
-- Saves are atomic and durable (write-to-temp + fsync + rename + dir
-  fsync): a crash mid-save leaves the previous checkpoint intact.
-- Every saved document carries an **integrity envelope** (``integrity``
-  key: schema version, monotonically increasing generation number, and
-  a SHA-256 over the canonical payload), so a load *verifies* the bytes
-  instead of trusting whatever parses.
-- Saves rotate **generations** (``ck.json`` newest, ``ck.json.g1``
-  one older, ... keep :data:`GENERATIONS` total): when the newest file
-  is damaged anyway -- torn by a dying filesystem, bit-flipped, written
-  by a buggy tool -- the load falls back to the newest generation that
-  verifies, and renames every damaged candidate to ``*.quarantined``
-  for post-mortem instead of deleting the evidence.
-- When *no* candidate verifies, the load raises the typed
-  :class:`CheckpointCorrupt` (a :class:`ValueError`, so existing
-  ``except (ValueError, OSError)`` resume guards keep working) carrying
-  a per-file damage report -- never a bare ``json.JSONDecodeError``.
 """
 
 from __future__ import annotations
 
+import copy
+import fcntl
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro import governor as _governor
-from repro.chaos import ChaosDiskFull, chaos_data, chaos_point
-from repro.robust.records import quarantine
+from repro.chaos import chaos_data, chaos_point
+from repro.robust.records import (
+    BAD_HEADER,
+    RecordFormat,
+    RecordWriter,
+    decode_json,
+    encode_json,
+    quarantine,
+    scan_file,
+)
 
 __all__ = [
+    "MAGIC",
     "SearchCheckpoint",
-    "atomic_write_json",
     "CheckpointCorrupt",
+    "CheckpointWriteError",
     "CorruptArtifact",
-    "GENERATIONS",
-    "save_generations",
     "load_generations",
     "canonical_value",
     "canonical_blob",
 ]
 
-#: How many checkpoint generations a save keeps on disk.
-GENERATIONS = 3
+MAGIC = b"REPRO-CHECKPOINT v1\n"
 
-_INTEGRITY_KEY = "integrity"
-_ENVELOPE_SCHEMA = 1
+
+class CheckpointWriteError(OSError):
+    """A save did not land durably; the file ends at its last intact
+    record (an ``OSError``, so a search degrades to unpersisted)."""
+
+
+_FORMAT = RecordFormat(
+    # save() encodes a record before the file is touched.
+    magic=MAGIC, encode=bytes, decode=decode_json,
+    chaos=lambda blob: chaos_data("checkpoint.write", blob),
+    category="checkpoint", error=CheckpointWriteError,
+    fsync_chaos=lambda: chaos_point("checkpoint.fsync"), retry=False,
+)
 
 
 @dataclass
@@ -72,7 +77,7 @@ class CorruptArtifact:
 
 
 class CheckpointCorrupt(ValueError):
-    """No generation of a checkpoint survived integrity verification.
+    """No candidate of a checkpoint survived integrity verification.
 
     Subclasses :class:`ValueError` so pre-existing resume guards
     (``except (ValueError, OSError)``) treat it as the typed failure it
@@ -83,189 +88,88 @@ class CheckpointCorrupt(ValueError):
     def __init__(self, path: str, reports: list[CorruptArtifact]):
         self.path = path
         self.reports = list(reports)
-        detail = "; ".join(
-            f"{r.path}: {r.reason}" for r in self.reports
-        ) or "no readable candidate"
-        super().__init__(
-            f"checkpoint {path!r} is corrupt in every generation ({detail})"
-        )
+        detail = "; ".join(f"{r.path}: {r.reason}" for r in self.reports)
+        super().__init__(f"checkpoint {path!r} is corrupt ({detail})")
 
 
-def atomic_write_json(path: str, payload: dict) -> None:
-    """Write ``payload`` as JSON to ``path`` atomically and durably.
+class _Log(RecordWriter):
+    """The one writer of a checkpoint file.  It holds an exclusive
+    ``flock`` from open to close, taken before anything is truncated;
+    :class:`BlockingIOError` when another writer holds it."""
 
-    The temp file is fsynced before the rename (otherwise a crash can
-    leave the *renamed* file empty or truncated: rename-over-unflushed-
-    data is the classic ext4 zero-length-file hazard), and the containing
-    directory is fsynced after it so the rename itself survives a power
-    loss.  A failure at any step -- including an unserializable payload
-    -- removes the temp file again: no ``*.tmp`` litter, and the
-    previous checkpoint stays intact.
-    """
-    # Serialize before touching the filesystem: an unserializable
-    # payload must not even create the temp file.
-    data = (json.dumps(payload, indent=2) + "\n").encode()
-    # Quota admission runs before any byte lands; a rejection is an
-    # ENOSPC-shaped OSError that callers already tolerate (the search
-    # degrades to unpersisted, it does not stop).
-    _governor.charge("checkpoint", len(data), path=path)
-    try:
-        data, damage = chaos_data("checkpoint.write", data)
-    except ChaosDiskFull as exc:
-        # ENOSPC mid-write: model the worst case -- the partial frame
-        # lands at the *final* path (a naive writer cut off by the full
-        # disk) -- and raise, so the caller sees the same OSError the
-        # real thing produces while restart-time verification finds the
-        # torn file and quarantines it.
-        if exc.partial:
-            with open(path, "wb") as fh:
-                fh.write(exc.partial)
-        raise
-    if damage is not None:
-        # Chaos decided these bytes get damaged in transit.  Model the
-        # worst case -- the damaged bytes land at the *final* path with
-        # no atomicity (as if a crash interrupted a naive writer) -- and
-        # report success, exactly like the real failure would.
-        with open(path, "wb") as fh:
-            fh.write(data)
-        return
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            chaos_point("checkpoint.fsync")
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
+    def __init__(self, path: str, scan=None):
+        super().__init__(path, _FORMAT)
+        if scan is None:
+            self._start()
+        else:
+            self._resume(scan)
+
+    def _open(self) -> None:
+        super()._open()
         try:
-            os.unlink(tmp)
+            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:
-            pass
-        raise
-    dirpath = os.path.dirname(os.path.abspath(path))
-    try:
-        dfd = os.open(dirpath, os.O_RDONLY)
-    except OSError:
-        return  # platform without directory fds (e.g. Windows)
-    try:
-        os.fsync(dfd)
-    except OSError:
-        pass  # directory fsync unsupported on this filesystem
-    finally:
-        os.close(dfd)
+            self._fh.close()
+            raise
 
 
 # ----------------------------------------------------------------------
-# Integrity envelope + generations
+# Read-only path for JSON checkpoints of earlier releases: one document
+# under an integrity envelope, older generations renamed .g1, .g2.
 
 
-def _canonical_blob(payload: dict) -> bytes:
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    ).encode()
-
-
-def _seal(payload: dict, generation: int) -> dict:
-    """Attach the integrity envelope to a checkpoint document."""
-    body = dict(payload)
-    body.pop(_INTEGRITY_KEY, None)
-    body[_INTEGRITY_KEY] = {
-        "schema": _ENVELOPE_SCHEMA,
-        "generation": generation,
-        "sha256": hashlib.sha256(_canonical_blob(body)).hexdigest(),
-    }
-    return body
-
-
-class _Damaged(Exception):
-    """Internal: one candidate file failed verification (reason in args)."""
-
-
-def _open_verified(path: str) -> tuple[dict, int]:
-    """Load + verify one candidate file.
-
-    Returns ``(payload_without_envelope, generation)``; legacy files
-    (written before the envelope existed) load as generation 0.
-    Raises :class:`_Damaged` with a human reason on any defect.
-    """
+def _verified_json(path: str) -> tuple[dict, int]:
+    """``(payload, generation)`` of one JSON checkpoint; ValueError (the
+    reason) or OSError on any defect."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise _Damaged(f"unreadable: {exc}") from exc
-    try:
-        data = json.loads(raw.decode("utf-8", errors="strict"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise _Damaged(f"not valid JSON ({exc})") from exc
+        data = json.loads(raw.decode())
+    except ValueError as exc:
+        raise ValueError(
+            f"no checkpoint header and not valid JSON ({exc})") from None
     if not isinstance(data, dict):
-        raise _Damaged("not a JSON object")
-    envelope = data.pop(_INTEGRITY_KEY, None)
+        raise ValueError("not a JSON object")
+    envelope = data.pop("integrity", None)
     if envelope is None:
-        return data, 0  # legacy, pre-envelope checkpoint
-    if not isinstance(envelope, dict):
-        raise _Damaged("integrity envelope is not an object")
-    schema = envelope.get("schema")
-    if not isinstance(schema, int) or schema > _ENVELOPE_SCHEMA:
-        raise _Damaged(f"unsupported envelope schema {schema!r}")
-    expect = envelope.get("sha256")
-    actual = hashlib.sha256(_canonical_blob(data)).hexdigest()
-    if actual != expect:
-        raise _Damaged("sha256 mismatch (payload bytes damaged)")
+        return data, 0  # written before the envelope existed
+    if not isinstance(envelope, dict) or envelope.get("schema") != 1:
+        raise ValueError(f"unsupported integrity envelope {envelope!r}")
+    if hashlib.sha256(encode_json(data)).hexdigest() != envelope.get(
+            "sha256"):
+        raise ValueError("sha256 mismatch (payload bytes damaged)")
     generation = envelope.get("generation")
     if not isinstance(generation, int) or generation < 0:
-        raise _Damaged(f"bad generation {generation!r}")
+        raise ValueError(f"bad generation {generation!r}")
     return data, generation
 
 
-def _generation_paths(path: str) -> list[str]:
-    return [path] + [f"{path}.g{i}" for i in range(1, GENERATIONS)]
-
-
-def save_generations(path: str, payload: dict, generation: int) -> None:
-    """Seal ``payload`` and write it to ``path``, rotating the previous
-    files into the ``.g1``/``.g2``/... generation slots first.  The
-    first save of a run writes only ``path`` itself."""
-    candidates = _generation_paths(path)
-    for i in range(len(candidates) - 1, 0, -1):
-        if os.path.exists(candidates[i - 1]):
-            try:
-                os.replace(candidates[i - 1], candidates[i])
-            except OSError:
-                pass  # rotation is best-effort; the new save still lands
-    atomic_write_json(path, _seal(payload, generation))
-
-
 def load_generations(path: str) -> tuple[dict, int, list[CorruptArtifact]]:
-    """Load the newest generation of ``path`` that verifies.
+    """Load the newest generation of a JSON checkpoint that verifies.
 
-    Returns ``(payload, generation, damage_reports)``.  Damaged
-    candidates are quarantined (renamed ``*.quarantined``).  Raises
-    :class:`FileNotFoundError` when no candidate exists at all, and
-    :class:`CheckpointCorrupt` when candidates exist but none verifies.
+    Returns ``(payload, generation, damage_reports)``; damaged
+    candidates are quarantined.  Raises :class:`FileNotFoundError` when
+    no candidate exists, :class:`CheckpointCorrupt` when none verifies.
     """
-    best: dict | None = None
-    best_gen = -1
-    reports: list[CorruptArtifact] = []
-    found_any = False
-    for cand in _generation_paths(path):
-        if not os.path.exists(cand):
-            continue
-        found_any = True
-        try:
-            payload, gen = _open_verified(cand)
-        except _Damaged as exc:
-            reports.append(
-                CorruptArtifact(cand, str(exc), quarantine(cand))
-            )
-            continue
-        if gen > best_gen or best is None:
-            best, best_gen = payload, gen
-    if not found_any:
+    best, best_gen, reports = None, -1, []
+    candidates = [path, f"{path}.g1", f"{path}.g2"]
+    found = [cand for cand in candidates if os.path.exists(cand)]
+    if not found:
         raise FileNotFoundError(path)
+    for cand in found:
+        try:
+            payload, gen = _verified_json(cand)
+        except (OSError, ValueError) as exc:
+            reports.append(CorruptArtifact(cand, str(exc), quarantine(cand)))
+            continue
+        if gen > best_gen:
+            best, best_gen = payload, gen
     if best is None:
         raise CheckpointCorrupt(path, reports)
     return best, best_gen, reports
+
+
+_STATE = ("lower", "upper", "left", "right", "feasible", "probes", "payload")
 
 
 @dataclass
@@ -286,12 +190,19 @@ class SearchCheckpoint:
     probes: list[dict] = field(default_factory=list)
     payload: dict | None = None
     path: str | None = None
-    #: Monotonic save counter (the integrity envelope's generation
-    #: number); restored on load so a resumed run keeps counting up.
+    #: Number of saves behind this state, counted across resumes.
     generation: int = 0
-    #: Damage reports from the load that produced this object (newest
-    #: generation corrupt -> fell back), for callers that surface them.
+    #: Damage the load found (a torn record tail, or JSON generations
+    #: it fell back past).
     load_reports: list = field(default_factory=list)
+    #: What the file at ``path`` holds (``to_dict()`` plus
+    #: ``generation``) in ``_records`` records; None when it holds
+    #: nothing of this search, so the next save starts it afresh.
+    _folded: dict | None = field(default=None, init=False, repr=False,
+                                 compare=False)
+    _records: int = field(default=0, init=False, repr=False, compare=False)
+    _writer: _Log | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     VERSION = 1
 
@@ -303,27 +214,14 @@ class SearchCheckpoint:
     @property
     def finished(self) -> bool:
         """Whether the recorded search already closed its interval."""
-        if self.feasible is False:
-            return True
-        return (
-            self.feasible is True
-            and self.left is not None
-            and self.right is not None
+        return self.feasible is False or (
+            self.feasible is True and None not in (self.left, self.right)
             and self.left >= self.right
         )
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "bin_search",
-            "version": self.VERSION,
-            "lower": self.lower,
-            "upper": self.upper,
-            "left": self.left,
-            "right": self.right,
-            "feasible": self.feasible,
-            "probes": self.probes,
-            "payload": self.payload,
-        }
+        return dict(kind="bin_search", version=self.VERSION,
+                    **{k: getattr(self, k) for k in _STATE})
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchCheckpoint":
@@ -333,32 +231,95 @@ class SearchCheckpoint:
             raise ValueError(
                 f"unsupported checkpoint version {data.get('version')!r}"
             )
-        return cls(
-            lower=data["lower"],
-            upper=data["upper"],
-            left=data["left"],
-            right=data["right"],
-            feasible=data["feasible"],
-            probes=list(data.get("probes") or []),
-            payload=data.get("payload"),
-        )
+        return cls(**{k: data[k] for k in _STATE[:5]},
+                   probes=list(data.get("probes") or []),
+                   payload=data.get("payload"))
 
     def save(self, path: str | None = None) -> None:
-        """Persist to ``path`` (or the path it was loaded from)."""
+        """Persist to ``path`` (or the path it was loaded from) by
+        appending one record: what changed since the last save.
+
+        Raises :class:`OSError` when the record did not land (the next
+        save carries it again), and :class:`BlockingIOError` when
+        another search is writing the file -- this one then drops its
+        ``path`` and runs unpersisted.
+        """
         path = path or self.path
         if path is None:
             raise ValueError("no checkpoint path given")
+        if path != self.path:
+            self.close()
+            self._folded = None
         self.path = path
+        scan = None
+        if self._writer is None and self._folded is not None:
+            # Append only while the file holds exactly the records this
+            # object folded; otherwise start it afresh.
+            try:
+                scan = scan_file(path, _FORMAT)
+            except OSError:
+                pass
+            if scan is None or scan.reason == BAD_HEADER or len(
+                    scan.records) != self._records:
+                scan = self._folded = None
+        doc = dict(self.to_dict(), generation=self.generation + 1)
+        probes = doc.pop("probes")
+        old = self._folded
+        if old is not None and probes[:len(old["probes"])] != old["probes"]:
+            old = None  # not an extension of the file: start afresh
+        if old is None:
+            record = dict(doc, probes=probes)
+        else:
+            record = {k: v for k, v in doc.items() if old[k] != v}
+            if len(probes) > len(old["probes"]):
+                record["probes"] = probes[len(old["probes"]):]
+        blob = encode_json(record)  # an unserializable state fails here
+        if old is None and self._records:
+            self.close()
+        if self._writer is None:
+            try:
+                self._writer = _Log(path, None if old is None else scan)
+            except BlockingIOError:
+                self.path = None  # another search owns the file
+                raise
+        self._writer.extend([blob])
         self.generation += 1
-        save_generations(path, self.to_dict(), self.generation)
+        self._records = self._writer.records
+        # Kept apart from the caller's objects, which may change in place.
+        doc["payload"] = (old["payload"] if "payload" not in record
+                          else copy.deepcopy(doc["payload"]))
+        self._folded = dict(doc, probes=list(probes))
+
+    def close(self) -> None:
+        """Release the file and its lock; a later save reopens it."""
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
 
     @classmethod
     def load(cls, path: str) -> "SearchCheckpoint":
-        payload, generation, reports = load_generations(path)
-        out = cls.from_dict(payload)
-        out.path = path
-        out.generation = generation
-        out.load_reports = reports
+        with open(path, "rb") as fh:
+            head = fh.read(len(MAGIC))
+        if not MAGIC.startswith(head):
+            payload, generation, reports = load_generations(path)
+            out = cls.from_dict(payload)
+            out.path, out.generation, out.load_reports = (
+                path, generation, reports)
+            return out
+        scan = scan_file(path, _FORMAT)
+        state: dict = {}
+        probes: list = []
+        for record in scan.records:
+            probes += record.pop("probes", [])
+            state.update(record)
+        out = cls(path=path)  # an empty fold holds nothing to resume
+        if state:
+            out = cls.from_dict(dict(state, probes=probes))
+            out.path, out.generation = path, state["generation"]
+            out._folded = dict(state, probes=list(probes))
+            out._records = len(scan.records)
+        if scan.damaged:
+            out.load_reports = [CorruptArtifact(path, scan.reason)]
         return out
 
 
@@ -390,8 +351,6 @@ def canonical_blob(value: Any) -> bytes:
     values JSON cannot carry (best-effort identity)."""
     canon = canonical_value(value)
     try:
-        return json.dumps(
-            canon, sort_keys=True, separators=(",", ":")
-        ).encode()
+        return encode_json(canon)
     except (TypeError, ValueError):
         return repr(canon).encode()

@@ -1,18 +1,21 @@
 """Append-only framed records: the one on-disk record format.
 
-The DRUP proof spool (:mod:`repro.certify.proofio`) and the fabric
-result store (:mod:`repro.fabric.store`) are codecs over this module.
+The DRUP proof spool (:mod:`repro.certify.proofio`), the fabric result
+store (:mod:`repro.fabric.store`) and the BIN_SEARCH checkpoint
+(:mod:`repro.robust.checkpoint`) are codecs over this module.
 A file is a per-format magic line, then frames ``<u32 length> <u32
 crc32> payload`` (little endian).  Framing makes truncation
 *detectable*: a torn or corrupt tail is evidence of damage, never a
 plausible shorter history.  :class:`RecordWriter` verifies every
 append by reading it back, repairs damage once (truncate to the last
 intact record boundary, rewrite the rest) and raises the format's
-typed error on a second consecutive failure.
+typed error on a second consecutive failure (on the first, for a
+format that does not retry).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import zlib
@@ -28,6 +31,8 @@ __all__ = [
     "RecordFormat",
     "RecordScan",
     "RecordWriter",
+    "decode_json",
+    "encode_json",
     "quarantine",
     "scan_file",
 ]
@@ -42,6 +47,21 @@ class BadPayload(ValueError):
     the damage reason)."""
 
 
+def encode_json(record: dict) -> bytes:
+    """The payload of a JSON-object record (sorted keys, no spaces)."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+
+
+def decode_json(payload: bytes) -> dict:
+    try:
+        obj = json.loads(payload.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise BadPayload("record payload is not JSON") from None
+    if not isinstance(obj, dict):
+        raise BadPayload("record is not a JSON object")
+    return obj
+
+
 @dataclass(frozen=True)
 class RecordFormat:
     """What differs between two framed-record artifacts."""
@@ -53,11 +73,16 @@ class RecordFormat:
     #: ``lambda blob: chaos_data("proof.append", blob)``.
     chaos: Callable[[bytes], tuple[bytes, str | None]]
     category: str  # resource-governor category of each append
-    error: type[Exception]  # raised when an append fails twice
-    #: None: a failed fsync fails the write attempt (the artifact must
-    #: be durable).  Otherwise the chaos site in front of an fsync whose
-    #: failure is tolerated (the record stays readable).
-    tolerated_fsync: Callable[[], None] | None = None
+    error: type[Exception]  # raised when an append fails for good
+    #: The fsync hook: the chaos site in front of each fsync (e.g.
+    #: ``lambda: chaos_point("fabric.store.fsync")``), and whether a
+    #: failed fsync is tolerated (the record stays readable) or fails
+    #: the write attempt (the artifact must be durable).
+    fsync_chaos: Callable[[], None] | None = None
+    fsync_tolerated: bool = False
+    #: False: a failed attempt fails the append at once (a checkpoint's
+    #: next save carries what this one missed).
+    retry: bool = True
 
 
 @dataclass
@@ -134,17 +159,33 @@ class RecordWriter:
         self.recovered_tail_bytes = 0
         self.quarantined_from: str | None = None
 
+    def _open(self) -> None:
+        """Open ``path`` for update, creating it; truncates nothing."""
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+        self._fh = os.fdopen(fd, "r+b")
+
     def _start(self) -> None:
-        """Begin an empty artifact at ``path``, replacing any file."""
-        self._fh = open(self.path, "w+b")
+        """Begin an empty artifact at ``path``, replacing any file, and
+        fsync the directory so the new name survives a crash."""
+        self._open()
+        self._fh.truncate(0)
         self._fh.write(self.fmt.magic)
         self._fh.flush()
         self._end = len(self.fmt.magic)
+        try:
+            dfd = os.open(os.path.dirname(os.path.abspath(self.path)),
+                          os.O_RDONLY)
+            try:
+                os.fsync(dfd)
+            finally:
+                os.close(dfd)
+        except OSError:
+            pass  # no directory fds or directory fsync here
 
     def _resume(self, scan: RecordScan) -> None:
         """Append after the last intact record of ``scan``'s file,
         truncating a torn tail."""
-        self._fh = open(self.path, "r+b")
+        self._open()
         if scan.damaged:
             self.recovered_tail_bytes = scan.size - scan.valid_end
             self._fh.truncate(scan.valid_end)
@@ -158,19 +199,19 @@ class RecordWriter:
         self._fh.flush()
 
     def _sync(self) -> None:
-        if self.fmt.tolerated_fsync is None:
-            os.fsync(self._fh.fileno())
-            return
         try:
-            self.fmt.tolerated_fsync()
+            if self.fmt.fsync_chaos is not None:
+                self.fmt.fsync_chaos()
             os.fsync(self._fh.fileno())
         except OSError:
-            pass  # durability reduced, readability intact
+            if not self.fmt.fsync_tolerated:
+                raise  # fails the write attempt
 
     def extend(self, items: Sequence) -> None:
         """Durably append ``items``, verified by read-back.  Records that
-        did not land intact are rewritten once; a second failure raises
-        the format's error, the file ending at its last intact record."""
+        did not land intact are rewritten once (if the format retries);
+        a second failure raises the format's error, the file ending at
+        its last intact record."""
         fmt = self.fmt
         pending = []
         for item in items:
@@ -179,7 +220,8 @@ class RecordWriter:
                            + payload)
         if not pending:
             return
-        for _attempt in (0, 1):
+        cause: OSError | None = None
+        for _attempt in range(2 if fmt.retry else 1):
             blob = b"".join(pending)
             try:
                 # A quota rejection is ENOSPC-shaped and takes the same
@@ -188,17 +230,16 @@ class RecordWriter:
                 data, _damage = fmt.chaos(blob)
                 self._land(data)
                 self._sync()
-            except ChaosDiskFull as exc:
-                # ENOSPC mid-write: the frame prefix reached the disk;
-                # land it (the retry's read-back must cope), retry.
-                if exc.partial:
+            except OSError as exc:  # transient write failure: one retry
+                cause = exc
+                if isinstance(exc, ChaosDiskFull) and exc.partial:
+                    # ENOSPC mid-write: the frame prefix reached the
+                    # disk; land it (the retry's read-back must cope).
                     try:
                         self._land(exc.partial)
                     except OSError:
                         pass
                 continue
-            except OSError:
-                continue  # transient write failure: one retry
             self._fh.truncate(self._end + len(data))
             self._fh.seek(self._end)
             got, end, reason = _frames(self._fh.read(), self._end,
@@ -215,9 +256,10 @@ class RecordWriter:
         except OSError:
             pass
         raise fmt.error(
-            f"{self.path}: append failed verification twice "
+            f"{self.path}: append failed verification "
+            f"{'twice' if fmt.retry else 'once'} "
             f"({len(pending)} records not durably recorded)"
-        )
+        ) from cause
 
     def close(self) -> None:
         try:

@@ -20,7 +20,7 @@ small pool of worker tasks runs the CPU-bound solves in threads via
   consecutive compiled-core faults and probes its way back.
 - **resource governance** -- ``disk_quota``/``mem_watermark`` arm a
   process-wide :class:`repro.governor.Governor`: state files stay
-  under quota (checkpoint generations evicted first, flight recorder
+  under quota (quarantined checkpoints evicted first, flight recorder
   rotated, proof spools condemned typed rather than truncated), and
   memory pressure degrades gradually -- learnt-DB reduction, warm-cache
   shrink, ``overloaded`` shedding, cooperative budget cancellation
@@ -541,7 +541,13 @@ class AllocationServer:
                 upper=hint, witness=witness, name="warm-cache",
             ))
         if self.config.bounds != "off":
-            providers.append(RelaxationBoundsProvider())
+            # On a hit the audited warm witness is already the upper
+            # bound, so the annealing walk adds nothing: greedy plus the
+            # relaxation floor only.
+            providers.append(
+                RelaxationBoundsProvider() if entry is None
+                else RelaxationBoundsProvider(anneal_iterations=0)
+            )
         ckpt = None
         if self.config.keep_checkpoints:
             from repro.fabric.jobs import code_fingerprint

@@ -7,13 +7,15 @@ Covers, in order:
    live call site under ``src/repro``;
 2. fault-site semantics -- chaos_point / chaos_data, cross-process
    counting, the event log;
-3. checkpoint generations -- rotation, integrity envelope, fallback,
-   quarantine, the typed CheckpointCorrupt;
+3. checkpoints -- one record file per search, torn and failed saves,
+   and the read-only path for JSON checkpoints of earlier releases
+   (integrity envelope, generation fallback, quarantine, the typed
+   CheckpointCorrupt);
 4. proof artifacts -- length-prefixed records, torn-tail detection,
    resume repair, quarantine (the append fault matrix shared with the
    fabric store lives in tests/test_records.py);
-5. atomic_write_json litter-freedom (failure leaves no temp files and
-   the previous file intact);
+5. checkpoint litter-freedom (a failed save leaves no temp files and
+   the previous state intact);
 6. legacy solve kwargs raising TypeError with a migration hint;
 7. the supervisor / CLI degradation paths under injected faults.
 
@@ -23,6 +25,7 @@ The end-to-end randomized sweep lives in tests/test_chaos_torture.py.
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import multiprocessing
 import os
@@ -57,11 +60,11 @@ from repro.model import (
 )
 from repro.robust import SearchCheckpoint
 from repro.robust.checkpoint import (
+    MAGIC,
     CheckpointCorrupt,
-    atomic_write_json,
     load_generations,
-    save_generations,
 )
+from repro.robust.records import RecordWriter
 
 
 def tiny_system():
@@ -312,30 +315,53 @@ class TestFaultSites:
 
 
 # ---------------------------------------------------------------------------
-# 3. Checkpoint generations
+# 3. Checkpoints
 # ---------------------------------------------------------------------------
+
+
+def _legacy_write(path, payload, generation):
+    """Write ``payload`` the way earlier releases did: one JSON document
+    under a SHA-256 integrity envelope (older generations were the same
+    documents renamed to ``.g1``/``.g2``)."""
+    blob = json.dumps(payload, sort_keys=True,
+                      separators=(",", ":")).encode()
+    doc = dict(payload, integrity={
+        "schema": 1, "generation": generation,
+        "sha256": hashlib.sha256(blob).hexdigest(),
+    })
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+
+
+def _started(left=0, right=9):
+    return SearchCheckpoint(lower=0, upper=9, left=left, right=right,
+                            feasible=True)
 
 
 class TestCheckpointGenerations:
     def test_first_save_writes_single_file(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        save_generations(path, {"kind": "x", "n": 1}, 1)
+        ck = _started()
+        ck.save(path)
+        ck.save(path)
         assert sorted(os.listdir(tmp_path)) == ["ck.json"]
 
-    def test_saves_rotate_and_cap_generations(self, tmp_path):
+    def test_saves_append_records_to_one_file(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        for gen in range(1, 6):
-            save_generations(path, {"n": gen}, gen)
-        assert sorted(os.listdir(tmp_path)) == [
-            "ck.json", "ck.json.g1", "ck.json.g2",
-        ]
-        payload, gen, reports = load_generations(path)
-        assert (payload["n"], gen, reports) == (5, 5, [])
+        ck = _started()
+        for left in range(1, 6):
+            ck.left = left
+            ck.save(path)
+        ck.close()
+        assert sorted(os.listdir(tmp_path)) == ["ck.json"]
+        with open(path, "rb") as fh:
+            assert fh.read(len(MAGIC)) == MAGIC
+        back = SearchCheckpoint.load(path)
+        assert (back.left, back.generation, back.load_reports) == (5, 5, [])
 
     def test_fallback_to_older_generation(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        save_generations(path, {"n": 1}, 1)
-        save_generations(path, {"n": 2}, 2)
+        _legacy_write(f"{path}.g1", {"n": 1}, 1)
         with open(path, "w") as fh:
             fh.write('{"torn')  # newest damaged
         payload, gen, reports = load_generations(path)
@@ -347,7 +373,7 @@ class TestCheckpointGenerations:
 
     def test_bit_flip_fails_the_sha256(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        save_generations(path, {"n": 7}, 1)
+        _legacy_write(path, {"n": 7}, 1)
         doc = json.loads(open(path).read())
         doc["n"] = 8  # valid JSON, silently altered payload
         with open(path, "w") as fh:
@@ -357,13 +383,11 @@ class TestCheckpointGenerations:
 
     def test_all_generations_corrupt_raises_typed(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        save_generations(path, {"n": 1}, 1)
-        save_generations(path, {"n": 2}, 2)
         for cand in (path, f"{path}.g1"):
             with open(cand, "wb") as fh:
                 fh.write(b"\x00garbage")
         with pytest.raises(CheckpointCorrupt) as ei:
-            load_generations(path)
+            SearchCheckpoint.load(path)
         exc = ei.value
         assert isinstance(exc, ValueError)  # legacy guards keep working
         assert exc.path == path
@@ -373,6 +397,8 @@ class TestCheckpointGenerations:
     def test_missing_checkpoint_is_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_generations(str(tmp_path / "absent.json"))
+        with pytest.raises(FileNotFoundError):
+            SearchCheckpoint.load(str(tmp_path / "absent.json"))
 
     def test_legacy_envelope_free_file_still_loads(self, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -386,43 +412,52 @@ class TestCheckpointGenerations:
 
     def test_search_checkpoint_survives_newest_corruption(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        ck = SearchCheckpoint(lower=0, upper=9)
-        ck.feasible = True
-        ck.left, ck.right = 0, 9
-        ck.save(path)
-        ck.left = 3
-        ck.save(path)
+        _legacy_write(f"{path}.g1", _started(left=0).to_dict(), 1)
         with open(path, "wb") as fh:
             fh.write(b"not json at all")
         back = SearchCheckpoint.load(path)
         assert back.left == 0  # the older but intact generation
         assert back.generation == 1
         assert len(back.load_reports) == 1
-        # A resumed save keeps the generation counter monotonic.
+        # A resumed save keeps the generation counter monotonic and
+        # writes a record file.
         back.save(path)
+        back.close()
         assert SearchCheckpoint.load(path).generation == 2
+        with open(path, "rb") as fh:
+            assert fh.read(len(MAGIC)) == MAGIC
 
     def test_chaos_torn_checkpoint_write_falls_back(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        save_generations(path, {"n": 1}, 1)
+        ck = _started(left=1)
+        ck.save(path)
         sched = _sched(tmp_path, ("checkpoint.write", 1, "torn-write"))
+        ck.left = 2
         with active(sched):
-            save_generations(path, {"n": 2}, 2)  # lands damaged
-        payload, gen, reports = load_generations(path)
-        assert (payload["n"], gen) == (1, 1)
-        assert len(reports) == 1
+            with pytest.raises(OSError, match="verification once"):
+                ck.save()  # lands torn, is cut off again
+        ck.close()
+        back = SearchCheckpoint.load(path)
+        assert (back.left, back.generation, back.load_reports) == (1, 1, [])
+        # The next save carries the change the torn one lost.
+        back.left = 3
+        back.save()
+        back.close()
+        assert SearchCheckpoint.load(path).left == 3
 
     def test_chaos_fsync_error_keeps_previous_checkpoint(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        save_generations(path, {"n": 1}, 1)
+        ck = _started(left=1)
+        ck.save(path)
         sched = _sched(tmp_path, ("checkpoint.fsync", 1, "io-error"))
+        ck.left = 2
         with active(sched):
             with pytest.raises(OSError):
-                save_generations(path, {"n": 2}, 2)
-        # Failed save: no temp litter, the rotated generation carries on.
-        assert not [p for p in os.listdir(tmp_path) if ".tmp" in p]
-        payload, _gen, _reports = load_generations(path)
-        assert payload["n"] == 1
+                ck.save()
+        ck.close()
+        # Failed save: no temp litter, the previous record carries on.
+        assert sorted(os.listdir(tmp_path)) == ["chaos", "ck.json"]
+        assert SearchCheckpoint.load(path).left == 1
 
 
 # ---------------------------------------------------------------------------
@@ -547,52 +582,67 @@ class TestProofArtifacts:
 
 
 # ---------------------------------------------------------------------------
-# 5. atomic_write_json leaves no litter on failure
+# 5. A failed checkpoint save leaves no litter
 # ---------------------------------------------------------------------------
 
 
 class TestAtomicWriteLitter:
+    def _previous(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        ck = _started(left=1)
+        ck.save(path)
+        ck.close()
+        return path
+
     def test_unserializable_payload_creates_nothing(self, tmp_path):
-        path = tmp_path / "out.json"
-        path.write_text('{"previous": true}')
         with pytest.raises(TypeError):
-            atomic_write_json(str(path), {"bad": {1, 2, 3}})
-        assert sorted(os.listdir(tmp_path)) == ["out.json"]
-        assert json.loads(path.read_text()) == {"previous": True}
+            SearchCheckpoint(payload={"bad": {1, 2, 3}}).save(
+                str(tmp_path / "new.json"))
+        assert os.listdir(tmp_path) == []
+        path = self._previous(tmp_path)
+        with open(path, "rb") as fh:
+            before = fh.read()
+        bad = _started(left=2)
+        bad.payload = {"bad": {1, 2, 3}}
+        with pytest.raises(TypeError):
+            bad.save(path)
+        assert sorted(os.listdir(tmp_path)) == ["ck.json"]
+        with open(path, "rb") as fh:
+            assert fh.read() == before
 
     def test_failed_fsync_removes_temp_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "out.json"
-        path.write_text('{"previous": true}')
+        path = self._previous(tmp_path)
+        ck = SearchCheckpoint.load(path)
+        ck.left = 2
 
         def boom(fd):
             raise OSError("disk on fire")
 
         monkeypatch.setattr(os, "fsync", boom)
-        with pytest.raises(OSError, match="disk on fire"):
-            atomic_write_json(str(path), {"n": 1})
+        with pytest.raises(OSError) as ei:
+            ck.save()
+        assert "disk on fire" in str(ei.value.__cause__)
+        ck.close()
         monkeypatch.undo()
-        assert sorted(os.listdir(tmp_path)) == ["out.json"]
-        assert json.loads(path.read_text()) == {"previous": True}
+        assert sorted(os.listdir(tmp_path)) == ["ck.json"]
+        assert SearchCheckpoint.load(path).left == 1
 
     def test_failed_write_removes_temp_file(self, tmp_path, monkeypatch):
-        import repro.robust.checkpoint as ckmod
+        path = self._previous(tmp_path)
+        ck = SearchCheckpoint.load(path)
+        ck.left = 2
 
-        path = tmp_path / "out.json"
-        real_open = open
+        def bad_land(self, data):
+            raise OSError("ENOSPC")
 
-        def flaky_open(name, *a, **kw):
-            fh = real_open(name, *a, **kw)
-            if str(name).startswith(str(path) + ".tmp"):
-                def bad_write(data):
-                    raise OSError("ENOSPC")
-                fh.write = bad_write
-            return fh
-
-        monkeypatch.setattr(ckmod, "open", flaky_open, raising=False)
-        with pytest.raises(OSError, match="ENOSPC"):
-            atomic_write_json(str(path), {"n": 1})
+        monkeypatch.setattr(RecordWriter, "_land", bad_land)
+        with pytest.raises(OSError) as ei:
+            ck.save()
+        assert "ENOSPC" in str(ei.value.__cause__)
+        ck.close()
         monkeypatch.undo()
-        assert os.listdir(tmp_path) == []
+        assert sorted(os.listdir(tmp_path)) == ["ck.json"]
+        assert SearchCheckpoint.load(path).left == 1
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ checked against a fault-free oracle run of the same system:
    reported ``infeasible`` (chaos must not forge an UNSAT certificate).
 5. **Recoverable** -- a clean (fault-free) run resuming from whatever
    checkpoint the chaos run left behind still proves the oracle
-   optimum: checkpoints written under fire are valid, recovered from an
-   older generation, or rejected as corrupt -- never trusted wrongly.
+   optimum: checkpoints written under fire fold to their intact
+   records, or are rejected as corrupt -- never trusted wrongly.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ def test_checkpoint_torture_profile_leaves_valid_state(system, oracle,
     """Torn, corrupted, and failed checkpoint saves mid-run must leave
     behind either a *verified* checkpoint or typed corruption -- while
     the solve itself still proves the optimum (damage is persistence-
-    side only).  Later clean saves rotate damaged generations out of
-    the window, so the final on-disk state loads cleanly."""
+    side only).  A failed save is cut off again and the next clean save
+    carries its changes, so the final on-disk state loads cleanly."""
     tasks, arch = system
     schedule = ChaosSchedule.from_profile(
         "checkpoint-torture", str(tmp_path / "chaos")
@@ -178,9 +178,8 @@ def test_checkpoint_torture_profile_leaves_valid_state(system, oracle,
     kinds = {e["kind"] for e in schedule.events()}
     assert kinds == {"io-error", "torn-write", "corrupt-bytes"}
     assert res.outcome.checkpoint_errors >= 1  # the failed fsync
-    # Enough clean saves followed the damage that every surviving
-    # generation verifies; the restored interval is closed and agrees
-    # with the certified optimum.
+    # Clean saves followed the damage: the folded interval is closed
+    # and agrees with the certified optimum.
     back = SearchCheckpoint.load(ckpt.path)
     assert back.finished
     assert back.left == back.right == res.cost

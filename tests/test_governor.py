@@ -137,11 +137,9 @@ class TestDiskQuota:
 
 
 class TestEvictionPriority:
-    def _checkpoint_family(self, tmp_path, live=200, g1=150, g2=150,
-                           quarantined=150):
+    def _checkpoint_family(self, tmp_path, live=200, quarantined=150):
         path = str(tmp_path / "ck.json")
-        for name, size in ((path, live), (path + ".g1", g1),
-                           (path + ".g2", g2),
+        for name, size in ((path, live),
                            (path + ".quarantined", quarantined)):
             with open(name, "wb") as fh:
                 fh.write(b"c" * size)
@@ -152,27 +150,28 @@ class TestEvictionPriority:
         flight = str(tmp_path / "events.jsonl")
         with open(flight, "wb") as fh:
             fh.write(b'{"event": "x"}\n' * 20)
-        gov = make_governor(disk=800)
+        # A generation file of an older release is not the governor's.
+        with open(path + ".g1", "wb") as fh:
+            fh.write(b"c" * 150)
+        gov = make_governor(disk=600)
         gov.track("checkpoint", path)
         gov.track("flight", flight)
-        # 650 B of checkpoints + 300 B of flight = 950 tracked; a 100 B
-        # frame needs 250 reclaimed: the quarantined corpse (150) and
-        # the oldest generation .g2 (150) go; .g1, the live file and
-        # the flight log all survive.
+        # 350 B of checkpoints + 300 B of flight = 650 tracked; a 100 B
+        # frame needs 150 reclaimed: the quarantined corpse (150) goes;
+        # the live file and the flight log survive.
+        assert gov.disk_used() == 650
         gov.charge("checkpoint", 100)
         assert not os.path.exists(path + ".quarantined")
-        assert not os.path.exists(path + ".g2")
         assert os.path.exists(path + ".g1")
-        assert os.path.exists(path)  # the live newest file survives
+        assert os.path.exists(path)  # the live file survives
         assert os.path.getsize(flight) == 15 * 20
         stats = gov.stats_dict()
-        assert stats["evicted_files"] == 2
+        assert stats["evicted_files"] == 1
         assert stats["flight_rotations"] == 0
 
     def test_flight_rotated_to_marker_when_corpses_insufficient(
             self, tmp_path):
-        path = self._checkpoint_family(tmp_path, g1=10, g2=10,
-                                       quarantined=10)
+        path = self._checkpoint_family(tmp_path, quarantined=10)
         flight = str(tmp_path / "events.jsonl")
         with open(flight, "wb") as fh:
             fh.write(b'{"event": "x"}\n' * 40)  # 600 B
@@ -205,7 +204,7 @@ class TestEvictionPriority:
         log = str(tmp_path / "gov-events.jsonl")
         recorder = FlightRecorder(log, actor="governor")
         path = self._checkpoint_family(tmp_path)
-        gov = make_governor(disk=500, recorder=recorder.log)
+        gov = make_governor(disk=400, recorder=recorder.log)
         gov.track("checkpoint", path)
         gov.charge("checkpoint", 100)
         names = [e["event"] for e in read_events(log)]

@@ -4,7 +4,7 @@ Every run under injected disk/memory exhaustion must terminate with a
 *typed* exit code, and whenever it produces a certified result the
 ``{cost, proven, status}`` envelope is bit-identical to a fault-free
 oracle run of the same system.  Exhaustion degrades *persistence and
-pace* -- checkpoint rotation, proof spooling, flight logging, learnt-DB
+pace* -- checkpoint saves, proof spooling, flight logging, learnt-DB
 size -- never the answer.
 
 Sections:
@@ -25,8 +25,8 @@ Sections:
 6. Hypothesis property (satellite 3): ``disk-full`` at *arbitrary byte
    offsets* in every persistence writer leaves each artifact readable,
    repaired, or quarantined on restart -- reusing the torn-tail repair
-   oracles (``load_generations`` / ``load_proof`` / ``scan_segment`` /
-   ``read_events``).
+   oracles (``SearchCheckpoint.load`` / ``load_proof`` /
+   ``scan_segment`` / ``read_events``).
 """
 
 from __future__ import annotations
@@ -179,14 +179,14 @@ def test_tight_quota_degrades_typed_and_bounded(system, oracle, tmp_path):
     assert stats["quota_rejections"] >= 1
     assert stats["charges"] >= 1
     assert stats["peak_disk"] >= 1
-    # Whatever checkpoint generations survive under the quota verify.
-    from repro.robust.checkpoint import load_generations
-
+    # Whatever checkpoint records landed under the quota load.
     try:
-        payload, _gen, _reports = load_generations(str(tmp_path / "ck.json"))
-        assert isinstance(payload, dict)
-    except (FileNotFoundError, ValueError):
-        pass  # evicted or never admitted: allowed under a tight quota
+        back = SearchCheckpoint.load(str(tmp_path / "ck.json"))
+    except FileNotFoundError:
+        pass  # never admitted: allowed under a tight quota
+    else:
+        assert not back.load_reports  # failed saves were cut off again
+        assert not back.started or back.right >= oracle["cost"]
 
 
 def test_quota_never_exceeded_by_more_than_one_frame(system, tmp_path):
@@ -325,23 +325,26 @@ WRITERS = ("checkpoint", "proof", "fabric", "flight")
 
 def _torture_checkpoint(root, offset):
     from repro.chaos import active
-    from repro.robust.checkpoint import load_generations, save_generations
 
     path = f"{root}/ck.json"
-    save_generations(path, {"n": 1}, 1)  # fault-free baseline
+    ck = SearchCheckpoint(lower=0, upper=9, left=1, right=9,
+                          feasible=True)
+    ck.save(path)  # fault-free baseline
     schedule = ChaosSchedule(
         f"{root}/chaos",
         [ChaosFault("checkpoint.write", 1, "disk-full", offset=offset)],
     )
+    ck.left = 2
     with active(schedule):
         try:
-            save_generations(path, {"n": 2}, 2)
+            ck.save()
         except OSError:
-            pass  # the torn prefix landed at the final path
-    # Restart: the newest *verifying* generation loads; the torn file
-    # is quarantined, never trusted.
-    payload, _gen, _reports = load_generations(path)
-    assert payload["n"] in (1, 2)
+            pass  # the torn prefix landed, and was cut off again
+    ck.close()
+    # Restart: the intact records load; a torn one is never trusted.
+    back = SearchCheckpoint.load(path)
+    assert back.left in (1, 2)
+    assert not back.load_reports
 
 
 def _torture_proof(root, offset):

@@ -1,7 +1,7 @@
 """SIGKILL-mid-run resume determinism (the CLI, end to end).
 
-A solve with ``--checkpoint`` is SIGKILLed from outside once the first
-checkpoint generation lands on disk -- the real power-loss scenario the
+A solve with ``--checkpoint`` is SIGKILLed from outside once its
+checkpoint file appears on disk -- the real power-loss scenario the
 crash-safe persistence layer exists for (in-process chaos sites cannot
 model a dead coordinator).  The resumed run must finish from the
 recorded interval and report the same certified answer an uninterrupted

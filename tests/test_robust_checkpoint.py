@@ -8,6 +8,7 @@ uninterrupted run would have -- with a model to show for it.
 import json
 import os
 import shutil
+import struct
 
 import pytest
 
@@ -15,7 +16,13 @@ from repro.arith import IntSolver
 from repro.core import SolveRequest
 from repro.core.optimize import bin_search
 from repro.robust import Budget, SearchCheckpoint
-from repro.robust.checkpoint import canonical_blob
+from repro.robust.checkpoint import (
+    _FORMAT,
+    MAGIC,
+    CheckpointCorrupt,
+    canonical_blob,
+)
+from repro.robust.records import scan_file
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -51,63 +58,66 @@ class TestSearchCheckpointCodec:
             SearchCheckpoint.from_dict({"kind": "bin_search", "version": 99})
 
     def test_save_is_atomic(self, tmp_path):
+        """A save is one appended record: cut anywhere inside it (a
+        crash mid-save), the file still loads as the previous save."""
         path = str(tmp_path / "ck.json")
-        ck = SearchCheckpoint(lower=0, upper=9)
+        ck = SearchCheckpoint(lower=0, upper=9, left=0, right=9,
+                              feasible=True)
+        ck.save(path)
+        size = os.path.getsize(path)
+        ck.left = 4
         ck.save(path)
         # No temp droppings next to the checkpoint.
         assert os.listdir(tmp_path) == ["ck.json"]
-        with open(path) as fh:
-            assert json.load(fh)["kind"] == "bin_search"
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        assert blob.startswith(MAGIC)
+        for cut in range(size, len(blob)):
+            with open(path, "wb") as fh:
+                fh.write(blob[:cut])
+            back = SearchCheckpoint.load(path)
+            assert (back.left, back.generation) == (0, 1)
 
     def test_save_is_durable(self, tmp_path, monkeypatch):
-        """atomic_write_json must fsync the temp file *before* the rename
-        and the directory *after* it -- otherwise a crash can leave the
-        renamed checkpoint empty (the ext4 zero-length-file hazard)."""
-        from repro.robust.checkpoint import atomic_write_json
+        """Every save fsyncs the file before it returns, and creating the
+        file fsyncs its directory -- otherwise a crash can lose the
+        record or the file's name."""
+        import stat
 
         events = []
         real_fsync = os.fsync
-        real_replace = os.replace
 
         def spy_fsync(fd):
             mode = os.fstat(fd).st_mode
-            import stat
-
             events.append("fsync-dir" if stat.S_ISDIR(mode)
                           else "fsync-file")
             return real_fsync(fd)
 
-        def spy_replace(src, dst):
-            events.append("rename")
-            return real_replace(src, dst)
-
         monkeypatch.setattr(os, "fsync", spy_fsync)
-        monkeypatch.setattr(os, "replace", spy_replace)
         path = str(tmp_path / "ck.json")
-        atomic_write_json(path, {"kind": "test", "n": 3})
-        assert events == ["fsync-file", "rename", "fsync-dir"]
-        with open(path) as fh:
-            assert json.load(fh) == {"kind": "test", "n": 3}
+        ck = SearchCheckpoint(lower=0, upper=9)
+        ck.save(path)
+        ck.save(path)
+        ck.close()
+        assert events == ["fsync-dir", "fsync-file", "fsync-file"]
+        assert SearchCheckpoint.load(path).generation == 2
 
     def test_save_survives_unsupported_directory_fsync(self, tmp_path,
                                                        monkeypatch):
         """A filesystem refusing directory fsync degrades gracefully."""
-        from repro.robust.checkpoint import atomic_write_json
+        import stat
 
         real_fsync = os.fsync
 
         def flaky_fsync(fd):
-            import stat
-
             if stat.S_ISDIR(os.fstat(fd).st_mode):
                 raise OSError("directory fsync unsupported")
             return real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", flaky_fsync)
         path = str(tmp_path / "ck.json")
-        atomic_write_json(path, {"ok": True})
-        with open(path) as fh:
-            assert json.load(fh) == {"ok": True}
+        SearchCheckpoint(lower=0, upper=9, payload={"ok": True}).save(path)
+        assert SearchCheckpoint.load(path).payload == {"ok": True}
 
     def test_started_and_finished(self):
         ck = SearchCheckpoint()
@@ -336,8 +346,7 @@ class TestAllocatorResume:
         )
         if first.allocation is None:
             pytest.skip("budget too small to find any model on this host")
-        data = json.load(open(path))
-        assert data["payload"] is not None
+        assert SearchCheckpoint.load(path).payload is not None
         resumed = Allocator(tasks, arch).minimize(
             MinimizeTRT("ring"),
             request=SolveRequest(
@@ -376,3 +385,173 @@ class TestCanonicalBlob:
                 return "Opaque()"
 
         assert canonical_blob([Opaque()]) == b"[Opaque()]"
+
+
+class TestRecordCheckpoint:
+    """A checkpoint file is one framed record per save; a load folds the
+    intact ones."""
+
+    def _interrupted(self, tmp_path):
+        """A budget-interrupted search's checkpoint: its path and bytes."""
+        path = str(tmp_path / "search.json")
+        ck = SearchCheckpoint()
+        ck.path = path
+        s1, x1 = _solver()
+        out = bin_search(s1, x1, 0, 1023, checkpoint=ck,
+                         budget=Budget(max_decisions=90))
+        assert out.interrupted and not out.proven
+        with open(path, "rb") as fh:
+            return path, fh.read()
+
+    def test_torn_last_record_resumes_to_straight_envelope(self, tmp_path):
+        s_ref, x_ref = _solver()
+        straight = bin_search(s_ref, x_ref, 0, 1023)
+        envelope = (straight.optimum, straight.proven, straight.status)
+        path, blob = self._interrupted(tmp_path)
+        scan = scan_file(path, _FORMAT)
+        assert len(scan.records) >= 3 and not scan.damaged
+        full = SearchCheckpoint.load(path)
+        # Frames are <u32 length> <u32 crc32> payload: find the last one.
+        last = pos = len(MAGIC)
+        while pos < len(blob):
+            last = pos
+            pos += 8 + struct.unpack_from("<I", blob, pos)[0]
+        for cut in range(last, len(blob)):
+            with open(path, "wb") as fh:
+                fh.write(blob[:cut])
+            back = SearchCheckpoint.load(path)
+            assert back.generation == full.generation - 1
+            assert full.probes[:len(back.probes)] == back.probes
+            assert len(full.probes) - len(back.probes) <= 1
+            s2, x2 = _solver()
+            out = bin_search(s2, x2, 0, 1023, checkpoint=back)
+            assert (out.optimum, out.proven, out.status) == envelope
+            # The resumed writer cut the torn tail before appending.
+            assert not scan_file(path, _FORMAT).damaged
+
+    def test_flipped_byte_folds_only_earlier_records(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        ck = SearchCheckpoint(lower=0, upper=9, left=0, right=9,
+                              feasible=True)
+        ends = []
+        for left in range(5):
+            ck.left = left
+            ck.save(path)
+            ends.append(os.path.getsize(path))
+        ck.close()
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        starts = [len(MAGIC)] + ends[:-1]
+        for k, start in enumerate(starts):
+            for pos in (start, start + 5, ends[k] - 1):  # frame, payload
+                bad = bytearray(blob)
+                bad[pos] ^= 0x40
+                with open(path, "wb") as fh:
+                    fh.write(bytes(bad))
+                back = SearchCheckpoint.load(path)
+                assert back.generation == k
+                assert back.load_reports
+                if k:
+                    assert back.left == k - 1
+                else:
+                    assert not back.started
+
+    def test_damaged_header_raises_typed_and_quarantines(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        SearchCheckpoint(lower=0, upper=9).save(path)
+        with open(path, "r+b") as fh:
+            fh.write(b"X")
+        with pytest.raises(CheckpointCorrupt) as ei:
+            SearchCheckpoint.load(path)
+        assert ei.value.reports[0].quarantined_to == f"{path}.quarantined"
+        assert os.listdir(tmp_path) == ["ck.json.quarantined"]
+
+    def test_header_cut_short_holds_nothing_to_resume(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        for cut in range(len(MAGIC)):
+            with open(path, "wb") as fh:
+                fh.write(MAGIC[:cut])
+            back = SearchCheckpoint.load(path)
+            assert not back.started and back.generation == 0
+
+    def test_saves_append_only_what_changed(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        ck = SearchCheckpoint(lower=0, upper=9, left=0, right=9,
+                              feasible=True, payload={"best": 9})
+        ck.save(path)
+        ck.probes = [{"n": 1}]
+        ck.left = 3
+        ck.save(path)
+        ck.close()
+        first, second = scan_file(path, _FORMAT).records
+        assert first["payload"] == {"best": 9} and first["probes"] == []
+        assert second == {"generation": 2, "left": 3, "probes": [{"n": 1}]}
+
+
+class TestLegacyGenerations:
+    """``tests/data/legacy_generations/`` is a generation-rotated JSON
+    checkpoint (``ck.json`` plus ``.g1``/``.g2``) written by the release
+    before record checkpoints, for the system next to it: three saves of
+    a sum-TRT search interrupted by a conflict budget at [24, 27]."""
+
+    SET = os.path.join(_DATA, "legacy_generations")
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        from repro.io import load_system
+
+        return load_system(os.path.join(self.SET, "system.json"))
+
+    @pytest.fixture(scope="class")
+    def straight(self, system):
+        from repro.core import Allocator, MinimizeSumTRT
+
+        res = Allocator(*system).minimize(MinimizeSumTRT())
+        return {"cost": res.cost, "proven": res.proven,
+                "status": res.status}
+
+    def _copy(self, tmp_path):
+        for name in ("ck.json", "ck.json.g1", "ck.json.g2"):
+            shutil.copy(os.path.join(self.SET, name), tmp_path / name)
+        return str(tmp_path / "ck.json")
+
+    def _resume(self, system, path):
+        from repro.core import Allocator, MinimizeSumTRT
+
+        res = Allocator(*system).minimize(
+            MinimizeSumTRT(), request=SolveRequest(checkpoint=path))
+        assert res.outcome.resumed
+        return {"cost": res.cost, "proven": res.proven,
+                "status": res.status}
+
+    def test_set_resumes_to_straight_envelope(self, system, straight,
+                                              tmp_path):
+        path = self._copy(tmp_path)
+        legacy = SearchCheckpoint.load(path)
+        assert (legacy.generation, legacy.left, legacy.right) == (3, 24, 27)
+        assert self._resume(system, path) == straight
+
+    def test_truncated_newest_generation_still_resumes(self, system,
+                                                       straight, tmp_path):
+        path = self._copy(tmp_path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:len(blob) // 2])
+        assert self._resume(system, path) == straight
+        # The resume fell back to .g1 and quarantined the torn newest.
+        assert os.path.exists(f"{path}.quarantined")
+
+    def test_first_save_after_legacy_resume_writes_records(
+            self, system, tmp_path):
+        path = self._copy(tmp_path)
+        self._resume(system, path)
+        with open(path, "rb") as fh:
+            assert fh.read(len(MAGIC)) == MAGIC
+        back = SearchCheckpoint.load(path)
+        assert back.finished and back.generation > 3
+        scan = scan_file(path, _FORMAT)
+        assert not scan.damaged
+        # The first record restates the whole resumed state.
+        assert scan.records[0]["generation"] == 4
+        assert len(scan.records[0]["probes"]) >= 3

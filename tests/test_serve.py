@@ -10,6 +10,8 @@ lives in tests/test_serve_torture.py.
 
 import asyncio
 import json
+import os
+import time
 
 import pytest
 
@@ -69,6 +71,11 @@ def payload_for(tasks, arch, **extra):
     out = {"system": system_to_dict(tasks, arch), "objective": "trt:ring"}
     out.update(extra)
     return out
+
+
+def _outcome(report):
+    """The search outcome of a direct or supervised solve report."""
+    return getattr(report.result, "result", report.result).outcome
 
 
 def serve_config(tmp_path, **kw):
@@ -436,6 +443,57 @@ class TestWarmStarts:
             oracle.cost, oracle.proven, oracle.status
         )
 
+    def test_warm_hit_skips_the_annealing_walk(self, tmp_path,
+                                               monkeypatch):
+        import repro.core.api as api
+        from repro.bounds import RelaxationBoundsProvider
+
+        base_tasks, arch = feasible_system()
+        pert_tasks, _ = feasible_system(wcet=420)  # same scenario
+        calls = []
+        real_solve = api.solve
+
+        def tap(tasks, arch_, req):
+            report = real_solve(tasks, arch_, req)
+            calls.append((tasks, req, report))
+            return report
+
+        monkeypatch.setattr(api, "solve", tap)
+
+        async def main():
+            server = await started_server(tmp_path)
+            await server.submit(payload_for(base_tasks, arch, id="base"))
+            resp = await server.submit(
+                payload_for(pert_tasks, arch, id="perturbed")
+            )
+            await server.stop()
+            return resp
+
+        resp = asyncio.run(main())
+        assert resp.kind == "ok" and resp.warm
+        tasks, req, report = calls[-1]
+        outcome = _outcome(report)
+        assert [p["provider"] for p in outcome.bounds["providers"]] == [
+            "warm-cache", "relaxation:no-anneal",
+        ]
+        # The same request with the walk probes exactly the same way.
+        walk = tuple(
+            RelaxationBoundsProvider()
+            if isinstance(p, RelaxationBoundsProvider) else p
+            for p in req.bounds
+        )
+        with_walk = real_solve(tasks, arch, req.merged(
+            bounds=walk, budget=None, checkpoint=None))
+        assert [p["provider"] for p in
+                _outcome(with_walk).bounds["providers"]] == [
+            "warm-cache", "relaxation",
+        ]
+
+        def probes(o):
+            return [(p.lo, p.hi, p.sat, p.cost, p.origin) for p in o.probes]
+
+        assert probes(_outcome(with_walk)) == probes(outcome)
+
     def test_trusted_witness_skips_probing_bit_identical(self):
         # API-level contract behind the server's warm path: a cached
         # allocation that still passes the independent analysis lets the
@@ -530,6 +588,64 @@ class TestWarmStarts:
         assert not second.warm
         assert not second.resumed
         assert second.cost == first.cost
+
+
+class TestSharedCheckpoint:
+    def test_identical_inflight_requests_share_one_checkpoint(
+            self, tmp_path, monkeypatch):
+        """Two identical requests in flight at once map to one checkpoint
+        path.  One search writes it; the other runs unpersisted; both
+        answer the oracle envelope and the file scans undamaged."""
+        import threading
+
+        import repro.core.api as api
+        from repro.robust import SearchCheckpoint
+        from repro.robust.checkpoint import _FORMAT
+        from repro.robust.records import scan_file
+
+        tasks, arch = feasible_system()
+        oracle = solve(tasks, arch, SolveRequest(objective=MinimizeTRT("ring")))
+        both_in = threading.Barrier(2, timeout=30)
+        reports = []
+        real_solve = api.solve
+        real_save = SearchCheckpoint.save
+
+        def tap(tasks_, arch_, req):
+            both_in.wait()  # neither search starts before the other
+            report = real_solve(tasks_, arch_, req)
+            reports.append(report)
+            return report
+
+        def slow_save(self, path=None):
+            real_save(self, path)
+            time.sleep(0.05)  # hold the file while the other saves
+
+        monkeypatch.setattr(api, "solve", tap)
+        monkeypatch.setattr(SearchCheckpoint, "save", slow_save)
+
+        async def main():
+            server = await started_server(tmp_path, workers=2)
+            out = await asyncio.gather(*(
+                server.submit(payload_for(tasks, arch, id=f"r{i}"))
+                for i in range(2)
+            ))
+            await server.stop()
+            return out, server.checkpoint_dir
+
+        responses, ckpt_dir = asyncio.run(main())
+        for resp in responses:
+            assert resp.kind == "ok" and not resp.warm
+            assert (resp.cost, resp.proven, resp.status) == (
+                oracle.cost, oracle.proven, oracle.status)
+        outcomes = [_outcome(r) for r in reports]
+        assert sorted(o.checkpoint_disabled for o in outcomes) == [
+            False, True]
+        (name,) = os.listdir(ckpt_dir)
+        path = os.path.join(ckpt_dir, name)
+        scan = scan_file(path, _FORMAT)
+        assert not scan.damaged and scan.records
+        back = SearchCheckpoint.load(path)
+        assert back.finished and back.right == oracle.cost
 
 
 class TestTcpFrontEnd:
