@@ -15,7 +15,7 @@ provides:
 - :mod:`repro.baselines.greedy` -- first-fit-decreasing utilization
   balancing,
 - :mod:`repro.baselines.heuristics` -- the heuristics by name, as the
-  supervisor and the portfolio run them.
+  supervisor's fallback chain runs them.
 """
 
 from repro.baselines.annealing import AnnealingResult, simulated_annealing

@@ -1,9 +1,9 @@
 """The heuristic baselines by name, with their one set of parameters.
 
 The supervisor's fallback chain (:class:`repro.robust.supervisor.
-SolveSupervisor`) and the portfolio's baseline sweep (:mod:`repro.core.
-portfolio`) both run heuristics through :func:`run_heuristic`, so they
-run the same walks and report the same costs.
+SolveSupervisor`) runs heuristics through :func:`run_heuristic`; table
+1's annealing row calls :func:`repro.baselines.simulated_annealing`
+directly.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ Commands
 Objectives: ``trt:<medium>``, ``sum_trt``, ``can:<medium>``,
 ``sum_resp``, ``max_util``.
 
-``solve`` builds one :class:`repro.core.SolveRequest` from argv, so the
-CLI and the library cannot drift apart.  Exit codes follow
+``solve`` builds one :class:`repro.core.SolveRequest` from argv and runs
+it through :func:`repro.core.solve`, so the CLI and the library cannot
+drift apart.  Exit codes follow
 :class:`repro.core.ExitCode`: 0 answer produced, 1 usage/internal
 error, 2 certified infeasibility / failed schedulability, 3 certificate
 failure under ``--certify``, 4 budget exhausted before anything usable.
@@ -48,6 +49,7 @@ from repro.core import (
     ProblemEncoding,
     SolveRequest,
     objective_from_spec,
+    solve,
 )
 from repro.core.diagnose import diagnose
 from repro.io import (
@@ -403,19 +405,15 @@ def _solve_checkpoint(args):
         raise SystemExit("--resume needs --checkpoint PATH")
     if not args.checkpoint:
         return None
-    import os
-
     from repro.robust import SearchCheckpoint
 
-    if args.resume and os.path.exists(args.checkpoint):
-        try:
-            return SearchCheckpoint.load(args.checkpoint)
-        except (ValueError, OSError) as exc:
-            raise SystemExit(
-                f"cannot resume from {args.checkpoint}: {exc}"
-            )
-    # Fresh run: start over even when the file exists.
-    return SearchCheckpoint(path=args.checkpoint)
+    if not args.resume:
+        # Fresh run: start over even when the file exists.
+        return SearchCheckpoint(path=args.checkpoint)
+    try:
+        return SearchCheckpoint.resume(args.checkpoint)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"cannot resume from {args.checkpoint}: {exc}")
 
 
 def _emit_allocation(args, alloc, cost, proven, status) -> None:
@@ -467,18 +465,14 @@ def _print_stats(res) -> None:
               file=sys.stderr)
 
 
-def _report_certificate(res) -> int:
-    """Print the certification verdict; non-zero on failure."""
-    cert = getattr(res, "certificate", None)
+def _report_certificate(cert) -> None:
+    """Print the certification verdict, each failure on stderr."""
     if cert is None:
-        return int(ExitCode.OK)
+        return
     print(f"certified: {cert.summary()}")
-    if cert.all_verified:
-        return int(ExitCode.OK)
     for p in cert.failures:
         print(f"certificate FAILED (probe {p.index}, {p.kind}): "
               f"{p.detail}", file=sys.stderr)
-    return int(ExitCode.CERTIFICATE_FAILED)
 
 
 def _chaos_from_args(args):
@@ -564,31 +558,9 @@ def _request_from_args(args, cfg, objective, budget, checkpoint
         raise SystemExit(f"solve: {exc}") from None
 
 
-def _cmd_solve_supervised(args, tasks, arch, request) -> int:
-    from repro.reporting import fmt_cost
-    from repro.robust import SolveSupervisor
-
-    sup = SolveSupervisor(tasks, arch, request=request).solve()
-    for st in sup.stages:
-        print(f"stage {st.stage}: {st.status} ({st.seconds:.1f}s)",
-              file=sys.stderr)
-    cert_rc = _report_certificate(sup.result) if sup.result else 0
-    if sup.status == "infeasible":
-        print("INFEASIBLE (try: repro diagnose)", file=sys.stderr)
-        return cert_rc or int(ExitCode.INFEASIBLE)
-    if not sup.usable:
-        print("UNKNOWN: budget exhausted before any allocation was found",
-              file=sys.stderr)
-        return cert_rc or int(ExitCode.BUDGET_EXHAUSTED)
-    print(f"feasible; cost = {fmt_cost(sup.cost, sup.proven)} "
-          f"({_STATUS_NOTE[sup.status]})")
-    if args.stats:
-        _print_stats(sup.result)
-    _emit_allocation(args, sup.allocation, sup.cost, sup.proven, sup.status)
-    return cert_rc
-
-
 def _cmd_solve(args) -> int:
+    from repro.reporting import fmt_cost
+
     tasks, arch = load_system(args.system)
     cfg = EncoderConfig(
         pb_mode=args.pb,
@@ -601,43 +573,46 @@ def _cmd_solve(args) -> int:
         _objective_from_spec(args.objective) if args.objective else None
     )
     request = _request_from_args(args, cfg, objective, budget, checkpoint)
-    if budget is not None and objective is not None:
-        return _cmd_solve_supervised(args, tasks, arch, request)
-    allocator = Allocator(tasks, arch, cfg)
-    if objective is not None:
-        try:
-            res = allocator.minimize(request=request)
-        except ValueError as exc:
-            # A checkpoint recorded for a different system/objective.
-            if "checkpoint" not in str(exc):
-                raise
-            raise SystemExit(f"cannot resume: {exc}")
-    else:
-        res = allocator.find_feasible(request=request)
-    cert_rc = _report_certificate(res)
-    if not res.feasible:
-        if res.status == "unknown":
-            print("UNKNOWN: interrupted before an answer "
-                  f"({res.outcome.interrupt_reason})", file=sys.stderr)
-            return cert_rc or int(ExitCode.BUDGET_EXHAUSTED)
+    try:
+        report = solve(tasks, arch, request)
+    except ValueError as exc:
+        # A checkpoint recorded for a different system/objective.
+        if "checkpoint" not in str(exc):
+            raise
+        raise SystemExit(f"cannot resume: {exc}")
+    # Only a supervised solve logs stages; its AllocationResult is the
+    # last exact stage's (None when every stage failed).
+    res = report.result.result if report.stages else report.result
+    for st in report.stages:
+        print(f"stage {st.stage}: {st.status} ({st.seconds:.1f}s)",
+              file=sys.stderr)
+    _report_certificate(report.certificate)
+    if report.status == "infeasible":
         print("INFEASIBLE (try: repro diagnose)", file=sys.stderr)
-        return cert_rc or int(ExitCode.INFEASIBLE)
-    from repro.reporting import fmt_cost
-
-    note = "" if objective is None else (
-        f" ({_STATUS_NOTE.get(res.status, res.status)})"
-    )
-    print(f"feasible; cost = {fmt_cost(res.cost, res.proven)}{note}")
-    print(f"probes = {res.outcome.num_probes}, "
-          f"solve = {res.solve_seconds:.1f}s, "
-          f"vars = {res.formula_size['bool_vars']}, "
-          f"literals = {res.formula_size['literals']}")
-    print(f"independently verified: {res.verified}")
-    if args.stats:
-        _print_stats(res)
-    status = res.status if objective is not None else "feasible"
-    _emit_allocation(args, res.allocation, res.cost, res.proven, status)
-    return cert_rc
+    elif not report.feasible:
+        why = (
+            "budget exhausted before any allocation was found"
+            if report.stages else
+            f"interrupted before an answer ({res.outcome.interrupt_reason})"
+        )
+        print(f"UNKNOWN: {why}", file=sys.stderr)
+    else:
+        note = "" if objective is None else (
+            f" ({_STATUS_NOTE.get(report.status, report.status)})"
+        )
+        print(f"feasible; cost = {fmt_cost(report.cost, report.proven)}"
+              f"{note}")
+        if not report.stages:
+            print(f"probes = {res.outcome.num_probes}, "
+                  f"solve = {res.solve_seconds:.1f}s, "
+                  f"vars = {res.formula_size['bool_vars']}, "
+                  f"literals = {res.formula_size['literals']}")
+            print(f"independently verified: {res.verified}")
+        if args.stats:
+            _print_stats(res)
+        _emit_allocation(args, report.allocation, report.cost,
+                         report.proven, report.status)
+    return int(report.exit_code)
 
 
 def _cmd_check(args) -> int:

@@ -27,7 +27,6 @@ from repro.core.api import (
     ExitCode,
     SolveReport,
     SolveRequest,
-    reject_legacy,
     solve,
 )
 from repro.core.config import EncoderConfig
@@ -60,6 +59,5 @@ __all__ = [
     "BoundsReport",
     "SolveRequest",
     "SolveReport",
-    "reject_legacy",
     "solve",
 ]

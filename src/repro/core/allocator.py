@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.allocation import Allocation
 from repro.analysis.feasibility import FeasibilityReport, check_allocation
-from repro.core.api import SolveRequest, reject_legacy
+from repro.core.api import SolveRequest
 from repro.core.config import EncoderConfig
 from repro.core.encoder import ProblemEncoding
 from repro.core.objectives import Objective
@@ -132,15 +132,12 @@ class Allocator:
         self,
         objective: Objective | SolveRequest | None = None,
         request: SolveRequest | None = None,
-        **legacy,
     ) -> AllocationResult:
         """Find the cost-minimal feasible allocation.
 
         Calling convention: pass a :class:`~repro.core.api.SolveRequest`
         (positionally or as ``request=``), optionally with a bare
-        objective: ``minimize(MinimizeTRT("ring"))``.  The PR 4 legacy
-        kwargs (``time_limit=``, ``budget=``, ...) are gone; passing one
-        raises :class:`TypeError` with a migration hint.
+        objective: ``minimize(MinimizeTRT("ring"))``.
 
         ``request.certify`` makes every probe return a checkable
         artifact (see :mod:`repro.certify`): UNSAT answers log a
@@ -176,7 +173,6 @@ class Allocator:
                     "not both"
                 )
             request, objective = objective, None
-        reject_legacy("Allocator.minimize", legacy)
         request = request if request is not None else SolveRequest()
         if objective is not None:
             request = request.merged(objective=objective)
@@ -185,23 +181,14 @@ class Allocator:
             raise TypeError("Allocator.minimize requires an objective")
         return _governed(request, lambda: self._minimize(objective, request))
 
-    @staticmethod
-    def _as_checkpoint(
-        checkpoint: SearchCheckpoint | str | None,
-    ) -> SearchCheckpoint | None:
-        if checkpoint is None or isinstance(checkpoint, SearchCheckpoint):
-            return checkpoint
-        import os
-
-        if os.path.exists(checkpoint):
-            return SearchCheckpoint.load(checkpoint)
-        return SearchCheckpoint(path=checkpoint)
-
     def _minimize(
         self, objective: Objective, request: SolveRequest
     ) -> AllocationResult:
         certify = request.certify
-        checkpoint = self._as_checkpoint(request.checkpoint)
+        checkpoint = request.checkpoint
+        if checkpoint is not None and not isinstance(
+                checkpoint, SearchCheckpoint):
+            checkpoint = SearchCheckpoint.resume(checkpoint)
         proof_log = request.proof_log
         if proof_log is not None:
             from repro.certify.proofio import resolve_spool_path
@@ -328,18 +315,11 @@ class Allocator:
         )
 
     def find_feasible(
-        self,
-        request: SolveRequest | None = None,
-        **legacy,
+        self, request: SolveRequest | None = None
     ) -> AllocationResult:
-        """One SOLVE call: any allocation satisfying all constraints.
-
-        Accepts a :class:`~repro.core.api.SolveRequest` (positionally or
-        as ``request=``).  The PR 4 legacy kwargs (``verify=``,
-        ``budget=``, ``certify=``) are gone; passing one raises
-        :class:`TypeError` with a migration hint.
-        """
-        reject_legacy("Allocator.find_feasible", legacy)
+        """One SOLVE call: any allocation satisfying all constraints,
+        under a :class:`~repro.core.api.SolveRequest` (positionally or
+        as ``request=``)."""
         request = request if request is not None else SolveRequest()
         return _governed(request, lambda: self._find_feasible(request))
 

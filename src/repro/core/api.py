@@ -1,17 +1,14 @@
 """The unified solve API: one request object, one report, one exit-code map.
 
-Historically every solve entry point grew its own kwarg set --
-``Allocator.minimize(objective, time_limit=, reuse_learned=, budget=,
-checkpoint=, certify=)``, ``SolveSupervisor(..., heuristics=, verify=)``,
-``solve_portfolio(..., cell_timeout=, retries=)`` -- and the CLI
-re-invented all of them as flags.  :class:`SolveRequest` is the single
-carrier for all solve options; every public entry point accepts one
-(``request=``), and the CLI builds a request from argv so library and
-command line cannot drift apart.  Every entry point -- ``Allocator``,
-``SolveSupervisor``, ``solve_portfolio`` -- accepts *only* a request:
-the legacy kwarg shims (and the deprecated ``warm_start`` /
-``warm_allocation`` request fields) are gone, and passing one raises
-:class:`TypeError` with a migration hint (:func:`reject_legacy`).
+:class:`SolveRequest` is the single carrier for all solve options; every
+public entry point -- ``Allocator.minimize``/``find_feasible``,
+``SolveSupervisor`` and :func:`solve` -- accepts one (``request=``) and
+nothing else, so an unknown keyword is Python's own :class:`TypeError`.
+The CLI builds a request from argv and runs it through :func:`solve`,
+the one router between the supervised escalation chain and the direct
+:class:`~repro.core.allocator.Allocator`, so library and command line
+cannot drift apart.
+
 Interval hints go through :attr:`SolveRequest.bounds` providers.  There
 is one binary search (:func:`repro.core.optimize.bin_search`); its probe
 mode is the one field :attr:`SolveRequest.reuse_learned` (guarded probes
@@ -52,7 +49,6 @@ __all__ = [
     "BoundsProvider",
     "SolveRequest",
     "SolveReport",
-    "reject_legacy",
     "solve",
 ]
 
@@ -158,12 +154,9 @@ class SolveRequest:
     checkpoint: object | None = None
     #: Certify every probe (DRUP proof check / witness audit).
     certify: bool = False
-    #: Watchdog timeout per baseline cell of the portfolio sweep
-    #: (:func:`repro.core.portfolio.solve_portfolio`).
-    cell_timeout: float | None = None
-    #: Retry attempts for a crashed or hung portfolio baseline cell.
-    retries: int = 1
-    #: Heuristic fallback chain for supervised solves.
+    #: Heuristic fallback chain a supervised solve tries, in order,
+    #: when its exact stages produce nothing usable
+    #: (:func:`repro.baselines.run_heuristic` names).
     heuristics: tuple = ("greedy", "annealing")
     #: :class:`repro.chaos.ChaosSchedule` of deterministic fault
     #: injection; None = off.
@@ -227,12 +220,12 @@ class SolveRequest:
         how far the search may run, and ``certify``.  The probe mode
         (``reuse_learned``) is excluded on purpose -- guarded probes on
         one solver and fresh encodings per probe run the same binary
-        search to the same certified optimum -- as are the portfolio
-        watchdog (``cell_timeout``/``retries``), persistence,
-        fault-injection and resource-governance knobs (``checkpoint``,
-        ``proof_log``, ``chaos``, ``governor``) and the serving hints (``bounds``, ``bounds_mode``, ``flight_log``),
-        which never change the answer, only how it survives or how fast
-        it arrives.
+        search to the same certified optimum -- as are the fallback
+        chain (``heuristics``), persistence, fault-injection and
+        resource-governance knobs (``checkpoint``, ``proof_log``,
+        ``chaos``, ``governor``) and the serving hints (``bounds``,
+        ``bounds_mode``, ``flight_log``), which never change a certified
+        answer, only how it survives or how fast it arrives.
         """
         import hashlib
 
@@ -262,43 +255,6 @@ class SolveRequest:
             "certify": self.certify,
         })
         return hashlib.sha256(b"REPRO-REQ v1\x00" + blob).hexdigest()[:16]
-
-
-#: The removed warm-hint fields, rejected by name with a pointer at the
-#: sanctioned replacement (a HintBoundsProvider on ``bounds``).
-_REMOVED_WARM_FIELDS = ("warm_start", "warm_allocation")
-
-_generated_request_init = SolveRequest.__init__
-
-
-def _checked_request_init(self, *args, **kwargs):
-    removed = sorted(set(kwargs) & set(_REMOVED_WARM_FIELDS))
-    if removed:
-        names = ", ".join(removed)
-        raise TypeError(
-            f"SolveRequest no longer has the deprecated {names} "
-            f"field(s); wrap the hint in a bounds provider instead, "
-            f"e.g. SolveRequest(bounds=(HintBoundsProvider(upper=cost, "
-            f"witness=allocation),)) -- see docs/BOUNDS.md"
-        )
-    _generated_request_init(self, *args, **kwargs)
-
-
-SolveRequest.__init__ = _checked_request_init
-
-
-def reject_legacy(caller: str, legacy: dict) -> None:
-    """The legacy per-entry-point kwarg shims are gone: fail loud,
-    point forward.  ``legacy`` holds only the kwargs the caller
-    actually passed, so request-only calls stay silent."""
-    if legacy:
-        names = ", ".join(sorted(legacy))
-        raise TypeError(
-            f"{caller} no longer accepts the legacy solve kwargs "
-            f"({names}); put them on a SolveRequest instead, e.g. "
-            f"{caller}(request=SolveRequest(objective=..., "
-            f"{sorted(legacy)[0]}=...)) -- see docs/SOLVER.md"
-        )
 
 
 @dataclass
@@ -372,9 +328,11 @@ class SolveReport:
 def solve(tasks, arch, request: SolveRequest) -> SolveReport:
     """One-call solve honoring every :class:`SolveRequest` option.
 
-    Routes to the supervised escalation chain when a budget is given
-    (graceful degradation), otherwise straight to the
-    :class:`~repro.core.allocator.Allocator`.
+    The one router of the library and the CLI: a feasibility-only
+    request runs one SOLVE; an objective with a budget runs the
+    supervised escalation chain (graceful degradation); any other
+    objective goes straight to :meth:`~repro.core.allocator.Allocator.
+    minimize`.
     """
     from repro.core.allocator import Allocator
 

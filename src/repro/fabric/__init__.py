@@ -1,11 +1,11 @@
 """The sharded experiment fabric: the repository's one sweep runner.
 
 Every sweep -- a table's grid of independent (workload, architecture,
-objective) cells, the CLI's ``repro sweep``, the portfolio's baseline
-contenders -- runs here.  The package lifts checkpoint/resume one
-level up, into a **fault-tolerant experiment fabric** for the
-10k-100k-cell parametric sweeps the roadmap asks for (the workload
-class of parametric schedulability studies, cf. arXiv 1302.1306):
+objective) cells, the CLI's ``repro sweep`` -- runs here.  The package
+lifts checkpoint/resume one level up, into a **fault-tolerant
+experiment fabric** for the 10k-100k-cell parametric sweeps the roadmap
+asks for (the workload class of parametric schedulability studies, cf.
+arXiv 1302.1306):
 
 - :mod:`repro.fabric.jobs` -- every sweep cell is a **content-addressed
   job**: SHA-256 over the canonicalized parameter, the solve-config
@@ -36,7 +36,6 @@ from repro.fabric.coordinator import (
     EVENTS_NAME,
     FabricOutcome,
     SweepResult,
-    default_processes,
     fabric_sweep,
 )
 from repro.fabric.jobs import Job, code_fingerprint, job_key, make_jobs
@@ -53,7 +52,6 @@ __all__ = [
     "fabric_sweep",
     "FabricOutcome",
     "SweepResult",
-    "default_processes",
     "EVENTS_NAME",
     "Job",
     "job_key",

@@ -53,7 +53,6 @@ from repro.robust.flight import FlightRecorder
 __all__ = [
     "FabricOutcome",
     "SweepResult",
-    "default_processes",
     "fabric_sweep",
     "EVENTS_NAME",
 ]
@@ -85,11 +84,6 @@ class SweepResult:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-def default_processes() -> int:
-    """A conservative worker count: physical parallelism minus one."""
-    return max(1, (os.cpu_count() or 2) - 1)
 
 
 def _touch(path: str) -> None:

@@ -99,6 +99,10 @@ CATEGORIES = ("checkpoint", "flight", "proof", "fabric")
 #: Memory-pressure levels in escalation order.
 LEVELS = ("reduce", "shrink", "shed", "cancel")
 
+#: Fractions of the memory watermark at which ``reduce``, ``shrink``
+#: and ``shed`` start (``cancel`` starts at the watermark itself).
+REDUCE_PRESSURE, SHRINK_PRESSURE, SHED_PRESSURE = 0.75, 0.85, 0.92
+
 
 class DiskQuotaExceeded(OSError):
     """The typed quota rejection: an ``OSError`` with ``errno.ENOSPC``
@@ -126,27 +130,17 @@ class GovernorConfig:
 
     ``disk_quota`` bounds the summed size of all tracked state files in
     bytes; ``mem_watermark`` is the memory budget in bytes against
-    which pressure is computed.  ``None`` disables that dimension.  The
-    graduated thresholds are fractions of the watermark.
+    which pressure is computed.  ``None`` disables that dimension.
     """
 
     disk_quota: int | None = None
     mem_watermark: int | None = None
-    reduce_at: float = 0.75
-    shrink_at: float = 0.85
-    shed_at: float = 0.92
 
     def __post_init__(self) -> None:
         if self.disk_quota is not None and self.disk_quota < 1:
             raise ValueError("disk_quota must be >= 1 byte")
         if self.mem_watermark is not None and self.mem_watermark < 1:
             raise ValueError("mem_watermark must be >= 1 byte")
-        if not (0.0 < self.reduce_at <= self.shrink_at <= self.shed_at
-                <= 1.0):
-            raise ValueError(
-                "thresholds must satisfy 0 < reduce_at <= shrink_at "
-                "<= shed_at <= 1.0"
-            )
 
     @property
     def enabled(self) -> bool:
@@ -431,20 +425,19 @@ class Governor:
         return p
 
     def level_for(self, pressure: float) -> str | None:
-        cfg = self.config
         if pressure >= 1.0:
             return "cancel"
-        if pressure >= cfg.shed_at:
+        if pressure >= SHED_PRESSURE:
             return "shed"
-        if pressure >= cfg.shrink_at:
+        if pressure >= SHRINK_PRESSURE:
             return "shrink"
-        if pressure >= cfg.reduce_at:
+        if pressure >= REDUCE_PRESSURE:
             return "reduce"
         return None
 
     def should_shed(self) -> bool:
         """Admission control: shed new work as ``overloaded``?"""
-        return self.pressure() >= self.config.shed_at
+        return self.pressure() >= SHED_PRESSURE
 
     def mem_tick(self) -> str | None:
         """Evaluate pressure and run the graduated responses this

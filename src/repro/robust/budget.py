@@ -1,7 +1,7 @@
 """Cooperative solve budgets (wall time, conflicts, decisions).
 
 A :class:`Budget` is threaded from the public entry points (``Allocator``,
-``solve_portfolio``, the CLI) down into the CDCL search loop of
+``SolveSupervisor``, the CLI) down into the CDCL search loop of
 :class:`repro.sat.solver.Solver`.  The search charges the budget on every
 conflict and decision and periodically re-checks the wall clock; when the
 budget is exhausted the engine backtracks to level 0 (so it stays usable)

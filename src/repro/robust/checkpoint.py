@@ -297,10 +297,24 @@ class SearchCheckpoint:
             self._writer = None
 
     @classmethod
+    def resume(cls, path: str) -> "SearchCheckpoint":
+        """The one resume decision: :meth:`load` ``path`` when anything
+        of it survives (the file, or a JSON generation ``.g1``/``.g2``
+        of an earlier release whose newest file was quarantined), else a
+        fresh checkpoint that the first save writes to ``path``."""
+        try:
+            return cls.load(path)
+        except FileNotFoundError:
+            return cls(path=path)
+
+    @classmethod
     def load(cls, path: str) -> "SearchCheckpoint":
-        with open(path, "rb") as fh:
-            head = fh.read(len(MAGIC))
-        if not MAGIC.startswith(head):
+        try:
+            with open(path, "rb") as fh:
+                head = fh.read(len(MAGIC))
+        except FileNotFoundError:
+            head = None  # only older JSON generations may survive
+        if head is None or not MAGIC.startswith(head):
             payload, generation, reports = load_generations(path)
             out = cls.from_dict(payload)
             out.path, out.generation, out.load_reports = (

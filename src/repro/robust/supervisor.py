@@ -75,14 +75,13 @@ class SolveSupervisor:
     """Supervise one allocation solve end-to-end.
 
     All options ride on the :class:`~repro.core.api.SolveRequest`
-    (passed positionally or as ``request=``); the legacy per-kwarg shim
-    is gone and passing one raises :class:`TypeError` with a migration
-    hint.  ``request.heuristics`` names the fallback chain tried (in
-    order) when the exact stages produce no usable result; pass ``()``
-    when the caller races its own heuristics (as :func:`repro.core.
-    portfolio.solve_portfolio` does).  ``request.checkpoint`` is
-    forwarded to the incremental stage, so an interrupted supervised
-    run resumes too.
+    (passed positionally or as ``request=``); :func:`repro.core.api.
+    solve` runs a supervisor for every request with an objective and a
+    budget.
+    ``request.heuristics`` names the fallback chain tried (in order)
+    when the exact stages produce no usable result; ``()`` turns the
+    fallback off.  ``request.checkpoint`` is forwarded to the
+    incremental stage, so an interrupted supervised run resumes too.
     """
 
     def __init__(
@@ -91,12 +90,11 @@ class SolveSupervisor:
         arch,
         objective=_UNSET,
         request: SolveRequest | None = None,
-        **legacy,
     ):
         # Imported lazily: repro.sat pulls in repro.robust for Budget,
         # so a module-level repro.core import here would close an import
         # cycle (arith -> sat -> robust -> core -> arith).
-        from repro.core.api import SolveRequest, reject_legacy
+        from repro.core.api import SolveRequest
 
         if isinstance(objective, SolveRequest):
             if request is not None:
@@ -105,7 +103,6 @@ class SolveSupervisor:
                     "not both"
                 )
             request, objective = objective, _UNSET
-        reject_legacy("SolveSupervisor", legacy)
         request = request if request is not None else SolveRequest()
         if objective is not _UNSET and objective is not None:
             request = request.merged(objective=objective)

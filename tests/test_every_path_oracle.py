@@ -7,12 +7,13 @@ certified or not, straight or interrupted and resumed from a
 checkpoint.  On a small ring, CAN and gateway system each path must
 report the ``{cost, proven, status}`` envelope of
 :func:`repro.baselines.branch_and_bound`'s exhaustive optimum -- so all
-paths agree with each other too.
+paths agree with each other too -- and no heuristic of
+:func:`repro.baselines.run_heuristic` may report a cost below it.
 """
 
 import pytest
 
-from repro.baselines import branch_and_bound
+from repro.baselines import HEURISTICS, branch_and_bound, run_heuristic
 from repro.bounds import RelaxationBoundsProvider
 from repro.core import (
     Allocator,
@@ -21,6 +22,7 @@ from repro.core import (
     MinimizeTRT,
     SolveRequest,
 )
+from repro.core.objectives import objective_spec
 from repro.model import (
     CAN,
     TOKEN_RING,
@@ -174,3 +176,14 @@ def test_rebuild_honours_bounds_checkpoint_and_certify(tmp_path):
     again = Allocator(tasks, arch).minimize(request=request)
     assert again.outcome.resumed
     assert (again.cost, again.proven, again.certified) == (160, True, True)
+
+
+@pytest.mark.parametrize("name", HEURISTICS)
+def test_no_heuristic_beats_the_oracle(case, name):
+    """A heuristic's cost is only an upper bound: a feasible one never
+    undercuts the exhaustive optimum."""
+    tasks, arch, objective, expected, _ = case
+    feasible, _, cost = run_heuristic(name, tasks, arch,
+                                      *objective_spec(objective))
+    assert feasible  # so the bound below is never checked vacuously
+    assert cost >= expected["cost"]

@@ -60,7 +60,7 @@ def test_solve_request_fingerprint_ignores_topology():
 
     base = SolveRequest(time_limit=5.0)
     assert base.fingerprint() == SolveRequest(
-        time_limit=5.0, reuse_learned=False, retries=3
+        time_limit=5.0, reuse_learned=False
     ).fingerprint()
     assert base.fingerprint() == SolveRequest(
         time_limit=5.0, proof_log="x.bin"

@@ -1,10 +1,9 @@
-"""Tests for the genetic baseline and the portfolio runner."""
+"""Tests for the genetic baseline."""
 
 import pytest
 
 from repro.baselines.genetic import genetic_allocator
-from repro.core import Allocator, MinimizeTRT, SolveRequest
-from repro.core.portfolio import solve_portfolio
+from repro.core import Allocator, MinimizeTRT
 from repro.model import (
     TOKEN_RING,
     Architecture,
@@ -80,31 +79,3 @@ class TestGenetic:
         with pytest.raises(ValueError):
             genetic_allocator(ts, arch)
 
-
-class TestPortfolio:
-    def test_portfolio_on_small_instance(self):
-        arch = tindell_architecture()
-        ts = tindell_partition(7)
-        out = solve_portfolio(
-            ts, arch, MinimizeTRT("ring"),
-            request=SolveRequest(),
-        )
-        methods = {e.method for e in out.entries}
-        assert methods == {"greedy", "annealing", "genetic", "sat"}
-        sat_entry = next(e for e in out.entries if e.method == "sat")
-        assert sat_entry.optimal and sat_entry.feasible
-        # The best feasible entry is the SAT one (or a tie).
-        assert out.best is not None
-        assert out.best.cost == sat_entry.cost
-
-    def test_portfolio_sequential_fallback(self):
-        arch = ring2()
-        ts = TaskSet([
-            Task("a", 100, {"p0": 40, "p1": 40}, 100),
-            Task("b", 100, {"p0": 40, "p1": 40}, 100),
-        ])
-        out = solve_portfolio(
-            ts, arch, MinimizeTRT("ring"),
-            request=SolveRequest(),
-        )
-        assert out.exact is not None and out.exact.feasible

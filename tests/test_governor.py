@@ -58,10 +58,6 @@ class TestConfig:
             GovernorConfig(disk_quota=0)
         with pytest.raises(ValueError):
             GovernorConfig(mem_watermark=-5)
-        with pytest.raises(ValueError):
-            GovernorConfig(reduce_at=0.9, shrink_at=0.8)
-        with pytest.raises(ValueError):
-            GovernorConfig(shed_at=1.5)
 
     def test_picklable(self):
         import pickle

@@ -12,7 +12,7 @@ from repro.model import (
     Task,
     TaskSet,
 )
-from repro.fabric import default_processes, fabric_sweep
+from repro.fabric import fabric_sweep
 from repro.reporting import (
     ExperimentRow,
     fmt_seconds,
@@ -118,9 +118,6 @@ class TestFabricSweep:
         params = list(range(10))
         results = fabric_sweep(_square, params, workers=3).results
         assert [r.param for r in results] == params
-
-    def test_default_processes_positive(self):
-        assert default_processes() >= 1
 
 
 class TestArithMinimize:

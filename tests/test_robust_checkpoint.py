@@ -542,6 +542,42 @@ class TestLegacyGenerations:
         # The resume fell back to .g1 and quarantined the torn newest.
         assert os.path.exists(f"{path}.quarantined")
 
+    def _tear_newest(self, tmp_path):
+        path = self._copy(tmp_path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:len(blob) // 2])
+        # A load quarantines the torn newest file and falls back to .g1.
+        assert SearchCheckpoint.load(path).generation == 2
+        assert not os.path.exists(path)
+        return path
+
+    def test_quarantined_newest_generation_resumes_from_g1(
+            self, system, straight, tmp_path):
+        path = self._tear_newest(tmp_path)
+        assert self._resume(system, path) == straight
+
+    def test_cli_resume_after_quarantine_resumes_from_g1(self, tmp_path):
+        from repro.cli import main
+
+        path = self._tear_newest(tmp_path)
+        system = os.path.join(self.SET, "system.json")
+        assert main(["solve", system, "--objective", "sum_trt",
+                     "--checkpoint", path, "--resume"]) == 0
+        # The resumed search's first save follows .g1's two saves (a
+        # fresh search's would be generation 1).
+        assert scan_file(path, _FORMAT).records[0]["generation"] == 3
+
+    def test_resume_decides_on_any_surviving_file(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        fresh = SearchCheckpoint.resume(path)
+        assert (fresh.path, fresh.generation, fresh.started) == (
+            path, 0, False)
+        # With the newest file quarantined, .g1 is still resumed.
+        torn = self._tear_newest(tmp_path)
+        assert SearchCheckpoint.resume(torn).generation == 2
+
     def test_first_save_after_legacy_resume_writes_records(
             self, system, tmp_path):
         path = self._copy(tmp_path)

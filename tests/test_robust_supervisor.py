@@ -1,15 +1,9 @@
 """Tests of graceful degradation (repro.robust.supervisor) and its
-surfacing through the portfolio and the CLI."""
+surfacing through the CLI."""
 
 import json
 
-import pytest
-
 from repro.core import Allocator, MinimizeTRT, SolveRequest
-from repro.core.portfolio import (
-    PortfolioInvariantError,
-    solve_portfolio,
-)
 from repro.model import (
     TOKEN_RING,
     Architecture,
@@ -184,104 +178,6 @@ class TestEscalationChain:
         stages = {s.stage: s.status for s in out.stages}
         assert stages["heuristic:greedy"] == "failed"
         assert stages["heuristic:annealing"] == "heuristic"
-
-
-class TestPortfolioDegradation:
-    def test_failed_baseline_keeps_error_and_time(self, monkeypatch):
-        tasks, arch = feasible_system()
-        import repro.core.portfolio as pf
-
-        real = pf._baseline_cell
-
-        def faulty(param):
-            if param[0] == "greedy":
-                raise RuntimeError("injected baseline fault")
-            return real(param)
-
-        monkeypatch.setattr(pf, "_baseline_cell", faulty)
-        res = solve_portfolio(tasks, arch, MinimizeTRT("ring"),
-                              request=SolveRequest())
-        by_method = {e.method: e for e in res.entries}
-        bad = by_method["greedy"]
-        assert not bad.feasible
-        assert "injected baseline fault" in bad.error
-        assert "Traceback" in bad.error
-        assert bad.seconds >= 0.0
-        # The portfolio still answers through the other contenders.
-        assert by_method["sat"].optimal
-        assert res.best is not None
-
-    def test_invariant_violation_raises_not_asserts(self, monkeypatch):
-        tasks, arch = feasible_system()
-        exact = Allocator(tasks, arch).minimize(MinimizeTRT("ring"))
-        assert exact.proven
-        import repro.core.portfolio as pf
-
-        monkeypatch.setattr(
-            pf, "_baseline_cell",
-            lambda param: (True, exact.cost - 1, 0.0),
-        )
-        with pytest.raises(PortfolioInvariantError, match="beat the proven"):
-            solve_portfolio(tasks, arch, MinimizeTRT("ring"),
-                            request=SolveRequest())
-
-    def test_unproven_bound_may_be_beaten(self, monkeypatch):
-        # An anytime (unproven) exact bound is allowed to lose to a
-        # heuristic -- that is not an invariant violation.
-        tasks, arch = feasible_system()
-        import repro.core.portfolio as pf
-
-        monkeypatch.setattr(
-            pf, "_baseline_cell", lambda param: (True, 0, 0.0)
-        )
-        res = solve_portfolio(
-            tasks, arch, MinimizeTRT("ring"),
-            request=SolveRequest(budget=Budget(max_decisions=1)),
-        )
-        by_method = {e.method: e for e in res.entries}
-        assert not by_method["sat"].optimal
-        assert by_method["greedy"].cost == 0
-
-    @pytest.mark.parametrize("processes,cell_timeout,workers", [
-        (1, None, 0),  # one process to spare, nothing to kill: inline
-        (1, 30.0, 1),  # a timeout needs a killable worker
-        (3, None, 3),
-    ])
-    def test_baseline_sweep_process_count(self, monkeypatch, processes,
-                                          cell_timeout, workers):
-        tasks, arch = feasible_system()
-        import repro.core.portfolio as pf
-
-        real = pf.fabric_sweep
-        seen = {}
-
-        def spy(fn, cells, **kwargs):
-            seen.update(kwargs)
-            return real(fn, cells, workers=0)
-
-        monkeypatch.setattr(pf, "default_processes", lambda: processes)
-        monkeypatch.setattr(pf, "fabric_sweep", spy)
-        res = solve_portfolio(
-            tasks, arch, MinimizeTRT("ring"),
-            request=SolveRequest(cell_timeout=cell_timeout, retries=2),
-        )
-        assert seen["workers"] == workers
-        assert seen["job_timeout"] == cell_timeout
-        assert seen["max_attempts"] == 3
-        assert {e.method for e in res.entries} == {
-            "greedy", "annealing", "genetic", "sat"}
-
-    def test_supervised_portfolio_with_healthy_budget(self):
-        tasks, arch = feasible_system()
-        res = solve_portfolio(
-            tasks, arch, MinimizeTRT("ring"),
-            request=SolveRequest(budget=Budget(wall_seconds=60)),
-        )
-        by_method = {e.method: e for e in res.entries}
-        assert by_method["sat"].optimal
-        assert res.exact is not None and res.exact.proven
-        # No heuristic may beat the certified optimum.
-        assert res.best.cost >= res.exact.cost or res.best.method == "sat"
 
 
 class TestCliSupervision:
