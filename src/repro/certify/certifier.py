@@ -149,19 +149,24 @@ class ProbeCertifier:
 
     def _feed(self) -> None:
         """Feed proof steps logged since the last check to the checker
-        through the *text* interface -- the same path a file-based
-        offline check would take -- and mirror them to the on-disk
-        spool (verified appends; see :mod:`repro.certify.proofio`)."""
+        as signed DIMACS integers, and mirror their text form to the
+        on-disk spool (verified appends; see
+        :mod:`repro.certify.proofio`) when one is attached."""
         steps = self.proof.steps
         if self._fed >= len(steps):
             return
-        lines = [format_step(s) for s in steps[self._fed:]]
+        new = steps[self._fed:]
         self._fed = len(steps)
-        for line in lines:
-            self.checker.add_line(line)
+        add = self.checker.add_step
+        for step in new:
+            lits = list(map(to_dimacs, step[1]))
+            if step[0] == "b":
+                add("b", lits, step[2], step[3])
+            else:
+                add(step[0], lits)
         if self.spool is not None and self.result.proof_artifact_ok:
             try:
-                self.spool.append(lines)
+                self.spool.append([format_step(s) for s in new])
             except Exception as exc:  # noqa: BLE001 - artifact boundary
                 # ProofArtifactError (a RuntimeError) and raw-IO
                 # OSErrors alike condemn the artifact.

@@ -3,11 +3,12 @@
 Verifies the DRUP-style proofs emitted by
 :class:`repro.sat.proof.ProofLog` **without importing any of the
 solver's propagation code**: this module depends on nothing but the
-standard library, works on the text form of the proof (signed DIMACS
-integers), and implements its own -- deliberately simple, occurrence-list
-based -- unit propagation over clauses and pseudo-Boolean constraints.
+standard library, speaks signed DIMACS integers, and implements its own
+unit propagation over clauses and pseudo-Boolean constraints.
 
-A proof is a sequence of lines:
+A proof is a sequence of steps, fed either as integers
+(:meth:`RupChecker.add_step`, the in-memory channel) or as text lines
+(:meth:`RupChecker.add_line`, the spool and offline format):
 
 - ``i <lits> 0``                 input clause (axiom),
 - ``b <bound> (<coef> <lit>)* 0``  input PB constraint
@@ -20,13 +21,26 @@ A proof is a sequence of lines:
   literals in place),
 - ``c ...``                      comment.
 
-PB propagation mirrors the engine's counter-based rule: with ``slack =
-(max achievable LHS over non-false literals) - bound``, ``slack < 0`` is
-a conflict and an unassigned literal with ``coef > slack`` is forced
-true.  Because the checker re-propagates to fixpoint on every step, it is
-at least as strong as the solver's watch-driven propagation, so every
-honestly derived clause checks -- while soundness (an accepted addition
-really is implied) holds independently of anything the solver did.
+The checker keeps one assignment at the *level-0 fixpoint* -- everything
+unit propagation derives from the database alone -- and extends it as
+units and clauses arrive (input clauses are attached in one batch before
+the next check).  Each check assigns its seed on top, propagates, and
+rolls back to that trail.  A deletion that may shrink the fixpoint --
+of a unit clause, of a clause that is the level-0 reason of a trail
+literal, or of any clause while level 0 is in conflict -- marks the
+trail stale, and the next check rebuilds it from the surviving units.
+
+Clauses of three or more literals propagate through two watched
+literals, binary clauses through per-literal implication lists.  PB
+propagation mirrors the engine's counter-based rule: with ``slack = (max
+achievable LHS over non-false literals) - bound``, ``slack < 0`` is a
+conflict and an unassigned literal with ``coef > slack`` is forced true;
+each PB keeps its slack as a counter that the trail updates and a
+rollback restores.  Because the checker propagates to fixpoint on every
+check, it is at least as strong as the solver's watch-driven
+propagation, so every honestly derived clause checks -- while soundness
+(an accepted addition really is implied) holds independently of
+anything the solver did.
 
 After feeding a proof, :meth:`RupChecker.check_assumptions` decides
 "database UNSAT under these assumption literals by unit propagation
@@ -39,31 +53,74 @@ __all__ = ["ProofError", "RupChecker", "check_proof_lines"]
 
 
 class ProofError(ValueError):
-    """A proof line is malformed or an addition fails its RUP check."""
+    """A proof step is malformed or an addition fails its RUP check."""
 
 
 class RupChecker:
     """Incremental RUP checker over a clause + PB database.
 
     Literals are signed non-zero integers (DIMACS convention).  Feed
-    proof lines with :meth:`add_line`; each addition line is checked on
-    arrival and a failure raises :class:`ProofError` -- a fully fed proof
-    is therefore already verified step by step.
+    proof steps with :meth:`add_step` (or text lines with
+    :meth:`add_line`); each addition is checked on arrival and a failure
+    raises :class:`ProofError` -- a fully fed proof is therefore already
+    verified step by step.
+
+    Internally, variables are renumbered 1, 2, ... in order of first
+    appearance, so the per-literal tables (values, watch lists, PB
+    occurrences) grow with the variables a proof uses, never with the
+    largest number in it.  The tables are Python lists indexed by the
+    signed internal literal itself: with ``2n + 1`` slots, ``+v`` lands
+    on slot ``v`` and ``-v`` on slot ``2n + 1 - v``.
     """
 
     def __init__(self) -> None:
-        #: Clause database; deleted slots become None.
-        self.clauses: list[list[int] | None] = []
+        #: Clause database (internal literals, watches first); deleted
+        #: slots become None.  :meth:`input_formula` reads it as DIMACS.
+        self._clauses: list[list[int] | None] = []
+        #: Sorted-literal key -> clause indices, for deletions; built
+        #: lazily up to ``_keyed`` (most proofs never delete).
         self._by_key: dict[tuple[int, ...], list[int]] = {}
-        #: Occurrence lists: asserted literal -> clause indices that
-        #: contain its negation (i.e. clauses losing a literal).
-        self._occ: dict[int, list[int]] = {}
+        self._keyed = 0
         #: PB database: (lits, coefs, bound) with ``sum >= bound``.
-        self.pbs: list[tuple[list[int], list[int], int]] = []
-        self._pb_occ: dict[int, list[int]] = {}
-        #: Literals of unit clauses plus statically forced PB literals --
-        #: the propagation seed of every check.
-        self._units: list[int] = []
+        self._pbs: list[tuple[list[int], list[int], int]] = []
+        #: Per PB: its (lits, coefs) by decreasing coefficient.
+        self._pb_sorted: list[tuple[list[int], list[int]]] = []
+        #: Per PB: slack under the empty assignment, and under the
+        #: trail literals propagated so far.
+        self._slack0: list[int] = []
+        self._slack: list[int] = []
+        #: Input clauses not yet attached to the watch structures.
+        self._inputs: list[list[int]] = []
+        #: Unit clauses, and literals PB constraints force outright --
+        #: the seed of every level-0 rebuild.
+        self._units: list[list[int]] = []
+        self._pb_units: list[int] = []
+        #: DIMACS literal -> internal literal, and internal variable ->
+        #: DIMACS variable.
+        self._index: dict[int, int] = {}
+        self._names: list[int] = [0]
+        #: Variables the per-literal tables have room for.
+        self._nvars = 0
+        #: Literal value: 1 true, -1 false, 0 unassigned.
+        self._val: list[int] = [0]
+        #: Literal -> clauses of three or more literals watching it
+        #: (visited when it turns false).
+        self._watches: list[list[list[int]]] = [[]]
+        #: Literal -> the literals binary clauses imply when it is true.
+        self._implied: list[list[int]] = [[]]
+        #: Literal -> (pb index, coef) of the PBs it falsifies a term of.
+        self._pb_occ: list = [()]
+        #: Level-0 trail, then (during a check) the check's literals.
+        self._trail: list[int] = []
+        #: Trail prefix whose consequences are propagated.
+        self._head0 = 0
+        #: Sorted-literal keys of the clauses that imply a level-0
+        #: literal.
+        self._reasons0: set[tuple[int, ...]] = set()
+        #: Level 0 hit a conflict: every check refutes until a deletion.
+        self._conflict0 = False
+        #: A deletion may have shrunk the fixpoint: rebuild before use.
+        self._stale = False
         #: True once the database contains the empty clause.
         self.contradiction = False
         self.stats = {
@@ -74,14 +131,68 @@ class RupChecker:
             "rup_checks": 0,
             "assumption_checks": 0,
             "propagations": 0,
+            "rebuilds": 0,
         }
 
     # ------------------------------------------------------------------
-    # Parsing
+    # Proof steps
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _parse_lits(tokens: list[str], line: str) -> list[int]:
+    def add_step(self, kind: str, lits, coefs=None, bound: int = 0) -> None:
+        """Apply one proof step given as signed DIMACS integers.
+
+        ``kind`` is ``"i"`` (input clause), ``"b"`` (input PB constraint
+        ``sum coefs*lits >= bound``), ``"a"`` (addition, RUP-checked)
+        or ``"d"`` (deletion)."""
+        if 0 in lits:
+            raise ProofError(f"zero literal in {kind!r} step {list(lits)}")
+        ints = self._internal(lits)
+        if kind == "i":
+            self.stats["inputs"] += 1
+            if ints:
+                self._inputs.append(list(dict.fromkeys(ints)))
+            else:
+                self.contradiction = True
+            return
+        if kind == "b":
+            if coefs is None or len(coefs) != len(lits):
+                raise ProofError(
+                    f"PB step needs one coefficient per literal: {list(lits)}"
+                )
+            if any(c <= 0 for c in coefs):
+                raise ProofError(
+                    f"non-positive PB coefficient in {list(coefs)}"
+                )
+            self.stats["pb_inputs"] += 1
+            self._store_pb(ints, list(coefs), bound)
+        elif kind == "d":
+            self.stats["deletions"] += 1
+            self._delete_clause(ints, lits)
+        elif kind == "a":
+            self.stats["additions"] += 1
+            self.stats["rup_checks"] += 1
+            if not self._refutes([-l for l in ints]):
+                raise ProofError(
+                    f"addition {list(lits)} is not a reverse-unit-"
+                    "propagation consequence of the database"
+                )
+            if ints:
+                self._store_clauses([list(dict.fromkeys(ints))])
+            else:
+                self.contradiction = True
+        else:
+            raise ProofError(f"unknown proof step kind {kind!r}")
+
+    def add_line(self, line: str) -> None:
+        """Parse one text proof line and apply it via :meth:`add_step`."""
+        tokens = line.split()
+        if not tokens or tokens[0] == "c":
+            return
+        kind = tokens[0]
+        if kind in ("i", "b", "d"):
+            del tokens[0]
+        else:
+            kind = "a"
         try:
             nums = [int(t) for t in tokens]
         except ValueError:
@@ -89,171 +200,339 @@ class RupChecker:
         if not nums or nums[-1] != 0:
             raise ProofError(f"missing terminating 0 in {line!r}")
         nums.pop()
-        if any(n == 0 for n in nums):
-            raise ProofError(f"embedded 0 in {line!r}")
-        return nums
-
-    def add_line(self, line: str) -> None:
-        """Parse and apply one proof line (additions are RUP-checked)."""
-        tokens = line.split()
-        if not tokens or tokens[0] == "c":
-            return
-        head = tokens[0]
-        if head == "i":
-            lits = self._parse_lits(tokens[1:], line)
-            self.stats["inputs"] += 1
-            self._store_clause(lits)
-        elif head == "b":
-            body = self._parse_lits(tokens[1:], line)
-            if not body:
-                raise ProofError(f"empty PB constraint in {line!r}")
-            bound, rest = body[0], body[1:]
-            if len(rest) % 2:
-                raise ProofError(f"odd coef/literal list in {line!r}")
-            coefs = rest[0::2]
-            lits = rest[1::2]
-            if any(c <= 0 for c in coefs):
-                raise ProofError(f"non-positive PB coefficient in {line!r}")
-            self.stats["pb_inputs"] += 1
-            self._store_pb(lits, coefs, bound)
-        elif head == "d":
-            lits = self._parse_lits(tokens[1:], line)
-            self.stats["deletions"] += 1
-            self._delete_clause(lits, line)
+        if kind != "b":
+            self.add_step(kind, nums)
+        elif not nums:
+            raise ProofError(f"empty PB constraint in {line!r}")
         else:
-            lits = self._parse_lits(tokens, line)
-            self.stats["additions"] += 1
-            self.stats["rup_checks"] += 1
-            if not self._propagate([-l for l in lits]):
-                raise ProofError(
-                    f"addition {lits} is not a reverse-unit-propagation "
-                    "consequence of the database"
-                )
-            self._store_clause(lits)
+            self.add_step("b", nums[2::2], nums[1::2], nums[0])
 
     # ------------------------------------------------------------------
     # Database maintenance
     # ------------------------------------------------------------------
 
-    def _store_clause(self, lits: list[int]) -> None:
-        lits = list(dict.fromkeys(lits))  # drop duplicate literals
-        if not lits:
-            self.contradiction = True
-            return
-        idx = len(self.clauses)
-        self.clauses.append(lits)
-        self._by_key.setdefault(tuple(sorted(lits)), []).append(idx)
-        if len(lits) == 1:
-            self._units.append(lits[0])
-        for lit in lits:
-            self._occ.setdefault(-lit, []).append(idx)
+    def _internal(self, lits) -> list[int]:
+        """Map DIMACS literals to internal ones, numbering each new
+        variable next."""
+        index = self._index
+        ints = list(map(index.get, lits))
+        if None in ints:
+            for lit in lits:
+                var = abs(lit)
+                if var not in index:
+                    n = len(self._names)
+                    self._names.append(var)
+                    index[var] = n
+                    index[-var] = -n
+                    if n > self._nvars:
+                        self._grow()
+            ints = list(map(index.get, lits))
+        return ints
+
+    def _grow(self) -> None:
+        """Double the room of the per-literal tables."""
+        n = self._nvars
+        new = 2 * max(n, 32)
+
+        def regrow(old, make):
+            # Slots 1..n keep +1..+n, the last n keep -n..-1; the new
+            # variables' slots go in between.
+            return old[:n + 1] + [make() for _ in range(new)] + old[n + 1:]
+
+        self._val = regrow(self._val, int)
+        self._watches = regrow(self._watches, list)
+        self._implied = regrow(self._implied, list)
+        self._pb_occ = regrow(self._pb_occ, tuple)
+        self._nvars = n + new // 2
+
+    def _attach_inputs(self) -> None:
+        """Store the pending input clauses."""
+        inputs = self._inputs
+        self._inputs = []
+        self._store_clauses(inputs)
+
+    def _store_clauses(self, batch: list[list[int]]) -> None:
+        """Add duplicate-free, non-empty clauses and extend the level-0
+        trail."""
+        self._clauses.extend(batch)
+        val = self._val
+        watches = self._watches
+        implied = self._implied
+        units = self._units
+        settled = not (self._stale or self._conflict0)
+        for lits in batch:
+            if len(lits) == 1:
+                units.append(lits)
+                if settled:
+                    self._assign0(lits[0], None)
+                    settled = not self._conflict0
+                continue
+            if settled and (val[lits[0]] == -1 or val[lits[1]] == -1):
+                self._watch_non_false(lits)
+                settled = not self._conflict0
+            if len(lits) == 2:
+                a, b = lits
+                implied[-a].append(b)
+                implied[-b].append(a)
+            else:
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
+
+    def _watch_non_false(self, lits: list[int]) -> None:
+        """Move up to two non-false literals to the watch positions; a
+        clause left with one (or none) is unit (or a conflict) at
+        level 0."""
+        val = self._val
+        k = 0
+        for i, q in enumerate(lits):
+            if val[q] != -1:
+                lits[k], lits[i] = q, lits[k]
+                k += 1
+                if k == 2:
+                    return
+        if k == 0:
+            self._conflict0 = True
+        elif val[lits[0]] == 0:
+            self._assign0(lits[0], tuple(sorted(lits)))
 
     def _store_pb(self, lits: list[int], coefs: list[int], bound: int) -> None:
-        idx = len(self.pbs)
-        self.pbs.append((list(lits), list(coefs), bound))
-        for lit in lits:
-            self._pb_occ.setdefault(-lit, []).append(idx)
-        # Static consequences under the empty assignment.
+        idx = len(self._pbs)
+        self._pbs.append((lits, coefs, bound))
+        order = sorted(zip(coefs, lits), reverse=True)
+        self._pb_sorted.append(([q for _, q in order], [c for c, _ in order]))
+        pb_occ = self._pb_occ
+        for lit, coef in zip(lits, coefs):
+            occ = pb_occ[-lit]
+            if not occ:
+                occ = pb_occ[-lit] = []
+            occ.append((idx, coef))
         slack = sum(coefs) - bound
+        self._slack0.append(slack)
+        self._slack.append(slack)
         if slack < 0:
             self.contradiction = True
             return
+        forced = [lit for lit, coef in zip(lits, coefs) if coef > slack]
+        self._pb_units.extend(forced)
+        if self._settle():
+            return
+        # Level 0 is at its fixpoint: count the terms it falsifies.
+        val = self._val
+        slack -= sum(c for q, c in zip(lits, coefs) if val[q] == -1)
+        self._slack[idx] = slack
+        if slack < 0:
+            self._conflict0 = True
+            return
         for lit, coef in zip(lits, coefs):
-            if coef > slack:
-                self._units.append(lit)
+            if coef > slack and val[lit] == 0:
+                self._assign0(lit, None)
 
-    def _delete_clause(self, lits: list[int], line: str) -> None:
-        key = tuple(sorted(dict.fromkeys(lits)))
-        idxs = self._by_key.get(key)
+    def _delete_clause(self, ints, lits) -> None:
+        if self._inputs:
+            self._attach_inputs()
+        clauses = self._clauses
+        by_key = self._by_key
+        for idx in range(self._keyed, len(clauses)):
+            clause = clauses[idx]
+            if clause is not None:
+                by_key.setdefault(tuple(sorted(clause)), []).append(idx)
+        self._keyed = len(clauses)
+        key = tuple(sorted(dict.fromkeys(ints)))
+        idxs = by_key.get(key)
         if not idxs:
-            raise ProofError(f"deletion of clause not in database: {line!r}")
+            raise ProofError(
+                f"deletion of clause not in database: {list(lits)}"
+            )
         idx = idxs.pop()
-        clause = self.clauses[idx]
-        self.clauses[idx] = None
-        if clause is not None and len(clause) == 1:
-            self._units.remove(clause[0])
+        clause = clauses[idx]
+        clauses[idx] = None
+        if self._conflict0 or len(clause) == 1 or key in self._reasons0:
+            self._stale = True
+        if len(clause) == 2:
+            a, b = clause
+            self._implied[-a].remove(b)
+            self._implied[-b].remove(a)
+        elif len(clause) > 2:
+            for watch in clause[:2]:
+                ws = self._watches[watch]
+                # By identity: an equal clause may be stored twice.
+                del ws[next(i for i, c in enumerate(ws) if c is clause)]
+        clause.clear()  # a unit drops out of the next rebuild's seed
+
+    # ------------------------------------------------------------------
+    # Level-0 trail
+    # ------------------------------------------------------------------
+
+    def _assign0(self, lit: int, reason) -> None:
+        """Add ``lit`` to the level-0 trail (propagated lazily);
+        ``reason`` is the sorted key of the clause implying it."""
+        val = self._val
+        have = val[lit]
+        if have == 0:
+            val[lit] = 1
+            val[-lit] = -1
+            self._trail.append(lit)
+            if reason is not None:
+                self._reasons0.add(reason)
+        elif have == -1:
+            self._conflict0 = True
+
+    def _rebuild(self) -> None:
+        """Re-derive the level-0 trail from the surviving units."""
+        self.stats["rebuilds"] += 1
+        val = self._val
+        for lit in self._trail:
+            val[lit] = 0
+            val[-lit] = 0
+        self._trail = []
+        self._head0 = 0
+        self._reasons0 = set()
+        self._slack = list(self._slack0)
+        self._stale = self._conflict0 = False
+        self._units = [u for u in self._units if u]
+        for unit in self._units:
+            self._assign0(unit[0], None)
+        for lit in self._pb_units:
+            self._assign0(lit, None)
+
+    def _settle(self) -> bool:
+        """Bring level 0 to its fixpoint; True when it is in conflict."""
+        if self._inputs:
+            self._attach_inputs()
+        if self._stale:
+            self._rebuild()
+        if not self._conflict0 and self._head0 < len(self._trail):
+            conflict, self._head0 = self._propagate(
+                self._head0, self._reasons0
+            )
+            self._conflict0 = conflict
+        return self._conflict0
 
     # ------------------------------------------------------------------
     # Unit propagation (clauses + PB)
     # ------------------------------------------------------------------
 
-    def _propagate(self, seed: list[int]) -> bool:
-        """Assert ``seed`` literals, propagate to fixpoint; True iff a
-        conflict is derived (the database refutes the seed)."""
-        if self.contradiction:
-            return True
-        val: dict[int, bool] = {}
-        queue: list[int] = []
-
-        def assign(lit: int) -> bool:
-            """Record ``lit`` true; True when it contradicts a prior
-            assignment (i.e. an immediate conflict)."""
-            var = abs(lit)
-            want = lit > 0
-            prev = val.get(var)
-            if prev is None:
-                val[var] = want
-                queue.append(lit)
-                return False
-            return prev is not want
-
-        for lit in self._units:
-            if assign(lit):
-                return True
-        for lit in seed:
-            if assign(lit):
-                return True
-        clauses = self.clauses
-        pbs = self.pbs
-        occ = self._occ
+    def _propagate(self, head: int, reasons) -> tuple[bool, int]:
+        """Propagate the trail from ``head`` to fixpoint.  Returns
+        (conflict, new head); ``reasons`` (level 0 only) collects the
+        keys of the clauses that imply a literal."""
+        val = self._val
+        trail = self._trail
+        watches = self._watches
+        implied = self._implied
         pb_occ = self._pb_occ
-        head = 0
-        while head < len(queue):
-            lit = queue[head]
+        slack = self._slack
+        pb_sorted = self._pb_sorted
+        while head < len(trail):
+            lit = trail[head]
             head += 1
-            for idx in occ.get(lit, ()):
-                clause = clauses[idx]
-                if clause is None:
-                    continue
-                unassigned = None
-                free = 0
-                satisfied = False
-                for q in clause:
-                    have = val.get(abs(q))
-                    if have is None:
-                        free += 1
-                        if free > 1:
+            occ = pb_occ[lit]
+            if occ:
+                # Count every term this literal falsifies before any
+                # early return, so a rollback restores exact slacks.
+                for p, c in occ:
+                    slack[p] -= c
+                for p, _ in occ:
+                    s = slack[p]
+                    if s < 0:
+                        return True, head
+                    plits, pcoefs = pb_sorted[p]
+                    for q, c in zip(plits, pcoefs):
+                        if c <= s:
                             break
-                        unassigned = q
-                    elif have is (q > 0):
-                        satisfied = True
-                        break
-                if satisfied or free > 1:
-                    continue
-                if free == 0:
-                    self.stats["propagations"] += head
-                    return True
-                assert unassigned is not None
-                if assign(unassigned):
-                    self.stats["propagations"] += head
-                    return True
-            for idx in pb_occ.get(lit, ()):
-                plits, coefs, bound = pbs[idx]
-                slack = -bound
-                for q, c in zip(plits, coefs):
-                    have = val.get(abs(q))
-                    if have is None or have is (q > 0):
-                        slack += c
-                if slack < 0:
-                    self.stats["propagations"] += head
-                    return True
-                for q, c in zip(plits, coefs):
-                    if c > slack and val.get(abs(q)) is None:
-                        if assign(q):
-                            self.stats["propagations"] += head
-                            return True
-        self.stats["propagations"] += head
-        return False
+                        if val[q] == 0:
+                            val[q] = 1
+                            val[-q] = -1
+                            trail.append(q)
+            false = -lit
+            for q in implied[lit]:
+                have = val[q]
+                if have == 0:
+                    val[q] = 1
+                    val[-q] = -1
+                    trail.append(q)
+                    if reasons is not None:
+                        reasons.add((false, q) if false < q else (q, false))
+                elif have == -1:
+                    return True, head
+            ws = watches[false]
+            if not ws:
+                continue
+            keep = []
+            conflict = False
+            for clause in ws:
+                other = clause[0]
+                if other == false:
+                    other = clause[1]
+                    clause[0] = other
+                    clause[1] = false
+                have = val[other]
+                if have != 1:
+                    q = clause[2]
+                    if val[q] != -1:
+                        clause[1] = q
+                        clause[2] = false
+                        watches[q].append(clause)
+                        continue
+                    if len(clause) > 3:
+                        for k in range(3, len(clause)):
+                            q = clause[k]
+                            if val[q] != -1:
+                                clause[1] = q
+                                clause[k] = false
+                                watches[q].append(clause)
+                                break
+                        else:
+                            k = 0
+                        if k:
+                            continue
+                    if have == -1:
+                        conflict = True
+                    elif not conflict:
+                        val[other] = 1
+                        val[-other] = -1
+                        trail.append(other)
+                        if reasons is not None:
+                            reasons.add(tuple(sorted(clause)))
+                keep.append(clause)
+            watches[false] = keep
+            if conflict:
+                return True, head
+        return False, head
+
+    def _refutes(self, seed: list[int]) -> bool:
+        """Assert ``seed`` on top of the level-0 trail and propagate; True
+        iff a conflict is derived (the database refutes the seed).  The
+        trail is rolled back to level 0 afterwards."""
+        if self.contradiction or self._settle():
+            return True
+        val = self._val
+        trail = self._trail
+        mark = head = len(trail)
+        conflict = False
+        for lit in seed:
+            have = val[lit]
+            if have == 0:
+                val[lit] = 1
+                val[-lit] = -1
+                trail.append(lit)
+            elif have == -1:
+                conflict = True
+                break
+        if not conflict:
+            conflict, head = self._propagate(mark, None)
+        self.stats["propagations"] += head - mark
+        if self._pbs:
+            slack = self._slack
+            pb_occ = self._pb_occ
+            for lit in trail[mark:head]:
+                for p, c in pb_occ[lit]:
+                    slack[p] += c
+        for lit in trail[mark:]:
+            val[lit] = 0
+            val[-lit] = 0
+        del trail[mark:]
+        return conflict
 
     # ------------------------------------------------------------------
     # Verdicts
@@ -266,14 +545,21 @@ class RupChecker:
         (or the empty clause) is in the database, so propagation refutes
         the probe's assumptions."""
         self.stats["assumption_checks"] += 1
-        return self._propagate(list(assumptions))
+        return self._refutes(self._internal(list(assumptions)))
 
     def input_formula(self) -> tuple[list[list[int]], list[tuple]]:
         """The *current* database split as (clauses, pb constraints) --
         used by tests to cross-check verdicts against a brute-force
         oracle."""
-        cls = [list(c) for c in self.clauses if c is not None]
-        return cls, [tuple(p) for p in self.pbs]
+        if self._inputs:
+            self._attach_inputs()
+        names = self._names
+
+        def dimacs(lits):
+            return [names[l] if l > 0 else -names[-l] for l in lits]
+
+        cls = [dimacs(c) for c in self._clauses if c is not None]
+        return cls, [(dimacs(ls), cs, b) for ls, cs, b in self._pbs]
 
 
 def check_proof_lines(

@@ -53,12 +53,19 @@ from repro.robust.budget import Budget, BudgetExpired
 from repro.robust.checkpoint import SearchCheckpoint
 
 __all__ = [
+    "CheckpointMismatch",
     "ProbeLog",
     "OptimizationOutcome",
     "ResolvedBounds",
     "bin_search",
     "CHECKPOINT_FAILURE_LIMIT",
 ]
+
+
+class CheckpointMismatch(ValueError):
+    """A resumed checkpoint was recorded for another search (its cost
+    range differs): a caller error, not a solver fault."""
+
 
 #: Consecutive failed checkpoint saves tolerated before a search stops
 #: trying to persist (a run on a full disk must still finish and answer).
@@ -398,7 +405,7 @@ def _search(solver, cost_var, lower, upper, on_sat, time_limit, budget,
         # Resume: skip the work the previous run already certified.
         # Bounds are ignored -- the checkpoint interval is stronger.
         if checkpoint.lower != lower or checkpoint.upper != upper:
-            raise ValueError(
+            raise CheckpointMismatch(
                 f"checkpoint range [{checkpoint.lower}, {checkpoint.upper}] "
                 f"does not match this search's [{lower}, {upper}]"
             )

@@ -181,6 +181,7 @@ class SolveSupervisor:
         certificate of infeasibility); None to escalate."""
         from repro.chaos import chaos_point
         from repro.core.allocator import Allocator
+        from repro.core.optimize import CheckpointMismatch
 
         t0 = time.perf_counter()
         self._record("stage.start", stage=stage)
@@ -191,6 +192,8 @@ class SolveSupervisor:
             res = Allocator(self.tasks, self.arch, self.config).minimize(
                 request=self._stage_request(stage)
             )
+        except CheckpointMismatch:
+            raise  # the caller's checkpoint, not a stage fault
         except Exception as exc:  # noqa: BLE001 - supervision boundary
             out.stages.append(
                 StageReport(

@@ -1273,12 +1273,16 @@ class Solver:
     def check_model(self) -> bool:
         """Verify the last model against every original constraint
         (used by the test suite; independent of the propagation code)."""
+        # Truth value of every flat literal, as model_value reads it:
+        # variables created after the model are False.
+        truth = [x for val in self._model for x in (val, not val)]
+        truth += (False, True) * (self.nvars - len(self._model))
+        is_true = truth.__getitem__
         arena = self.arena
-        model_value = self.model_value
+        cla_off = self.cla_off
         for cid in self._problem_cids:
-            off = self.cla_off[cid]
-            end = off + 1 + arena[off]
-            if not any(model_value(arena[k]) for k in range(off + 1, end)):
+            off = cla_off[cid]
+            if not any(map(is_true, arena[off + 1:off + 1 + arena[off]])):
                 return False
         pb_lits = self.pb_lits
         pb_coefs = self.pb_coefs
@@ -1286,8 +1290,8 @@ class Solver:
             off = self.pb_off[i]
             end = off + self.pb_len[i]
             total = sum(
-                pb_coefs[t] for t in range(off, end)
-                if model_value(pb_lits[t])
+                c for lit, c in zip(pb_lits[off:end], pb_coefs[off:end])
+                if truth[lit]
             )
             if total < self.pb_bound[i]:
                 return False

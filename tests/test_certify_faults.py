@@ -26,7 +26,7 @@ from repro.sat import Solver, mklit, neg
 from repro.sat.reference import brute_force_sat
 
 
-def _php_proof_lines():
+def php_proof():
     """Proof of PHP(3,2) -- clauses only, from the real solver."""
     s = Solver()
     x = [[s.new_var() for _ in range(2)] for _ in range(3)]
@@ -38,10 +38,10 @@ def _php_proof_lines():
                 s.add_clause([neg(mklit(x[p1][h])), neg(mklit(x[p2][h]))])
     proof = s.start_proof()
     assert not s.solve()
-    return proof.to_lines()
+    return proof
 
 
-def _pb_proof_lines():
+def pb_proof():
     """Proof of an UNSAT PB instance from the real solver."""
     s = Solver()
     vs = s.new_vars(3)
@@ -52,11 +52,11 @@ def _pb_proof_lines():
             s.add_clause([neg(lits[i]), neg(lits[j])])
     proof = s.start_proof()
     assert not s.solve()
-    return proof.to_lines()
+    return proof
 
 
-PHP_LINES = _php_proof_lines()
-PB_LINES = _pb_proof_lines()
+PHP_LINES = php_proof().to_lines()
+PB_LINES = pb_proof().to_lines()
 
 
 def _checker_accepts(lines):

@@ -14,7 +14,7 @@ import pytest
 
 from repro.arith import IntSolver
 from repro.core import SolveRequest
-from repro.core.optimize import bin_search
+from repro.core.optimize import CheckpointMismatch, bin_search
 from repro.robust import Budget, SearchCheckpoint
 from repro.robust.checkpoint import (
     _FORMAT,
@@ -180,7 +180,7 @@ class TestBinSearchResume:
         s, x = _solver()
         ck = SearchCheckpoint(lower=0, upper=99, left=0, right=50,
                               feasible=True)
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(CheckpointMismatch, match="does not match"):
             bin_search(s, x, 0, 1023, checkpoint=ck)
 
     def test_inconsistent_checkpoint_is_detected(self):
@@ -192,6 +192,58 @@ class TestBinSearchResume:
                               feasible=True)
         with pytest.raises(ValueError, match="inconsistent"):
             bin_search(s, x, 0, 1023, checkpoint=ck)
+
+
+class TestCheckpointMismatch:
+    """A checkpoint recorded for another search is the caller's error:
+    both solve routes refuse it the same way, and the supervised one
+    never degrades to a run without it."""
+
+    @pytest.fixture
+    def mismatched(self, tmp_path):
+        from repro.cli import main
+        from repro.io import save_system
+        from repro.workloads.scaling import ring_architecture, scaling_taskset
+        from tests.test_chaos_sites import tiny_system
+
+        small = str(tmp_path / "small.json")
+        other = str(tmp_path / "other.json")
+        save_system(*tiny_system(), small)
+        save_system(scaling_taskset(3, 6), ring_architecture(3), other)
+        ck = str(tmp_path / "ck.json")
+        assert main(["solve", small, "--objective", "trt:ring",
+                     "--checkpoint", ck]) == 0
+        return other, ck
+
+    @pytest.mark.parametrize("extra", [[], ["--budget", "60"]])
+    def test_cli_resume_exits_1_on_both_routes(self, mismatched, extra):
+        from repro.cli import main
+
+        other, ck = mismatched
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", other, "--objective", "trt:ring",
+                  "--checkpoint", ck, "--resume", *extra])
+        # SystemExit with a message exits 1.
+        assert isinstance(exc.value.code, str)
+        assert exc.value.code.startswith(
+            "cannot resume: checkpoint range [100, 220] does not match "
+            "this search's"
+        ), exc.value.code
+
+    def test_supervisor_reraises_instead_of_degrading(self, mismatched):
+        from repro.core.objectives import objective_from_spec
+        from repro.io import load_system
+        from repro.robust import SolveSupervisor
+
+        other, ck = mismatched
+        tasks, arch = load_system(other)
+        sup = SolveSupervisor(tasks, arch, request=SolveRequest(
+            objective=objective_from_spec("trt:ring"),
+            budget=Budget(wall_seconds=60),
+            checkpoint=SearchCheckpoint.resume(ck),
+        ))
+        with pytest.raises(CheckpointMismatch):
+            sup.solve()
 
 
 class TestRetiredProbeKeys:
