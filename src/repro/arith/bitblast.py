@@ -410,16 +410,6 @@ class Blaster:
             self.gate_hits += 1
         return out
 
-    def gate_ite(self, c: int, t: int, e: int) -> int:
-        tl = self._true_lit
-        if c == tl:
-            return t
-        if c == tl ^ 1:
-            return e
-        if t == e:
-            return t
-        return self.gate_or(self.gate_and(c, t), self.gate_and(c ^ 1, e))
-
     def gate_iff(self, a: int, b: int) -> int:
         return self.gate_xor(a, b) ^ 1
 

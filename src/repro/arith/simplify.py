@@ -51,7 +51,7 @@ from repro.arith.ast import (
 )
 from repro.arith.ranges import compare_ranges, infer_range
 
-__all__ = ["Simplifier", "simplify_bool", "simplify_int"]
+__all__ = ["Simplifier"]
 
 _ZERO_ID = None  # lazily built to avoid import-time intern traffic
 
@@ -265,13 +265,3 @@ class Simplifier:
             formula if (a is formula.a and b is formula.b)
             else Cmp(op, a, b)
         )
-
-
-def simplify_bool(formula: BoolExpr) -> BoolExpr:
-    """One-shot formula simplification (fresh caches)."""
-    return Simplifier().bool_expr(formula)
-
-
-def simplify_int(expr: IntExpr) -> IntExpr:
-    """One-shot term simplification (fresh caches)."""
-    return Simplifier().int_expr(expr)

@@ -227,14 +227,7 @@ class IntSolver:
         """Value of an integer variable in the last model."""
         return self.blaster.decode_var(var)
 
-    def minimize(
-        self,
-        var: IntVar,
-        time_limit: float | None = None,
-        budget=None,
-        checkpoint=None,
-        on_checkpoint=None,
-    ):
+    def minimize(self, var: IntVar):
         """Minimize an integer variable by the paper's BIN_SEARCH scheme
         (section 5.2) directly at the arithmetic level.
 
@@ -242,17 +235,12 @@ class IntSolver:
         solver's model afterwards belongs to the last satisfiable probe
         (the optimum when one exists).  Convenience wrapper so the
         optimization loop is usable for *any* integer constraint problem,
-        not just allocation instances.  ``budget``, ``checkpoint`` and
-        ``on_checkpoint`` are forwarded to
-        :func:`repro.core.optimize.bin_search`.
+        not just allocation instances; limits, budgets and checkpoints
+        are options of :func:`repro.core.optimize.bin_search` itself.
         """
         from repro.core.optimize import bin_search
 
-        return bin_search(
-            self, var, var.lo, var.hi, time_limit=time_limit,
-            budget=budget, checkpoint=checkpoint,
-            on_checkpoint=on_checkpoint,
-        )
+        return bin_search(self, var, var.lo, var.hi)
 
     def last_core(self) -> list[BoolExpr]:
         """Assumption core of the last UNSAT answer, mapped back to the

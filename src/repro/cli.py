@@ -52,6 +52,7 @@ from repro.core import (
     solve,
 )
 from repro.core.diagnose import diagnose
+from repro.core.optimize import CheckpointMismatch
 from repro.io import (
     allocation_from_dict,
     allocation_to_dict,
@@ -575,10 +576,9 @@ def _cmd_solve(args) -> int:
     request = _request_from_args(args, cfg, objective, budget, checkpoint)
     try:
         report = solve(tasks, arch, request)
-    except ValueError as exc:
-        # A checkpoint recorded for a different system/objective.
-        if "checkpoint" not in str(exc):
-            raise
+    except CheckpointMismatch as exc:
+        # A checkpoint recorded for another search, or one whose
+        # recorded optimum the constraints refute.
         raise SystemExit(f"cannot resume: {exc}")
     # Only a supervised solve logs stages; its AllocationResult is the
     # last exact stage's (None when every stage failed).

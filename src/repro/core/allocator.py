@@ -310,8 +310,7 @@ class Allocator:
             best[0] = allocation_from_dict(checkpoint.payload)
         certificate = certifier.finalize() if certifier is not None else None
         return self._finish(
-            current[0], outcome, best[0], encode_total[0], request.verify,
-            certificate,
+            current[0], outcome, best[0], encode_total[0], certificate
         )
 
     def find_feasible(
@@ -354,9 +353,7 @@ class Allocator:
                 None,
             )
             certificate = certifier.finalize()
-        return self._finish(
-            enc, outcome, alloc, enc_secs, request.verify, certificate
-        )
+        return self._finish(enc, outcome, alloc, enc_secs, certificate)
 
     def _finish(
         self,
@@ -364,11 +361,10 @@ class Allocator:
         outcome: OptimizationOutcome,
         alloc: Allocation | None,
         enc_secs: float,
-        verify: bool,
         certificate=None,
     ) -> AllocationResult:
         report = None
-        if verify and alloc is not None:
+        if alloc is not None:
             report = check_allocation(self.tasks, self.arch, alloc)
         return AllocationResult(
             feasible=outcome.feasible,

@@ -146,8 +146,6 @@ class SolveRequest:
     #: fresh encoding (the §7 baseline).  Both honour bounds, budgets
     #: and checkpoints; False rejects ``proof_log``.
     reuse_learned: bool = True
-    #: Re-check the final allocation with the independent analysis.
-    verify: bool = True
     #: :class:`repro.robust.Budget` bounding the whole search.
     budget: object | None = None
     #: :class:`repro.robust.SearchCheckpoint` (or path) to persist/resume.

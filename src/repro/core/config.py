@@ -11,6 +11,12 @@ __all__ = ["EncoderConfig"]
 class EncoderConfig:
     """Knobs of :class:`repro.core.encoder.ProblemEncoding`.
 
+    The encoder always uses full simple-path closures, derives each
+    token-ring slot bound from the largest frame, pins the variables of
+    messages on unused media to 0, and adds transitivity constraints over
+    equal-deadline task triples (the paper's eqs. 9-10 give only
+    antisymmetry, and a cyclic tie-break matches no priority order).
+
     interference
         ``"paper"`` encodes eq. 11 exactly as printed: the preemption
         count ``I^j_i`` is pinned to ``ceil(r_i/t_j)`` for *every*
@@ -19,24 +25,9 @@ class EncoderConfig:
         (default) conditions eq. 11 on ``p^j_i AND (a_i = a_j)`` --
         semantically identical, fewer forced definitions.  The ablation
         benchmark compares both.
-    max_path_hops
-        Truncate path closures to this many media (None = full simple
-        paths), bounding encoding size on large topologies.
-    slot_upper
-        Upper bound for token-ring slot-length variables; None derives
-        ``max frame wire time + slot overhead`` per medium.
-    pin_unused
-        Pin response-time/counter variables of messages on unused media
-        to 0 (smaller search space, more clauses).  The paper leaves them
-        unconstrained; semantics are unaffected either way.
     pb_mode
         Emit full-adder axioms as pseudo-Boolean constraints (the GOBLIN
         route of section 5.1) instead of CNF.
-    enforce_priority_transitivity
-        Add transitivity constraints among equal-deadline task triples.
-        The paper's eqs. 9-10 enforce only antisymmetry; a cyclic
-        tie-break would not correspond to any realizable priority order,
-        so this defaults to True (documented soundness fix).
     diagnostics
         Attach a retractable guard literal to every *obligation*
         (task deadlines, message deadlines, separations, memory
@@ -57,11 +48,7 @@ class EncoderConfig:
     """
 
     interference: str = "tight"
-    max_path_hops: int | None = None
-    slot_upper: int | None = None
-    pin_unused: bool = True
     pb_mode: bool = False
-    enforce_priority_transitivity: bool = True
     diagnostics: bool = False
     simplify: bool = True
     narrow_bits: bool = True

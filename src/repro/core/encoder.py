@@ -8,8 +8,8 @@ Implements sections 3 and 4 of the paper:
 - eqs. (7)/(8): preemption cost ``pc^j_i = I^j_i * wcet_j`` for
   higher-priority co-located tasks, 0 otherwise,
 - eqs. (9)/(10): deadline-monotonic priorities with free, antisymmetric
-  tie-breaks for equal deadlines (plus an optional transitivity fix,
-  see :class:`repro.core.config.EncoderConfig`),
+  tie-breaks for equal deadlines, plus transitivity over equal-deadline
+  triples (a soundness fix: a cyclic tie-break matches no priority order),
 - eqs. (11)/(12): the ceiling function of eq. (1) as the integer pair
   ``I*t_j >= r_i  AND  (I-1)*t_j < r_i``,
 - eq. (13): deadlines,
@@ -87,9 +87,7 @@ class ProblemEncoding:
 
         self.ecu_names = arch.ecu_names()
         self.ecu_index = {p: i for i, p in enumerate(self.ecu_names)}
-        self.closures: list[PathClosure] = enumerate_path_closures(
-            arch, max_hops=self.config.max_path_hops
-        )
+        self.closures: list[PathClosure] = enumerate_path_closures(arch)
 
         # Decision variables (populated by the _build_* passes).
         self.a: dict[str, IntVar] = {}
@@ -274,7 +272,7 @@ class ProblemEncoding:
                     self.tie_break[key] = self.solver.bool_var(
                         f"p[{key[0]}>{key[1]}]"
                     )
-            if self.config.enforce_priority_transitivity and len(group) >= 3:
+            if len(group) >= 3:
                 # (p^j_i AND p^k_j) -> p^k_i over equal-deadline triples.
                 for x in range(len(group)):
                     for y in range(len(group)):
@@ -401,8 +399,6 @@ class ProblemEncoding:
 
     def _slot_bounds(self, medium: str) -> tuple[int, int]:
         k = self.arch.media[medium]
-        if self.config.slot_upper is not None:
-            return k.min_slot, max(self.config.slot_upper, k.min_slot)
         rho_max = 0
         for t in self.tasks:
             for m in t.messages:
@@ -604,14 +600,13 @@ class ProblemEncoding:
                             self.msg_jitter[(ref, k)] == expr,
                         )
                     )
-            if self.config.pin_unused:
-                for k in used_media:
-                    s.require(
-                        Implies(
-                            Not(self.k_use[(ref, k)]),
-                            self.msg_jitter[(ref, k)] == 0,
-                        )
+            for k in used_media:
+                s.require(
+                    Implies(
+                        Not(self.k_use[(ref, k)]),
+                        self.msg_jitter[(ref, k)] == 0,
                     )
+                )
 
         # --- per-medium sending ECU and response-time variables ---------
         # Two phases: declare every (message, medium) variable first, so
@@ -752,8 +747,7 @@ class ProblemEncoding:
                                 b >= orho,
                             )
                         )
-                    if self.config.pin_unused:
-                        s.require(Implies(Not(ku), b == 0))
+                    s.require(Implies(Not(ku), b == 0))
             s.require(
                 Implies(ku, r == _sum_exprs(ic_terms)), guard=msg_guard,
                 label=f"msg-deadline:{ref}",
@@ -796,16 +790,14 @@ class ProblemEncoding:
                 guard=msg_guard,
                 label=f"msg-deadline:{ref}",
             )
-            if self.config.pin_unused:
-                s.require(Implies(Not(ku), And(imb == 0, block == 0)))
+            s.require(Implies(Not(ku), And(imb == 0, block == 0)))
 
         # Local deadline check (section 4) and unused pinning.
         s.require(
             Implies(ku, r <= dl), guard=msg_guard,
             label=f"msg-deadline:{ref}",
         )
-        if self.config.pin_unused:
-            s.require(Implies(Not(ku), r == 0))
+        s.require(Implies(Not(ku), r == 0))
 
     # ------------------------------------------------------------------
     # Model decoding

@@ -64,7 +64,8 @@ __all__ = [
 
 class CheckpointMismatch(ValueError):
     """A resumed checkpoint was recorded for another search (its cost
-    range differs): a caller error, not a solver fault."""
+    range differs, or the constraints refute its recorded optimum): a
+    caller error, not a solver fault."""
 
 
 #: Consecutive failed checkpoint saves tolerated before a search stops
@@ -558,10 +559,15 @@ def _search(solver, cost_var, lower, upper, on_sat, time_limit, budget,
             sync_checkpoint()
             return out
         if not sat:
+            if out.resumed:
+                raise CheckpointMismatch(
+                    "recorded state is inconsistent with the constraints: "
+                    f"checkpoint optimum {right} is not satisfiable"
+                )
             raise ValueError(
                 "recorded state is inconsistent with the constraints: "
-                f"optimum {right} (from a checkpoint or an audited "
-                "bounds witness) is not satisfiable"
+                f"optimum {right} from an audited bounds witness is not "
+                "satisfiable"
             )
         sync_checkpoint()
     out.seconds = time.perf_counter() - t0

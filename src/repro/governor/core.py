@@ -232,10 +232,6 @@ class Governor:
         with self._lock:
             self._paths[os.fspath(path)] = category
 
-    def forget(self, path: str) -> None:
-        with self._lock:
-            self._paths.pop(os.fspath(path), None)
-
     def _tracked_files(self) -> list[tuple[str, str, int]]:
         """(path, category, size) for every tracked file that exists,
         including the quarantined corpse of a checkpoint."""
@@ -354,10 +350,6 @@ class Governor:
         with self._lock:
             self._mem_sources[name] = fn
 
-    def remove_memory_source(self, name: str) -> None:
-        with self._lock:
-            self._mem_sources.pop(name, None)
-
     def adopt(self, obj) -> None:
         """Weakly track an object exposing ``memory_bytes()`` (e.g. a
         live SAT solver); dead objects drop out automatically."""
@@ -434,10 +426,6 @@ class Governor:
         if pressure >= REDUCE_PRESSURE:
             return "reduce"
         return None
-
-    def should_shed(self) -> bool:
-        """Admission control: shed new work as ``overloaded``?"""
-        return self.pressure() >= SHED_PRESSURE
 
     def mem_tick(self) -> str | None:
         """Evaluate pressure and run the graduated responses this

@@ -116,8 +116,8 @@ def closures_by_endpoints(
     """Index: (sender ECU, receiver ECU) -> [(closure, sub-path)] of every
     sub-path whose endpoint condition v(h) (section 4) admits the pair.
 
-    Used by the feasibility checker and by tests as an oracle for the
-    encoder's path constraints.
+    Kept as a test oracle for the encoder's path constraints; the
+    encoder and the feasibility checker do not call it.
     """
     out: dict[tuple[str, str], list[tuple[PathClosure, tuple[str, ...]]]] = {}
     for ph in closures:

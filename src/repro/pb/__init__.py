@@ -11,12 +11,12 @@ solves them with the PB solver GOBLIN [8].  This package provides:
   repeated and complementary literals) into the canonical
   ``sum c_i * l_i >= b`` form with positive coefficients the engine
   expects,
-- :mod:`repro.pb.encoder` -- PB-to-CNF compilation (BDD/ITE-style and
-  sequential-counter cardinality encodings) so every constraint can
-  alternatively be solved purely clausally,
 - :mod:`repro.pb.opb` -- reader/writer for the OPB exchange format.
 
-The engine-level propagation for PB constraints lives inside
+As in section 5.1 ("we take advantage of Pseudo-Boolean formulae rather
+than use an encoding by conjunctive normal form"), constraints stay
+pseudo-Boolean all the way into the engine; there is no PB-to-CNF
+compilation.  The engine-level propagation for PB constraints lives inside
 :mod:`repro.sat.solver` (counter-based watching); reasons for learnt
 clauses are obtained by *weakening* a PB constraint to the clausal
 implicate over its currently-false literals, which is sound because
@@ -24,13 +24,10 @@ removing satisfied/unassigned terms only strengthens the implication.
 """
 
 from repro.pb.constraint import PBConstraint, Relation, add_constraint, normalize
-from repro.pb.encoder import EncodeMode, encode_pb
 
 __all__ = [
     "PBConstraint",
     "Relation",
     "normalize",
     "add_constraint",
-    "encode_pb",
-    "EncodeMode",
 ]

@@ -66,10 +66,6 @@ class PBConstraint:
         """True when the constraint degenerates to a plain clause."""
         return self.bound == 1 and all(c == 1 for c in self.coefs)
 
-    def is_cardinality(self) -> bool:
-        """True when all coefficients are 1 (at-least-k)."""
-        return all(c == 1 for c in self.coefs)
-
     def evaluate(self, model: list[bool]) -> bool:
         """Check the constraint under a full Boolean model."""
         total = 0
@@ -177,13 +173,8 @@ def add_constraint(
     terms: list[tuple[int, int]],
     rel: Relation,
     rhs: int,
-    *,
-    as_cnf: bool = False,
 ) -> bool:
-    """Normalize and add a raw PB constraint to the engine.
-
-    With ``as_cnf=True`` the constraint is compiled to clauses via
-    :func:`repro.pb.encoder.encode_pb` instead of using the native PB
+    """Normalize and add a raw PB constraint to the engine's native PB
     propagator.  Returns False when the solver became unsatisfiable.
     """
     cons = normalize(terms, rel, rhs)
@@ -195,10 +186,6 @@ def add_constraint(
     for con in cons:
         if con.is_clause():
             ok = solver.add_clause(list(con.lits)) and ok
-        elif as_cnf:
-            from repro.pb.encoder import EncodeMode, encode_pb
-
-            ok = encode_pb(solver, con, EncodeMode.AUTO) and ok
         else:
             ok = solver.add_pb(list(con.lits), list(con.coefs), con.bound) and ok
     return ok

@@ -44,20 +44,6 @@ def lit_sign(lit: int) -> int:
     return lit & 1
 
 
-def lit_value(lit: int, assigns: list) -> int:
-    """Value of a literal under a per-variable assignment array.
-
-    Returns :data:`VAL_TRUE`, :data:`VAL_FALSE` or :data:`VAL_UNASSIGNED`.
-    The arithmetic trick ``value(var) ^ sign`` maps TRUE<->FALSE for
-    negated literals while leaving UNASSIGNED (2) fixed, because
-    ``2 ^ 1 == 3`` is normalized back below.
-    """
-    v = assigns[lit >> 1]
-    if v == VAL_UNASSIGNED:
-        return VAL_UNASSIGNED
-    return v ^ (lit & 1)
-
-
 def from_dimacs(dlit: int) -> int:
     """Convert a signed DIMACS literal (±v, v>=1) to the flat encoding."""
     if dlit == 0:

@@ -82,8 +82,7 @@ try:  # optional: bulk array ops only, never required
 except ImportError:  # pragma: no cover - numpy is in the base image
     _np = None
 
-__all__ = ["Solver", "SolverStats", "Clause", "PBConstraintRef",
-           "ClauseView", "PBView"]
+__all__ = ["Solver", "SolverStats", "ClauseView", "PBView"]
 
 #: ``reason`` array sentinel: no reason (decision / assumption / unit).
 REASON_NONE = -1
@@ -138,10 +137,6 @@ class ClauseView:
         return f"Clause<{kind}:{self.lits}>"
 
 
-#: Legacy alias: external code only ever *read* Clause instances.
-Clause = ClauseView
-
-
 class PBView:
     """Read view of one PB constraint ``sum coefs[i]*lits[i] >= bound``
     (post level-0 folding and coefficient saturation)."""
@@ -173,20 +168,12 @@ class PBView:
         return self._s.pb_slack[self.idx]
 
     @property
-    def max_coef(self) -> int:
-        return self._s.pb_maxcoef[self.idx]
-
-    @property
     def tag(self) -> str | None:
         return self._s.pb_tag.get(self.idx)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         terms = " + ".join(f"{c}*x{l}" for c, l in zip(self.coefs, self.lits))
         return f"PB<{terms} >= {self.bound}>"
-
-
-#: Legacy alias (the engine-level PB handle used to be a concrete class).
-PBConstraintRef = PBView
 
 
 class _TagScope:
@@ -262,6 +249,10 @@ class SolverStats:
         }
 
 
+#: Conflicts per unit of the Luby restart sequence.
+LUBY_BASE = 128
+
+
 def luby(i: int) -> int:
     """The i-th element (1-based) of the Luby restart sequence
     1,1,2,1,1,2,4,... (MiniSat's formulation, power base 2)."""
@@ -302,7 +293,7 @@ class Solver:
     CLA_DECAY = 1.0 / 0.999
     RESCALE_LIMIT = 1e100
 
-    def __init__(self, luby_base: int = 128, backend: str | None = None):
+    def __init__(self, backend: str | None = None):
         self.core = get_backend(backend)
         self.nvars = 0
         # Per-variable state (typed arrays; indexed by var).
@@ -366,7 +357,6 @@ class Solver:
         self.order_heap = array("i")
         self.heap_pos = array("i")        # var -> heap index or -1
         self.heap_n = 0
-        self.luby_base = luby_base
         self.ok = True                    # False once UNSAT at level 0
         self._model: list[bool] = []      # snapshot of the last SAT answer
         #: After an UNSAT answer under assumptions: the subset of the
@@ -413,10 +403,6 @@ class Solver:
         """Views of the PB constraints (insertion order)."""
         return [PBView(self, i) for i in range(self._n_pbs)]
 
-    def _clause_lits(self, cid: int) -> list[int]:
-        off = self.cla_off[cid]
-        return list(self.arena[off + 1: off + 1 + self.arena[off]])
-
     # ------------------------------------------------------------------
     # Proof logging / provenance
     # ------------------------------------------------------------------
@@ -436,10 +422,16 @@ class Solver:
 
         log = ProofLog()
         self._cancel_until(0)
-        for cid in self._problem_cids:
-            log.log_input(self._clause_lits(cid))
-        for cid in self._learnt_cids:
-            log.log_input(self._clause_lits(cid))
+        # One pass over a list copy of the arena, appending the input
+        # steps directly (the snapshot is a measurable share of every
+        # certified solve).  Clause ids, not arena order: learnt and dead
+        # records may sit between problem clauses.
+        arena, cla_off, steps = self.arena.tolist(), self.cla_off, log.steps
+        cids = self._problem_cids + self._learnt_cids
+        for cid in cids:
+            off = cla_off[cid]
+            steps.append(("i", tuple(arena[off + 1: off + 1 + arena[off]])))
+        log.inputs += len(cids)
         for i in range(self._n_pbs):
             off = self.pb_off[i]
             end = off + self.pb_len[i]
@@ -448,8 +440,8 @@ class Solver:
                 list(self.pb_coefs[off:end]),
                 self.pb_bound[i],
             )
-        for pos in range(self.trail_n):
-            log.log_input([self.trail[pos]])
+        steps.extend([("i", (lit,)) for lit in self.trail[:self.trail_n]])
+        log.inputs += self.trail_n
         if not self.ok:
             log.log_input([])
         self.proof = log
@@ -695,19 +687,6 @@ class Solver:
                 self.ok = False
                 return False
         return True
-
-    def add_at_most_one(self, lits: list[int]) -> bool:
-        """Convenience: pairwise at-most-one over ``lits``."""
-        ok = True
-        for i in range(len(lits)):
-            for j in range(i + 1, len(lits)):
-                ok = self.add_clause([neg(lits[i]), neg(lits[j])]) and ok
-        return ok
-
-    def add_exactly_one(self, lits: list[int]) -> bool:
-        """Convenience: exactly-one over ``lits`` (clause + pairwise AMO)."""
-        ok = self.add_clause(list(lits))
-        return self.add_at_most_one(lits) and ok
 
     # ------------------------------------------------------------------
     # Arena / watcher machinery
@@ -1119,7 +1098,7 @@ class Solver:
         if short > 0:
             self.trail_lim.frombytes(bytes(4 * short))
         st = SearchState(
-            assumptions, self.luby_base * luby(1), self.max_learnts,
+            assumptions, LUBY_BASE * luby(1), self.max_learnts,
             log=self.proof is not None or self.learn_hook is not None,
         )
         restart_num = 0
@@ -1135,7 +1114,7 @@ class Solver:
             if status == SEARCH_RESTART:
                 restart_num += 1
                 self.stats.restarts += 1
-                st.restart_limit = self.luby_base * luby(restart_num + 1)
+                st.restart_limit = LUBY_BASE * luby(restart_num + 1)
             elif status == SEARCH_REDUCE:
                 self._reduce_db()
                 st.max_learnts *= self.learnt_growth

@@ -63,6 +63,7 @@ from repro.chaos import chaos_point, install, uninstall
 from repro.governor import Governor, GovernorConfig
 from repro.robust.budget import Budget
 from repro.robust.flight import FlightRecorder
+from repro.robust.records import quarantine
 from repro.serve.breaker import BackendBreaker
 from repro.serve.cache import WarmCache
 from repro.serve.queue import TenantQueues
@@ -497,6 +498,7 @@ class AllocationServer:
 
     def _solve_job_inner(self, job: ServeJob, t0: float) -> ServeResponse:
         from repro.core.api import ExitCode, solve
+        from repro.core.optimize import CheckpointMismatch
         from repro.io.json_codec import allocation_to_dict
         from repro.sat.core import get_backend
 
@@ -568,6 +570,17 @@ class AllocationServer:
         backend = get_backend().name
         try:
             report = solve(job.tasks, job.arch, request)
+        except CheckpointMismatch as exc:
+            # The stored checkpoint, not the solver core, is at fault:
+            # set it aside so a resubmission starts afresh, and leave
+            # the breaker alone.
+            moved = quarantine(ckpt)
+            where = f"quarantined to {moved}" if moved else "not quarantined"
+            return ServeResponse(
+                id=job.id, kind="error",
+                detail=f"checkpoint {where}: {exc}",
+                seconds=time.monotonic() - t0,
+            )
         except Exception as exc:  # noqa: BLE001 - serving boundary
             reason = f"{type(exc).__name__}: {exc}"
             self.breaker.record_failure(reason, backend=backend)

@@ -334,3 +334,52 @@ class TestBulkNewVars:
         s.new_vars(1)
         with pytest.raises(ValueError):
             s.boost_activity([0], -1.0)
+
+
+def per_clause_snapshot(s: Solver):
+    """The input steps :meth:`Solver.start_proof` logs, one clause at a
+    time through the public views and the :class:`ProofLog` API."""
+    from repro.sat.proof import ProofLog
+
+    log = ProofLog()
+    s._cancel_until(0)
+    for c in s.clauses + s.learnts:
+        log.log_input(c.lits)
+    for pb in s.pbs:
+        log.log_pb(pb.lits, pb.coefs, pb.bound)
+    for lit in s.trail[:s.trail_n]:
+        log.log_input([lit])
+    if not s.ok:
+        log.log_input([])
+    return log
+
+
+class TestProofSnapshot:
+    @pytest.mark.parametrize("pb_mode", [False, True], ids=["cnf", "pb"])
+    def test_ring5_snapshot_matches_per_clause(self, pb_mode):
+        from repro.core import Allocator, EncoderConfig
+        from repro.core.objectives import objective_from_spec
+        from repro.workloads.scaling import ring_architecture, scaling_taskset
+
+        enc, cost_var, *_ = Allocator(
+            scaling_taskset(5, 10), ring_architecture(5),
+            EncoderConfig(pb_mode=pb_mode),
+        )._encode(objective_from_spec("trt:ring"))
+        s = enc.solver.sat
+        expect = per_clause_snapshot(s)
+        got = s.start_proof()
+        assert got.steps == expect.steps
+        assert (got.inputs, got.pb_inputs) == (expect.inputs,
+                                               expect.pb_inputs)
+        # Mid-search: learnt clauses (in the solver's order) follow the
+        # problem clauses, whatever arena slots they occupy.  A learnt
+        # DB reduction leaves dead records in the arena and the learnt
+        # list in activity order, not clause-id order.
+        s.proof = None
+        enc.solver.minimize(cost_var)
+        s._reduce_db()
+        assert s._learnt_cids != sorted(s._learnt_cids)
+        expect = per_clause_snapshot(s)
+        got = s.start_proof()
+        assert got.steps == expect.steps
+        assert got.inputs == expect.inputs

@@ -123,12 +123,6 @@ class TestSlotBounds:
         lo, hi = enc._slot_bounds("k1")
         assert hi == 50  # min_slot wins
 
-    def test_slot_upper_override(self):
-        arch = fig1_arch()
-        t = Task("t", 1000, {"p1": 10}, 1000)
-        enc = _enc([t], arch, slot_upper=75)
-        assert enc._slot_bounds("k1") == (50, 75)
-
 
 class TestMessagePriorities:
     def test_deadline_monotonic_unique_ranks(self):

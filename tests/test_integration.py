@@ -131,11 +131,6 @@ class TestConfigurationMatrix:
         b = self._solve(interference="paper")
         assert a.cost == b.cost
 
-    def test_no_pin_unused_same_optimum(self):
-        a = self._solve()
-        b = self._solve(pin_unused=False)
-        assert a.cost == b.cost
-
     def test_rebuild_same_optimum(self):
         arch = tindell_architecture()
         tasks = tindell_partition(7)

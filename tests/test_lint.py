@@ -1,13 +1,16 @@
 """Source hygiene checks.
 
-Two layers:
+Three layers:
 
 - when ``ruff`` is importable or on PATH it is run over ``src/`` with
   the configuration in ``pyproject.toml`` (skipped otherwise -- the
   test container does not ship it, CI does);
 - a dependency-free unused-import check (the F401 subset that has
   actually bitten this repo) always runs, so the suite catches the
-  common case even without the linter.
+  common case even without the linter;
+- a dependency-free dead-definition check: every function, method and
+  class under ``src/repro`` must be named by the program itself (tests
+  do not count), unless an allowlist entry says why it is kept.
 """
 
 import ast
@@ -85,3 +88,111 @@ def test_no_unused_imports_in_src():
             continue  # re-export modules
         problems.extend(_unused_imports(path))
     assert not problems, "\n".join(problems)
+
+
+#: Where a definition's callers may live; ``tests/`` does not count.
+CALLER_DIRS = ("src", "benchmarks", "perfbench", "examples")
+
+#: Definitions no program code names, kept on purpose -- one reason each.
+KEPT_WITHOUT_CALLER = {
+    # Oracles and references that tests compare the program against.
+    "brute_force_sat": "test oracle for the SAT and PB engines",
+    "brute_force_count": "test oracle: model counting",
+    "brute_force_min": "test oracle: optimization",
+    "closures_by_endpoints": "test oracle for the encoder's path rules",
+    "interning": "test oracle: hash-consing on/off equivalence",
+    "input_formula": "test oracle: a checker's database in DIMACS",
+    "_new_clause": "reference add_clause of the clause-loader tests",
+    # Defect makers of the certification-fault tests.
+    "corrupt_proof_line": "builds the defective proofs of fault tests",
+    "corrupt_allocation": "builds the defective witnesses of fault tests",
+    # Library and tooling API exercised by tests, CI or the docs.
+    "check_proof_lines": "one-call DRUP check of a text proof",
+    "load_proof": "reads a proof spool back (CI chaos smoke)",
+    "scan_artifact": "non-raising proof spool scan (CI chaos smoke)",
+    "to_lines": "whole ProofLog as text lines",
+    "load_into_solver": "DIMACS text to a loaded solver",
+    "parse_opb": "OPB reader, the counterpart of write_opb",
+    "save_system": "writes a system file (CI smoke, docs)",
+    "request_sync": "blocking serve client (CI serve smoke)",
+    "request_many_sync": "blocking pipelined serve client (CI)",
+    "complete": "FabricReport verdict: every cell answered",
+    "remaining_seconds": "Budget introspection",
+    "raise_if_expired": "Budget check for cooperative callers",
+    "exact_for": "warm-cache entry check by system digest",
+    "critical_tasks": "sensitivity-analysis query",
+    "communication_pairs": "TaskSet query: (sender, receiver) pairs",
+    "utilization_on": "Task query: utilization on one ECU",
+    "is_hierarchical": "Architecture query: more than one medium",
+    "contains": "Range query",
+    "intersect": "Range operation",
+    "implies": "BoolExpr combinator method (a.implies(b))",
+    "iff": "BoolExpr combinator method (a.iff(b))",
+    "lit_var": "literal helper, the inverse of mklit",
+    "lit_sign": "literal helper, the inverse of mklit",
+}
+
+
+def _src_definitions() -> dict[str, list[str]]:
+    """Name -> locations of every function, method and class under
+    ``src/repro``; dunder methods are the language's to call."""
+    out: dict[str, list[str]] = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            out.setdefault(node.name, []).append(
+                f"{path.relative_to(REPO)}:{node.lineno}")
+    return out
+
+
+class _Names(ast.NodeVisitor):
+    """Every name read as a variable or an attribute, except inside a
+    definition of that same name (recursion is not a caller)."""
+
+    def __init__(self):
+        self.names: set[str] = set()
+        self._inside: list[str] = []
+
+    def _definition(self, node):
+        self._inside.append(node.name)
+        self.generic_visit(node)
+        self._inside.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
+
+    def _named(self, name: str) -> None:
+        if name not in self._inside:
+            self.names.add(name)
+
+    def visit_Name(self, node):
+        self._named(node.id)
+
+    def visit_Attribute(self, node):
+        self._named(node.attr)
+        self.generic_visit(node)
+
+
+def _program_names() -> set[str]:
+    names = _Names()
+    for top in CALLER_DIRS:
+        for path in sorted((REPO / top).rglob("*.py")):
+            names.visit(ast.parse(path.read_text()))
+    return names.names
+
+
+def test_every_src_definition_has_a_caller():
+    defined = _src_definitions()
+    named = _program_names()
+    dead = [f"{where}: {name!r} is named by no program code"
+            for name, places in sorted(defined.items())
+            if name not in named and name not in KEPT_WITHOUT_CALLER
+            for where in places]
+    stale = [f"allowlisted {name!r} is "
+             + ("not defined" if name not in defined else "now called")
+             for name in sorted(KEPT_WITHOUT_CALLER)
+             if name not in defined or name in named]
+    assert not dead + stale, "\n".join(dead + stale)

@@ -190,8 +190,18 @@ class TestBinSearchResume:
         s, x = _solver()  # requires x >= 37
         ck = SearchCheckpoint(lower=0, upper=1023, left=5, right=5,
                               feasible=True)
-        with pytest.raises(ValueError, match="inconsistent"):
+        with pytest.raises(CheckpointMismatch, match="inconsistent"):
             bin_search(s, x, 0, 1023, checkpoint=ck)
+
+    def test_refuted_bounds_witness_stays_an_internal_error(self):
+        # The same refutation of an optimum taken from audited bounds is
+        # the program's fault, not a caller's checkpoint.
+        from repro.core.optimize import ResolvedBounds
+
+        s, x = _solver()
+        with pytest.raises(ValueError, match="audited bounds witness") as exc:
+            bin_search(s, x, 0, 1023, bounds=ResolvedBounds(lower=5, upper=5))
+        assert not isinstance(exc.value, CheckpointMismatch)
 
 
 class TestCheckpointMismatch:
@@ -228,6 +238,31 @@ class TestCheckpointMismatch:
         assert exc.value.code.startswith(
             "cannot resume: checkpoint range [100, 220] does not match "
             "this search's"
+        ), exc.value.code
+
+    @pytest.mark.parametrize("extra", [[], ["--budget", "60"]])
+    def test_refuted_optimum_exits_1_on_both_routes(self, tmp_path, extra):
+        from repro.cli import main
+        from repro.io import save_system
+        from tests.test_chaos_sites import tiny_system
+
+        system = str(tmp_path / "system.json")
+        save_system(*tiny_system(), system)
+        ck = str(tmp_path / "ck.json")
+        assert main(["solve", system, "--objective", "trt:ring",
+                     "--checkpoint", ck]) == 0
+        forged = SearchCheckpoint.load(ck)
+        assert forged.right == 160
+        forged.left = forged.right = 100
+        forged.save()
+        forged.close()
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", system, "--objective", "trt:ring",
+                  "--checkpoint", ck, "--resume", *extra])
+        assert isinstance(exc.value.code, str)
+        assert exc.value.code.startswith(
+            "cannot resume: recorded state is inconsistent with the "
+            "constraints: checkpoint optimum 100"
         ), exc.value.code
 
     def test_supervisor_reraises_instead_of_degrading(self, mismatched):

@@ -648,6 +648,48 @@ class TestSharedCheckpoint:
         assert back.finished and back.right == oracle.cost
 
 
+class TestForgedCheckpoint:
+    def test_refuted_optimum_is_quarantined_not_a_breaker_failure(
+            self, tmp_path):
+        """A stored checkpoint whose recorded optimum the constraints
+        refute is answered with a typed error: the file is quarantined,
+        the breaker is not charged, and a resubmission solves afresh."""
+        from repro.robust import SearchCheckpoint
+
+        tasks, arch = feasible_system()
+        oracle = solve(tasks, arch, SolveRequest(objective=MinimizeTRT("ring")))
+        failures = []
+
+        async def main():
+            server = await started_server(tmp_path)
+            server.breaker.record_failure = (
+                lambda reason, backend=None: failures.append(reason))
+            first = await server.submit(payload_for(tasks, arch, id="r1"))
+            (name,) = os.listdir(server.checkpoint_dir)
+            path = os.path.join(server.checkpoint_dir, name)
+            forged = SearchCheckpoint.load(path)
+            forged.left = forged.right = 100
+            forged.save()
+            forged.close()
+            refused = await server.submit(payload_for(tasks, arch, id="r2"))
+            moved = os.path.exists(path + ".quarantined")
+            again = await server.submit(payload_for(tasks, arch, id="r3"))
+            await server.stop()
+            return first, refused, moved, again
+
+        first, refused, moved, again = asyncio.run(main())
+        assert first.kind == "ok" and first.cost == oracle.cost == 160
+        assert refused.kind == "error"
+        assert "quarantined" in refused.detail
+        assert "optimum 100" in refused.detail
+        assert moved
+        assert failures == []
+        assert again.kind == "ok"
+        assert (again.cost, again.proven, again.status) == (
+            oracle.cost, oracle.proven, oracle.status)
+        assert not again.resumed
+
+
 class TestTcpFrontEnd:
     def test_roundtrip_and_pipelining(self, tmp_path):
         tasks, arch = feasible_system()

@@ -14,7 +14,7 @@ import warnings
 
 import pytest
 
-from repro.core import Allocator, MinimizeSumTRT, SolveRequest
+from repro.core import Allocator, EncoderConfig, MinimizeSumTRT, SolveRequest
 from repro.workloads import random_taskset, ring_architecture
 
 
@@ -137,9 +137,10 @@ class TestRequestValidation:
 
 
 class TestRemovedKnobs:
-    """The parallel engine's and the portfolio's knobs are gone without
-    a shim: an old keyword fails with the dataclass's own TypeError, an
-    old CLI flag with argparse's usage error."""
+    """The parallel engine's and the portfolio's knobs, and the request
+    and encoder knobs no caller set, are gone without a shim: an old
+    keyword fails with the dataclass's own TypeError, an old CLI flag
+    with argparse's usage error."""
 
     @pytest.mark.parametrize("field, value", [
         ("processes", 2),
@@ -150,10 +151,22 @@ class TestRemovedKnobs:
         ("strategy", "auto"),
         ("cell_timeout", 5.0),
         ("retries", 3),
+        ("verify", False),
     ])
     def test_removed_request_field_raises_type_error(self, field, value):
         with pytest.raises(TypeError, match=field):
             SolveRequest(objective=MinimizeSumTRT(), **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_path_hops", 2),
+        ("slot_upper", 75),
+        ("pin_unused", False),
+        ("enforce_priority_transitivity", False),
+    ])
+    def test_removed_encoder_knob_raises_type_error(self, field, value):
+        # The encoder always does what these knobs' defaults did.
+        with pytest.raises(TypeError, match=field):
+            EncoderConfig(**{field: value})
 
     @pytest.mark.parametrize("argv", [
         ["--speculate", "2"],
