@@ -393,3 +393,50 @@ class TestFormulaSize:
         s.require(x + y >= 10)  # structurally identical constraint
         size2 = s.formula_size()["bool_vars"]
         assert size2 == size1
+
+
+class TestMinimize:
+    """``IntSolver.minimize(var)`` runs BIN_SEARCH over the variable's
+    domain and leaves the optimum's model in the solver."""
+
+    def test_optimum_matches_enumeration(self):
+        s = IntSolver()
+        x = s.int_var("x", 0, 15)
+        y = s.int_var("y", 0, 15)
+        z = s.int_var("z", 0, 30)
+        s.require(z == x + y)
+        s.require(2 * x + 3 * y >= 23)
+        s.require(x - y <= 4)
+        out = s.minimize(z)
+        expect = min(
+            a + b
+            for a in range(16)
+            for b in range(16)
+            if 2 * a + 3 * b >= 23 and a - b <= 4
+        )
+        assert out.feasible and out.proven
+        assert out.optimum == expect
+        assert s.value(z) == expect
+        assert s.value(x) + s.value(y) == expect
+
+    def test_infeasible_is_certified(self):
+        s = IntSolver()
+        x = s.int_var("x", 0, 10)
+        s.require(x >= 11)
+        out = s.minimize(x)
+        assert not out.feasible and out.proven
+        assert out.optimum is None
+
+    @pytest.mark.parametrize("field, value", [
+        ("time_limit", 1.0),
+        ("budget", None),
+        ("checkpoint", None),
+        ("on_checkpoint", None),
+    ])
+    def test_search_limits_belong_to_bin_search(self, field, value):
+        # Limits, budgets and checkpoints are bin_search's options; the
+        # convenience wrapper takes only the variable.
+        s = IntSolver()
+        x = s.int_var("x", 0, 10)
+        with pytest.raises(TypeError, match=field):
+            s.minimize(x, **{field: value})
