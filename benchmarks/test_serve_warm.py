@@ -17,10 +17,10 @@ This benchmark drives both paths through the real
 - **warm**: the base scenario solved once, then the same variants
   submitted under the shared label, so each rides the cached witness.
 
-Checkpoint persistence is disabled so the warm pass measures the
-witness mechanism alone (not finished-checkpoint replay), and every
-warm answer is asserted bit-identical to its cold counterpart before
-any timing is trusted.  Results land in
+Each pass runs on its own server with its own state directory, so the
+warm pass cannot resume the cold pass's finished checkpoints and
+measures the witness mechanism alone; every warm answer is asserted
+bit-identical to its cold counterpart before any timing is trusted.  Results land in
 ``benchmarks/out/BENCH_serve.json``; the serve acceptance bar is a
 >= 2x median latency improvement.
 """
@@ -65,29 +65,28 @@ def test_warm_replay_halves_median_latency(profile, tmp_path, record_json):
     base = scaling_taskset(5, n_tasks)
     variants = [_perturbed(base, i) for i in range(N_VARIANTS)]
 
-    async def main():
+    async def run_pass(name, payloads):
         server = AllocationServer(ServeConfig(
-            state_dir=str(tmp_path / "state"), workers=1,
-            keep_checkpoints=False,
+            state_dir=str(tmp_path / name), workers=1,
         ))
         await server.start()
-        # Cold: one scenario label per variant => the cache never hits.
-        cold = [
-            await server.submit(
-                _payload(v, arch, scenario=f"cold-{i}", rid=f"c{i}")
-            )
-            for i, v in enumerate(variants)
-        ]
-        # Warm: seed the shared scenario, then replay the variants.
-        await server.submit(_payload(base, arch, "fleet", "seed"))
-        warm = [
-            await server.submit(
-                _payload(v, arch, scenario="fleet", rid=f"w{i}")
-            )
-            for i, v in enumerate(variants)
-        ]
+        out = [await server.submit(p) for p in payloads]
         await server.stop()
-        return cold, warm
+        return out
+
+    async def main():
+        # Cold: one scenario label per variant => the cache never hits.
+        cold = await run_pass("cold", [
+            _payload(v, arch, scenario=f"cold-{i}", rid=f"c{i}")
+            for i, v in enumerate(variants)
+        ])
+        # Warm: seed the shared scenario, then replay the variants.
+        warm = await run_pass("warm", [
+            _payload(base, arch, "fleet", "seed"),
+            *(_payload(v, arch, scenario="fleet", rid=f"w{i}")
+              for i, v in enumerate(variants)),
+        ])
+        return cold, warm[1:]
 
     cold, warm = asyncio.run(main())
 

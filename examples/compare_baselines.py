@@ -14,7 +14,6 @@ import time
 from repro.baselines import (
     branch_and_bound,
     evaluate_cost,
-    genetic_allocator,
     greedy_first_fit,
     simulated_annealing,
 )
@@ -48,12 +47,6 @@ def main() -> None:
                              iterations=300, seed=2)
     rows.append(("simulated annealing", sa.cost, time.perf_counter() - t0,
                  "no guarantee"))
-
-    t0 = time.perf_counter()
-    ga = genetic_allocator(tasks, arch, objective="trt", medium="ring",
-                           population=20, generations=15, seed=2)
-    rows.append(("genetic algorithm", ga.cost, time.perf_counter() - t0,
-                 "no guarantee (cf. [7])"))
 
     t0 = time.perf_counter()
     greedy = greedy_first_fit(tasks, arch)

@@ -21,11 +21,7 @@ from repro.analysis.allocation import Allocation, MsgRef
 from repro.analysis.chains import ChainLatency, chain_latencies
 from repro.analysis.feasibility import FeasibilityReport, check_allocation
 from repro.analysis.rta import deadline_monotonic_order, task_response_time
-from repro.analysis.sensitivity import (
-    critical_tasks,
-    task_wcet_slack,
-    wcet_scaling_margin,
-)
+from repro.analysis.sensitivity import task_wcet_slack, wcet_scaling_margin
 
 __all__ = [
     "Allocation",
@@ -38,5 +34,4 @@ __all__ = [
     "chain_latencies",
     "wcet_scaling_margin",
     "task_wcet_slack",
-    "critical_tasks",
 ]

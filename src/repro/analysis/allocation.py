@@ -78,9 +78,7 @@ class Allocation:
 
     def utilization(self, tasks: TaskSet, ecu: str) -> float:
         """CPU utilization of one ECU under this allocation."""
-        return sum(
-            tasks[t].wcet[ecu] / tasks[t].period for t in self.tasks_on(ecu)
-        )
+        return sum(tasks[t].utilization_on(ecu) for t in self.tasks_on(ecu))
 
     def bus_utilization(self, tasks: TaskSet, arch: Architecture,
                         medium: str) -> float:

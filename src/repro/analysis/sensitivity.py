@@ -19,7 +19,7 @@ from repro.analysis.feasibility import check_allocation
 from repro.model.architecture import Architecture
 from repro.model.task import Task, TaskSet
 
-__all__ = ["wcet_scaling_margin", "task_wcet_slack", "critical_tasks"]
+__all__ = ["wcet_scaling_margin", "task_wcet_slack"]
 
 
 def _scaled(tasks: TaskSet, percent: int, only: str | None = None,
@@ -107,18 +107,3 @@ def task_wcet_slack(
         else:
             hi = mid - 1
     return lo
-
-
-def critical_tasks(
-    tasks: TaskSet,
-    arch: Architecture,
-    alloc: Allocation,
-    threshold: int = 0,
-) -> list[str]:
-    """Tasks whose WCET slack is at or below ``threshold`` ticks -- the
-    allocation's weakest points."""
-    out = []
-    for t in tasks:
-        if task_wcet_slack(tasks, arch, alloc, t.name) <= threshold:
-            out.append(t.name)
-    return out

@@ -294,14 +294,6 @@ class BoolExpr:
     def __invert__(self) -> "BoolExpr":
         return Not(self)
 
-    def implies(self, other) -> "BoolExpr":
-        """``self -> other``."""
-        return Implies(self, other)
-
-    def iff(self, other) -> "BoolExpr":
-        """``self <-> other``."""
-        return Iff(self, other)
-
     __hash__ = object.__hash__
 
 

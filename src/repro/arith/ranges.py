@@ -57,14 +57,6 @@ class Range:
         ]
         return Range(min(corners), max(corners))
 
-    def contains(self, value: int) -> bool:
-        return self.lo <= value <= self.hi
-
-    def intersect(self, other: "Range") -> "Range | None":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return Range(lo, hi) if lo <= hi else None
-
 
 def infer_range(expr: IntExpr, cache: dict | None = None) -> Range:
     """Compute the range of ``expr`` bottom-up (memoized on ``nid``).

@@ -21,7 +21,6 @@ provides:
 from repro.baselines.annealing import AnnealingResult, simulated_annealing
 from repro.baselines.branch_bound import branch_and_bound
 from repro.baselines.common import derive_allocation, evaluate_cost
-from repro.baselines.genetic import GeneticResult, genetic_allocator
 from repro.baselines.greedy import greedy_first_fit
 from repro.baselines.heuristics import HEURISTICS, run_heuristic
 
@@ -30,8 +29,6 @@ __all__ = [
     "AnnealingResult",
     "branch_and_bound",
     "greedy_first_fit",
-    "genetic_allocator",
-    "GeneticResult",
     "derive_allocation",
     "evaluate_cost",
     "HEURISTICS",

@@ -90,7 +90,7 @@ def branch_and_bound(
             ):
                 continue
             # Utilization pruning.
-            u = task.wcet[ecu] / task.period
+            u = task.utilization_on(ecu)
             if util.get(ecu, 0.0) + u > 1.0:
                 continue
             placement[name] = ecu

@@ -55,7 +55,7 @@ def greedy_first_fit(tasks: TaskSet, arch: Architecture) -> GreedyResult:
                 placement.get(o) == ecu for o in task.separated_from
             ):
                 continue
-            u = task.wcet[ecu] / task.period
+            u = task.utilization_on(ecu)
             if util.get(ecu, 0.0) + u > 1.0:
                 continue
             trial = dict(placement)
@@ -70,7 +70,7 @@ def greedy_first_fit(tasks: TaskSet, arch: Architecture) -> GreedyResult:
         if chosen is None:
             return GreedyResult(False, None, placement)
         placement[name] = chosen
-        util[chosen] = util.get(chosen, 0.0) + task.wcet[chosen] / task.period
+        util[chosen] = util.get(chosen, 0.0) + task.utilization_on(chosen)
     alloc = derive_allocation(tasks, arch, placement)
     if alloc is None:
         return GreedyResult(False, None, placement)

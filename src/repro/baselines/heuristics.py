@@ -8,13 +8,13 @@ directly.
 
 from __future__ import annotations
 
-from repro.baselines import annealing, genetic, greedy
+from repro.baselines import annealing, greedy
 from repro.baselines.common import evaluate_cost
 
 __all__ = ["HEURISTICS", "run_heuristic"]
 
 #: The heuristic names :func:`run_heuristic` accepts.
-HEURISTICS = ("greedy", "annealing", "genetic")
+HEURISTICS = ("greedy", "annealing")
 
 
 def run_heuristic(name: str, tasks, arch, objective: str = "trt",
@@ -23,8 +23,8 @@ def run_heuristic(name: str, tasks, arch, objective: str = "trt",
 
     ``objective``/``medium`` as in :func:`evaluate_cost`, which scores
     every feasible allocation (None cost otherwise).  Annealing walks
-    800 iterations, the genetic allocator 25 generations of 24; both
-    are seeded with 1.  An unknown name raises :class:`ValueError`.
+    800 iterations seeded with 1.  An unknown name raises
+    :class:`ValueError`.
     """
     if name == "greedy":
         res = greedy.greedy_first_fit(tasks, arch)
@@ -33,16 +33,10 @@ def run_heuristic(name: str, tasks, arch, objective: str = "trt",
             if res.feasible else None
         )
         return res.feasible, res.allocation, cost
-    if name == "annealing":
-        res = annealing.simulated_annealing(
-            tasks, arch, objective=objective, medium=medium,
-            iterations=800, seed=1,
-        )
-    elif name == "genetic":
-        res = genetic.genetic_allocator(
-            tasks, arch, objective=objective, medium=medium,
-            population=24, generations=25, seed=1,
-        )
-    else:
+    if name != "annealing":
         raise ValueError(f"unknown heuristic {name!r}")
+    res = annealing.simulated_annealing(
+        tasks, arch, objective=objective, medium=medium,
+        iterations=800, seed=1,
+    )
     return res.feasible, res.allocation, res.cost

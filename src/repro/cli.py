@@ -101,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--checkpoint", default=None, metavar="PATH",
         help="append binary-search progress to this checkpoint file "
-        "(one framed record per probe; JSON checkpoints of earlier "
-        "releases still resume)",
+        "(one framed record per probe; a JSON checkpoint of an earlier "
+        "release is quarantined, not resumed)",
     )
     p_solve.add_argument(
         "--resume", action="store_true",

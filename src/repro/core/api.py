@@ -192,11 +192,19 @@ class SolveRequest:
     flight_log: str | None = None
 
     def __post_init__(self) -> None:
+        from repro.baselines.heuristics import HEURISTICS
+
         if self.bounds_mode not in _BOUNDS_MODES:
             raise ValueError(
                 f"SolveRequest.bounds_mode must be one of "
                 f"{', '.join(_BOUNDS_MODES)}; got {self.bounds_mode!r}"
             )
+        for name in self.heuristics:
+            if name not in HEURISTICS:
+                raise ValueError(
+                    f"SolveRequest.heuristics names must be among "
+                    f"{', '.join(HEURISTICS)}; got {name!r}"
+                )
         if self.proof_log is not None and not self.reuse_learned:
             raise ValueError(
                 "SolveRequest.proof_log needs reuse_learned=True: the "

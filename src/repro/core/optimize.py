@@ -95,14 +95,8 @@ class ProbeLog:
     #: ``"bisect"``, ``"recertify"`` (the final [R, R] audit), or a
     #: ``"bounds:*"`` provenance tag when a :class:`ResolvedBounds`
     #: interval shaped it (``bounds:confirm`` / ``bounds:upper_hint`` /
-    #: ``bounds:lower_hint``).  Default keeps old checkpoints loadable.
+    #: ``bounds:lower_hint``).
     origin: str = ""
-
-
-#: Probe fields of the removed parallel engine.  Checkpoints written
-#: before its deletion still carry them (with their sequential
-#: defaults); resume drops exactly these keys.
-_RETIRED_PROBE_KEYS = frozenset(("speculative", "hit", "cancelled", "group"))
 
 
 @dataclass
@@ -411,11 +405,7 @@ def _search(solver, cost_var, lower, upper, on_sat, time_limit, budget,
                 f"does not match this search's [{lower}, {upper}]"
             )
         out.resumed = True
-        out.probes = [
-            ProbeLog(**{k: v for k, v in p.items()
-                        if k not in _RETIRED_PROBE_KEYS})
-            for p in checkpoint.probes
-        ]
+        out.probes = [ProbeLog(**p) for p in checkpoint.probes]
         note_bounds(ignored="resumed from checkpoint")
         if checkpoint.feasible is False:
             out.proven = True

@@ -188,10 +188,6 @@ class Architecture:
         """ECUs allowed to host application tasks."""
         return [p for p, e in self.ecus.items() if e.allow_tasks]
 
-    def is_hierarchical(self) -> bool:
-        """True when the platform has more than one medium."""
-        return len(self.media) > 1
-
     def common_medium(self, p1: str, p2: str) -> str | None:
         """A medium connecting both ECUs directly, or None."""
         for m in self.media.values():

@@ -168,10 +168,6 @@ class TaskSet:
             total += min(t.wcet[p] for p in cands) / t.period
         return total
 
-    def communication_pairs(self) -> list[tuple[str, str]]:
-        """(sender, receiver) pairs, one per message."""
-        return [(t.name, m.target) for (t, m) in self.all_messages()]
-
     def chains(self) -> list[list[str]]:
         """Maximal sender->receiver chains (transactions), following the
         message graph from tasks that receive nothing."""

@@ -107,7 +107,7 @@ def render_allocation(tasks, arch, alloc, report=None, width: int = 30) -> str:
             t for t in alloc.tasks_on(ecu) if t in tasks.tasks
         )
         util = sum(
-            tasks[t].wcet[ecu] / tasks[t].period
+            tasks[t].utilization_on(ecu)
             for t in names
             if ecu in tasks[t].wcet
         )

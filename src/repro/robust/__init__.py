@@ -10,7 +10,9 @@ supplies the supervision layer:
   loop, so a single probe is interruptible mid-search,
 - :mod:`repro.robust.checkpoint` -- checkpoint/resume state for
   binary searches (:class:`SearchCheckpoint`), one framed record per
-  save; JSON checkpoints of earlier releases still load,
+  save; a file without the ``REPRO-CHECKPOINT v1`` header (a JSON
+  checkpoint of an earlier release included) raises
+  :class:`CheckpointCorrupt` and is quarantined,
 - :mod:`repro.robust.supervisor` -- the :class:`SolveSupervisor`
   escalation chain (incremental -> rebuild -> heuristic) that always
   returns a usable allocation with an honest status,

@@ -65,14 +65,6 @@ class Budget:
         if self._deadline is None and self.wall_seconds is not None:
             self._deadline = time.monotonic() + self.wall_seconds
 
-    def remaining_seconds(self) -> float | None:
-        """Seconds left on the wall clock (``None`` when unlimited)."""
-        if self.wall_seconds is None:
-            return None
-        if self._deadline is None:
-            return self.wall_seconds
-        return max(0.0, self._deadline - time.monotonic())
-
     def step(self, conflicts: int = 0, decisions: int = 0) -> bool:
         """Charge usage; return True when the budget just expired.
 
@@ -151,7 +143,3 @@ class Budget:
             )
             return True
         return False
-
-    def raise_if_expired(self) -> None:
-        if self.expired():
-            raise BudgetExpired(self.expired_reason or "budget exhausted")

@@ -12,8 +12,9 @@ is an append-only :mod:`repro.robust.records` file: each save appends
 one JSON record of what changed, and a load folds the intact records
 (a torn tail loses at most that save; a damaged header raises
 :class:`CheckpointCorrupt` and quarantines the file).  One search
-writes a file at a time, under an exclusive ``flock``.  JSON
-checkpoints of earlier releases still load, read-only.  See
+writes a file at a time, under an exclusive ``flock``.  Only
+``REPRO-CHECKPOINT v1`` files load: the JSON checkpoints of earlier
+releases are past the compatibility horizon and count as damaged.  See
 ``docs/ROBUSTNESS.md`` section 3.  The fabric's job keys use
 :func:`canonical_blob` from this module.
 """
@@ -22,9 +23,6 @@ from __future__ import annotations
 
 import copy
 import fcntl
-import hashlib
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -45,7 +43,6 @@ __all__ = [
     "CheckpointCorrupt",
     "CheckpointWriteError",
     "CorruptArtifact",
-    "load_generations",
     "canonical_value",
     "canonical_blob",
 ]
@@ -69,7 +66,7 @@ _FORMAT = RecordFormat(
 
 @dataclass
 class CorruptArtifact:
-    """One damaged checkpoint candidate: what was wrong, where it went."""
+    """One damaged checkpoint file: what was wrong, where it went."""
 
     path: str
     reason: str
@@ -77,12 +74,12 @@ class CorruptArtifact:
 
 
 class CheckpointCorrupt(ValueError):
-    """No candidate of a checkpoint survived integrity verification.
+    """A checkpoint file holds no readable record header.
 
     Subclasses :class:`ValueError` so pre-existing resume guards
     (``except (ValueError, OSError)``) treat it as the typed failure it
-    is; :attr:`reports` lists every candidate examined and why it was
-    rejected (each already quarantined for post-mortem).
+    is; :attr:`reports` says why the file was rejected and where it was
+    quarantined for post-mortem.
     """
 
     def __init__(self, path: str, reports: list[CorruptArtifact]):
@@ -113,62 +110,6 @@ class _Log(RecordWriter):
             raise
 
 
-# ----------------------------------------------------------------------
-# Read-only path for JSON checkpoints of earlier releases: one document
-# under an integrity envelope, older generations renamed .g1, .g2.
-
-
-def _verified_json(path: str) -> tuple[dict, int]:
-    """``(payload, generation)`` of one JSON checkpoint; ValueError (the
-    reason) or OSError on any defect."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        data = json.loads(raw.decode())
-    except ValueError as exc:
-        raise ValueError(
-            f"no checkpoint header and not valid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise ValueError("not a JSON object")
-    envelope = data.pop("integrity", None)
-    if envelope is None:
-        return data, 0  # written before the envelope existed
-    if not isinstance(envelope, dict) or envelope.get("schema") != 1:
-        raise ValueError(f"unsupported integrity envelope {envelope!r}")
-    if hashlib.sha256(encode_json(data)).hexdigest() != envelope.get(
-            "sha256"):
-        raise ValueError("sha256 mismatch (payload bytes damaged)")
-    generation = envelope.get("generation")
-    if not isinstance(generation, int) or generation < 0:
-        raise ValueError(f"bad generation {generation!r}")
-    return data, generation
-
-
-def load_generations(path: str) -> tuple[dict, int, list[CorruptArtifact]]:
-    """Load the newest generation of a JSON checkpoint that verifies.
-
-    Returns ``(payload, generation, damage_reports)``; damaged
-    candidates are quarantined.  Raises :class:`FileNotFoundError` when
-    no candidate exists, :class:`CheckpointCorrupt` when none verifies.
-    """
-    best, best_gen, reports = None, -1, []
-    candidates = [path, f"{path}.g1", f"{path}.g2"]
-    found = [cand for cand in candidates if os.path.exists(cand)]
-    if not found:
-        raise FileNotFoundError(path)
-    for cand in found:
-        try:
-            payload, gen = _verified_json(cand)
-        except (OSError, ValueError) as exc:
-            reports.append(CorruptArtifact(cand, str(exc), quarantine(cand)))
-            continue
-        if gen > best_gen:
-            best, best_gen = payload, gen
-    if best is None:
-        raise CheckpointCorrupt(path, reports)
-    return best, best_gen, reports
-
-
 _STATE = ("lower", "upper", "left", "right", "feasible", "probes", "payload")
 
 
@@ -192,8 +133,7 @@ class SearchCheckpoint:
     path: str | None = None
     #: Number of saves behind this state, counted across resumes.
     generation: int = 0
-    #: Damage the load found (a torn record tail, or JSON generations
-    #: it fell back past).
+    #: Damage the load found (a torn record tail, or a header cut short).
     load_reports: list = field(default_factory=list)
     #: What the file at ``path`` holds (``to_dict()`` plus
     #: ``generation``) in ``_records`` records; None when it holds
@@ -298,10 +238,9 @@ class SearchCheckpoint:
 
     @classmethod
     def resume(cls, path: str) -> "SearchCheckpoint":
-        """The one resume decision: :meth:`load` ``path`` when anything
-        of it survives (the file, or a JSON generation ``.g1``/``.g2``
-        of an earlier release whose newest file was quarantined), else a
-        fresh checkpoint that the first save writes to ``path``."""
+        """The one resume decision: :meth:`load` ``path`` when the file
+        exists, else a fresh checkpoint that the first save writes to
+        ``path``."""
         try:
             return cls.load(path)
         except FileNotFoundError:
@@ -309,18 +248,15 @@ class SearchCheckpoint:
 
     @classmethod
     def load(cls, path: str) -> "SearchCheckpoint":
-        try:
+        scan = scan_file(path, _FORMAT)
+        if scan.reason == BAD_HEADER:
             with open(path, "rb") as fh:
                 head = fh.read(len(MAGIC))
-        except FileNotFoundError:
-            head = None  # only older JSON generations may survive
-        if head is None or not MAGIC.startswith(head):
-            payload, generation, reports = load_generations(path)
-            out = cls.from_dict(payload)
-            out.path, out.generation, out.load_reports = (
-                path, generation, reports)
-            return out
-        scan = scan_file(path, _FORMAT)
+            if not MAGIC.startswith(head):
+                # Not a record file: damaged, or a JSON checkpoint of a
+                # release before the compatibility horizon.
+                raise CheckpointCorrupt(path, [CorruptArtifact(
+                    path, BAD_HEADER, quarantine(path))])
         state: dict = {}
         probes: list = []
         for record in scan.records:

@@ -12,14 +12,14 @@ Public API
 - :class:`repro.sat.solver.SolverStats` -- search statistics
 - :class:`repro.sat.proof.ProofLog` -- DRUP-style proof log (enabled via
   :meth:`Solver.start_proof`; checked by :mod:`repro.certify.drup`)
-- :func:`repro.sat.literals.mklit` / :func:`neg` / :func:`lit_var` /
-  :func:`lit_sign` -- literal encoding helpers
+- :func:`repro.sat.literals.mklit` / :func:`neg` -- literal encoding
+  helpers
 - :mod:`repro.sat.dimacs` -- DIMACS CNF reader/writer
 - :mod:`repro.sat.reference` -- tiny brute-force reference solver used by
   the test suite to cross-check the CDCL engine on small instances
 """
 
-from repro.sat.literals import lit_sign, lit_var, mklit, neg
+from repro.sat.literals import mklit, neg
 from repro.sat.proof import ProofLog
 from repro.sat.solver import Solver, SolverStats
 
@@ -29,6 +29,4 @@ __all__ = [
     "ProofLog",
     "mklit",
     "neg",
-    "lit_var",
-    "lit_sign",
 ]

@@ -34,16 +34,6 @@ def neg(lit: int) -> int:
     return lit ^ 1
 
 
-def lit_var(lit: int) -> int:
-    """Variable index of a literal."""
-    return lit >> 1
-
-
-def lit_sign(lit: int) -> int:
-    """Sign bit of a literal: 0 positive, 1 negated."""
-    return lit & 1
-
-
 def from_dimacs(dlit: int) -> int:
     """Convert a signed DIMACS literal (±v, v>=1) to the flat encoding."""
     if dlit == 0:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from itertools import product
 
+from repro.pb.constraint import PBConstraint
+
 __all__ = ["brute_force_sat", "brute_force_count", "brute_force_min"]
 
 
@@ -23,29 +25,16 @@ def _clause_sat(clause: list[int], model: tuple[bool, ...]) -> bool:
     return False
 
 
-def _pb_sat(
-    lits: list[int], coefs: list[int], bound: int, model: tuple[bool, ...]
-) -> bool:
-    total = 0
-    for lit, coef in zip(lits, coefs):
-        val = model[lit >> 1]
-        if lit & 1:
-            val = not val
-        if val:
-            total += coef
-    return total >= bound
-
-
 def brute_force_sat(
     nvars: int,
     clauses: list[list[int]],
     pbs: list[tuple[list[int], list[int], int]] | None = None,
 ):
     """Return a satisfying model as a tuple of bools, or None."""
-    pbs = pbs or []
+    cons = [PBConstraint(*pb) for pb in pbs or []]
     for model in product((False, True), repeat=nvars):
         if all(_clause_sat(c, model) for c in clauses) and all(
-            _pb_sat(l, c, b, model) for (l, c, b) in pbs
+            con.evaluate(model) for con in cons
         ):
             return model
     return None
@@ -57,11 +46,11 @@ def brute_force_count(
     pbs: list[tuple[list[int], list[int], int]] | None = None,
 ) -> int:
     """Count satisfying models (for solution-enumeration tests)."""
-    pbs = pbs or []
+    cons = [PBConstraint(*pb) for pb in pbs or []]
     count = 0
     for model in product((False, True), repeat=nvars):
         if all(_clause_sat(c, model) for c in clauses) and all(
-            _pb_sat(l, c, b, model) for (l, c, b) in pbs
+            con.evaluate(model) for con in cons
         ):
             count += 1
     return count

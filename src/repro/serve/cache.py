@@ -18,10 +18,9 @@ The cache exploits both without ever weakening the answer:
     code can never serve (or warm-start from) a stale optimum computed
     by different code;
 
-- a hit whose stored *system digest* matches the incoming system is an
-  **exact** hit; otherwise the stored optimum is only a **warm hint**:
-  the server wraps it in a ``repro.bounds.HintBoundsProvider`` (cached
-  optimum as the claimed upper, cached allocation as the witness) on
+- a hit is only a **warm hint**, even for the very system that was
+  solved: the server wraps it in a ``repro.bounds.HintBoundsProvider``
+  (cached optimum as the claimed upper, cached allocation as the witness) on
   ``SolveRequest.bounds``, and the allocator re-audits the witness with
   the independent analysis before trusting anything -- a probe-*count*
   change, never a correctness shortcut: the binary search still
@@ -58,15 +57,11 @@ class WarmEntry:
 
     optimum: int
     envelope: dict
-    system_digest: str
     #: JSON allocation payload of the optimum (a warm-start witness for
     #: perturbed requests); None when the solve produced no allocation.
     allocation: dict | None = None
     #: Approximate in-memory footprint (JSON length), for the governor.
     approx_bytes: int = 0
-
-    def exact_for(self, system_digest: str) -> bool:
-        return self.system_digest == system_digest
 
 
 class WarmCache:
@@ -116,7 +111,6 @@ class WarmCache:
         request_fp: str,
         optimum: int,
         envelope: dict,
-        system_digest: str,
         code_fp: str | None = None,
         allocation: dict | None = None,
     ) -> None:
@@ -136,8 +130,7 @@ class WarmCache:
             approx = 1024
         entry = WarmEntry(
             optimum=optimum, envelope=dict(envelope),
-            system_digest=system_digest, allocation=allocation,
-            approx_bytes=approx,
+            allocation=allocation, approx_bytes=approx,
         )
         with self._lock:
             self._entries[key] = entry

@@ -73,8 +73,8 @@ __all__ = ["ServeConfig", "ServeJob", "AllocationServer", "system_digest"]
 
 
 def system_digest(tasks, arch) -> str:
-    """Content digest of a system (tasks + architecture), for exact-hit
-    detection and checkpoint keying."""
+    """Content digest of a system (tasks + architecture), for checkpoint
+    keying."""
     from repro.io.json_codec import system_to_dict
 
     blob = json.dumps(
@@ -99,8 +99,6 @@ class ServeConfig:
     breaker_threshold: int = 3
     breaker_cooldown: float = 30.0
     cache_size: int = 64
-    #: Persist binary-search checkpoints (drain/resume needs this).
-    keep_checkpoints: bool = True
     #: Certify answers even when the request does not ask for it.
     certify_default: bool = False
     #: Bounds providers composed into every solve: ``"auto"`` adds the
@@ -550,17 +548,14 @@ class AllocationServer:
                 RelaxationBoundsProvider() if entry is None
                 else RelaxationBoundsProvider(anneal_iterations=0)
             )
-        ckpt = None
-        if self.config.keep_checkpoints:
-            from repro.fabric.jobs import code_fingerprint
+        from repro.fabric.jobs import code_fingerprint
 
-            # Keyed by system + identity options + code: a checkpoint
-            # recorded by different solver code is never resumed.
-            key = hashlib.sha256(
-                f"{job.digest}|{job.identity_fp}|{code_fingerprint()}"
-                .encode()
-            ).hexdigest()[:24]
-            ckpt = os.path.join(self.checkpoint_dir, f"{key}.json")
+        # Keyed by system + identity options + code: a checkpoint
+        # recorded by different solver code is never resumed.
+        key = hashlib.sha256(
+            f"{job.digest}|{job.identity_fp}|{code_fingerprint()}".encode()
+        ).hexdigest()[:24]
+        ckpt = os.path.join(self.checkpoint_dir, f"{key}.json")
         request = job.base_request.merged(
             budget=budget,
             checkpoint=ckpt,
@@ -664,7 +659,6 @@ class AllocationServer:
                     "proven": report.proven,
                     "status": report.status,
                 },
-                job.digest,
                 allocation=(
                     allocation_to_dict(report.allocation)
                     if report.allocation is not None else None

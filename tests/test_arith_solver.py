@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arith import FALSE, TRUE, And, IntSolver, Not, Or
-from repro.arith.ast import Implies
+from repro.arith.ast import Iff, Implies
 
 
 class TestBasicArithmetic:
@@ -128,7 +128,7 @@ class TestBooleanStructure:
         s = IntSolver()
         x = s.int_var("x", 0, 10)
         b = s.bool_var("b")
-        s.require(b.iff(x >= 5))
+        s.require(Iff(b, x >= 5))
         s.require(Not(b))
         assert s.solve()
         assert s.value(x) < 5
@@ -188,7 +188,7 @@ class TestGuardsAndAssumptions:
         s = IntSolver()
         b = s.bool_var("b")
         x = s.int_var("x", 0, 4)
-        s.require(b.iff(x == 0))
+        s.require(Iff(b, x == 0))
         assert s.solve(assumptions=[Not(b)])
         assert s.value(x) != 0
 

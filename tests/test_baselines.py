@@ -243,9 +243,6 @@ class TestRunHeuristic:
         "annealing": (39, {"c0_t0": "p0", "c0_t1": "p3", "c0_t2": "p3",
                            "c0_t3": "p3", "c0_t4": "p3", "c1_t0": "p1",
                            "c1_t1": "p3"}),
-        "genetic": (39, {"c0_t0": "p0", "c0_t1": "p3", "c0_t2": "p3",
-                         "c0_t3": "p3", "c0_t4": "p3", "c1_t0": "p1",
-                         "c1_t1": "p2"}),
     }
 
     @pytest.fixture(scope="class")

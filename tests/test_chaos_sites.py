@@ -7,10 +7,7 @@ Covers, in order:
    live call site under ``src/repro``;
 2. fault-site semantics -- chaos_point / chaos_data, cross-process
    counting, the event log;
-3. checkpoints -- one record file per search, torn and failed saves,
-   and the read-only path for JSON checkpoints of earlier releases
-   (integrity envelope, generation fallback, quarantine, the typed
-   CheckpointCorrupt);
+3. checkpoints -- one record file per search, torn and failed saves;
 4. proof artifacts -- length-prefixed records, torn-tail detection,
    resume repair, quarantine (the append fault matrix shared with the
    fabric store lives in tests/test_records.py);
@@ -25,7 +22,6 @@ The end-to-end randomized sweep lives in tests/test_chaos_torture.py.
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 import multiprocessing
 import os
@@ -59,11 +55,7 @@ from repro.model import (
     TaskSet,
 )
 from repro.robust import SearchCheckpoint
-from repro.robust.checkpoint import (
-    MAGIC,
-    CheckpointCorrupt,
-    load_generations,
-)
+from repro.robust.checkpoint import MAGIC
 from repro.robust.records import RecordWriter
 
 
@@ -319,20 +311,6 @@ class TestFaultSites:
 # ---------------------------------------------------------------------------
 
 
-def _legacy_write(path, payload, generation):
-    """Write ``payload`` the way earlier releases did: one JSON document
-    under a SHA-256 integrity envelope (older generations were the same
-    documents renamed to ``.g1``/``.g2``)."""
-    blob = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode()
-    doc = dict(payload, integrity={
-        "schema": 1, "generation": generation,
-        "sha256": hashlib.sha256(blob).hexdigest(),
-    })
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
 def _started(left=0, right=9):
     return SearchCheckpoint(lower=0, upper=9, left=left, right=right,
                             feasible=True)
@@ -359,73 +337,9 @@ class TestCheckpointGenerations:
         back = SearchCheckpoint.load(path)
         assert (back.left, back.generation, back.load_reports) == (5, 5, [])
 
-    def test_fallback_to_older_generation(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        _legacy_write(f"{path}.g1", {"n": 1}, 1)
-        with open(path, "w") as fh:
-            fh.write('{"torn')  # newest damaged
-        payload, gen, reports = load_generations(path)
-        assert (payload["n"], gen) == (1, 1)
-        assert len(reports) == 1
-        assert "JSON" in reports[0].reason
-        assert reports[0].quarantined_to == f"{path}.quarantined"
-        assert os.path.exists(f"{path}.quarantined")
-
-    def test_bit_flip_fails_the_sha256(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        _legacy_write(path, {"n": 7}, 1)
-        doc = json.loads(open(path).read())
-        doc["n"] = 8  # valid JSON, silently altered payload
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        with pytest.raises(CheckpointCorrupt, match="sha256 mismatch"):
-            load_generations(path)
-
-    def test_all_generations_corrupt_raises_typed(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        for cand in (path, f"{path}.g1"):
-            with open(cand, "wb") as fh:
-                fh.write(b"\x00garbage")
-        with pytest.raises(CheckpointCorrupt) as ei:
-            SearchCheckpoint.load(path)
-        exc = ei.value
-        assert isinstance(exc, ValueError)  # legacy guards keep working
-        assert exc.path == path
-        assert len(exc.reports) == 2
-        assert all(r.quarantined_to for r in exc.reports)
-
     def test_missing_checkpoint_is_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_generations(str(tmp_path / "absent.json"))
-        with pytest.raises(FileNotFoundError):
             SearchCheckpoint.load(str(tmp_path / "absent.json"))
-
-    def test_legacy_envelope_free_file_still_loads(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        ck = SearchCheckpoint(lower=0, upper=9, left=2, right=5,
-                              feasible=True)
-        with open(path, "w") as fh:
-            json.dump(ck.to_dict(), fh)  # pre-envelope format
-        back = SearchCheckpoint.load(path)
-        assert (back.left, back.right) == (2, 5)
-        assert back.generation == 0
-
-    def test_search_checkpoint_survives_newest_corruption(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        _legacy_write(f"{path}.g1", _started(left=0).to_dict(), 1)
-        with open(path, "wb") as fh:
-            fh.write(b"not json at all")
-        back = SearchCheckpoint.load(path)
-        assert back.left == 0  # the older but intact generation
-        assert back.generation == 1
-        assert len(back.load_reports) == 1
-        # A resumed save keeps the generation counter monotonic and
-        # writes a record file.
-        back.save(path)
-        back.close()
-        assert SearchCheckpoint.load(path).generation == 2
-        with open(path, "rb") as fh:
-            assert fh.read(len(MAGIC)) == MAGIC
 
     def test_chaos_torn_checkpoint_write_falls_back(self, tmp_path):
         path = str(tmp_path / "ck.json")

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arith import IntSolver
-from repro.arith.ast import interning
+from repro.arith.ast import Iff, Implies, interning
 from repro.sat.reference import brute_force_sat
 
 # Fixed variable layout: three bounded integers, two free Booleans.
@@ -118,8 +118,8 @@ def build_bool(spec, ivars, bvars):
     if tag == "or":
         return a | b
     if tag == "implies":
-        return a.implies(b)
-    return a.iff(b)
+        return Implies(a, b)
+    return Iff(a, b)
 
 
 def eval_int(spec, ivals):

@@ -117,19 +117,6 @@ KEPT_WITHOUT_CALLER = {
     "request_sync": "blocking serve client (CI serve smoke)",
     "request_many_sync": "blocking pipelined serve client (CI)",
     "complete": "FabricReport verdict: every cell answered",
-    "remaining_seconds": "Budget introspection",
-    "raise_if_expired": "Budget check for cooperative callers",
-    "exact_for": "warm-cache entry check by system digest",
-    "critical_tasks": "sensitivity-analysis query",
-    "communication_pairs": "TaskSet query: (sender, receiver) pairs",
-    "utilization_on": "Task query: utilization on one ECU",
-    "is_hierarchical": "Architecture query: more than one medium",
-    "contains": "Range query",
-    "intersect": "Range operation",
-    "implies": "BoolExpr combinator method (a.implies(b))",
-    "iff": "BoolExpr combinator method (a.iff(b))",
-    "lit_var": "literal helper, the inverse of mklit",
-    "lit_sign": "literal helper, the inverse of mklit",
 }
 
 

@@ -1,0 +1,49 @@
+"""Metamorphic relations of the exact optimizer (monotone schedulable
+regions): raising one task's WCETs never lowers the proven optimum, and
+never makes an infeasible system feasible.
+
+The objective is the sum of response times, which moves with every
+WCET; a token-ring TRT optimum often does not.  Deadline shrinking is
+left out: deadline-monotonic priorities can reorder, so the sum of
+response times need not be monotone under it.  Utilization 1.2 gives
+feasible systems on the 3-ECU ring, 2.4 a mix of feasible and
+infeasible ones.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.core import Allocator, MinimizeSumResponseTimes
+from repro.model import TaskSet
+from repro.workloads import random_taskset, ring_architecture
+
+
+def _raised(tasks: TaskSet, index: int) -> TaskSet:
+    """``tasks`` with every WCET of task ``index`` raised by a quarter
+    (rounded up)."""
+    return TaskSet([
+        dataclasses.replace(t, wcet={p: -(-5 * w // 4)
+                                     for p, w in t.wcet.items()})
+        if i == index else t
+        for i, t in enumerate(tasks)
+    ], name=tasks.name)
+
+
+def _optimum(tasks, arch):
+    res = Allocator(tasks, arch).minimize(MinimizeSumResponseTimes())
+    assert res.proven and res.status in ("optimal", "infeasible")
+    return res
+
+
+@pytest.mark.parametrize("util", [1.2, 2.4])
+@pytest.mark.parametrize("seed", range(10))
+def test_raising_a_wcet_never_helps(util, seed):
+    arch = ring_architecture(3)
+    tasks = random_taskset(arch, 5, util, seed)
+    base = _optimum(tasks, arch)
+    raised = _optimum(_raised(tasks, seed % len(tasks)), arch)
+    if not base.feasible:
+        assert not raised.feasible
+    if raised.feasible:
+        assert base.feasible and base.cost <= raised.cost

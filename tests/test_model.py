@@ -114,13 +114,6 @@ class TestArchitecture:
         assert arch.common_medium("p1", "p2") == "k1"
         assert arch.common_medium("p1", "p4") is None
 
-    def test_is_hierarchical(self):
-        assert fig1_architecture().is_hierarchical()
-        flat = Architecture(
-            ecus=[Ecu("a"), Ecu("b")], media=[Medium("k", CAN, ("a", "b"))]
-        )
-        assert not flat.is_hierarchical()
-
 
 class TestPathClosures:
     def test_fig1_closures_exactly(self):
@@ -252,7 +245,6 @@ class TestTaskSet:
     def test_valid_set(self):
         ts = TaskSet(list(self._pair()))
         assert len(ts) == 2
-        assert ts.communication_pairs() == [("t1", "t2")]
 
     def test_unknown_target_rejected(self):
         t1 = Task("t1", 1000, {"a": 10}, 1000,

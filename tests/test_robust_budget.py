@@ -56,7 +56,6 @@ class TestBudgetAccounting:
         for _ in range(1000):
             assert not b.step(conflicts=1, decisions=1)
         assert not b.expired()
-        assert b.remaining_seconds() is None
 
     def test_start_is_idempotent(self):
         b = Budget(wall_seconds=100.0)
@@ -64,14 +63,6 @@ class TestBudgetAccounting:
         first = b._deadline
         b.start()
         assert b._deadline == first
-
-    def test_raise_if_expired(self):
-        b = Budget(max_conflicts=1)
-        b.raise_if_expired()  # fine while budget remains
-        b.step(conflicts=1)
-        with pytest.raises(BudgetExpired) as exc:
-            b.raise_if_expired()
-        assert "conflict budget" in exc.value.reason
 
 
 def _hard_instance():

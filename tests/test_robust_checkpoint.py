@@ -5,9 +5,9 @@ checkpoint on a *fresh* solver, reaches exactly the optimum an
 uninterrupted run would have -- with a model to show for it.
 """
 
+import hashlib
 import json
 import os
-import shutil
 import struct
 
 import pytest
@@ -23,8 +23,6 @@ from repro.robust.checkpoint import (
     canonical_blob,
 )
 from repro.robust.records import scan_file
-
-_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _solver():
@@ -282,69 +280,16 @@ class TestCheckpointMismatch:
 
 
 class TestRetiredProbeKeys:
-    """Checkpoints written while the parallel solve engine existed carry
-    its four probe fields (``speculative``/``hit``/``cancelled``/
-    ``group``).  ``tests/data/legacy_checkpoint.json`` is such a file:
-    written by commit 655c2b2 for the system next to it, interrupted by
-    a conflict budget at the interval [9, 10]."""
-
-    RETIRED = {"speculative", "hit", "cancelled", "group"}
-
-    def test_legacy_checkpoint_resumes_to_straight_envelope(self, tmp_path):
-        from repro.core import Allocator, MinimizeSumTRT
-        from repro.io import load_system
-
-        tasks, arch = load_system(
-            os.path.join(_DATA, "legacy_checkpoint_system.json")
-        )
-        path = str(tmp_path / "ck.json")
-        shutil.copy(os.path.join(_DATA, "legacy_checkpoint.json"), path)
-        legacy = SearchCheckpoint.load(path)
-        assert legacy.started and not legacy.finished
-        assert all(self.RETIRED <= set(p) for p in legacy.probes)
-
-        straight = Allocator(tasks, arch).minimize(
-            MinimizeSumTRT(), request=SolveRequest(certify=True)
-        )
-        resumed = Allocator(tasks, arch).minimize(
-            MinimizeSumTRT(),
-            request=SolveRequest(certify=True, checkpoint=path),
-        )
-        assert resumed.outcome.resumed
-        envelope = ("cost", "proven", "status")
-        assert {k: getattr(resumed, k) for k in envelope} == {
-            k: getattr(straight, k) for k in envelope
-        }
-        assert resumed.certified and resumed.verified
-        # The resumed run rewrites the checkpoint without the old keys.
-        assert not any(self.RETIRED & set(p)
-                       for p in SearchCheckpoint.load(path).probes)
-
-    @pytest.mark.parametrize("key, value", [
-        ("speculative", False), ("hit", None), ("cancelled", False),
-        ("group", -1),
-    ])
-    def test_each_retired_key_is_dropped_on_resume(self, key, value):
-        s, x = _solver()
-        probe = {"lo": 0, "hi": 1023, "sat": True, "cost": 40,
-                 "seconds": 0.0, "conflicts": 0, "decisions": 0,
-                 key: value}
-        ck = SearchCheckpoint(lower=0, upper=1023, left=0, right=40,
-                              feasible=True, probes=[probe])
-        out = bin_search(s, x, 0, 1023, checkpoint=ck)
-        assert out.resumed and out.proven
-        assert out.probes[0].cost == 40
-        assert not any(key in p for p in ck.probes)
+    """A resume rebuilds every recorded probe as a ``ProbeLog``: a probe
+    key it does not know is an error, never silently dropped."""
 
     def test_other_unknown_probe_keys_still_fail(self):
         s, x = _solver()
         probe = {"lo": 0, "hi": 1023, "sat": True, "cost": 40,
                  "seconds": 0.0, "conflicts": 0, "decisions": 0}
         ck = SearchCheckpoint(lower=0, upper=1023, left=37, right=40,
-                              feasible=True, probes=[
-                                  dict(probe, hit=None, group=-1),
-                                  dict(probe, bogus=1),
-                              ])
+                              feasible=True,
+                              probes=[probe, dict(probe, bogus=1)])
         with pytest.raises(TypeError, match="bogus"):
             bin_search(s, x, 0, 1023, checkpoint=ck)
 
@@ -575,106 +520,137 @@ class TestRecordCheckpoint:
         assert second == {"generation": 2, "left": 3, "probes": [{"n": 1}]}
 
 
-class TestLegacyGenerations:
-    """``tests/data/legacy_generations/`` is a generation-rotated JSON
-    checkpoint (``ck.json`` plus ``.g1``/``.g2``) written by the release
-    before record checkpoints, for the system next to it: three saves of
-    a sum-TRT search interrupted by a conflict budget at [24, 27]."""
+def _write_pre_record(path, payload, generation):
+    """Write ``payload`` as releases before record checkpoints did: one
+    JSON document under a SHA-256 integrity envelope (older generations
+    were the same documents renamed to ``.g1``/``.g2``)."""
+    blob = json.dumps(payload, sort_keys=True,
+                      separators=(",", ":")).encode()
+    doc = dict(payload, integrity={
+        "schema": 1, "generation": generation,
+        "sha256": hashlib.sha256(blob).hexdigest(),
+    })
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
 
-    SET = os.path.join(_DATA, "legacy_generations")
 
-    @pytest.fixture(scope="class")
-    def system(self):
+class TestCompatibilityHorizon:
+    """Only ``REPRO-CHECKPOINT v1`` record files resume.  A JSON
+    checkpoint of a release before record files is quarantined like any
+    damaged header, and its ``.g1`` generation is never read."""
+
+    @pytest.fixture
+    def pre_record(self, tmp_path):
+        """A system, and a JSON checkpoint (plus ``.g1``) holding a real
+        search state for it."""
+        from repro.cli import main
+        from repro.io import save_system
+        from tests.test_chaos_sites import tiny_system
+
+        system = str(tmp_path / "system.json")
+        save_system(*tiny_system(), system)
+        records = str(tmp_path / "records.ckpt")
+        assert main(["solve", system, "--objective", "trt:ring",
+                     "--checkpoint", records]) == 0
+        payload = SearchCheckpoint.load(records).to_dict()
+        os.remove(records)
+        path = str(tmp_path / "ck.json")
+        _write_pre_record(path, payload, 2)
+        _write_pre_record(f"{path}.g1", payload, 1)
+        with open(f"{path}.g1", "rb") as fh:
+            g1 = fh.read()
+        return system, path, g1
+
+    @staticmethod
+    def _opened(monkeypatch):
+        import builtins
+
+        seen, real_open = [], builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            seen.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        return seen
+
+    @staticmethod
+    def _assert_quarantined(path, g1, opened):
+        assert sorted(os.listdir(os.path.dirname(path))) == [
+            "ck.json.g1", "ck.json.quarantined", "system.json"]
+        assert f"{path}.g1" not in opened
+        with open(f"{path}.g1", "rb") as fh:
+            assert fh.read() == g1
+
+    def test_allocator_raises_typed_and_quarantines(self, pre_record,
+                                                    monkeypatch):
+        from repro.core import Allocator, MinimizeTRT
         from repro.io import load_system
 
-        return load_system(os.path.join(self.SET, "system.json"))
+        system, path, g1 = pre_record
+        tasks, arch = load_system(system)
+        opened = self._opened(monkeypatch)
+        with pytest.raises(CheckpointCorrupt) as exc:
+            Allocator(tasks, arch).minimize(
+                MinimizeTRT("ring"), request=SolveRequest(checkpoint=path))
+        assert exc.value.path == path
+        assert [r.quarantined_to for r in exc.value.reports] == [
+            f"{path}.quarantined"]
+        self._assert_quarantined(path, g1, opened)
 
-    @pytest.fixture(scope="class")
-    def straight(self, system):
-        from repro.core import Allocator, MinimizeSumTRT
-
-        res = Allocator(*system).minimize(MinimizeSumTRT())
-        return {"cost": res.cost, "proven": res.proven,
-                "status": res.status}
-
-    def _copy(self, tmp_path):
-        for name in ("ck.json", "ck.json.g1", "ck.json.g2"):
-            shutil.copy(os.path.join(self.SET, name), tmp_path / name)
-        return str(tmp_path / "ck.json")
-
-    def _resume(self, system, path):
-        from repro.core import Allocator, MinimizeSumTRT
-
-        res = Allocator(*system).minimize(
-            MinimizeSumTRT(), request=SolveRequest(checkpoint=path))
-        assert res.outcome.resumed
-        return {"cost": res.cost, "proven": res.proven,
-                "status": res.status}
-
-    def test_set_resumes_to_straight_envelope(self, system, straight,
-                                              tmp_path):
-        path = self._copy(tmp_path)
-        legacy = SearchCheckpoint.load(path)
-        assert (legacy.generation, legacy.left, legacy.right) == (3, 24, 27)
-        assert self._resume(system, path) == straight
-
-    def test_truncated_newest_generation_still_resumes(self, system,
-                                                       straight, tmp_path):
-        path = self._copy(tmp_path)
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        with open(path, "wb") as fh:
-            fh.write(blob[:len(blob) // 2])
-        assert self._resume(system, path) == straight
-        # The resume fell back to .g1 and quarantined the torn newest.
-        assert os.path.exists(f"{path}.quarantined")
-
-    def _tear_newest(self, tmp_path):
-        path = self._copy(tmp_path)
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        with open(path, "wb") as fh:
-            fh.write(blob[:len(blob) // 2])
-        # A load quarantines the torn newest file and falls back to .g1.
-        assert SearchCheckpoint.load(path).generation == 2
-        assert not os.path.exists(path)
-        return path
-
-    def test_quarantined_newest_generation_resumes_from_g1(
-            self, system, straight, tmp_path):
-        path = self._tear_newest(tmp_path)
-        assert self._resume(system, path) == straight
-
-    def test_cli_resume_after_quarantine_resumes_from_g1(self, tmp_path):
+    @pytest.mark.parametrize("extra", [[], ["--budget", "60"]])
+    def test_cli_resume_exits_1(self, pre_record, monkeypatch, extra):
         from repro.cli import main
 
-        path = self._tear_newest(tmp_path)
-        system = os.path.join(self.SET, "system.json")
-        assert main(["solve", system, "--objective", "sum_trt",
-                     "--checkpoint", path, "--resume"]) == 0
-        # The resumed search's first save follows .g1's two saves (a
-        # fresh search's would be generation 1).
-        assert scan_file(path, _FORMAT).records[0]["generation"] == 3
+        system, path, g1 = pre_record
+        opened = self._opened(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", system, "--objective", "trt:ring",
+                  "--checkpoint", path, "--resume", *extra])
+        # SystemExit with a message exits 1.
+        assert isinstance(exc.value.code, str)
+        assert exc.value.code.startswith(f"cannot resume from {path}: ")
+        self._assert_quarantined(path, g1, opened)
 
-    def test_resume_decides_on_any_surviving_file(self, tmp_path):
-        path = str(tmp_path / "ck.json")
+    @pytest.mark.parametrize("extra", [[], ["--budget", "60"]])
+    def test_cli_fresh_run_replaces_the_json_file(self, pre_record, extra):
+        from repro.cli import main
+
+        system, path, g1 = pre_record
+        assert main(["solve", system, "--objective", "trt:ring",
+                     "--checkpoint", path, *extra]) == 0
+        with open(path, "rb") as fh:
+            assert fh.read(len(MAGIC)) == MAGIC
+        assert SearchCheckpoint.load(path).finished
+        with open(f"{path}.g1", "rb") as fh:
+            assert fh.read() == g1
+
+    def test_resume_decides_on_the_file_alone(self, pre_record):
+        _, path, g1 = pre_record
+        os.remove(path)
+        # Only .g1 is left: nothing to resume, and .g1 stays as it is.
         fresh = SearchCheckpoint.resume(path)
         assert (fresh.path, fresh.generation, fresh.started) == (
             path, 0, False)
-        # With the newest file quarantined, .g1 is still resumed.
-        torn = self._tear_newest(tmp_path)
-        assert SearchCheckpoint.resume(torn).generation == 2
+        with open(f"{path}.g1", "rb") as fh:
+            assert fh.read() == g1
 
-    def test_first_save_after_legacy_resume_writes_records(
-            self, system, tmp_path):
-        path = self._copy(tmp_path)
-        self._resume(system, path)
-        with open(path, "rb") as fh:
-            assert fh.read(len(MAGIC)) == MAGIC
-        back = SearchCheckpoint.load(path)
-        assert back.finished and back.generation > 3
-        scan = scan_file(path, _FORMAT)
-        assert not scan.damaged
-        # The first record restates the whole resumed state.
-        assert scan.records[0]["generation"] == 4
-        assert len(scan.records[0]["probes"]) >= 3
+    def test_envelope_free_json_is_quarantined(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        ck = SearchCheckpoint(lower=0, upper=9, left=2, right=5,
+                              feasible=True)
+        with open(path, "w") as fh:
+            json.dump(ck.to_dict(), fh)  # the oldest format: no envelope
+        with pytest.raises(CheckpointCorrupt):
+            SearchCheckpoint.load(path)
+        assert os.listdir(tmp_path) == ["ck.json.quarantined"]
+
+    def test_short_foreign_header_is_quarantined(self, tmp_path):
+        # Shorter than the magic line but not a prefix of it: damaged,
+        # unlike a header cut short.
+        path = str(tmp_path / "ck.json")
+        with open(path, "wb") as fh:
+            fh.write(b"{}")
+        with pytest.raises(CheckpointCorrupt):
+            SearchCheckpoint.load(path)
+        assert os.listdir(tmp_path) == ["ck.json.quarantined"]

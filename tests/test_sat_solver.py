@@ -12,13 +12,11 @@ from repro.sat.solver import LUBY_BASE, luby
 
 class TestLiterals:
     def test_mklit_roundtrip(self):
-        from repro.sat.literals import lit_sign, lit_var
-
         for var in (0, 1, 7, 1000):
-            assert lit_var(mklit(var)) == var
-            assert lit_sign(mklit(var)) == 0
-            assert lit_var(mklit(var, True)) == var
-            assert lit_sign(mklit(var, True)) == 1
+            assert mklit(var) >> 1 == var
+            assert mklit(var) & 1 == 0
+            assert mklit(var, True) >> 1 == var
+            assert mklit(var, True) & 1 == 1
 
     def test_neg_involution(self):
         lit = mklit(5, True)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import Allocation, check_allocation
 from repro.analysis.sensitivity import (
-    critical_tasks,
     task_wcet_slack,
     wcet_scaling_margin,
 )
@@ -103,10 +102,14 @@ class TestTaskSlack:
 
 
 class TestCriticalTasks:
+    """A task is critical when it has no WCET slack left."""
+
     def test_fully_loaded_all_critical(self):
         ts, alloc = simple_alloc(100)
-        assert critical_tasks(ts, arch2(), alloc) == ["a", "b"]
+        assert [task_wcet_slack(ts, arch2(), alloc, n)
+                for n in ("a", "b")] == [0, 0]
 
     def test_light_load_none_critical(self):
         ts, alloc = simple_alloc(20)
-        assert critical_tasks(ts, arch2(), alloc) == []
+        assert all(task_wcet_slack(ts, arch2(), alloc, n) > 0
+                   for n in ("a", "b"))

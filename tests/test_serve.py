@@ -216,22 +216,20 @@ class TestBackendBreaker:
 class TestWarmCache:
     def test_store_then_hit(self):
         c = WarmCache(size=4)
-        c.store("s", "fp", 42, {"cost": 42}, "digest", code_fp="c1")
+        c.store("s", "fp", 42, {"cost": 42}, code_fp="c1")
         entry = c.lookup("s", "fp", code_fp="c1")
         assert entry is not None and entry.optimum == 42
-        assert entry.exact_for("digest")
-        assert not entry.exact_for("other")
 
     def test_code_fingerprint_change_misses(self):
         c = WarmCache(size=4)
-        c.store("s", "fp", 42, {}, "digest", code_fp="c1")
+        c.store("s", "fp", 42, {}, code_fp="c1")
         assert c.lookup("s", "fp", code_fp="c2") is None
         assert c.stats()["misses"] == 1
 
     def test_lru_eviction(self):
         c = WarmCache(size=2)
         for i in range(3):
-            c.store("s", f"fp{i}", i, {}, "d", code_fp="c")
+            c.store("s", f"fp{i}", i, {}, code_fp="c")
         assert c.lookup("s", "fp0", code_fp="c") is None
         assert c.lookup("s", "fp2", code_fp="c") is not None
 
@@ -243,7 +241,7 @@ class TestWarmCache:
         )
         c = WarmCache(size=4)
         with active(sched):
-            c.store("s", "fp", 42, {}, "d", code_fp="c")   # faulted: no-op
+            c.store("s", "fp", 42, {}, code_fp="c")   # faulted: no-op
             assert c.lookup("s", "fp", code_fp="c") is None  # faulted: miss
         assert c.stats()["faults"] == 2
         # Out of the chaos scope the cache works again (and is empty --

@@ -4,8 +4,10 @@
    legacy per-entry-point kwargs raise :class:`TypeError`.
 2. A request is validated when it is built: an unknown ``bounds_mode``
    raises :class:`ValueError` naming the allowed values instead of
-   silently solving as ``auto``, and ``reuse_learned=False`` with a
-   ``proof_log`` raises instead of silently writing no artifact.
+   silently solving as ``auto``, an unknown heuristic name raises
+   instead of failing as a last fallback stage, and
+   ``reuse_learned=False`` with a ``proof_log`` raises instead of
+   silently writing no artifact.
 3. ``reuse_learned`` is the only probe-mode selector: both modes run
    the one binary search to the same certified envelope.
 """
@@ -108,6 +110,19 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="bounds_mode"):
             SolveRequest().merged(bounds_mode=value)
 
+    @pytest.mark.parametrize("value", [("anealing",),
+                                       ("greedy", "genetic")])
+    def test_unknown_heuristic_rejected(self, value):
+        with pytest.raises(ValueError, match=f"heuristics names must be "
+                                             f"among greedy, annealing; "
+                                             f"got '{value[-1]}'"):
+            SolveRequest(objective=MinimizeSumTRT(), heuristics=value)
+        with pytest.raises(ValueError, match="heuristics"):
+            SolveRequest().merged(heuristics=value)
+        # Every known name, and none at all, is fine.
+        SolveRequest(heuristics=("annealing", "greedy"))
+        SolveRequest(heuristics=())
+
     def test_fresh_encodings_reject_a_proof_log(self):
         with pytest.raises(ValueError, match="proof_log needs "
                                              "reuse_learned=True"):
@@ -137,8 +152,8 @@ class TestRequestValidation:
 
 
 class TestRemovedKnobs:
-    """The parallel engine's and the portfolio's knobs, and the request
-    and encoder knobs no caller set, are gone without a shim: an old
+    """The parallel engine's and the portfolio's knobs, and the request,
+    encoder and server knobs no caller needed, are gone without a shim: an old
     keyword fails with the dataclass's own TypeError, an old CLI flag
     with argparse's usage error."""
 
@@ -167,6 +182,14 @@ class TestRemovedKnobs:
         # The encoder always does what these knobs' defaults did.
         with pytest.raises(TypeError, match=field):
             EncoderConfig(**{field: value})
+
+    def test_removed_serve_knob_raises_type_error(self, tmp_path):
+        # The server always persists checkpoints: drain and resume
+        # need them.
+        from repro.serve import ServeConfig
+
+        with pytest.raises(TypeError, match="keep_checkpoints"):
+            ServeConfig(state_dir=str(tmp_path), keep_checkpoints=False)
 
     @pytest.mark.parametrize("argv", [
         ["--speculate", "2"],
