@@ -1,0 +1,172 @@
+"""Encode-stage split: where one encoding's wall time goes.
+
+Shapes: the four ``serve-replay`` scenarios (``trt:ring`` on 4-6 ECU
+rings), table 1 (43 tasks on the 8-ECU token ring) and table 4's
+Arch B (43 tasks, sum of TRTs).  Each shape is encoded ``REPEATS``
+times and the fastest repeat is kept.  Its wall time runs from
+``Allocator._encode`` (``ProblemEncoding`` plus the objective) until
+every buffered clause is in the SAT engine, and is split into the
+``EncodeStats`` stages -- simplify, triplet, bit-blast, clause load --
+and the model-building rest.  Each shape also records its
+``Solver.add_clauses`` calls, clauses and variables; the file records
+the git sha and the SAT backend.  Results land in
+``benchmarks/out/BENCH_encode.json``.
+
+Only clause counts are asserted (equal to the pins); the load counts
+and timings are recorded, never asserted.  The load bound is checked
+once, in ``tests/test_encode_regression.py::TestDeferredLoading``.
+Table 1 and Arch B build paper-size formulas (about 450k and 680k
+clauses); a run takes about 30 s.
+
+``python benchmarks/test_encode_split.py BEFORE.json AFTER.json``
+renders two such files as the markdown table EXPERIMENTS.md quotes.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+REPEATS = 5
+
+#: Arch B's encode-time target (ROADMAP item 1), in seconds.
+ARCH_B_TARGET_S = 1.0
+
+#: shape -> clauses: the encodings' exact sizes.
+PINS = {
+    "ring4-t14": 77506,
+    "ring5-t16": 97919,
+    "ring6-t16": 95606,
+    "ring5-t10": 40522,
+    "table1": 446707,
+    "arch-b": 678581,
+}
+
+STAGES = ("simplify", "triplet", "blast", "load", "rest")
+
+
+def _shape(name: str):
+    from repro.core import MinimizeTRT
+    from repro.core.objectives import MinimizeSumTRT
+    from repro.workloads import (
+        architecture_b,
+        tindell_architecture,
+        tindell_partition,
+    )
+    from repro.workloads.scaling import ring_architecture, scaling_taskset
+
+    if name == "table1":
+        return tindell_partition(43), tindell_architecture(), \
+            MinimizeTRT("ring")
+    if name == "arch-b":
+        return tindell_partition(43), architecture_b(), MinimizeSumTRT()
+    ecus, tasks = name[4:].split("-t")
+    return (scaling_taskset(int(ecus), int(tasks)),
+            ring_architecture(int(ecus)), MinimizeTRT("ring"))
+
+
+def _encode_once(name: str, loads: list) -> dict:
+    from repro.core import Allocator
+
+    tasks, arch, objective = _shape(name)
+    gc.collect()
+    del loads[:]
+    t0 = time.perf_counter()
+    enc, *_ = Allocator(tasks, arch)._encode(objective)
+    sat = enc.solver.sat  # loads whatever the blaster still buffers
+    wall = time.perf_counter() - t0
+    st = enc.solver.encode_stats()
+    seconds = {
+        "simplify": st.t_simplify, "triplet": st.t_triplet,
+        "blast": st.t_blast, "load": st.t_load,
+        "rest": wall - st.t_total,
+    }
+    return {
+        "wall_s": round(wall, 4),
+        "stages_s": {k: round(v, 4) for k, v in seconds.items()},
+        "add_clauses_calls": len(loads),
+        "clauses": sat.num_clauses(),
+        "vars": sat.nvars,
+        "gates": st.gates,
+        "backend": sat.core.name,
+    }
+
+
+def _git_sha() -> str | None:
+    """HEAD's sha, with ``-dirty`` when tracked files under ``src/``
+    differ from it (the measured code is not HEAD's)."""
+    root = Path(__file__).resolve().parent.parent
+    if not (root / ".git").exists():
+        return None
+    try:
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
+                              capture_output=True, text=True, timeout=10)
+        diff = subprocess.run(["git", "status", "--porcelain",
+                               "--untracked-files=no", "src"], cwd=root,
+                              capture_output=True, text=True, timeout=10)
+    except OSError:
+        return None
+    if head.returncode != 0:
+        return None
+    return head.stdout.strip() + ("-dirty" if diff.stdout.strip() else "")
+
+
+def test_encode_split(record_json, monkeypatch):
+    from repro.sat.solver import Solver
+
+    loads: list = []
+    load = Solver.add_clauses
+
+    def counting(self, buf, new_vars=0):
+        loads.append(len(buf))
+        return load(self, buf, new_vars)
+
+    monkeypatch.setattr(Solver, "add_clauses", counting)
+    shapes = {}
+    for name in PINS:
+        runs = [_encode_once(name, loads) for _ in range(REPEATS)]
+        shapes[name] = min(runs, key=lambda r: r["wall_s"])
+    backends = {r.pop("backend") for r in shapes.values()}
+    arch_b = shapes["arch-b"]["wall_s"]
+    record_json("encode", {
+        "git_sha": _git_sha(),
+        "backend": backends.pop() if len(backends) == 1 else None,
+        "repeats": REPEATS,
+        "shapes": shapes,
+        "arch_b_target_s": ARCH_B_TARGET_S,
+        "arch_b_meets_target": arch_b <= ARCH_B_TARGET_S,
+    })
+    for name, clauses in PINS.items():
+        assert shapes[name]["clauses"] == clauses, (
+            name, shapes[name]["clauses"])
+
+
+def render(before: dict, after: dict) -> str:
+    """Markdown table of two ``BENCH_encode.json`` payloads, stage by
+    stage (seconds of the fastest repeat) with the load counts."""
+    head = ("| shape | run | wall | " + " | ".join(STAGES)
+            + " | loads | clauses |")
+    rows = [head, "|" + "---|" * (len(STAGES) + 5)]
+    for name in after["shapes"]:
+        for label, doc in (("before", before), ("after", after)):
+            cell = doc["shapes"].get(name)
+            if cell is None:
+                continue
+            sha = doc.get("git_sha") or "?"
+            sha = sha[:7] + ("-dirty" if sha.endswith("-dirty") else "")
+            stages = " | ".join(f"{cell['stages_s'][k]:.3f}"
+                                for k in STAGES)
+            rows.append(
+                f"| {name} | {label} `{sha}` | {cell['wall_s']:.3f} | "
+                f"{stages} | {cell['add_clauses_calls']} | "
+                f"{cell['clauses']} |")
+    return "\n".join(rows)
+
+
+if __name__ == "__main__":
+    docs = [json.loads(Path(p).read_text()) for p in sys.argv[1:3]]
+    print(render(*docs))

@@ -34,12 +34,14 @@ counter and appends each gate's clauses as ``[size, lit0, lit1, ...]``
 records to one flat ``array('i')``.  :meth:`Blaster.flush` hands that
 buffer to :meth:`repro.sat.solver.Solver.add_clauses`, which reserves
 the variables in one bulk step and loads every record in one compiled
-pass; the caller (:class:`repro.arith.solver.IntSolver`) flushes at the
-end of each of its operations.  When ``pb_mode`` is enabled the
-full-adder axioms are emitted as the paper's pseudo-Boolean pair
-``2*cout + s = x + y + cin`` (section 5.1's PB formulation) instead of
-CNF; the buffer is flushed before each such PB constraint so clause and
-PB order are exactly those of unbuffered emission.
+pass.  The buffer keeps growing across the caller's operations; the
+caller (:class:`repro.arith.solver.IntSolver`) flushes when the engine
+is read and around labelled constraints, about once per encoding.  When
+``pb_mode`` is enabled the full-adder axioms are emitted as the paper's
+pseudo-Boolean pair ``2*cout + s = x + y + cin`` (section 5.1's PB
+formulation) instead of CNF; the buffer is flushed before each such PB
+constraint so clause and PB order are exactly those of unbuffered
+emission.
 """
 
 from __future__ import annotations
@@ -123,11 +125,19 @@ class Blaster:
         """Buffer one clause (loaded by the next :meth:`flush`)."""
         self._emit([len(lits), *lits])
 
+    @property
+    def pending(self) -> bool:
+        """Whether buffered records or unreserved variables wait for
+        :meth:`flush`."""
+        return bool(self._buf) or self._next_var > self.solver.nvars
+
     def rebase(self) -> None:
         """Number new variables after the solver's current last one, so
         variables the solver handed out elsewhere since the last
-        :meth:`flush` are never reused.  Call with nothing pending."""
-        self._next_var = self._head = self.solver.nvars
+        :meth:`flush` are never reused.  Does nothing while anything is
+        pending: the pending numbers already follow the solver's."""
+        if not self.pending:
+            self._next_var = self._head = self.solver.nvars
 
     def flush(self) -> None:
         """Reserve the pending variables and load the buffered clauses.

@@ -11,17 +11,20 @@ guard literal and solves with that guard assumed, so learnt clauses carry
 over to later probes (the section 7 speedup) while expired bounds are
 simply never assumed again.
 
-The blaster buffers every clause it emits; each public operation here
-(:meth:`IntSolver.require`, :meth:`IntSolver.literal`,
-:meth:`IntSolver.boost`, and the variable lookups of ``solve`` and
-``value_bool``) ends by flushing that buffer into the SAT engine, so
-between operations the engine always holds the whole formula.
+The blaster buffers every clause it emits, and the buffer keeps growing
+across :meth:`IntSolver.require` and :meth:`IntSolver.literal` calls:
+an encoding of a few hundred constraints reaches the SAT engine in one
+clause load.  :attr:`IntSolver.sat` is the one door to the engine; it
+loads whatever is still buffered before handing the engine out, so
+every reader (``solve``, proof logging, PB side constraints, formula
+sizes, diagnosis) sees the whole formula.  A labelled ``require`` loads
+its own clauses inside :meth:`repro.sat.solver.Solver.tagged`, so each
+clause keeps its provenance tag.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 
 from repro.arith.ast import BoolExpr, BoolVar, IntVar, intern_counters
 from repro.arith.bitblast import Blaster
@@ -53,9 +56,9 @@ class IntSolver:
         simplify: bool = True,
         narrow_bits: bool = True,
     ):
-        self.sat = Solver()
+        self._sat = Solver()
         self.trip = Tripletizer(simplify=simplify)
-        self.blaster = Blaster(self.sat, pb_mode=pb_mode,
+        self.blaster = Blaster(self._sat, pb_mode=pb_mode,
                                narrow_bits=narrow_bits)
         # Share the range cache between the two stages.
         self.blaster.range_cache = self.trip.range_cache
@@ -68,6 +71,14 @@ class IntSolver:
         # Hash-consing counters are process-global; remember the baseline
         # so encode_stats() reports this solver's own traffic.
         self._intern_base = intern_counters()
+
+    @property
+    def sat(self) -> Solver:
+        """The SAT engine, holding the whole formula: clauses the blaster
+        still buffers are loaded first (under the tag active now)."""
+        if self.blaster.pending:
+            self.blaster.flush()
+        return self._sat
 
     # ------------------------------------------------------------------
     # Declarations
@@ -99,49 +110,50 @@ class IntSolver:
         formula: BoolExpr,
         guard: BoolVar | None = None,
         label: str | None = None,
-    ) -> bool:
+    ) -> None:
         """Assert ``formula`` (or ``guard -> formula``).
 
-        Returns False when the problem became unsatisfiable at the top
-        level (without any guard).  ``label`` tags every clause the
+        The clauses stay buffered until the engine is next read through
+        :attr:`sat`; ``sat.ok`` then says whether the problem became
+        unsatisfiable at the top level.  ``label`` tags every clause the
         assertion generates with a provenance string (see
         :meth:`repro.sat.solver.Solver.tagged`), so unsat-core diagnosis
-        can name the model constraint behind each learnt fact.
+        can name the model constraint behind each learnt fact; a
+        labelled assertion is loaded on the spot, inside its tag (also
+        when it raises).
         """
-        with self.sat.tagged(label), self._batch() as blaster:
-            t0 = time.perf_counter()
-            root = self.trip.transform(formula)
-            self._t_triplet += time.perf_counter() - t0
-            self._flush_new_defs()
-            if guard is None:
-                if root == TOK_FALSE:
-                    # Empty clause rather than a bare ok=False so proof
-                    # logging records the contradiction as an input.
-                    blaster.emit_clause([])
-                elif root != TOK_TRUE:
-                    blaster.emit_clause([blaster.token_lit(root)])
-            else:
-                gtok = self.trip.token_for_boolvar(guard)
-                glit = blaster.token_lit(gtok)
-                if root == TOK_FALSE:
-                    blaster.emit_clause([neg(glit)])
-                elif root != TOK_TRUE:
-                    blaster.emit_clause([neg(glit), blaster.token_lit(root)])
-        return self.sat.ok
+        if label is None:
+            self._require(formula, guard)
+            return
+        with self.sat.tagged(label):
+            try:
+                self._require(formula, guard)
+            finally:
+                self.blaster.flush()
 
-    @contextmanager
-    def _batch(self):
-        """Scope of one operation's gate requests: number new variables
-        after the engine's current ones, and flush the blaster's buffer
-        into the engine on the way out (also when the operation raises,
-        so the engine never lags the blaster's gate caches)."""
-        self.blaster.rebase()
-        try:
-            yield self.blaster
-        finally:
-            self.blaster.flush()
+    def _require(self, formula: BoolExpr, guard: BoolVar | None) -> None:
+        blaster = self.blaster
+        blaster.rebase()
+        t0 = time.perf_counter()
+        root = self.trip.transform(formula)
+        self._t_triplet += time.perf_counter() - t0
+        self._blast_new_defs()
+        if guard is None:
+            if root == TOK_FALSE:
+                # Empty clause rather than a bare ok=False so proof
+                # logging records the contradiction as an input.
+                blaster.emit_clause([])
+            elif root != TOK_TRUE:
+                blaster.emit_clause([blaster.token_lit(root)])
+        else:
+            gtok = self.trip.token_for_boolvar(guard)
+            glit = blaster.token_lit(gtok)
+            if root == TOK_FALSE:
+                blaster.emit_clause([neg(glit)])
+            elif root != TOK_TRUE:
+                blaster.emit_clause([neg(glit), blaster.token_lit(root)])
 
-    def _flush_new_defs(self) -> None:
+    def _blast_new_defs(self) -> None:
         """Bit-blast the Tripletizer's new definitions into the buffer
         (``t_blast``; PB-mode loads inside it count as ``t_load``)."""
         t0 = time.perf_counter()
@@ -174,8 +186,8 @@ class IntSolver:
         (a :class:`repro.robust.budget.Budget`) makes the underlying CDCL
         search interruptible; see :meth:`repro.sat.solver.Solver.solve`.
         """
-        with self._batch():
-            lits = [self._assumption_lit(a) for a in assumptions or []]
+        self.blaster.rebase()
+        lits = [self._assumption_lit(a) for a in assumptions or []]
         return self.sat.solve(assumptions=lits, budget=budget)
 
     def _assumption_lit(self, expr: BoolExpr) -> int:
@@ -199,12 +211,12 @@ class IntSolver:
         engine-level pseudo-Boolean constraints over formula truth values
         (e.g. per-ECU memory capacities).
         """
-        with self._batch() as blaster:
-            t0 = time.perf_counter()
-            tok = self.trip.transform(formula)
-            self._t_triplet += time.perf_counter() - t0
-            self._flush_new_defs()
-            return blaster.token_lit(tok)
+        self.blaster.rebase()
+        t0 = time.perf_counter()
+        tok = self.trip.transform(formula)
+        self._t_triplet += time.perf_counter() - t0
+        self._blast_new_defs()
+        return self.blaster.token_lit(tok)
 
     def boost(self, var, amount: float = 1.0) -> None:
         """Seed VSIDS activity for a declared variable's SAT bits.
@@ -215,12 +227,12 @@ class IntSolver:
         """
         if not isinstance(var, (BoolVar, IntVar)):
             raise TypeError(f"cannot boost {var!r}")
-        with self._batch() as blaster:
-            if isinstance(var, BoolVar):
-                tok = self.trip.token_for_boolvar(var)
-                lits = [blaster.token_lit(tok)]
-            else:
-                lits = blaster.vector(var)
+        blaster = self.blaster
+        blaster.rebase()
+        if isinstance(var, BoolVar):
+            lits = [blaster.token_lit(self.trip.token_for_boolvar(var))]
+        else:
+            lits = blaster.vector(var)
         self.sat.boost_activity([l >> 1 for l in lits], amount)
 
     def value(self, var: IntVar) -> int:
@@ -264,8 +276,8 @@ class IntSolver:
 
     def value_bool(self, var: BoolVar) -> bool:
         """Value of a Boolean variable in the last model."""
-        with self._batch() as blaster:
-            lit = blaster.token_lit(self.trip.token_for_boolvar(var))
+        self.blaster.rebase()
+        lit = self.blaster.token_lit(self.trip.token_for_boolvar(var))
         return self.sat.model_value(lit)
 
     # ------------------------------------------------------------------
@@ -279,11 +291,12 @@ class IntSolver:
     def formula_size(self) -> dict:
         """Boolean variable / literal counts of the generated formula,
         mirroring the complexity metrics of the paper's tables 1-3."""
+        sat = self.sat
         return {
-            "bool_vars": self.sat.nvars,
-            "literals": self.sat.num_literals(),
-            "clauses": self.sat.num_clauses(),
-            "pb_constraints": self.sat.num_pbs(),
+            "bool_vars": sat.nvars,
+            "literals": sat.num_literals(),
+            "clauses": sat.num_clauses(),
+            "pb_constraints": sat.num_pbs(),
         }
 
     def encode_stats(self) -> EncodeStats:
@@ -291,6 +304,7 @@ class IntSolver:
         hash-consing traffic since this solver was created, simplifier
         and Tripletizer counters, blaster gate statistics, and the final
         formula sizes with per-stage wall time."""
+        sat = self.sat  # loads what is still buffered, timed as t_load
         ic = intern_counters()
         trip = self.trip
         simp = trip.simplifier
@@ -313,10 +327,10 @@ class IntSolver:
             gates=blaster.gates,
             gate_cache_hits=blaster.gate_hits,
             narrowed_bits=blaster.narrowed_bits,
-            cnf_vars=self.sat.nvars,
-            cnf_clauses=self.sat.num_clauses(),
-            cnf_literals=self.sat.num_literals(),
-            pb_constraints=self.sat.num_pbs(),
+            cnf_vars=sat.nvars,
+            cnf_clauses=sat.num_clauses(),
+            cnf_literals=sat.num_literals(),
+            pb_constraints=sat.num_pbs(),
             t_simplify=t_simplify,
             t_triplet=t_triplet,
             t_blast=self._t_blast,

@@ -152,7 +152,8 @@ class TestBooleanStructure:
 
     def test_require_false_unsat(self):
         s = IntSolver()
-        assert not s.require(FALSE)
+        s.require(FALSE)
+        assert s.sat.ok is False
         assert not s.solve()
 
     def test_contradictory_formula(self):
@@ -209,6 +210,70 @@ class TestGuardsAndAssumptions:
         s.require(x != 3)
         s.require(x != 4)
         assert not s.solve()
+
+
+class TestDeferredLoading:
+    """Clauses stay in the blaster's buffer until the engine is read
+    through ``IntSolver.sat``; a labelled ``require`` loads its own."""
+
+    @staticmethod
+    def _fail_second_cmp(monkeypatch):
+        from repro.arith.bitblast import Blaster
+
+        seen = []
+        blast = Blaster.encode_cmp_def
+
+        def failing(self, d):
+            seen.append(d)
+            if len(seen) == 2:
+                raise RuntimeError("injected blast failure")
+            return blast(self, d)
+
+        monkeypatch.setattr(Blaster, "encode_cmp_def", failing)
+
+    def test_requires_load_when_the_engine_is_read(self):
+        s = IntSolver()
+        x = s.int_var("x", 0, 20)
+        s.require(x >= 3)
+        s.require(x <= 4)
+        engine = s.blaster.solver
+        assert s.blaster.pending and engine.num_clauses() == 0
+        assert s.formula_size()["clauses"] == engine.num_clauses() > 0
+        assert not s.blaster.pending
+        assert s.solve() and 3 <= s.value(x) <= 4
+
+    def test_raising_require_is_loaded_by_the_next_solve(self, monkeypatch):
+        s = IntSolver()
+        x = s.int_var("x", 0, 20)
+        y = s.int_var("y", 0, 20)
+        s.require(x + y == 12)
+        self._fail_second_cmp(monkeypatch)
+        with pytest.raises(RuntimeError, match="injected"):
+            s.require(Or(x == 1, y == 1))
+        monkeypatch.undo()
+        assert s.blaster.pending
+        s.require(x * y == 35)
+        assert s.solve()
+        assert not s.blaster.pending
+        assert s.sat.nvars == s.blaster._next_var
+        assert sorted([s.value(x), s.value(y)]) == [5, 7]
+
+    def test_raising_labelled_require_loads_under_its_tag(self,
+                                                          monkeypatch):
+        s = IntSolver()
+        x = s.int_var("x", 0, 20)
+        y = s.int_var("y", 0, 20)
+        s.require(x + y == 12)
+        self._fail_second_cmp(monkeypatch)
+        with pytest.raises(RuntimeError, match="injected"):
+            s.require(Or(x == 1, y == 1), label="broken")
+        monkeypatch.undo()
+        assert not s.blaster.pending
+        tags = s.sat.tag_counts()
+        assert tags.get("broken", 0) > 0
+        untagged = s.sat.num_clauses() - sum(tags.values())
+        assert untagged > 0  # x + y == 12, loaded before the tag opened
+        assert s.solve() and s.value(x) + s.value(y) == 12
 
 
 class TestAgainstBruteForce:

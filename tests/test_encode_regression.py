@@ -213,3 +213,65 @@ class TestSearchIdentity:
         assert outcome.optimum == 246 and outcome.proven
         assert sat.stats.conflicts == SEARCH_CONFLICTS
         assert h.hexdigest() == SEARCH_DIGEST
+
+
+# SHA-256 of the provenance tag map (``Solver.cla_tag``: clause id ->
+# label) an encoding leaves in the engine, recorded while every
+# ``IntSolver`` operation still loaded its own clauses.  Deferring the
+# loads to one per encoding must keep every clause's tag: a labelled
+# ``require`` loads its own records inside its tag.
+TAG_DIGESTS = {
+    ("table4-arch-a", False): (
+        27135,
+        "bfbaf5a3b1849c2d998737d5ab28d4e4b0072a8b2bf8d1e49663103609725b35"),
+    ("table4-arch-a", True): (
+        27178,
+        "77cd66032447fd083c7cf1b4fa2c6b7710bdc4a81499aa294fa4012d7f116c55"),
+    ("ring5-t10", False): (
+        18723,
+        "eff4d630e8a6a13bb1f40339eb979c6bfe6edaee43feaf462033bff8241328ed"),
+    ("ring5-t10", True): (
+        18754,
+        "d9de4de482694ac81b1993cb1dfb54b910c6c43240e9e73bda99b3177348e454"),
+}
+
+#: ``Solver.add_clauses`` calls of one ring6-t16 encoding: 889 while
+#: every ``IntSolver`` operation loaded its own clauses, 107 with one
+#: load per encoding plus about two per labelled ``require`` (what was
+#: pending before its tag opened, then its own records).
+RING6_T16_MAX_LOADS = 110
+
+
+class TestDeferredLoading:
+    @pytest.mark.parametrize("name,diagnostics", sorted(TAG_DIGESTS))
+    def test_provenance_tags_are_pinned(self, name, diagnostics):
+        import json
+
+        from repro.core import Allocator
+
+        tasks, arch, objective = _digest_system(name)
+        enc, *_ = Allocator(
+            tasks, arch, EncoderConfig(diagnostics=diagnostics)
+        )._encode(objective)
+        tags = enc.solver.sat.cla_tag
+        digest = hashlib.sha256(
+            json.dumps(sorted(tags.items())).encode()).hexdigest()
+        assert (len(tags), digest) == TAG_DIGESTS[name, diagnostics]
+
+    def test_one_encoding_loads_in_few_calls(self, monkeypatch):
+        from repro.core import Allocator
+        from repro.sat.solver import Solver
+
+        calls = []
+        load = Solver.add_clauses
+
+        def counting(self, buf, new_vars=0):
+            calls.append(len(buf))
+            return load(self, buf, new_vars)
+
+        monkeypatch.setattr(Solver, "add_clauses", counting)
+        tasks, arch, objective = _digest_system("ring6-t16")
+        enc, *_ = Allocator(tasks, arch)._encode(objective)
+        assert _db_digest(enc.solver.sat) == ENCODING_DIGESTS["ring6-t16"]
+        assert len(calls) <= RING6_T16_MAX_LOADS, len(calls)
+        assert not enc.solver.blaster.pending
