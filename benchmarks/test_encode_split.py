@@ -12,18 +12,27 @@ and the model-building rest.  Each shape also records its
 the git sha and the SAT backend.  Results land in
 ``benchmarks/out/BENCH_encode.json``.
 
+The four served shapes also record the ``replay`` stage of an
+encoding template (:mod:`repro.core.template`): the fastest of
+``REPEATS`` parameter-mode encodings of the shape, the bytes of the
+template it records, and the fastest of ``REPEATS`` replays of that
+template for the shape with its first task's WCETs raised by one (the
+served warm hit), WCET units included, until the engine holds the
+formula.
+
 Only clause counts are asserted (equal to the pins); the load counts
 and timings are recorded, never asserted.  The load bound is checked
 once, in ``tests/test_encode_regression.py::TestDeferredLoading``.
 Table 1 and Arch B build paper-size formulas (about 450k and 680k
-clauses); a run takes about 30 s.
+clauses); a run takes about 40 s.
 
 ``python benchmarks/test_encode_split.py BEFORE.json AFTER.json``
-renders two such files as the markdown table EXPERIMENTS.md quotes.
+renders two such files as the markdown tables EXPERIMENTS.md quotes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import subprocess
@@ -44,6 +53,14 @@ PINS = {
     "ring5-t10": 40522,
     "table1": 446707,
     "arch-b": 678581,
+}
+
+#: served shape -> clauses of its parameter-mode encoding.
+PARAM_PINS = {
+    "ring4-t14": 81575,
+    "ring5-t16": 102502,
+    "ring6-t16": 99862,
+    "ring5-t10": 42368,
 }
 
 STAGES = ("simplify", "triplet", "blast", "load", "rest")
@@ -96,6 +113,48 @@ def _encode_once(name: str, loads: list) -> dict:
     }
 
 
+def _warm_variant(tasks):
+    """The shape with its first task's WCETs raised by one."""
+    from repro.model.task import TaskSet
+
+    out = [dataclasses.replace(t, wcet={k: v + 1 for k, v in t.wcet.items()})
+           if j == 0 else t for j, t in enumerate(tasks)]
+    return TaskSet(out, name=tasks.name)
+
+
+def _replay_stage(name: str) -> dict:
+    """Parameter-mode encode, template bytes, and template replay."""
+    from repro.core import Allocator
+    from repro.core.template import TemplateSlot, template_shape
+
+    tasks, arch, objective = _shape(name)
+    variant = _warm_variant(tasks)
+    alloc, warm = Allocator(tasks, arch), Allocator(variant, arch)
+    shape = template_shape(tasks, arch, objective, alloc.config)
+    assert shape == template_shape(variant, arch, objective, warm.config)
+
+    def timed(allocator, slot):
+        gc.collect()
+        t0 = time.perf_counter()
+        enc, *_ = allocator._encode(objective, slot, shape)
+        sat = enc.solver.sat
+        return time.perf_counter() - t0, enc, sat
+
+    encodes = [timed(alloc, TemplateSlot()) for _ in range(REPEATS)]
+    slot = TemplateSlot()
+    timed(alloc, slot)
+    replays = [timed(warm, slot) for _ in range(REPEATS)]
+    assert all(enc.encode_stats()["template_replays"] == 1
+               for _, enc, _ in replays)
+    return {
+        "param_wall_s": round(min(w for w, _, _ in encodes), 4),
+        "param_clauses": encodes[0][2].num_clauses(),
+        "param_vars": encodes[0][2].nvars,
+        "template_bytes": slot.template.nbytes,
+        "replay_wall_s": round(min(w for w, _, _ in replays), 4),
+    }
+
+
 def _git_sha() -> str | None:
     """HEAD's sha, with ``-dirty`` when tracked files under ``src/``
     differ from it (the measured code is not HEAD's)."""
@@ -130,6 +189,8 @@ def test_encode_split(record_json, monkeypatch):
     for name in PINS:
         runs = [_encode_once(name, loads) for _ in range(REPEATS)]
         shapes[name] = min(runs, key=lambda r: r["wall_s"])
+    for name in PARAM_PINS:
+        shapes[name]["replay"] = _replay_stage(name)
     backends = {r.pop("backend") for r in shapes.values()}
     arch_b = shapes["arch-b"]["wall_s"]
     record_json("encode", {
@@ -143,6 +204,9 @@ def test_encode_split(record_json, monkeypatch):
     for name, clauses in PINS.items():
         assert shapes[name]["clauses"] == clauses, (
             name, shapes[name]["clauses"])
+    for name, clauses in PARAM_PINS.items():
+        assert shapes[name]["replay"]["param_clauses"] == clauses, (
+            name, shapes[name]["replay"]["param_clauses"])
 
 
 def render(before: dict, after: dict) -> str:
@@ -167,6 +231,30 @@ def render(before: dict, after: dict) -> str:
     return "\n".join(rows)
 
 
+def render_replay(doc: dict) -> str:
+    """Markdown table of one payload's template stage: concrete and
+    parameter-mode encode, template bytes and replay, per served
+    shape."""
+    sha = doc.get("git_sha") or "?"
+    sha = sha[:7] + ("-dirty" if sha.endswith("-dirty") else "")
+    rows = [f"| shape (`{sha}`) | encode | parameter-mode encode | "
+            "template | replay | clauses, concrete → parameter mode |",
+            "|---|---|---|---|---|---|"]
+    for name, cell in doc["shapes"].items():
+        rep = cell.get("replay")
+        if rep is None:
+            continue
+        rows.append(
+            f"| {name} | {cell['wall_s']:.3f} s | "
+            f"{rep['param_wall_s']:.3f} s | "
+            f"{rep['template_bytes'] / 2**20:.2f} MiB | "
+            f"{rep['replay_wall_s']:.3f} s | "
+            f"{cell['clauses']} → {rep['param_clauses']} |")
+    return "\n".join(rows)
+
+
 if __name__ == "__main__":
     docs = [json.loads(Path(p).read_text()) for p in sys.argv[1:3]]
     print(render(*docs))
+    print()
+    print(render_replay(docs[-1]))

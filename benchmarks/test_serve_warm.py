@@ -8,6 +8,8 @@ scenario re-audits the cached allocation with the *independent*
 analysis -- if it still passes, its recomputed cost is a sound,
 known-achievable upper bound and the binary search collapses to a
 single ``UNSAT(cost - 1)`` fence probe (see ``docs/SERVING.md``).
+The warm request also skips encoding: it replays the scenario's
+encoding template and fixes the raised WCETs with unit clauses.
 
 This benchmark drives both paths through the real
 :class:`repro.serve.AllocationServer`:

@@ -145,15 +145,20 @@ class Blaster:
         Variables allocated before the first buffered record are reserved
         first and the rest after the solver drops to level 0 -- the order
         one ``new_var``/``add_clause`` call per request would produce.
+        An engine already at level 0 has nothing to drop, so one call
+        reserves them all and leaves the same state.
         """
         t0 = time.perf_counter()
         sat = self.solver
-        if self._head > sat.nvars:
-            sat.new_vars(self._head - sat.nvars)
         buf = self._buf
+        head = self._head
+        if buf and sat.trail_lim_n == 0:
+            head = sat.nvars
+        elif head > sat.nvars:
+            sat.new_vars(head - sat.nvars)
         if buf:
             try:
-                sat.add_clauses(buf, new_vars=self._next_var - self._head)
+                sat.add_clauses(buf, new_vars=self._next_var - head)
             finally:
                 del buf[:]
         self._head = self._next_var

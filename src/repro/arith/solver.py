@@ -20,20 +20,54 @@ every reader (``solve``, proof logging, PB side constraints, formula
 sizes, diagnosis) sees the whole formula.  A labelled ``require`` loads
 its own clauses inside :meth:`repro.sat.solver.Solver.tagged`, so each
 clause keeps its provenance tag.
+
+A formula can be kept as a :class:`SolverTemplate`: :meth:`IntSolver.
+record` makes the engine record every call that builds it
+(:class:`repro.sat.solver.EngineRecord`), :meth:`IntSolver.template`
+takes the record with the leaf maps (each declared variable's
+literals), and :meth:`IntSolver.replay` loads it into a fresh solver at
+clause-loader speed.  Gate caches and CSE tables are not kept: what is
+added after a replay is blasted afresh.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 
 from repro.arith.ast import BoolExpr, BoolVar, IntVar, intern_counters
 from repro.arith.bitblast import Blaster
 from repro.arith.stats import EncodeStats
 from repro.arith.triplet import TOK_FALSE, TOK_TRUE, Tripletizer
 from repro.sat.literals import neg
-from repro.sat.solver import Solver, SolverStats
+from repro.sat.solver import EngineRecord, Solver, SolverStats
 
-__all__ = ["IntSolver"]
+__all__ = ["IntSolver", "SolverTemplate"]
+
+
+class SolverTemplate:
+    """A recorded :class:`IntSolver` formula (see :meth:`IntSolver.
+    template`): the engine calls that built it and the leaf maps.
+
+    Read-only once taken, so any number of solvers may replay it, also
+    at the same time.  Picklable: an unpickled copy's variables keep
+    their node ids, which is all the solver's tables key on, so it
+    replays as the original does."""
+
+    __slots__ = ("record", "int_leaves", "bool_leaves", "true_lit",
+                 "nvars")
+
+    def __init__(self, record: EngineRecord, int_leaves: list,
+                 bool_leaves: list, true_lit: int, nvars: int):
+        self.record = record
+        #: ``(IntVar, array('i') of its bit literals, or None when the
+        #: variable was declared but never blasted)`` per declaration.
+        self.int_leaves = int_leaves
+        #: ``(BoolVar, positive literal)`` per blasted Boolean leaf.
+        self.bool_leaves = bool_leaves
+        self.true_lit = true_lit
+        #: Engine variables after the formula (the next free one).
+        self.nvars = nvars
 
 
 class IntSolver:
@@ -68,6 +102,9 @@ class IntSolver:
         # Tripletizer, which runs the pre-pass.
         self._t_triplet = 0.0
         self._t_blast = 0.0
+        #: Template replays into this solver and their wall time.
+        self._replays = 0
+        self._t_replay = 0.0
         # Hash-consing counters are process-global; remember the baseline
         # so encode_stats() reports this solver's own traffic.
         self._intern_base = intern_counters()
@@ -79,6 +116,71 @@ class IntSolver:
         if self.blaster.pending:
             self.blaster.flush()
         return self._sat
+
+    # ------------------------------------------------------------------
+    # Templates
+    # ------------------------------------------------------------------
+
+    def record(self) -> None:
+        """Record every engine call from now on, for :meth:`template`.
+
+        Only a solver that has added nothing yet can be recorded, so a
+        replay starts from the same empty engine."""
+        if self._sat.nvars or self.blaster.pending or self._vars:
+            raise ValueError("record() needs a fresh solver")
+        self._sat.recorder = EngineRecord()
+
+    def template(self) -> SolverTemplate:
+        """Stop recording and return the formula built so far as a
+        :class:`SolverTemplate` (after :meth:`record`)."""
+        sat = self.sat  # loads what is still buffered, into the record
+        rec = sat.recorder
+        if rec is None:
+            raise ValueError("template() needs record() first")
+        sat.recorder = None
+        vectors = self.blaster._vectors
+        int_leaves = []
+        for v in self._vars.values():
+            vec = vectors.get(v.nid)
+            int_leaves.append((v, array("i", vec) if vec is not None
+                               else None))
+        token_lit = self.blaster._token_lit
+        bool_leaves = [
+            (bv, token_lit[index << 1])
+            for index, bv in self.trip.boolvar_by_index.items()
+            if index << 1 in token_lit
+        ]
+        return SolverTemplate(rec, int_leaves, bool_leaves,
+                              self.blaster._true_lit, sat.nvars)
+
+    def replay(self, tpl: SolverTemplate) -> None:
+        """Load a template into this fresh solver: the recorded engine
+        calls in order, then the leaf maps, so the declared variables
+        read and constrain as in the recorded solver.  Timed as
+        ``t_replay``."""
+        if self._sat.nvars or self.blaster.pending or self._vars:
+            raise ValueError("replay() needs a fresh solver")
+        t0 = time.perf_counter()
+        sat = self._sat
+        tpl.record.replay(sat)
+        if sat.nvars != tpl.nvars:
+            raise ValueError(
+                f"template replay left {sat.nvars} variables, "
+                f"recorded {tpl.nvars}")
+        blaster = self.blaster
+        blaster._true_lit = tpl.true_lit
+        blaster._next_var = blaster._head = sat.nvars
+        for v, vec in tpl.int_leaves:
+            self._vars[v.name] = v
+            if vec is not None:
+                blaster._vectors[v.nid] = vec.tolist()
+                blaster._vec_vars[v.nid] = v
+        for bv, lit in tpl.bool_leaves:
+            tok = self.trip.token_for_boolvar(bv)
+            blaster._token_lit[tok] = lit
+            blaster._lit_token[lit] = tok
+        self._replays += 1
+        self._t_replay += time.perf_counter() - t0
 
     # ------------------------------------------------------------------
     # Declarations
@@ -155,21 +257,35 @@ class IntSolver:
 
     def _blast_new_defs(self) -> None:
         """Bit-blast the Tripletizer's new definitions into the buffer
-        (``t_blast``; PB-mode loads inside it count as ``t_load``)."""
+        (``t_blast``; PB-mode loads inside it count as ``t_load``).
+
+        A definition leaves its queue only once it is blasted: when a
+        blast raises, that definition and every later one stay queued
+        for the next call, so a token the Tripletizer's CSE tables hand
+        out again is never left without its definition."""
         t0 = time.perf_counter()
-        load0 = self.blaster.t_load
-        bool_defs, cmp_defs, arith_defs = self.trip.drain_new_defs()
+        blaster = self.blaster
+        load0 = blaster.t_load
+        trip = self.trip
         # Arithmetic first: comparison encodings may reference the fresh
         # vectors, and vectors assert their range constraints on creation.
-        for d in arith_defs:
-            self.blaster.encode_arith_def(d)
-        for d in cmp_defs:
-            self.blaster.encode_cmp_def(d)
-        for d in bool_defs:
-            self.blaster.encode_bool_def(d)
-        self._t_blast += (
-            time.perf_counter() - t0 - (self.blaster.t_load - load0)
-        )
+        try:
+            for queue, encode in (
+                (trip.new_arith, blaster.encode_arith_def),
+                (trip.new_cmp, blaster.encode_cmp_def),
+                (trip.new_bool, blaster.encode_bool_def),
+            ):
+                done = 0
+                try:
+                    for d in queue:
+                        encode(d)
+                        done += 1
+                finally:
+                    del queue[:done]
+        finally:
+            self._t_blast += (
+                time.perf_counter() - t0 - (blaster.t_load - load0)
+            )
 
     # ------------------------------------------------------------------
     # Solving and models
@@ -234,6 +350,12 @@ class IntSolver:
         else:
             lits = blaster.vector(var)
         self.sat.boost_activity([l >> 1 for l in lits], amount)
+
+    def bits(self, var: IntVar) -> list[int]:
+        """SAT literals of an integer variable's bit vector, LSB first
+        (created on first use, like any operand's)."""
+        self.blaster.rebase()
+        return self.blaster.vector(var)
 
     def value(self, var: IntVar) -> int:
         """Value of an integer variable in the last model."""
@@ -335,5 +457,8 @@ class IntSolver:
             t_triplet=t_triplet,
             t_blast=self._t_blast,
             t_load=blaster.t_load,
-            t_total=t_simplify + t_triplet + self._t_blast + blaster.t_load,
+            template_replays=self._replays,
+            t_replay=self._t_replay,
+            t_total=(t_simplify + t_triplet + self._t_blast + blaster.t_load
+                     + self._t_replay),
         )

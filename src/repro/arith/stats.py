@@ -60,6 +60,11 @@ class EncodeStats:
     t_triplet: float = 0.0
     t_blast: float = 0.0
     t_load: float = 0.0
+    #: Formula templates replayed into the engine instead of encoding
+    #: (:meth:`repro.arith.solver.IntSolver.replay`), and their wall
+    #: time; a replayed formula has no simplify/triplet/blast stages.
+    template_replays: int = 0
+    t_replay: float = 0.0
     t_total: float = 0.0
 
     def to_dict(self) -> dict:

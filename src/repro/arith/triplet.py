@@ -145,10 +145,11 @@ class Tripletizer:
         self._struct_cmp: dict[tuple, int] = {}       # (op, a, b) -> token
         self._struct_arith: dict[tuple, IntVar] = {}  # (op, a, b) -> IntVar
         self._fresh_count = 0
-        #: New definitions since the last drain (for incremental blasting).
-        self._new_bool: list[BoolDef] = []
-        self._new_cmp: list[CmpDef] = []
-        self._new_arith: list[ArithDef] = []
+        #: Definitions not yet bit-blasted, in creation order; the
+        #: blaster removes each one once it is blasted.
+        self.new_bool: list[BoolDef] = []
+        self.new_cmp: list[CmpDef] = []
+        self.new_arith: list[ArithDef] = []
         #: BoolVar objects by token index (for model readback).
         self.boolvar_by_index: dict[int, BoolVar] = {}
         #: Instrumentation: requests answered by an existing definition
@@ -223,7 +224,7 @@ class Tripletizer:
             self.range_cache[out.nid] = r
             d = ArithDef(out, op, a, b)
             self.arith_defs.append(d)
-            self._new_arith.append(d)
+            self.new_arith.append(d)
             self._struct_arith[key] = out
         else:
             self.cse_hits += 1
@@ -317,7 +318,7 @@ class Tripletizer:
             tok = self._new_token()
             d = CmpDef(tok, op, a, b)
             self.cmp_defs.append(d)
-            self._new_cmp.append(d)
+            self.new_cmp.append(d)
             self._struct_cmp[key] = tok
         else:
             self.cse_hits += 1
@@ -347,7 +348,7 @@ class Tripletizer:
             tok = self._new_token()
             d = BoolDef(tok, "and", list(key[1]))
             self.bool_defs.append(d)
-            self._new_bool.append(d)
+            self.new_bool.append(d)
             self._struct_bool[key] = tok
         else:
             self.cse_hits += 1
@@ -379,18 +380,8 @@ class Tripletizer:
             tok = self._new_token()
             d = BoolDef(tok, "or", list(key[1]))
             self.bool_defs.append(d)
-            self._new_bool.append(d)
+            self.new_bool.append(d)
             self._struct_bool[key] = tok
         else:
             self.cse_hits += 1
         return tok
-
-    # -- incremental drain -------------------------------------------------
-
-    def drain_new_defs(self):
-        """Return (and clear) definitions added since the previous drain."""
-        out = (self._new_bool, self._new_cmp, self._new_arith)
-        self._new_bool = []
-        self._new_cmp = []
-        self._new_arith = []
-        return out

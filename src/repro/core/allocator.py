@@ -117,16 +117,42 @@ class Allocator:
         self.arch = arch
         self.config = config or EncoderConfig()
 
-    def _encode(self, objective: Objective | None):
+    def _encode(self, objective: Objective | None, slot=None,
+                shape: str | None = None):
+        """Encode the system and the objective's ``$cost``.
+
+        With a :class:`repro.core.template.TemplateSlot` (and the
+        system's ``shape``) the encoding is parametric: the slot's
+        template is replayed when its shape matches, otherwise a fresh
+        parameter-mode encoding is recorded into the slot; either way
+        the WCETs are fixed last."""
         t0 = time.perf_counter()
-        enc = ProblemEncoding(self.tasks, self.arch, self.config)
-        cost_var = None
-        lo = hi = 0
-        if objective is not None:
-            expr, lo, hi = objective.build(enc)
-            cost_var = enc.solver.int_var("$cost", lo, hi)
-            enc.solver.require(cost_var == expr)
+        if slot is None:
+            enc = ProblemEncoding(self.tasks, self.arch, self.config)
+            cost_var = None
+            lo = hi = 0
+            if objective is not None:
+                cost_var, lo, hi = self._cost(enc, objective)
+            return enc, cost_var, lo, hi, time.perf_counter() - t0
+        template = slot.template
+        if template is not None and template.shape != shape:
+            template = slot.template = None
+        enc = ProblemEncoding(self.tasks, self.arch, self.config,
+                              template=template, parametric=True)
+        if template is None:
+            enc.cost = self._cost(enc, objective)
+            slot.template = enc.capture(shape)
+        enc.fix_wcets()
+        cost_var, lo, hi = enc.cost
         return enc, cost_var, lo, hi, time.perf_counter() - t0
+
+    @staticmethod
+    def _cost(enc: ProblemEncoding, objective: Objective) -> tuple:
+        """Encode ``$cost == objective``; returns ``(var, lo, hi)``."""
+        expr, lo, hi = objective.build(enc)
+        cost_var = enc.solver.int_var("$cost", lo, hi)
+        enc.solver.require(cost_var == expr)
+        return cost_var, lo, hi
 
     def minimize(
         self,
@@ -165,6 +191,11 @@ class Allocator:
         search (:func:`repro.bounds.providers.resolve_bounds`); audited
         bounds seed the interval, unaudited ones reorder probes, and the
         certified answer is bit-identical either way.
+
+        ``request.template`` (a :class:`repro.core.template.
+        TemplateSlot`) encodes in parameter mode: a fitting template is
+        replayed instead of encoding, and the slot receives the template
+        that fits this system.
         """
         if isinstance(objective, SolveRequest):
             if request is not None:
@@ -209,7 +240,15 @@ class Allocator:
             # Certified runs keep the final [R, R] probe so the
             # certificate carries a SAT audit of the served model.
             rb.model_loaded = False
-        enc, cost_var, lo, hi, enc_secs = self._encode(objective)
+        slot = request.template
+        shape = None
+        if slot is not None:
+            from repro.core.template import template_shape
+
+            shape = template_shape(self.tasks, self.arch, objective,
+                                   self.config)
+        enc, cost_var, lo, hi, enc_secs = self._encode(objective, slot,
+                                                       shape)
         assert cost_var is not None
         # The encoding the latest probe ran on, and the encode time of
         # every encoding built so far.
@@ -272,7 +311,8 @@ class Allocator:
             def fresh():
                 # The paper's section-7 baseline: a new encoding per
                 # probe, so nothing learnt carries over.
-                probe_enc, probe_cost, _, _, secs = self._encode(objective)
+                probe_enc, probe_cost, _, _, secs = self._encode(
+                    objective, slot, shape)
                 current[0] = probe_enc
                 encode_total[0] += secs
                 if certifier is not None:

@@ -190,6 +190,13 @@ class SolveRequest:
     #: timestamps and reasons) to this JSONL flight-recorder log
     #: (:class:`repro.robust.flight.FlightRecorder`); None = off.
     flight_log: str | None = None
+    #: Runtime :class:`repro.core.template.TemplateSlot`: encode in
+    #: parameter mode, replaying the slot's template when it fits the
+    #: system, and hand back the template that fits.  None = the
+    #: concrete encoding.  Like ``bounds``, excluded from
+    #: :meth:`fingerprint`: a template changes how fast the formula is
+    #: built, never the certified answer.
+    template: object | None = None
 
     def __post_init__(self) -> None:
         from repro.baselines.heuristics import HEURISTICS
@@ -230,8 +237,9 @@ class SolveRequest:
         chain (``heuristics``), persistence, fault-injection and
         resource-governance knobs (``checkpoint``, ``proof_log``,
         ``chaos``, ``governor``) and the serving hints (``bounds``,
-        ``bounds_mode``, ``flight_log``), which never change a certified
-        answer, only how it survives or how fast it arrives.
+        ``bounds_mode``, ``flight_log``, ``template``), which never
+        change a certified answer, only how it survives or how fast it
+        arrives.
         """
         import hashlib
 

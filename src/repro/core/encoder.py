@@ -24,9 +24,19 @@ Implements sections 3 and 4 of the paper:
 The encoder is pure constraint generation on top of
 :class:`repro.arith.IntSolver`; the paper's triplet transformation and
 2's-complement bit-blasting happen underneath.
+
+*Parameter mode* (``parametric=True``) makes eq. 5's WCETs variables:
+one parameter ``p[t,i]`` per task and candidate ECU, with range
+``[0, 2^k - 1]`` for ``k`` the bit length of the task's largest
+candidate WCET, so the formula reads no WCET value until
+:meth:`ProblemEncoding.fix_wcets` fixes the parameters with unit
+clauses.  Such an encoding is recorded and can be kept as a template
+and replayed for systems of the same shape (:mod:`repro.core.template`).
 """
 
 from __future__ import annotations
+
+from array import array
 
 from repro.analysis.allocation import Allocation, MsgRef
 from repro.arith import And, IntSolver, Not, Or
@@ -46,6 +56,10 @@ from repro.model.paths import PathClosure, enumerate_path_closures
 from repro.model.task import Task, TaskSet
 
 __all__ = ["ProblemEncoding"]
+
+#: Attributes of a :class:`ProblemEncoding` that belong to its caller or
+#: its solver, not to the model a template keeps.
+_NOT_MODEL = ("tasks", "arch", "config", "solver", "cost")
 
 
 def _sum_exprs(parts: list[IntExpr]) -> IntExpr:
@@ -68,6 +82,14 @@ class ProblemEncoding:
     After construction the encoding is complete except for the objective;
     an objective from :mod:`repro.core.objectives` contributes the cost
     expression, and :mod:`repro.core.optimize` drives the search.
+
+    ``parametric=True`` encodes eq. 5 in parameter mode (see the module
+    docstring) and records the engine calls for :meth:`capture`; the
+    caller adds the objective, sets :attr:`cost`, captures, and then
+    calls :meth:`fix_wcets`.  ``template`` (an
+    :class:`repro.core.template.EncodingTemplate` whose shape matches
+    the system) replays a captured encoding instead, objective and
+    :attr:`cost` included; only :meth:`fix_wcets` is left to call.
     """
 
     def __init__(
@@ -75,6 +97,8 @@ class ProblemEncoding:
         tasks: TaskSet,
         arch: Architecture,
         config: EncoderConfig | None = None,
+        template=None,
+        parametric: bool = False,
     ):
         self.tasks = tasks
         self.arch = arch
@@ -84,6 +108,17 @@ class ProblemEncoding:
             simplify=self.config.simplify,
             narrow_bits=self.config.narrow_bits,
         )
+        #: ``(cost variable, lower, upper bound)`` once the objective is
+        #: encoded: set by the caller, or restored from a template.
+        self.cost: tuple | None = None
+        if template is not None:
+            solver, state, self.cost = template.unpack()
+            self.solver.replay(solver)
+            self.__dict__.update(state)
+            return
+        self.parametric = parametric
+        if parametric:
+            self.solver.record()
 
         self.ecu_names = arch.ecu_names()
         self.ecu_index = {p: i for i, p in enumerate(self.ecu_names)}
@@ -113,6 +148,8 @@ class ProblemEncoding:
         self.msg_rank: dict[MsgRef, int] = {}
         #: Diagnostics mode: obligation label -> guard variable.
         self.obligations: dict[str, BoolVar] = {}
+        #: Parameter mode: (task, candidate ECU index) -> WCET parameter.
+        self.params: dict[tuple[str, int], IntVar] = {}
 
         self._build_allocation_vars()
         self._build_priorities()
@@ -301,18 +338,70 @@ class ProblemEncoding:
         for t in self.tasks:
             cands = self._candidates(t)
             costs = {i: t.wcet[self.ecu_names[i]] for i in cands}
-            values = set(costs.values())
-            if len(values) == 1:
-                self.wcet[t.name] = IntConst(next(iter(values)))
+            if self.parametric:
+                self.wcet[t.name] = self._wcet_params(t, costs)
+                lo = 0
             else:
-                w = s.int_var(
-                    f"wcet[{t.name}]", min(values), max(values)
-                )
-                self.wcet[t.name] = w
-                for i, c in costs.items():
-                    s.require(Implies(self.a[t.name] == i, w == c))
-            lo = min(values)
+                values = set(costs.values())
+                if len(values) == 1:
+                    self.wcet[t.name] = IntConst(next(iter(values)))
+                else:
+                    w = s.int_var(
+                        f"wcet[{t.name}]", min(values), max(values)
+                    )
+                    self.wcet[t.name] = w
+                    for i, c in costs.items():
+                        s.require(Implies(self.a[t.name] == i, w == c))
+                lo = min(values)
             self.resp[t.name] = s.int_var(f"r[{t.name}]", lo, t.deadline)
+
+    def _wcet_params(self, t: Task, costs: dict[int, int]) -> IntVar:
+        """Eq. 5 in parameter mode: one parameter per candidate ECU,
+        ``[0, 2^k - 1]`` wide for ``k`` the bit length of the largest
+        candidate WCET (the widest range that costs no extra bit); the
+        task's WCET is its one parameter, or the one its ECU selects."""
+        s = self.solver
+        hi = (1 << max(costs.values()).bit_length()) - 1
+        for i in costs:
+            p = s.int_var(f"wcet[{t.name}@{i}]", 0, hi)
+            s.bits(p)  # fix_wcets reads the bits, so they always exist
+            self.params[(t.name, i)] = p
+        if len(costs) == 1:
+            return self.params[(t.name, next(iter(costs)))]
+        w = s.int_var(f"wcet[{t.name}]", 0, hi)
+        for i in costs:
+            s.require(Implies(self.a[t.name] == i,
+                              w == self.params[(t.name, i)]))
+        return w
+
+    def capture(self, shape: str):
+        """This parameter-mode encoding, objective and :attr:`cost`
+        included, as an :class:`repro.core.template.EncodingTemplate`
+        (stops the recording; call before :meth:`fix_wcets`)."""
+        from repro.core.template import EncodingTemplate
+
+        if self.cost is None:
+            raise ValueError("capture() needs the objective's cost first")
+        state = {k: v for k, v in vars(self).items() if k not in _NOT_MODEL}
+        return EncodingTemplate.pack(shape, self.solver.template(), state,
+                                     self.cost)
+
+    def fix_wcets(self) -> None:
+        """Fix every WCET parameter to the task's WCET on that ECU, as
+        one unit clause per parameter bit -- the last step of a
+        parameter-mode encoding, and all a replayed one adds."""
+        buf = array("i")
+        for (name, idx), p in self.params.items():
+            value = self.tasks[name].wcet[self.ecu_names[idx]]
+            if not 0 <= value <= p.hi:
+                raise ValueError(
+                    f"WCET {value} of task {name} on "
+                    f"{self.ecu_names[idx]} is outside its parameter "
+                    f"range [0, {p.hi}]")
+            bits = self.solver.bits(p)[:p.hi.bit_length()]
+            for j, lit in enumerate(bits):
+                buf.extend((1, lit if value >> j & 1 else lit ^ 1))
+        self.solver.sat.add_clauses(buf)
 
     # ------------------------------------------------------------------
     # eqs. (6)-(8), (11)-(13): task response-time analysis
@@ -341,13 +430,9 @@ class ProblemEncoding:
                 i_ub = -((-(ti.deadline + tj.release_jitter)) // tj.period)
                 count = s.int_var(f"I[{pair[0]},{pair[1]}]", 0, i_ub)
                 wj = self.wcet[tj.name]
-                if isinstance(wj, IntConst):
-                    pc_ub = i_ub * wj.value
-                else:
-                    pc_ub = i_ub * max(
-                        tj.wcet[self.ecu_names[k]]
-                        for k in self._candidates(tj)
-                    )
+                pc_ub = i_ub * (
+                    wj.value if isinstance(wj, IntConst) else wj.hi
+                )
                 cost = s.int_var(
                     f"pc[{pair[0]},{pair[1]}]", 0, min(pc_ub, ti.deadline)
                 )

@@ -78,6 +78,10 @@ class Objective:
     """Base class; subclasses build the cost expression."""
 
     name = "objective"
+    #: Whether :meth:`build` reads WCET values into the formula; such an
+    #: objective makes them part of an encoding template's shape
+    #: (:func:`repro.core.template.template_shape`).
+    reads_wcet = False
 
     def build(self, enc: ProblemEncoding) -> tuple[IntExpr, int, int]:
         """Return ``(cost expression, static lower bound, upper bound)``."""
@@ -178,6 +182,8 @@ class MinimizeMaxUtilization(Objective):
 
     ``scale`` sets the integer resolution (1000 = per-mille).
     """
+
+    reads_wcet = True
 
     def __init__(self, scale: int = 1000):
         self.scale = scale

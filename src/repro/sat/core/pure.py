@@ -37,10 +37,22 @@ from __future__ import annotations
 
 from array import array
 
-try:  # optional: the bulk activity rescales only, never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the base image
-    _np = None
+#: ``[numpy or None]`` once :func:`optional_numpy` has looked.
+_NUMPY: list = []
+
+
+def optional_numpy():
+    """numpy, imported on first use, or None when it is missing.
+
+    Only bulk array operations use it, never required; importing it
+    lazily keeps its ~0.15 s import out of the program's start-up."""
+    if not _NUMPY:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - in the base image
+            numpy = None
+        _NUMPY.append(numpy)
+    return _NUMPY[0]
 
 __all__ = ["PureBackend", "SearchState", "propagate", "unwind",
            "load_clauses", "search", "analyze", "reason_lits",
@@ -538,8 +550,9 @@ def bump_var(s, var: int) -> None:
     s.activity[var] = act
     if act > s.RESCALE_LIMIT:
         inv = 1.0 / s.RESCALE_LIMIT
-        if _np is not None:
-            acts = _np.frombuffer(s.activity)
+        np = optional_numpy()
+        if np is not None:
+            acts = np.frombuffer(s.activity)
             acts *= inv
         else:  # pragma: no cover - numpy is in the base image
             for v in range(s.nvars):
@@ -558,9 +571,10 @@ def bump_clause(s, cid: int) -> None:
     s.cla_act[cid] = act
     if act > s.RESCALE_LIMIT:
         inv = 1.0 / s.RESCALE_LIMIT
-        if _np is not None:
-            acts = _np.frombuffer(s.cla_act)
-            acts[_np.frombuffer(s.cla_flags, dtype=_np.int8) == 1] *= inv
+        np = optional_numpy()
+        if np is not None:
+            acts = np.frombuffer(s.cla_act)
+            acts[np.frombuffer(s.cla_flags, dtype=np.int8) == 1] *= inv
         else:  # pragma: no cover - numpy is in the base image
             flags = s.cla_flags
             for c in range(len(flags)):

@@ -50,6 +50,8 @@ from __future__ import annotations
 
 import time
 from array import array
+from collections import Counter
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 
 from repro.governor import core as _governor
@@ -69,6 +71,7 @@ from repro.sat.core.pure import (
     SEARCH_SAT,
     SEARCH_UNSAT,
     SearchState,
+    optional_numpy,
     reason_lits,
 )
 from repro.sat.literals import (
@@ -77,12 +80,7 @@ from repro.sat.literals import (
     neg,
 )
 
-try:  # optional: bulk array ops only, never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the base image
-    _np = None
-
-__all__ = ["Solver", "SolverStats", "ClauseView", "PBView"]
+__all__ = ["Solver", "SolverStats", "ClauseView", "PBView", "EngineRecord"]
 
 #: ``reason`` array sentinel: no reason (decision / assumption / unit).
 REASON_NONE = -1
@@ -94,6 +92,142 @@ _NO_BUDGET = 1 << 62
 def _pb_ref(i: int) -> int:
     """Encode PB constraint index ``i`` as a (negative) reason ref."""
     return -(i + 2)
+
+
+def _iota(start: int, stop: int) -> array:
+    """``array('i', range(start, stop))``, built in bulk for long runs
+    (element-by-element filling costs about 70 ns per entry)."""
+    np = optional_numpy() if stop - start > 32 else None
+    if np is not None:
+        out = array("i")
+        out.frombytes(np.arange(start, stop, dtype=np.int32).tobytes())
+        return out
+    return array("i", range(start, stop))
+
+
+class TagMap(MutableMapping):
+    """Clause id -> provenance tag, as one int32 tag number per clause id
+    (-1 untagged) and a list of the distinct tags: 4 bytes a clause,
+    where a dict takes about 60 bytes a tagged clause (key object and
+    table slot), and an encoding tags tens of thousands of clauses."""
+
+    def __init__(self):
+        self._ids = array("i")
+        self._names: list[str] = []
+        self._number: dict[str, int] = {}
+
+    def _tag_number(self, tag: str) -> int:
+        i = self._number.get(tag)
+        if i is None:
+            i = self._number[tag] = len(self._names)
+            self._names.append(tag)
+        return i
+
+    def _reserve(self, n: int) -> None:
+        short = n - len(self._ids)
+        if short > 0:
+            self._ids.frombytes(b"\xff" * (4 * short))  # -1 each
+
+    def tag_range(self, lo: int, hi: int, tag: str) -> None:
+        """Tag clause ids ``lo..hi-1``."""
+        self._reserve(hi)
+        self._ids[lo:hi] = array("i", [self._tag_number(tag)]) * (hi - lo)
+
+    def counts(self) -> dict[str, int]:
+        """Number of clauses per tag."""
+        per = Counter(self._ids)
+        return {name: per[i] for i, name in enumerate(self._names)
+                if per[i]}
+
+    def __getitem__(self, cid: int) -> str:
+        if 0 <= cid < len(self._ids) and self._ids[cid] >= 0:
+            return self._names[self._ids[cid]]
+        raise KeyError(cid)
+
+    def __setitem__(self, cid: int, tag: str) -> None:
+        self._reserve(cid + 1)
+        self._ids[cid] = self._tag_number(tag)
+
+    def __delitem__(self, cid: int) -> None:
+        self[cid]  # KeyError when untagged
+        self._ids[cid] = -1
+
+    def __iter__(self):
+        return (cid for cid, i in enumerate(self._ids) if i >= 0)
+
+    def __len__(self) -> int:
+        return len(self._ids) - self._ids.count(-1)
+
+
+class EngineRecord:
+    """The engine calls that built a formula, in call order, as flat
+    arrays that :meth:`replay` makes again on a fresh :class:`Solver`.
+
+    While a record is set as :attr:`Solver.recorder`, every
+    :meth:`Solver.new_var`/:meth:`~Solver.new_vars`,
+    :meth:`~Solver.add_clauses` (with the provenance tag active at the
+    call), :meth:`~Solver.add_pb` and :meth:`~Solver.boost_activity`
+    call is appended to :attr:`ops`: ``[NEW_VARS, n]``, ``[CLAUSES,
+    tag, new_vars, words, record words...]``, ``[PB, tag, n, lits...]``
+    (bound and coefficients in :attr:`wide`) and ``[BOOST, n, vars...]``
+    (the amount in :attr:`amounts`).  Replaying the record into a fresh
+    solver makes the same calls in the same order, so the solver ends
+    in byte-identical state, at clause-loader speed.
+    """
+
+    NEW_VARS, CLAUSES, PB, BOOST = range(4)
+
+    def __init__(self):
+        self.ops = array("i")
+        self.wide = array("q")
+        self.amounts = array("d")
+        #: Provenance tags by index; ``-1`` in :attr:`ops` is no tag.
+        self.tags: list[str] = []
+        self._tag_ids: dict[str, int] = {}
+
+    def _tag(self, tag: str | None) -> int:
+        if tag is None:
+            return -1
+        i = self._tag_ids.get(tag)
+        if i is None:
+            i = self._tag_ids[tag] = len(self.tags)
+            self.tags.append(tag)
+        return i
+
+    def replay(self, s: "Solver") -> None:
+        """Make the recorded calls on ``s``, a fresh solver."""
+        ops, wide, amounts, tags = self.ops, self.wide, self.amounts, \
+            self.tags
+        i = wi = ai = 0
+        n = len(ops)
+        try:
+            while i < n:
+                op = ops[i]
+                if op == self.CLAUSES:
+                    tag, nv, words = ops[i + 1], ops[i + 2], ops[i + 3]
+                    s._active_tag = tags[tag] if tag >= 0 else None
+                    i += 4
+                    s.add_clauses(ops[i:i + words], new_vars=nv)
+                    i += words
+                elif op == self.NEW_VARS:
+                    s.new_vars(ops[i + 1])
+                    i += 2
+                elif op == self.BOOST:
+                    k = ops[i + 1]
+                    s.boost_activity(ops[i + 2:i + 2 + k], amounts[ai])
+                    ai += 1
+                    i += 2 + k
+                elif op == self.PB:
+                    tag, k = ops[i + 1], ops[i + 2]
+                    s._active_tag = tags[tag] if tag >= 0 else None
+                    s.add_pb(list(ops[i + 3:i + 3 + k]),
+                             list(wide[wi + 1:wi + 1 + k]), wide[wi])
+                    wi += 1 + k
+                    i += 3 + k
+                else:
+                    raise ValueError(f"bad engine record op {op} at {i}")
+        finally:
+            s._active_tag = None
 
 
 class ClauseView:
@@ -326,8 +460,8 @@ class Solver:
         self.cla_off = array("i")
         self.cla_flags = array("b")
         self.cla_act = array("d")
-        self.cla_tag: dict[int, str] = {}
-        self._problem_cids: list[int] = []
+        self.cla_tag = TagMap()
+        self._problem_cids = array("i")
         self._n_problem_lits = 0       # literals over _problem_cids
         self._learnt_cids: list[int] = []
         self._dead_lits = 0            # reclaimable arena words
@@ -383,6 +517,9 @@ class Solver:
         #: Decisions until the next resource-governor pressure check
         #: (only decremented while a governor is installed).
         self._gov_countdown = 0
+        #: :class:`EngineRecord` that constraint-building calls are
+        #: appended to (formula templates); None records nothing.
+        self.recorder: EngineRecord | None = None
 
     # ------------------------------------------------------------------
     # Compat views over the arenas (export paths, introspection, tests)
@@ -425,9 +562,13 @@ class Solver:
         # One pass over a list copy of the arena, appending the input
         # steps directly (the snapshot is a measurable share of every
         # certified solve).  Clause ids, not arena order: learnt and dead
-        # records may sit between problem clauses.
-        arena, cla_off, steps = self.arena.tolist(), self.cla_off, log.steps
-        cids = self._problem_cids + self._learnt_cids
+        # records may sit between problem clauses.  The copy maps every
+        # word to one shared int per value, so the steps' tuples hold no
+        # int object per occurrence (a few MB on a 40k-clause formula).
+        shared = list(range(2 * self.nvars + 2))
+        arena = list(map(shared.__getitem__, self.arena))
+        cla_off, steps = self.cla_off, log.steps
+        cids = self._problem_cids.tolist() + self._learnt_cids
         for cid in cids:
             off = cla_off[cid]
             steps.append(("i", tuple(arena[off + 1: off + 1 + arena[off]])))
@@ -457,9 +598,7 @@ class Solver:
     def tag_counts(self) -> dict[str, int]:
         """Number of stored clauses and PB constraints per provenance
         tag (untagged constraints are not counted)."""
-        out: dict[str, int] = {}
-        for tag in self.cla_tag.values():
-            out[tag] = out.get(tag, 0) + 1
+        out = self.cla_tag.counts()
         for tag in self.pb_tag.values():
             out[tag] = out.get(tag, 0) + 1
         return out
@@ -470,6 +609,8 @@ class Solver:
 
     def new_var(self) -> int:
         """Allocate a fresh variable and return its index."""
+        if self.recorder is not None:
+            self.recorder.ops.extend((EngineRecord.NEW_VARS, 1))
         v = self.nvars
         self.nvars += 1
         self.assigns.append(VAL_UNASSIGNED)
@@ -497,7 +638,7 @@ class Solver:
 
         Byte-for-byte the state ``n`` calls to :meth:`new_var` leave:
         each per-variable array grows by one ``extend`` and the heap
-        slots are appended directly, which is exact because a fresh
+        slots are filled by slice, which is exact because a fresh
         variable's activity is 0 and :meth:`_heap_sift_up` stops at the
         first parent with ``act >= 0`` -- every parent, since activities
         never go negative.
@@ -505,6 +646,14 @@ class Solver:
         v0 = self.nvars
         if n <= 0:
             return []
+        if self.recorder is not None:
+            self.recorder.ops.extend((EngineRecord.NEW_VARS, n))
+        self._grow(n)
+        return list(range(v0, v0 + n))
+
+    def _grow(self, n: int) -> None:
+        """The unrecorded body of :meth:`new_vars` (``n > 0``)."""
+        v0 = self.nvars
         self.nvars = v0 + n
         self.assigns.extend(array("b", [VAL_UNASSIGNED]) * n)
         minus = array("i", [-1]) * n
@@ -523,11 +672,10 @@ class Solver:
         self.pb_watch_head.extend(minus)
         self.pb_watch_head.extend(minus)
         h = self.heap_n
-        self.heap_pos.extend(range(h, h + n))
+        self.heap_pos.extend(_iota(h, h + n))
         self.order_heap.extend(minus)      # reserve the capacity slots
-        self.order_heap[h:h + n] = array("i", range(v0, v0 + n))
+        self.order_heap[h:h + n] = _iota(v0, v0 + n)
         self.heap_n = h + n
-        return list(range(v0, v0 + n))
 
     def _scratch(self) -> tuple[array, ...]:
         return (self._learnt_buf, self._clear_buf, self._stack_buf,
@@ -577,10 +725,15 @@ class Solver:
         """
         if not isinstance(buf, array) or buf.typecode != "i":
             buf = array("i", buf)
+        rec = self.recorder
+        if rec is not None:
+            rec.ops.extend((EngineRecord.CLAUSES, rec._tag(self._active_tag),
+                            new_vars, len(buf)))
+            rec.ops.extend(buf)
         if self.ok and buf:
             self._cancel_until(0)
-        if new_vars:
-            self.new_vars(new_vars)
+        if new_vars > 0:
+            self._grow(new_vars)
         if not self.ok:
             return False
         if not buf:
@@ -621,11 +774,10 @@ class Solver:
             del self.cla_act[ncla:]
             del self.watch_next[2 * ncla:]
             if ncla > c0:
-                cids = range(c0, ncla)
-                self._problem_cids.extend(cids)
+                self._problem_cids.extend(_iota(c0, ncla))
                 self._n_problem_lits += (arena_n - a0) - (ncla - c0)
                 if self._active_tag is not None:
-                    self.cla_tag.update(dict.fromkeys(cids, self._active_tag))
+                    self.cla_tag.tag_range(c0, ncla, self._active_tag)
         return self.ok
 
     def add_pb(self, lits: list[int], coefs: list[int], bound: int) -> bool:
@@ -635,6 +787,13 @@ class Solver:
         variables (callers normalize via :mod:`repro.pb.constraint`).
         Returns False if the solver became UNSAT.
         """
+        rec = self.recorder
+        if rec is not None:
+            rec.ops.extend((EngineRecord.PB, rec._tag(self._active_tag),
+                            len(lits)))
+            rec.ops.extend(lits)
+            rec.wide.append(bound)
+            rec.wide.extend(coefs)
         if not self.ok:
             return False
         nvars = self.nvars
@@ -905,6 +1064,11 @@ class Solver:
         """
         if amount < 0:
             raise ValueError("activity boosts must be non-negative")
+        rec = self.recorder
+        if rec is not None:
+            rec.ops.extend((EngineRecord.BOOST, len(variables)))
+            rec.ops.extend(variables)
+            rec.amounts.append(amount)
         for var in variables:
             self.activity[var] += amount * self.var_inc
             if self.heap_pos[var] >= 0:
@@ -1201,9 +1365,10 @@ class Solver:
             pos += 2 + n
 
     def _snapshot_model(self) -> None:
-        if _np is not None and self.nvars > 256:
+        np = optional_numpy() if self.nvars > 256 else None
+        if np is not None:
             self._model = (
-                _np.frombuffer(self.assigns, dtype=_np.int8) == VAL_TRUE
+                np.frombuffer(self.assigns, dtype=np.int8) == VAL_TRUE
             ).tolist()
         else:
             self._model = [v == VAL_TRUE for v in self.assigns]

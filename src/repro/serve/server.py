@@ -3,8 +3,11 @@
 ``AllocationServer`` turns the one-shot :func:`repro.core.api.solve`
 entry point into a multi-tenant service.  One asyncio event loop owns
 admission (:class:`~repro.serve.queue.TenantQueues`) and dispatch; a
-small pool of worker tasks runs the CPU-bound solves in threads via
-``asyncio.to_thread``.  The robustness posture, end to end:
+small pool of worker tasks runs the CPU-bound solves on the server's
+own threads, one per worker: memory one solve frees is reused by the
+next on the same thread, rather than growing another allocator arena
+on a fresh thread of a shared pool.  The robustness posture, end to
+end:
 
 - **deadline propagation** -- a request's ``deadline`` (wall seconds)
   and ``conflict_budget`` become a :class:`repro.robust.Budget` threaded
@@ -41,6 +44,11 @@ small pool of worker tasks runs the CPU-bound solves in threads via
   (:class:`repro.bounds.RelaxationBoundsProvider`) as a second
   provider.  The allocator audits every proposal and the tightest
   audited bound wins (identical certified answer, fewer probes).
+- **encode once per scenario** -- every solve encodes in parameter
+  mode, and the cache entry keeps the scenario's encoding template; a
+  later request whose system has the template's shape (WCETs changed
+  within their bit widths) replays it instead of encoding
+  (:mod:`repro.core.template`).
 
 Every lifecycle event is appended to ``state_dir/serve-events.jsonl``
 (:class:`repro.robust.FlightRecorder`), and the ``serve.*`` chaos sites
@@ -56,6 +64,7 @@ import json
 import os
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro import governor as governor_mod
@@ -172,6 +181,8 @@ class AllocationServer:
         self._seq = itertools.count(1)
         self._cond: asyncio.Condition | None = None
         self._workers: list[asyncio.Task] = []
+        #: The solve threads, one per worker (created by :meth:`start`).
+        self._threads: ThreadPoolExecutor | None = None
         self._inflight: dict[str, Budget] = {}
         self._draining = False
         self._started = False
@@ -209,6 +220,10 @@ class AllocationServer:
         if self.governor is not None:
             governor_mod.install(self.governor)
         self._cond = asyncio.Condition()
+        self._threads = ThreadPoolExecutor(
+            max_workers=max(1, self.config.workers),
+            thread_name_prefix="serve-solve",
+        )
         for i in range(max(1, self.config.workers)):
             self._workers.append(
                 asyncio.create_task(self._worker(i), name=f"serve-worker-{i}")
@@ -273,6 +288,7 @@ class AllocationServer:
             )
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers.clear()
+        self._threads.shutdown(wait=False)
         self.recorder.log(
             "drain.end", checkpointed=[rid for rid, _ in inflight]
         )
@@ -288,6 +304,8 @@ class AllocationServer:
             governor_mod.uninstall(self.governor)
         if self.config.chaos is not None:
             uninstall(self.config.chaos)
+        # Encoding templates never outlive their server.
+        self.cache.drop_templates()
         self.recorder.log("server.stop", stats=dict(self.stats))
 
     # -- admission ------------------------------------------------------
@@ -444,8 +462,11 @@ class AllocationServer:
             job = await self._next_job()
             if job is None:
                 return
-            await asyncio.to_thread(self.breaker.maybe_probe)
-            resp = await asyncio.to_thread(self._solve_job, job)
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(self._threads,
+                                       self.breaker.maybe_probe)
+            resp = await loop.run_in_executor(self._threads,
+                                              self._solve_job, job)
             done_budget = self._inflight.pop(job.id, None)
             if done_budget is not None and self.governor is not None:
                 self.governor.unregister_budget(done_budget)
@@ -556,11 +577,17 @@ class AllocationServer:
             f"{job.digest}|{job.identity_fp}|{code_fingerprint()}".encode()
         ).hexdigest()[:24]
         ckpt = os.path.join(self.checkpoint_dir, f"{key}.json")
+        from repro.core.template import TemplateSlot
+
+        # The scenario's encoding template: replayed when the system has
+        # its shape; the slot returns the one that fits this system.
+        slot = TemplateSlot(entry.template if entry is not None else None)
         request = job.base_request.merged(
             budget=budget,
             checkpoint=ckpt,
             bounds=tuple(providers),
             flight_log=self.events_path,
+            template=slot,
         )
         backend = get_backend().name
         try:
@@ -591,10 +618,10 @@ class AllocationServer:
         else:
             self.breaker.record_success()
         return self._classify(job, budget, report, t0, hint, ExitCode,
-                              allocation_to_dict)
+                              allocation_to_dict, slot.template)
 
     def _classify(self, job, budget, report, t0, hint, ExitCode,
-                  allocation_to_dict) -> ServeResponse:
+                  allocation_to_dict, template) -> ServeResponse:
         seconds = time.monotonic() - t0
         warm = hint is not None
         resumed = self._resumed(report)
@@ -663,6 +690,7 @@ class AllocationServer:
                     allocation_to_dict(report.allocation)
                     if report.allocation is not None else None
                 ),
+                template=template,
             )
         alloc = None
         if job.want_allocation and report.allocation is not None:

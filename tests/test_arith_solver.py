@@ -242,6 +242,23 @@ class TestDeferredLoading:
         assert not s.blaster.pending
         assert s.solve() and 3 <= s.value(x) <= 4
 
+    def test_flush_at_level_zero_is_one_engine_call(self, monkeypatch):
+        from repro.sat.solver import Solver
+
+        calls = []
+        for name in ("new_vars", "add_clauses"):
+            real = getattr(Solver, name)
+            monkeypatch.setattr(
+                Solver, name,
+                lambda self, *a, _real=real, _name=name, **k: (
+                    calls.append(_name), _real(self, *a, **k))[1])
+        s = IntSolver()
+        x = s.int_var("x", 0, 20)
+        s.bits(x)  # variables before the first buffered record
+        s.require(x + 3 == 12)
+        assert s.sat.trail_lim_n == 0 and calls == ["add_clauses"]
+        assert s.solve() and s.value(x) == 9
+
     def test_raising_require_is_loaded_by_the_next_solve(self, monkeypatch):
         s = IntSolver()
         x = s.int_var("x", 0, 20)
@@ -257,6 +274,21 @@ class TestDeferredLoading:
         assert not s.blaster.pending
         assert s.sat.nvars == s.blaster._next_var
         assert sorted([s.value(x), s.value(y)]) == [5, 7]
+
+    def test_raising_blast_keeps_its_definitions_queued(self, monkeypatch):
+        """A blast that raises part-way keeps the failing definition and
+        the rest of its batch queued: the Tripletizer hands their tokens
+        out again, so dropping them would leave those literals free."""
+        s = IntSolver()
+        x = s.int_var("x", 0, 20)
+        y = s.int_var("y", 0, 20)
+        self._fail_second_cmp(monkeypatch)
+        with pytest.raises(RuntimeError, match="injected"):
+            s.require(Or(x == 1, y == 1))
+        monkeypatch.undo()
+        s.require(y == 1)
+        s.require(y == 2)
+        assert not s.solve()
 
     def test_raising_labelled_require_loads_under_its_tag(self,
                                                           monkeypatch):
@@ -505,3 +537,54 @@ class TestMinimize:
         x = s.int_var("x", 0, 10)
         with pytest.raises(TypeError, match=field):
             s.minimize(x, **{field: value})
+
+
+class TestTemplates:
+    """``IntSolver.record``/``template``/``replay``: a recorded formula
+    replays into a fresh solver with the same engine state and leaves."""
+
+    @staticmethod
+    def _build(s):
+        x = s.int_var("x", 0, 20)
+        y = s.int_var("y", 0, 20)
+        b = s.bool_var("b")
+        s.require(x + y == 12, label="sum")
+        s.require(Implies(b, x * y == 35))
+        s.boost(x, 2.0)
+        return x, y, b
+
+    def test_replay_restores_engine_state_and_leaves(self):
+        rec = IntSolver()
+        rec.record()
+        x, y, b = self._build(rec)
+        tpl = rec.template()
+        assert rec.sat.recorder is None
+        s = IntSolver()
+        s.replay(tpl)
+        a, r = s.sat, rec.sat
+        for name in ("arena", "cla_off", "watch_head", "watch_next",
+                     "order_heap", "activity", "trail"):
+            assert getattr(a, name) == getattr(r, name), name
+        assert (a.nvars, a.cla_tag) == (r.nvars, r.cla_tag)
+        assert s.encode_stats().template_replays == 1
+        # The leaves read and constrain as in the recorded solver.
+        s.require(x >= 6)
+        assert s.solve([b]) and (s.value(x), s.value(y)) == (7, 5)
+        assert s.value_bool(b)
+        s.require(x == 6)
+        assert not s.solve([b])
+
+    def test_record_and_replay_need_fresh_solvers(self):
+        s = IntSolver()
+        s.int_var("x", 0, 3)
+        with pytest.raises(ValueError, match="fresh"):
+            s.record()
+        with pytest.raises(ValueError, match="record"):
+            IntSolver().template()
+        rec = IntSolver()
+        rec.record()
+        self._build(rec)
+        tpl = rec.template()
+        with pytest.raises(ValueError, match="fresh"):
+            s.replay(tpl)
+

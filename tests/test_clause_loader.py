@@ -324,6 +324,17 @@ class TestBulkNewVars:
         assert bulk.solve() == single.solve()
         assert bulk.model() == single.model()
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_long_runs_match_single_calls(self, backend):
+        """Runs long enough for the heap slots' bulk fill."""
+        bulk = self._primed(backend, True)
+        single = self._primed(backend, True)
+        assert bulk.new_vars(100) == [single.new_var() for _ in range(100)]
+        for name in self.ARRAYS:
+            assert (getattr(bulk, name).tobytes()
+                    == getattr(single, name).tobytes()), name
+        assert (bulk.nvars, bulk.heap_n) == (single.nvars, single.heap_n)
+
     def test_zero_is_a_no_op(self):
         s = Solver()
         assert s.new_vars(0) == []
@@ -383,3 +394,82 @@ class TestProofSnapshot:
         got = s.start_proof()
         assert got.steps == expect.steps
         assert got.inputs == expect.inputs
+
+
+class TestEngineRecord:
+    """A recorded call stream replays into a fresh solver with
+    byte-identical state: variables, clause loads under their tags, PB
+    constraints and activity boosts, in call order."""
+
+    @staticmethod
+    def _calls(s: Solver) -> None:
+        s.new_var()
+        s.new_vars(40)
+        with s.tagged("first"):
+            s.add_clauses(pack([[0, 2, 4], [1, 6], [8]]), new_vars=3)
+        s.add_clause([3, 10, 12])
+        s.boost_activity([5, 7], 2.5)
+        with s.tagged("pb"):
+            s.add_pb([14, 16, 18], [2, 1, 1], 2)
+        s.add_clauses(pack([[20, 22], [21, 23, 24], []]))
+
+    def test_replay_matches_the_recorded_solver(self):
+        from repro.sat.solver import EngineRecord
+
+        rec = Solver()
+        rec.recorder = EngineRecord()
+        self._calls(rec)
+        record, rec.recorder = rec.recorder, None
+        fresh = Solver()
+        record.replay(fresh)
+        got, want = snapshot(fresh), snapshot(rec)
+        assert got == want and not want["ok"]
+        for name in ("activity", "heap_pos", "pb_lits", "pb_coefs",
+                     "pb_bound"):
+            assert (getattr(fresh, name).tobytes()
+                    == getattr(rec, name).tobytes()), name
+        assert fresh.pb_tag == rec.pb_tag == {0: "pb"}
+        assert fresh._active_tag is None
+
+    def test_problem_clause_ids_are_an_int_array(self):
+        s = Solver()
+        s.new_vars(3)
+        s.add_clauses(pack([[0, 2], [1, 4], [3, 5]]))
+        assert s._problem_cids.typecode == "i"
+        assert list(s._problem_cids) == [0, 1, 2] and s.num_clauses() == 3
+        proof = s.start_proof()
+        assert proof.inputs == 3
+
+
+class TestTagMap:
+    """``Solver.cla_tag`` stores one tag number per clause id and reads
+    like the clause id -> tag dict it replaced."""
+
+    def test_reads_and_writes_like_a_dict(self):
+        from repro.sat.solver import TagMap
+
+        tags, plain = TagMap(), {}
+        tags.tag_range(2, 5, "a")
+        plain.update(dict.fromkeys(range(2, 5), "a"))
+        tags[9] = plain[9] = "b"
+        tags[3] = plain[3] = "b"
+        del tags[4]
+        del plain[4]
+        assert dict(tags) == plain and tags == plain
+        assert len(tags) == 3 and sorted(tags.items()) == sorted(
+            plain.items())
+        assert tags.get(7) is None and tags.get(2) == "a"
+        assert tags.counts() == {"a": 1, "b": 2}
+        with pytest.raises(KeyError):
+            del tags[4]
+
+    def test_loads_tag_their_clauses(self):
+        s = Solver()
+        s.new_vars(4)
+        with s.tagged("t"):
+            s.add_clauses(pack([[0, 2], [1, 4], [3, 6]]))
+        s.add_clause([5, 7])
+        assert sorted(s.cla_tag.items()) == [(0, "t"), (1, "t"), (2, "t")]
+        assert s.tag_counts() == {"t": 3}
+        assert [c.tag for c in s.clauses] == ["t", "t", "t", None]
+

@@ -145,10 +145,14 @@ class TestTypedResponseInvariant:
 
 class TestDrainAndResume:
     def test_budget_interrupt_then_restart_resumes_to_oracle(self, tmp_path):
+        from repro.core.template import TemplateSlot
+
         arch = ring_architecture(4)
         tasks = scaling_taskset(4, 16)
+        # Calibrated on the encoding the server runs: parameter mode.
         report = solve(tasks, arch,
-                       SolveRequest(objective=MinimizeTRT("ring")))
+                       SolveRequest(objective=MinimizeTRT("ring"),
+                                    template=TemplateSlot()))
         probes = report.result.outcome.probes
         cum, cums = 0, []
         for p in probes:

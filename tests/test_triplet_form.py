@@ -127,12 +127,11 @@ class TestStructuralSharing:
         assert t1 == t2
         assert len(tr.bool_defs) == 1
 
-    def test_drain_returns_only_new_definitions(self):
+    def test_queues_hold_only_new_definitions(self):
         tr = Tripletizer()
         x = var("x", 0, 10)
         tr.transform(x <= 5)
-        bd, cd, ad = tr.drain_new_defs()
-        assert len(cd) == 1
+        assert len(tr.new_cmp) == 1
+        tr.new_cmp.clear()  # what the blaster does once it is blasted
         tr.transform(x <= 5)  # shared; nothing new
-        bd, cd, ad = tr.drain_new_defs()
-        assert not bd and not cd and not ad
+        assert not tr.new_bool and not tr.new_cmp and not tr.new_arith
