@@ -20,9 +20,13 @@ template for the shape with its first task's WCETs raised by one (the
 served warm hit), WCET units included, until the engine holds the
 formula.
 
-Only clause counts are asserted (equal to the pins); the load counts
-and timings are recorded, never asserted.  The load bound is checked
-once, in ``tests/test_encode_regression.py::TestDeferredLoading``.
+Clause counts and clause databases are asserted: each shape's count
+equals its pin, and its database hashes (``_db_digest`` of
+``tests/test_encode_regression.py``) to the pinned digest, so a change
+that reorders or rewrites clauses at paper scale fails here too.  The
+load counts and timings are recorded, never asserted.  The load bound
+is checked once, in
+``tests/test_encode_regression.py::TestDeferredLoading``.
 Table 1 and Arch B build paper-size formulas (about 450k and 680k
 clauses); a run takes about 40 s.
 
@@ -53,6 +57,15 @@ PINS = {
     "ring5-t10": 40522,
     "table1": 446707,
     "arch-b": 678581,
+}
+
+#: shape -> SHA-256 of its clause database; the served shapes' digests
+#: are ``ENCODING_DIGESTS`` of ``tests/test_encode_regression.py``.
+DB_DIGESTS = {
+    "table1":
+        "7d0388a8fe20e66fb73c038d4edf9d6a0129004d4011141043b177c2c40e4a69",
+    "arch-b":
+        "f71bd0e0e73de9047b7a06139d60e975faddc923a31dfc4eeb9e30c669c3a7b8",
 }
 
 #: served shape -> clauses of its parameter-mode encoding.
@@ -88,6 +101,7 @@ def _shape(name: str):
 
 def _encode_once(name: str, loads: list) -> dict:
     from repro.core import Allocator
+    from tests.test_encode_regression import _db_digest
 
     tasks, arch, objective = _shape(name)
     gc.collect()
@@ -109,6 +123,7 @@ def _encode_once(name: str, loads: list) -> dict:
         "clauses": sat.num_clauses(),
         "vars": sat.nvars,
         "gates": st.gates,
+        "db_digest": _db_digest(sat),
         "backend": sat.core.name,
     }
 
@@ -176,6 +191,7 @@ def _git_sha() -> str | None:
 
 def test_encode_split(record_json, monkeypatch):
     from repro.sat.solver import Solver
+    from tests.test_encode_regression import ENCODING_DIGESTS
 
     loads: list = []
     load = Solver.add_clauses
@@ -204,6 +220,9 @@ def test_encode_split(record_json, monkeypatch):
     for name, clauses in PINS.items():
         assert shapes[name]["clauses"] == clauses, (
             name, shapes[name]["clauses"])
+    for name in PINS:
+        digest = DB_DIGESTS.get(name) or ENCODING_DIGESTS[name]
+        assert shapes[name]["db_digest"] == digest, name
     for name, clauses in PARAM_PINS.items():
         assert shapes[name]["replay"]["param_clauses"] == clauses, (
             name, shapes[name]["replay"]["param_clauses"])

@@ -35,8 +35,6 @@ from repro.arith.ast import (
     IntVar,
     Not,
     Or,
-    intern_counters,
-    interning,
 )
 from repro.arith.solver import IntSolver
 from repro.arith.stats import EncodeStats
@@ -56,6 +54,4 @@ __all__ = [
     "TRUE",
     "FALSE",
     "EncodeStats",
-    "interning",
-    "intern_counters",
 ]

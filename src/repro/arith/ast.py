@@ -1,4 +1,4 @@
-"""Hash-consed expression IR for bounded-integer formulae.
+"""Expression IR for bounded-integer formulae.
 
 Two expression families:
 
@@ -12,37 +12,25 @@ Note on ``==``: like other solver DSLs (z3py), comparing two IntExpr
 builds a constraint rather than testing object identity; hashing is by
 identity so expressions can still live in dicts/sets.
 
-Hash-consing
-------------
+Node ids
+--------
 
-All *derived* nodes (constants, arithmetic operators, comparisons and
-Boolean connectives) are **interned**: constructing a node that is
-structurally identical to a live one returns the existing object, so
-syntactically equal subterms are pointer-equal.  Every node carries a
+Every constructor call builds a fresh node, and every node carries a
 process-unique ``nid`` (assigned at construction, never reused), which
 downstream layers use as a cache key -- unlike ``id()``, a ``nid`` can
 never alias a recycled address, so memo tables stay sound without
-pinning whole expression trees.
+pinning whole expression trees.  Structurally equal subterms built
+twice are two nodes; the Tripletizer's structural tables
+(:mod:`repro.arith.triplet`) define each distinct subterm once, so the
+encoding does not grow with them.
 
-Variables (:class:`IntVar`, :class:`BoolVar`) are deliberately *not*
-interned: two variables with the same name are still distinct objects,
-preserving the seed semantics where identity defines a variable.  The
-intern table holds the structural key of a node in terms of its
-children's ``nid``\\ s, so interning composes: once the leaves are fixed
-objects, equal trees over them collapse to one object per distinct
-subterm.  The table is weak -- dropping every reference to a formula
-releases its nodes.
-
-:func:`interning` temporarily disables the intern table (used by the
-encoding-equivalence tests to compare consed against un-consed runs);
-:func:`intern_counters` exposes hit/miss counters for
-:class:`repro.arith.stats.EncodeStats`.
+Variables (:class:`IntVar`, :class:`BoolVar`) are defined by identity:
+two variables with the same name are still distinct objects.
+:data:`TRUE` and :data:`FALSE` are the only :class:`BoolConst` objects
+(the encoder tests them by identity); they unpickle as themselves.
 """
 
 from __future__ import annotations
-
-import weakref
-from contextlib import contextmanager
 
 __all__ = [
     "IntExpr",
@@ -63,22 +51,7 @@ __all__ = [
     "TRUE",
     "FALSE",
     "as_int",
-    "interning",
-    "intern_counters",
 ]
-
-# ---------------------------------------------------------------------------
-# Intern table
-# ---------------------------------------------------------------------------
-
-#: Structural key -> node.  Keys reference children by nid (stable, never
-#: reused), so a surviving entry can only describe live children: the
-#: value holds its children strongly, and the entry dies with the value.
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-_COUNTS = {"created": 0, "interned": 0}
-
-_ENABLED = [True]
 
 _next_nid = 0
 
@@ -86,44 +59,12 @@ _next_nid = 0
 def _fresh_nid() -> int:
     global _next_nid
     _next_nid += 1
-    _COUNTS["created"] += 1
     return _next_nid
 
 
-def _intern_get(key):
-    if not _ENABLED[0]:
-        return None
-    node = _TABLE.get(key)
-    if node is not None:
-        _COUNTS["interned"] += 1
-    return node
-
-
-def _intern_put(key, node) -> None:
-    if _ENABLED[0]:
-        _TABLE[key] = node
-
-
-def intern_counters() -> dict:
-    """Snapshot of the hash-consing counters (process-wide):
-    ``created`` nodes and ``interned`` constructor cache hits."""
-    return dict(_COUNTS, live=len(_TABLE))
-
-
-@contextmanager
-def interning(enabled: bool):
-    """Context manager toggling structural interning of new nodes.
-
-    With interning disabled every constructor call builds a fresh node
-    (the seed behaviour); existing interned nodes are unaffected.  Used
-    by the equivalence tests to diff consed vs. un-consed encodings.
-    """
-    old = _ENABLED[0]
-    _ENABLED[0] = enabled
-    try:
-        yield
-    finally:
-        _ENABLED[0] = old
+def node_count() -> int:
+    """IR nodes constructed in this process so far (the last nid)."""
+    return _next_nid
 
 
 def as_int(value) -> "IntExpr":
@@ -140,7 +81,7 @@ def as_int(value) -> "IntExpr":
 class IntExpr:
     """Base class for integer-valued expressions."""
 
-    __slots__ = ("nid", "__weakref__")
+    __slots__ = ("nid",)
 
     def __add__(self, other) -> "IntExpr":
         return Add(self, as_int(other))
@@ -186,8 +127,8 @@ class IntExpr:
 
 
 class IntVar(IntExpr):
-    """A bounded integer variable ``lo <= v <= hi`` (never interned:
-    identity defines the variable)."""
+    """A bounded integer variable ``lo <= v <= hi`` (identity defines
+    the variable)."""
 
     __slots__ = ("name", "lo", "hi")
 
@@ -204,51 +145,31 @@ class IntVar(IntExpr):
 
 
 class IntConst(IntExpr):
-    """An integer literal (interned by value)."""
+    """An integer literal."""
 
     __slots__ = ("value",)
 
-    def __new__(cls, value: int):
-        key = ("ic", value)
-        self = _intern_get(key)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
+    def __init__(self, value: int):
         self.value = value
         self.nid = _fresh_nid()
-        _intern_put(key, self)
-        return self
 
     def __repr__(self) -> str:
         return f"IntConst({self.value})"
 
 
 class _BinOp(IntExpr):
-    """Shared interning constructor for binary arithmetic operators."""
+    """Shared constructor for binary arithmetic operators."""
 
     __slots__ = ("a", "b")
 
-    _TAG = "?"
-
-    def __new__(cls, a: IntExpr, b: IntExpr):
-        a = as_int(a)
-        b = as_int(b)
-        key = (cls._TAG, a.nid, b.nid)
-        self = _intern_get(key)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
-        self.a = a
-        self.b = b
+    def __init__(self, a: IntExpr, b: IntExpr):
+        self.a = as_int(a)
+        self.b = as_int(b)
         self.nid = _fresh_nid()
-        _intern_put(key, self)
-        return self
 
 
 class Add(_BinOp):
     __slots__ = ()
-
-    _TAG = "+"
 
     def __repr__(self) -> str:
         return f"({self.a!r} + {self.b!r})"
@@ -256,8 +177,6 @@ class Add(_BinOp):
 
 class Sub(_BinOp):
     __slots__ = ()
-
-    _TAG = "-"
 
     def __repr__(self) -> str:
         return f"({self.a!r} - {self.b!r})"
@@ -268,8 +187,6 @@ class Mul(_BinOp):
     encoding needs variable*variable for the TDMA blocking term)."""
 
     __slots__ = ()
-
-    _TAG = "*"
 
     def __repr__(self) -> str:
         return f"({self.a!r} * {self.b!r})"
@@ -283,7 +200,7 @@ class Mul(_BinOp):
 class BoolExpr:
     """Base class for propositional formulas."""
 
-    __slots__ = ("nid", "__weakref__")
+    __slots__ = ("nid",)
 
     def __and__(self, other) -> "BoolExpr":
         return And(self, other)
@@ -298,7 +215,7 @@ class BoolExpr:
 
 
 class BoolVar(BoolExpr):
-    """A free propositional variable (never interned)."""
+    """A free propositional variable (identity defines it)."""
 
     __slots__ = ("name",)
 
@@ -311,30 +228,25 @@ class BoolVar(BoolExpr):
 
 
 class BoolConst(BoolExpr):
-    """Propositional constant; use the module-level TRUE / FALSE."""
+    """Propositional constant: use the module-level TRUE / FALSE, the
+    only two instances."""
 
     __slots__ = ("value",)
 
-    def __new__(cls, value: bool):
-        key = ("bc", bool(value))
-        self = _intern_get(key)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
+    def __init__(self, value: bool):
         self.value = value
         self.nid = _fresh_nid()
-        _intern_put(key, self)
-        return self
 
     def __repr__(self) -> str:
+        return "TRUE" if self.value else "FALSE"
+
+    def __reduce__(self) -> str:
+        # Pickle and copy by module-level name: a copy is the singleton.
         return "TRUE" if self.value else "FALSE"
 
 
 TRUE = BoolConst(True)
 FALSE = BoolConst(False)
-# Pin the two singletons: with interning active every BoolConst(True)
-# resolves to TRUE even under memory pressure.
-_BOOL_CONSTS = (TRUE, FALSE)
 
 
 class Cmp(BoolExpr):
@@ -344,58 +256,38 @@ class Cmp(BoolExpr):
 
     OPS = ("==", "!=", "<", "<=", ">", ">=")
 
-    def __new__(cls, op: str, a: IntExpr, b: IntExpr):
-        if op not in cls.OPS:
+    def __init__(self, op: str, a: IntExpr, b: IntExpr):
+        if op not in self.OPS:
             raise ValueError(f"unknown comparison {op!r}")
-        a = as_int(a)
-        b = as_int(b)
-        key = ("cmp", op, a.nid, b.nid)
-        self = _intern_get(key)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
         self.op = op
-        self.a = a
-        self.b = b
+        self.a = as_int(a)
+        self.b = as_int(b)
         self.nid = _fresh_nid()
-        _intern_put(key, self)
-        return self
 
     def __repr__(self) -> str:
         return f"({self.a!r} {self.op} {self.b!r})"
 
 
 class _NaryOp(BoolExpr):
-    """Shared flattening + interning constructor for And/Or."""
+    """Shared flattening constructor for And/Or."""
 
     __slots__ = ("parts",)
 
-    _TAG = "?"
-
-    def __new__(cls, *parts: BoolExpr):
+    def __init__(self, *parts: BoolExpr):
         flat: list[BoolExpr] = []
         for p in parts:
-            if isinstance(p, cls):
+            if isinstance(p, type(self)):
                 flat.extend(p.parts)
             else:
                 flat.append(p)
-        key = (cls._TAG,) + tuple(p.nid for p in flat)
-        self = _intern_get(key)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
         self.parts = tuple(flat)
         self.nid = _fresh_nid()
-        _intern_put(key, self)
-        return self
 
 
 class And(_NaryOp):
     """N-ary conjunction."""
 
     __slots__ = ()
-
-    _TAG = "and"
 
     def __repr__(self) -> str:
         return "And(" + ", ".join(map(repr, self.parts)) + ")"
@@ -406,8 +298,6 @@ class Or(_NaryOp):
 
     __slots__ = ()
 
-    _TAG = "or"
-
     def __repr__(self) -> str:
         return "Or(" + ", ".join(map(repr, self.parts)) + ")"
 
@@ -415,16 +305,9 @@ class Or(_NaryOp):
 class Not(BoolExpr):
     __slots__ = ("a",)
 
-    def __new__(cls, a: BoolExpr):
-        key = ("not", a.nid)
-        self = _intern_get(key)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
+    def __init__(self, a: BoolExpr):
         self.a = a
         self.nid = _fresh_nid()
-        _intern_put(key, self)
-        return self
 
     def __repr__(self) -> str:
         return f"Not({self.a!r})"
@@ -433,17 +316,10 @@ class Not(BoolExpr):
 class Implies(BoolExpr):
     __slots__ = ("a", "b")
 
-    def __new__(cls, a: BoolExpr, b: BoolExpr):
-        key = ("->", a.nid, b.nid)
-        self = _intern_get(key)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
+    def __init__(self, a: BoolExpr, b: BoolExpr):
         self.a = a
         self.b = b
         self.nid = _fresh_nid()
-        _intern_put(key, self)
-        return self
 
     def __repr__(self) -> str:
         return f"({self.a!r} -> {self.b!r})"
@@ -452,17 +328,10 @@ class Implies(BoolExpr):
 class Iff(BoolExpr):
     __slots__ = ("a", "b")
 
-    def __new__(cls, a: BoolExpr, b: BoolExpr):
-        key = ("<->", a.nid, b.nid)
-        self = _intern_get(key)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
+    def __init__(self, a: BoolExpr, b: BoolExpr):
         self.a = a
         self.b = b
         self.nid = _fresh_nid()
-        _intern_put(key, self)
-        return self
 
     def __repr__(self) -> str:
         return f"({self.a!r} <-> {self.b!r})"

@@ -16,8 +16,8 @@ Circuits:
   identity, with a Tseitin gate library that constant-folds aggressively
   so comparisons against constants cost almost nothing.
 
-All caches key on ``IntVar.nid`` (process-unique node ids from the
-hash-consed IR): unlike ``id()`` keys, a nid can never alias a recycled
+All caches key on ``IntVar.nid`` (process-unique node ids of the
+expression IR): unlike ``id()`` keys, a nid can never alias a recycled
 address of a garbage-collected expression, so the vector and range
 caches stay sound over arbitrarily long incremental encodes.
 

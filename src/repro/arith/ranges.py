@@ -63,8 +63,8 @@ def infer_range(expr: IntExpr, cache: dict | None = None) -> Range:
 
     Keys are node ids (``expr.nid``), which are never reused -- unlike
     ``id()``, a cached entry can never alias a different expression whose
-    object happened to land on a recycled address.  With hash-consing,
-    every occurrence of a shared subterm hits the same cache slot.
+    object happened to land on a recycled address.  Every occurrence of
+    one shared node hits the same cache slot.
     """
     if cache is None:
         cache = {}

@@ -1,4 +1,4 @@
-"""Algebraic simplification over the hash-consed IR.
+"""Algebraic simplification over the expression IR.
 
 Runs between the DSL and the Tripletizer: every formula handed to
 :meth:`repro.arith.solver.IntSolver.require` is rewritten bottom-up
@@ -8,20 +8,19 @@ the pass can be toggled without changing the models of a formula:
 
 Arithmetic
     constant folding, ``x+0 -> x``, ``x-0 -> x``, ``0-x`` kept (unary
-    minus), ``x*0 -> 0``, ``x*1 -> x``, ``x-x -> 0`` (same interned
-    node).
+    minus), ``x*0 -> 0``, ``x*1 -> x``, ``x-x -> 0`` (same node).
 
 Comparisons
     constant folding and range-based tautology/contradiction
     elimination via :func:`repro.arith.ranges.compare_ranges`
     (disjoint or ordered operand ranges decide a comparison
-    statically), ``x OP x`` on the same interned node.
+    statically), ``x OP x`` on the same node.
 
 Boolean structure
     constant absorption for And/Or/Not/Implies/Iff, duplicate-argument
-    removal and complementary-literal detection in And/Or (possible
-    because hash-consing makes structural equality pointer equality),
-    single-argument collapse.
+    removal and complementary-literal detection in And/Or (on the same
+    node: a subterm built twice is two nodes, which the Tripletizer's
+    structural tables then define once), single-argument collapse.
 
 The pass is memoized by ``nid`` so shared subterms are simplified once;
 because nids are process-unique the caches can be long-lived (they are
@@ -52,8 +51,6 @@ from repro.arith.ast import (
 from repro.arith.ranges import compare_ranges, infer_range
 
 __all__ = ["Simplifier"]
-
-_ZERO_ID = None  # lazily built to avoid import-time intern traffic
 
 
 class Simplifier:
@@ -111,7 +108,7 @@ class Simplifier:
                 self.rewrites += 1
                 return a
             if a is b:
-                # Same interned node: x - x == 0 regardless of x's value.
+                # Same node: x - x == 0 regardless of x's value.
                 self.folds += 1
                 return IntConst(0)
             return expr if (a is expr.a and b is expr.b) else Sub(a, b)
@@ -212,14 +209,14 @@ class Simplifier:
                 changed = True
                 continue
             if p.nid in seen:
-                # Duplicate argument (same interned node): idempotence.
+                # Duplicate argument (same node): idempotence.
                 self.rewrites += 1
                 changed = True
                 continue
             seen.add(p.nid)
             parts.append(p)
-        # Complementary pair p and ~p: And -> FALSE, Or -> TRUE.  Since
-        # Not is interned, Not(p).nid is the canonical id of p's negation.
+        # Complementary pair p and ~p (a Not over the very node p):
+        # And -> FALSE, Or -> TRUE.
         for p in parts:
             if isinstance(p, Not) and p.a.nid in seen:
                 self.folds += 1

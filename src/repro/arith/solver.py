@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from array import array
 
-from repro.arith.ast import BoolExpr, BoolVar, IntVar, intern_counters
+from repro.arith.ast import BoolExpr, BoolVar, IntVar, node_count
 from repro.arith.bitblast import Blaster
 from repro.arith.stats import EncodeStats
 from repro.arith.triplet import TOK_FALSE, TOK_TRUE, Tripletizer
@@ -105,9 +105,9 @@ class IntSolver:
         #: Template replays into this solver and their wall time.
         self._replays = 0
         self._t_replay = 0.0
-        # Hash-consing counters are process-global; remember the baseline
-        # so encode_stats() reports this solver's own traffic.
-        self._intern_base = intern_counters()
+        # The nid counter is process-global; remember the baseline so
+        # encode_stats() reports the nodes built while this solver lived.
+        self._nid_base = node_count()
 
     @property
     def sat(self) -> Solver:
@@ -423,11 +423,10 @@ class IntSolver:
 
     def encode_stats(self) -> EncodeStats:
         """Cross-layer :class:`repro.arith.stats.EncodeStats` snapshot:
-        hash-consing traffic since this solver was created, simplifier
+        IR nodes built since this solver was created, simplifier
         and Tripletizer counters, blaster gate statistics, and the final
         formula sizes with per-stage wall time."""
         sat = self.sat  # loads what is still buffered, timed as t_load
-        ic = intern_counters()
         trip = self.trip
         simp = trip.simplifier
         blaster = self.blaster
@@ -436,8 +435,7 @@ class IntSolver:
         # report the triplet stage net of it.
         t_triplet = max(self._t_triplet - t_simplify, 0.0)
         return EncodeStats(
-            nodes_created=ic["created"] - self._intern_base["created"],
-            nodes_interned=ic["interned"] - self._intern_base["interned"],
+            nodes_created=node_count() - self._nid_base,
             simplify_rewrites=simp.rewrites,
             simplify_folds=simp.folds,
             triplet_defs=(

@@ -1,7 +1,7 @@
 """Per-encoding instrumentation record.
 
 :class:`EncodeStats` aggregates counters from every layer of the encode
-pipeline -- DSL construction (hash-consing), simplification, triplet
+pipeline -- DSL construction, simplification, triplet
 transformation, bit-blasting, clause loading, and the final CNF/PB
 sizes -- plus per-stage wall time.
 :meth:`repro.arith.solver.IntSolver.encode_stats` assembles one; it is
@@ -22,13 +22,9 @@ class EncodeStats:
     """Counters and timings for one encoding run (all sizes are totals
     at snapshot time; timings in seconds)."""
 
-    #: IR nodes constructed while this solver was live (interned
-    #: constructor calls that returned an existing node are *not*
-    #: created nodes -- they are ``nodes_interned``).
+    #: IR nodes constructed while this solver was live (process-wide,
+    #: so nodes other threads built meanwhile count too).
     nodes_created: int = 0
-    #: Constructor calls answered from the intern table (structural
-    #: sharing hits; each one is a whole subtree not re-built).
-    nodes_interned: int = 0
     #: Simplifier rewrites (node replaced by a cheaper equivalent).
     simplify_rewrites: int = 0
     #: Subformulas decided statically by the simplifier (constant /

@@ -17,11 +17,15 @@ Boolean tokens use the same packed-int literal trick as the SAT layer:
 ``token = index*2 (+1 when negated)``; constants fold eagerly so no
 definition is ever emitted for TRUE/FALSE subformulas.
 
-With the hash-consed IR (:mod:`repro.arith.ast`) all memo tables key on
-node ``nid``\\ s: one definition is emitted per *distinct subterm*, not
-per occurrence, and the tables stay sound without pinning trees alive
-(nids are never reused, unlike ``id()``).  Unless disabled, every root
-formula is first run through :class:`repro.arith.simplify.Simplifier`.
+The memo tables key on node ``nid``\\ s (:mod:`repro.arith.ast`), and
+the structural tables on an operator and what its operands reduced to
+(constants by value, atoms by nid, subformulas by token).  This is the
+encoder's one subterm-sharing mechanism: one definition is emitted per
+*distinct subterm*, not per occurrence, also when the subterm was built
+twice as separate nodes.  The tables stay sound without pinning trees
+alive (nids are never reused, unlike ``id()``).  Unless disabled, every
+root formula is first run through
+:class:`repro.arith.simplify.Simplifier`.
 """
 
 from __future__ import annotations

@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument(
         "--stats", action="store_true",
-        help="print the EncodeStats JSON (hash-consing, simplification, "
+        help="print the EncodeStats JSON (IR nodes, simplification, "
         "triplet, bit-blast counters and per-stage times) plus the "
         "SAT-engine counters (propagations, props_per_sec, backend)",
     )

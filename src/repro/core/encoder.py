@@ -959,7 +959,7 @@ class ProblemEncoding:
         return self.solver.formula_size()
 
     def encode_stats(self) -> dict:
-        """Cross-layer encoding instrumentation (hash-consing, simplify,
+        """Cross-layer encoding instrumentation (IR nodes, simplify,
         triplet, blast counters and timings) as a JSON-ready dict; see
         :class:`repro.arith.stats.EncodeStats`."""
         return self.solver.encode_stats().to_dict()

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 __all__ = ["EncodingTemplate", "TemplateSlot", "template_shape"]
 
@@ -93,8 +93,8 @@ def template_shape(tasks, arch, objective, config) -> str:
     The system's content with every WCET value replaced by its
     parameter width (the bit length of the task's largest candidate
     WCET), plus the identity of the objective and encoder configuration
-    and the code fingerprint.  Media enter with every field (the system
-    codec leaves some out, such as CAN blocking).  An objective that
+    and the code fingerprint.  The system codec writes every field of
+    every ECU and medium, CAN blocking included.  An objective that
     reads WCET values itself (``reads_wcet``) adds those values, so for
     it any WCET change is a new shape."""
     from repro.core.api import SolveRequest
@@ -109,7 +109,6 @@ def template_shape(tasks, arch, objective, config) -> str:
         td["wcet"] = dict.fromkeys(td["wcet"], width)
     key = {
         "system": doc,
-        "media": [asdict(m) for m in arch.media.values()],
         "identity": SolveRequest(objective=objective,
                                  config=config).fingerprint(),
         "code": code_fingerprint(),

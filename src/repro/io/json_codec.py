@@ -24,6 +24,10 @@ System schema::
       ]
     }
 
+A CAN medium with Tindell's non-preemptive blocking term adds
+``"nonpreemptive_blocking": true``; the key is written only when set,
+so systems without it serialize as before.
+
 Allocation schema mirrors :class:`repro.analysis.Allocation`; message
 references serialize as ``"sender/index"`` and pair keys as two-element
 arrays.
@@ -62,20 +66,7 @@ def system_to_dict(tasks: TaskSet, arch: Architecture) -> dict:
                 }
                 for e in arch.ecus.values()
             ],
-            "media": [
-                {
-                    "name": m.name,
-                    "kind": m.kind.value,
-                    "ecus": list(m.ecus),
-                    "bit_rate": m.bit_rate,
-                    "frame_overhead_bits": m.frame_overhead_bits,
-                    "slot_overhead": m.slot_overhead,
-                    "min_slot": m.min_slot,
-                    "gateway_service": m.gateway_service,
-                    "tick_us": m.tick_us,
-                }
-                for m in arch.media.values()
-            ],
+            "media": [_medium_to_dict(m) for m in arch.media.values()],
         },
         "tasks": [
             {
@@ -102,6 +93,32 @@ def system_to_dict(tasks: TaskSet, arch: Architecture) -> dict:
     }
 
 
+def _medium_to_dict(m: Medium) -> dict:
+    out = {
+        "name": m.name,
+        "kind": m.kind.value,
+        "ecus": list(m.ecus),
+        "bit_rate": m.bit_rate,
+        "frame_overhead_bits": m.frame_overhead_bits,
+        "slot_overhead": m.slot_overhead,
+        "min_slot": m.min_slot,
+        "gateway_service": m.gateway_service,
+        "tick_us": m.tick_us,
+    }
+    if m.nonpreemptive_blocking:
+        out["nonpreemptive_blocking"] = True
+    return out
+
+
+def _flag(doc: dict, key: str) -> bool:
+    """An optional JSON boolean (False when absent); anything but
+    ``true``/``false`` is rejected rather than read by truthiness."""
+    value = doc.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, not {value!r}")
+    return value
+
+
 def system_from_dict(data: dict) -> tuple[TaskSet, Architecture]:
     """Inverse of :func:`system_to_dict` (with schema validation driven
     by the model classes' own constructors)."""
@@ -126,6 +143,7 @@ def system_from_dict(data: dict) -> tuple[TaskSet, Architecture]:
             min_slot=m.get("min_slot", 50),
             gateway_service=m.get("gateway_service", 100),
             tick_us=m.get("tick_us", 1),
+            nonpreemptive_blocking=_flag(m, "nonpreemptive_blocking"),
         )
         for m in arch_data["media"]
     ]

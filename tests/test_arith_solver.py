@@ -1,13 +1,17 @@
 """End-to-end tests of the integer layer: triplet transformation +
 bit-blasting + CDCL, cross-checked against brute-force enumeration."""
 
+import copy
+import inspect
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arith import ast as ir
 from repro.arith import FALSE, TRUE, And, IntSolver, Not, Or
 from repro.arith.ast import Iff, Implies
 
@@ -588,3 +592,77 @@ class TestTemplates:
         with pytest.raises(ValueError, match="fresh"):
             s.replay(tpl)
 
+
+
+def _one_node_of_each_class() -> list:
+    x, y, b = ir.IntVar("x", 0, 7), ir.IntVar("y", -2, 3), ir.BoolVar("b")
+    c = ir.Cmp("<=", ir.Add(x, 2), ir.Mul(ir.Sub(x, y), 3))
+    return [x, ir.IntConst(5), ir.Add(x, y), ir.Sub(x, 1), ir.Mul(x, y),
+            b, c, And(b, c), Or(b, Not(c)), Not(b), Implies(b, c),
+            Iff(b, c), TRUE, FALSE]
+
+
+def _fields(node) -> dict:
+    """Every slot of ``node``, child nodes as ``(class, nid, repr)``."""
+    def plain(value):
+        if isinstance(value, (ir.IntExpr, ir.BoolExpr)):
+            return type(value).__name__, value.nid, repr(value)
+        if isinstance(value, tuple):
+            return tuple(map(plain, value))
+        return value
+    slots = [n for k in type(node).__mro__
+             for n in getattr(k, "__slots__", ())]
+    return {n: plain(getattr(node, n)) for n in slots}
+
+
+class TestIrNodes:
+    """The IR builds a fresh node per constructor call; the copies
+    templates make of it, and the sharing of subterms built twice, are
+    checked here."""
+
+    def test_one_node_of_each_class(self):
+        classes = {
+            k for _, k in inspect.getmembers(ir, inspect.isclass)
+            if issubclass(k, (ir.IntExpr, ir.BoolExpr))
+            and not k.__name__.startswith("_")
+            and k not in (ir.IntExpr, ir.BoolExpr)
+        }
+        assert {type(n) for n in _one_node_of_each_class()} == classes
+
+    @pytest.mark.parametrize("dump", [
+        lambda n: pickle.loads(pickle.dumps(n)),
+        lambda n: pickle.loads(pickle.dumps(n, protocol=5)),
+        copy.deepcopy,
+    ], ids=["pickle", "pickle5", "deepcopy"])
+    def test_copy_keeps_class_fields_and_repr(self, dump):
+        for node in _one_node_of_each_class():
+            twin = dump(node)
+            assert type(twin) is type(node)
+            assert _fields(twin) == _fields(node), node
+            assert repr(twin) == repr(node)
+
+    def test_constants_copy_as_the_singletons(self):
+        for const in (TRUE, FALSE):
+            assert pickle.loads(pickle.dumps(const)) is const
+            assert copy.copy(const) is const
+            assert copy.deepcopy(const) is const
+
+    def test_constructor_builds_a_fresh_node(self):
+        x = ir.IntVar("x", 0, 7)
+        a, b = x + 1, x + 1
+        assert a is not b and a.nid != b.nid
+
+    def test_subterm_built_twice_is_defined_once(self):
+        """Two separately built ``x + y`` nodes get one arithmetic
+        definition, with the simplifier off: the Tripletizer's structural
+        tables do the sharing."""
+        s = IntSolver(simplify=False)
+        x = s.int_var("x", 0, 10)
+        y = s.int_var("y", 0, 10)
+        s.require(x + y <= 9)
+        s.require(x + y >= 2)
+        s.require((x + y <= 9) | (x == 3))
+        assert [d.op for d in s.trip.arith_defs] == ["+"]
+        assert len(s.trip.cmp_defs) == 3
+        assert s.trip.cse_hits >= 2
+        assert s.solve() and 2 <= s.value(x) + s.value(y) <= 9

@@ -1,14 +1,13 @@
-"""Differential tests of the hash-consed encode pipeline.
+"""Differential tests of the encode pipeline's optional passes.
 
-The refactored path (structural interning + simplification passes + bit
-narrowing) must be *observationally identical* to the plain path: any
+The full path (simplification pass + bit narrowing) must be
+*observationally identical* to the plain path: any
 formula is satisfiable under one configuration iff it is satisfiable
 under the other, models satisfy the original formula, and the end-to-end
 allocator reaches the same optimum on the paper's fig. 1 architecture.
 
 Random formulas are generated as config-independent *specs* (nested
-tuples) and materialized into fresh ASTs per configuration, so the
-interning toggle really exercises both construction paths.  Ground truth
+tuples) and materialized into fresh ASTs per configuration.  Ground truth
 comes from exhaustive enumeration of the (tiny) variable domains, and --
 for formulas whose CNF stays small -- from the brute-force reference
 checker in :mod:`repro.sat.reference`.
@@ -18,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arith import IntSolver
-from repro.arith.ast import Iff, Implies, interning
+from repro.arith.ast import Iff, Implies
 from repro.sat.reference import brute_force_sat
 
 # Fixed variable layout: three bounded integers, two free Booleans.
@@ -169,35 +168,33 @@ def ground_truth_sat(spec) -> bool:
     return False
 
 
-def encode_and_solve(spec, intern_on: bool, simplify: bool,
-                     narrow: bool):
+def encode_and_solve(spec, simplify: bool, narrow: bool):
     """Build the formula under one configuration; return (solver, spec
     evaluation of the model) -- model eval is None when UNSAT."""
-    with interning(intern_on):
-        s = IntSolver(simplify=simplify, narrow_bits=narrow)
-        ivars = [s.int_var(n, lo, hi) for (n, lo, hi) in INT_DOMAINS]
-        bvars = [s.bool_var(f"b{i}") for i in range(N_BOOLS)]
-        s.require(build_bool(spec, ivars, bvars))
-        # Materialize every Boolean variable so the model has a value
-        # for it even when the formula never mentions it.
-        for bv in bvars:
-            s.literal(bv)
-        sat = s.solve()
-        if not sat:
-            return s, None
-        ivals = [s.value(v) for v in ivars]
-        bvals = [s.value_bool(v) for v in bvars]
-        for (name, lo, hi), val in zip(INT_DOMAINS, ivals):
-            assert lo <= val <= hi, (name, val)
-        return s, eval_bool(spec, ivals, bvals)
+    s = IntSolver(simplify=simplify, narrow_bits=narrow)
+    ivars = [s.int_var(n, lo, hi) for (n, lo, hi) in INT_DOMAINS]
+    bvars = [s.bool_var(f"b{i}") for i in range(N_BOOLS)]
+    s.require(build_bool(spec, ivars, bvars))
+    # Materialize every Boolean variable so the model has a value
+    # for it even when the formula never mentions it.
+    for bv in bvars:
+        s.literal(bv)
+    sat = s.solve()
+    if not sat:
+        return s, None
+    ivals = [s.value(v) for v in ivars]
+    bvals = [s.value_bool(v) for v in bvars]
+    for (name, lo, hi), val in zip(INT_DOMAINS, ivals):
+        assert lo <= val <= hi, (name, val)
+    return s, eval_bool(spec, ivals, bvals)
 
 
 CONFIGS = (
-    # (interning, simplify, narrow_bits)
-    (True, True, True),      # the full refactored pipeline
-    (True, True, False),
-    (True, False, True),
-    (False, False, False),   # plain: no consing, no passes, no narrowing
+    # (simplify, narrow_bits)
+    (True, True),      # the full pipeline
+    (True, False),
+    (False, True),
+    (False, False),    # plain: no passes, no narrowing
 )
 
 
@@ -206,22 +203,20 @@ class TestRandomFormulaEquisatisfiability:
     @settings(max_examples=60, deadline=None)
     def test_all_configs_agree_with_enumeration(self, spec):
         expect = ground_truth_sat(spec)
-        for intern_on, simplify, narrow in CONFIGS:
-            s, model_eval = encode_and_solve(
-                spec, intern_on, simplify, narrow
-            )
+        for simplify, narrow in CONFIGS:
+            s, model_eval = encode_and_solve(spec, simplify, narrow)
             got = model_eval is not None
-            assert got == expect, (intern_on, simplify, narrow, spec)
+            assert got == expect, (simplify, narrow, spec)
             if got:
                 # The decoded model must satisfy the *original* formula.
-                assert model_eval is True, (intern_on, simplify, narrow)
+                assert model_eval is True, (simplify, narrow)
 
     @given(bool_specs())
     @settings(max_examples=40, deadline=None)
     def test_small_cnf_agrees_with_reference_checker(self, spec):
         """When the emitted CNF stays tiny, cross-check the CDCL verdict
         against the brute-force reference model finder."""
-        s, model_eval = encode_and_solve(spec, True, True, True)
+        s, model_eval = encode_and_solve(spec, True, True)
         if not s.sat.ok:
             # The pipeline proved UNSAT at the top level (e.g. the
             # simplifier folded the formula to FALSE); no CNF to check.

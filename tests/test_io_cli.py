@@ -1,5 +1,6 @@
 """Tests for JSON serialization and the command-line interface."""
 
+import dataclasses
 import json
 import os
 
@@ -75,6 +76,56 @@ class TestSystemCodec:
             assert m1.kind == m2.kind
             assert m1.ecus == m2.ecus
             assert m1.bit_rate == m2.bit_rate
+
+    def test_roundtrip_keeps_every_ecu_and_medium_field(self):
+        """Every dataclass field of Ecu and Medium set away from its
+        default survives the codec, so a field added later cannot be
+        dropped silently: it fails here until the codec carries it."""
+        def off_default(field):
+            d = field.default
+            if isinstance(d, bool):
+                return not d
+            if d is None:
+                return 64
+            if isinstance(d, (int, float)):
+                return d * 3 + 1
+            raise AssertionError(f"pick a non-default {field.name}")
+
+        def build(cls, **required):
+            kw = {f.name: off_default(f) for f in dataclasses.fields(cls)
+                  if f.name not in required}
+            obj = cls(**required, **kw)
+            for f in dataclasses.fields(cls):
+                if f.name not in required:
+                    assert getattr(obj, f.name) != f.default, f.name
+            return obj
+
+        ecus = [build(Ecu, name="p0"), build(Ecu, name="p1")]
+        media = [build(Medium, name="can", kind=CAN, ecus=("p0", "p1"))]
+        arch = Architecture(ecus=ecus, media=media)
+        tasks = TaskSet([Task("a", 1000, {"p0": 100}, 1000)])
+        data = json.loads(json.dumps(system_to_dict(tasks, arch)))
+        _, arch2 = system_from_dict(data)
+        assert list(arch2.ecus.values()) == ecus
+        assert list(arch2.media.values()) == media
+
+    def test_default_blocking_is_not_written(self):
+        """The blocking key appears only when set, so the documents (and
+        the server's ``system_digest`` of them) of systems without it
+        are unchanged."""
+        tasks, arch = sample_system()
+        for m in system_to_dict(tasks, arch)["architecture"]["media"]:
+            assert "nonpreemptive_blocking" not in m
+        arch.media["can"].nonpreemptive_blocking = True
+        media = system_to_dict(tasks, arch)["architecture"]["media"]
+        assert [m.get("nonpreemptive_blocking") for m in media] == \
+            [None, True]
+
+    def test_non_boolean_blocking_rejected(self):
+        data = system_to_dict(*sample_system())
+        data["architecture"]["media"][1]["nonpreemptive_blocking"] = "false"
+        with pytest.raises(ValueError, match="true or false"):
+            system_from_dict(data)
 
     def test_file_roundtrip(self, tmp_path):
         tasks, arch = sample_system()

@@ -100,7 +100,6 @@ KEPT_WITHOUT_CALLER = {
     "brute_force_count": "test oracle: model counting",
     "brute_force_min": "test oracle: optimization",
     "closures_by_endpoints": "test oracle for the encoder's path rules",
-    "interning": "test oracle: hash-consing on/off equivalence",
     "input_formula": "test oracle: a checker's database in DIMACS",
     "_new_clause": "reference add_clause of the clause-loader tests",
     # Defect makers of the certification-fault tests.

@@ -186,8 +186,8 @@ class TestShapeMisses:
         assert _replays(again) == 1
 
     def test_every_medium_field_is_part_of_the_shape(self):
-        """CAN blocking changes the formula, though the system codec
-        drops it."""
+        """CAN blocking changes the formula, so the shape (the system
+        codec's document) must carry it."""
         from repro.model.architecture import MediumKind
 
         tasks = TaskSet([Task("a", 1000, {"p0": 90, "p1": 80}, 900)])
