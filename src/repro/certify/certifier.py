@@ -30,7 +30,6 @@ from repro.certify.audit import audit_witness
 from repro.certify.drup import ProofError, RupChecker
 from repro.certify.result import CertifiedResult, ProbeCertificate
 from repro.sat.literals import to_dimacs
-from repro.sat.proof import format_step
 
 __all__ = ["ProbeCertifier"]
 
@@ -65,7 +64,7 @@ class ProbeCertifier:
         """Certify the next probes on ``enc``, a fresh encoding: a new
         proof and a new checker, since nothing derived on the previous
         encoding holds there.  ``proof_lines`` keeps the total."""
-        self._lines_before += len(self.proof.steps)
+        self._lines_before += len(self.proof)
         self.enc = enc
         self.proof = enc.solver.sat.start_proof()
         self.checker = RupChecker()
@@ -149,14 +148,30 @@ class ProbeCertifier:
 
     def _feed(self) -> None:
         """Feed proof steps logged since the last check to the checker
-        as signed DIMACS integers, and mirror their text form to the
-        on-disk spool (verified appends; see
-        :mod:`repro.certify.proofio`) when one is attached."""
-        steps = self.proof.steps
-        if self._fed >= len(steps):
+        as signed DIMACS integers -- the input snapshot as one block
+        (:meth:`RupChecker.add_inputs`), later steps one at a time --
+        after mirroring their text form to the on-disk spool (verified
+        appends; see :mod:`repro.certify.proofio`) when one is
+        attached."""
+        proof = self.proof
+        start = self._fed
+        if start >= len(proof):
             return
-        new = steps[self._fed:]
-        self._fed = len(steps)
+        self._fed = len(proof)
+        if self.spool is not None and self.result.proof_artifact_ok:
+            try:
+                self.spool.append(list(proof.lines(start)))
+            except Exception as exc:  # noqa: BLE001 - artifact boundary
+                # ProofArtifactError (a RuntimeError) and raw-IO
+                # OSErrors alike condemn the artifact.
+                self.result.proof_artifact_ok = False
+                self.result.proof_artifact_error = str(exc)
+        if start == 0:
+            # The first feed takes the whole log, snapshot included.
+            self.checker.add_inputs(proof.block)
+            new = proof.steps
+        else:
+            new = proof.steps[start - proof.block_records:]
         add = self.checker.add_step
         for step in new:
             lits = list(map(to_dimacs, step[1]))
@@ -164,24 +179,24 @@ class ProbeCertifier:
                 add("b", lits, step[2], step[3])
             else:
                 add(step[0], lits)
-        if self.spool is not None and self.result.proof_artifact_ok:
-            try:
-                self.spool.append([format_step(s) for s in new])
-            except Exception as exc:  # noqa: BLE001 - artifact boundary
-                # ProofArtifactError (a RuntimeError) and raw-IO
-                # OSErrors alike condemn the artifact.
-                self.result.proof_artifact_ok = False
-                self.result.proof_artifact_error = str(exc)
 
     # -- wrap-up --------------------------------------------------------
 
     def finalize(self) -> CertifiedResult:
         # Flush trailing proof steps (logged after the last UNSAT check)
-        # so the on-disk artifact holds the *complete* proof.
-        self._feed()
-        self.result.proof_lines = self._lines_before + len(self.proof.steps)
+        # so the on-disk artifact holds the *complete* proof; one that
+        # fails its check condemns the certificate, it does not raise.
+        try:
+            self._feed()
+        except ProofError as exc:
+            self.result.add(ProbeCertificate(
+                index=len(self.result.probes),
+                kind="proof",
+                ok=False,
+                detail=f"proof check failed: {exc}",
+            ))
+        self.result.proof_lines = self._lines_before + len(self.proof)
         if self.spool is not None:
             self.result.proof_repairs = self.spool.repairs
             self.spool.close()
         return self.result
-

@@ -21,6 +21,10 @@ A proof is a sequence of steps, fed either as integers
   literals in place),
 - ``c ...``                      comment.
 
+Input clauses may also arrive as one flat block of length-prefixed
+records, ``[n, lit_1 .. lit_n, n', ...]`` (:meth:`RupChecker.add_inputs`,
+the form a solver's input snapshot takes), read in one pass.
+
 The checker keeps one assignment at the *level-0 fixpoint* -- everything
 unit propagation derives from the database alone -- and extends it as
 units and clauses arrive (input clauses are attached in one batch before
@@ -68,9 +72,12 @@ class RupChecker:
     Internally, variables are renumbered 1, 2, ... in order of first
     appearance, so the per-literal tables (values, watch lists, PB
     occurrences) grow with the variables a proof uses, never with the
-    largest number in it.  The tables are Python lists indexed by the
-    signed internal literal itself: with ``2n + 1`` slots, ``+v`` lands
-    on slot ``v`` and ``-v`` on slot ``2n + 1 - v``.
+    largest number in it.  A first input block whose words all lie
+    within its length in absolute value keeps its own numbering
+    instead (see :meth:`add_inputs`); the tables stay bounded by the
+    block.  The tables are Python lists indexed by the signed internal
+    literal itself: with ``2n + 1`` slots, ``+v`` lands on slot ``v``
+    and ``-v`` on slot ``2n + 1 - v``.
     """
 
     def __init__(self) -> None:
@@ -105,10 +112,12 @@ class RupChecker:
         self._val: list[int] = [0]
         #: Literal -> clauses of three or more literals watching it
         #: (visited when it turns false).
-        self._watches: list[list[list[int]]] = [[]]
+        self._watches: list = [()]
         #: Literal -> the literals binary clauses imply when it is true.
-        self._implied: list[list[int]] = [[]]
+        self._implied: list = [()]
         #: Literal -> (pb index, coef) of the PBs it falsifies a term of.
+        #: The three tables hold a shared empty tuple until a literal
+        #: gets its first entry.
         self._pb_occ: list = [()]
         #: Level-0 trail, then (during a check) the check's literals.
         self._trail: list[int] = []
@@ -150,7 +159,7 @@ class RupChecker:
         if kind == "i":
             self.stats["inputs"] += 1
             if ints:
-                self._inputs.append(list(dict.fromkeys(ints)))
+                self._inputs.append(ints)
             else:
                 self.contradiction = True
             return
@@ -177,11 +186,83 @@ class RupChecker:
                     "propagation consequence of the database"
                 )
             if ints:
-                self._store_clauses([list(dict.fromkeys(ints))])
+                self._store_clauses([ints])
             else:
                 self.contradiction = True
         else:
             raise ProofError(f"unknown proof step kind {kind!r}")
+
+    def add_inputs(self, words) -> None:
+        """Apply a block of input clauses given as flat words.
+
+        ``words`` holds length-prefixed records of signed DIMACS
+        literals, ``[n, lit_1, ..., lit_n, n', ...]``, the form a
+        :class:`repro.sat.proof.ProofLog` keeps a solver's input
+        snapshot in; a record of size 0 is the empty clause.  The block
+        is read in one pass and its clauses are attached in one batch
+        before the next check, as :meth:`add_step` does with ``"i"``
+        steps one at a time.
+
+        A checker with no variables yet numbers them by identity when no
+        word exceeds the block's length in absolute value, so the
+        per-literal tables are allocated once, at a size bounded by the
+        block; otherwise (a later block, or a block with a huge variable
+        number) variables are renumbered in order of first appearance,
+        as for single steps.  A size word that is negative or overruns
+        the block, and a zero literal inside a record, raise
+        :class:`ProofError`; the block is then not applied at all.
+        """
+        words = list(words)
+        end = len(words)
+        top = max(max(words, default=0), -min(words, default=0))
+        identity = len(self._names) == 1 and top <= end
+        if identity:
+            # Internal literal == DIMACS literal.  Every word goes
+            # through one table of shared ints, as renumbered literals
+            # come from ``_index``: one int object per literal value
+            # keeps propagation's memory reads local.
+            shared = [*range(top + 1), *range(-top, 0)]
+            words = list(map(shared.__getitem__, words))
+        recs = []
+        append = recs.append
+        pos = 0
+        while pos < end:
+            nxt = pos + 1 + words[pos]
+            if nxt <= pos:
+                break
+            append(words[pos + 1:nxt])
+            pos = nxt
+        if pos != end:
+            if pos > end:
+                # The last record runs past the end; its slice stopped
+                # there.
+                pos = end - 1 - len(recs[-1])
+            raise ProofError(
+                f"input record at word {pos} has size {words[pos]}, "
+                f"which does not fit the block of {end} words"
+            )
+        if 0 in words:
+            # A zero word is either the size of an empty record (the
+            # empty clause) or a zero literal inside a record.
+            bad = next((r for r in recs if 0 in r), None)
+            if bad is not None:
+                raise ProofError(f"zero literal in input record {bad}")
+        self.stats["inputs"] += len(recs)
+        if [] in recs:
+            self.contradiction = True
+            recs = [r for r in recs if r]
+        if not recs:
+            return
+        if identity:
+            self._names = list(range(top + 1))
+            signed = shared[1:]
+            self._index = dict(zip(signed, signed))
+            self._grow(top)
+        else:
+            self._number([lit for r in recs for lit in r])
+            index = self._index
+            recs = [list(map(index.get, r)) for r in recs]
+        self._inputs.extend(recs)
 
     def add_line(self, line: str) -> None:
         """Parse one text proof line and apply it via :meth:`add_step`."""
@@ -217,33 +298,41 @@ class RupChecker:
         index = self._index
         ints = list(map(index.get, lits))
         if None in ints:
-            for lit in lits:
-                var = abs(lit)
-                if var not in index:
-                    n = len(self._names)
-                    self._names.append(var)
-                    index[var] = n
-                    index[-var] = -n
-                    if n > self._nvars:
-                        self._grow()
+            self._number(lits)
             ints = list(map(index.get, lits))
         return ints
 
-    def _grow(self) -> None:
-        """Double the room of the per-literal tables."""
-        n = self._nvars
-        new = 2 * max(n, 32)
+    def _number(self, lits) -> None:
+        """Number the variables of ``lits`` not seen yet, in order of
+        first appearance, and give the tables room for them."""
+        index = self._index
+        names = self._names
+        for lit in lits:
+            var = abs(lit)
+            if var not in index:
+                n = len(names)
+                names.append(var)
+                index[var] = n
+                index[-var] = -n
+        if len(names) - 1 > self._nvars:
+            self._grow(len(names) - 1)
 
-        def regrow(old, make):
+    def _grow(self, need: int) -> None:
+        """Give the per-literal tables room for ``need`` variables, at
+        least doubling it."""
+        n = self._nvars
+        new = max(need - n, n, 32)
+
+        def regrow(old, fill):
             # Slots 1..n keep +1..+n, the last n keep -n..-1; the new
             # variables' slots go in between.
-            return old[:n + 1] + [make() for _ in range(new)] + old[n + 1:]
+            return old[:n + 1] + [fill] * (2 * new) + old[n + 1:]
 
-        self._val = regrow(self._val, int)
-        self._watches = regrow(self._watches, list)
-        self._implied = regrow(self._implied, list)
-        self._pb_occ = regrow(self._pb_occ, tuple)
-        self._nvars = n + new // 2
+        self._val = regrow(self._val, 0)
+        self._watches = regrow(self._watches, ())
+        self._implied = regrow(self._implied, ())
+        self._pb_occ = regrow(self._pb_occ, ())
+        self._nvars = n + new
 
     def _attach_inputs(self) -> None:
         """Store the pending input clauses."""
@@ -252,7 +341,8 @@ class RupChecker:
         self._store_clauses(inputs)
 
     def _store_clauses(self, batch: list[list[int]]) -> None:
-        """Add duplicate-free, non-empty clauses and extend the level-0
+        """Add non-empty clauses, dropping repeated literals in place
+        (watches need two distinct literals), and extend the level-0
         trail."""
         self._clauses.extend(batch)
         val = self._val
@@ -260,23 +350,55 @@ class RupChecker:
         implied = self._implied
         units = self._units
         settled = not (self._stale or self._conflict0)
+        # No literal is false while the trail is empty.
+        trail = self._trail
         for lits in batch:
-            if len(lits) == 1:
+            size = len(lits)
+            if size == 2:
+                if lits[0] == lits[1]:
+                    del lits[1]
+                    size = 1
+            elif size == 3:
+                a, b, c = lits
+                if a == b or a == c or b == c:
+                    lits[:] = dict.fromkeys(lits)
+                    size = len(lits)
+            elif size > 3 and len(set(lits)) < size:
+                lits[:] = dict.fromkeys(lits)
+                size = len(lits)
+            if size == 1:
                 units.append(lits)
                 if settled:
                     self._assign0(lits[0], None)
                     settled = not self._conflict0
                 continue
-            if settled and (val[lits[0]] == -1 or val[lits[1]] == -1):
+            if (settled and trail
+                    and (val[lits[0]] == -1 or val[lits[1]] == -1)):
                 self._watch_non_false(lits)
                 settled = not self._conflict0
-            if len(lits) == 2:
+            if size == 2:
                 a, b = lits
-                implied[-a].append(b)
-                implied[-b].append(a)
+                entries = implied[-a]
+                if entries:
+                    entries.append(b)
+                else:
+                    implied[-a] = [b]
+                entries = implied[-b]
+                if entries:
+                    entries.append(a)
+                else:
+                    implied[-b] = [a]
             else:
-                watches[lits[0]].append(lits)
-                watches[lits[1]].append(lits)
+                entries = watches[lits[0]]
+                if entries:
+                    entries.append(lits)
+                else:
+                    watches[lits[0]] = [lits]
+                entries = watches[lits[1]]
+                if entries:
+                    entries.append(lits)
+                else:
+                    watches[lits[1]] = [lits]
 
     def _watch_non_false(self, lits: list[int]) -> None:
         """Move up to two non-false literals to the watch positions; a
@@ -472,7 +594,11 @@ class RupChecker:
                     if val[q] != -1:
                         clause[1] = q
                         clause[2] = false
-                        watches[q].append(clause)
+                        entries = watches[q]
+                        if entries:
+                            entries.append(clause)
+                        else:
+                            watches[q] = [clause]
                         continue
                     if len(clause) > 3:
                         for k in range(3, len(clause)):
@@ -480,7 +606,11 @@ class RupChecker:
                             if val[q] != -1:
                                 clause[1] = q
                                 clause[k] = false
-                                watches[q].append(clause)
+                                entries = watches[q]
+                                if entries:
+                                    entries.append(clause)
+                                else:
+                                    watches[q] = [clause]
                                 break
                         else:
                             k = 0

@@ -13,8 +13,9 @@ class ProbeCertificate:
 
     ``kind`` is ``"sat"`` (witness audited), ``"unsat"`` (proof checked)
     or ``"skipped"`` (probe interrupted before answering -- nothing to
-    certify).  ``ok`` is the checker's verdict; ``detail`` explains a
-    failure.
+    certify); ``"proof"`` is no probe but the proof steps logged after
+    the last one, recorded only when they fail their check.  ``ok`` is
+    the checker's verdict; ``detail`` explains a failure.
     """
 
     index: int

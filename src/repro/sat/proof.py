@@ -17,10 +17,18 @@ solver*:
   learnt-DB reduction); literal order is irrelevant (watch swaps permute
   ``lits`` in place), so checkers match by literal multiset.
 
-Literals inside the log use the engine's flat encoding; the serialized
+Literals inside the steps use the engine's flat encoding; the serialized
 text form (:meth:`ProofLog.lines`) uses signed DIMACS integers so that a
-checker shares no literal-encoding code with the solver.  The text format
-is one step per line::
+checker shares no literal-encoding code with the solver.
+
+The input snapshot :meth:`repro.sat.solver.Solver.start_proof` takes --
+every clause in clause-id order, then the level-0 units -- is not a step
+per clause but one flat ``array('i')`` of length-prefixed signed DIMACS
+records (:attr:`ProofLog.block`), which a checker reads in one pass
+(:meth:`repro.certify.drup.RupChecker.add_inputs`); its PB constraints
+stay ``b`` steps.  :meth:`ProofLog.lines` and ``len()`` count each
+record as one ``i`` step, in the order a step per clause had, so the
+text is the same either way.  The text format is one step per line::
 
     i  1 -2 3 0          input clause
     b  2  1 4  1 -5 0    input PB:  1*x4 + 1*(-x5) >= 2
@@ -32,6 +40,8 @@ the default (no logging) leaves the hot propagation loop untouched.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from repro.sat.literals import to_dimacs
 
@@ -60,24 +70,52 @@ def format_step(step: tuple) -> str:
 
 
 class ProofLog:
-    """Ordered list of proof steps emitted by one :class:`Solver`."""
+    """Ordered list of proof steps emitted by one :class:`Solver`.
 
-    __slots__ = ("steps", "inputs", "pb_inputs", "additions", "deletions")
+    The input snapshot of :meth:`repro.sat.solver.Solver.start_proof`
+    is not kept as steps: its clauses and level-0 units are one flat
+    ``array('i')``, :attr:`block`, of length-prefixed signed DIMACS
+    records (``[n, lit_1 .. lit_n, ...]``, size 0 for the empty
+    clause) that a checker reads in one pass
+    (:meth:`repro.certify.drup.RupChecker.add_inputs`).  :attr:`steps`
+    holds everything else.  In step order (:meth:`lines`, ``len()``)
+    each record counts as one step: the records before word
+    :attr:`split` (the clauses) come first, then the snapshot's PB steps
+    (the first :attr:`split_steps` of :attr:`steps`), then the rest of
+    the block (the units), then the remaining steps.
+    """
+
+    __slots__ = ("steps", "block", "block_records", "split", "split_steps",
+                 "inputs", "pb_inputs", "additions", "deletions")
 
     def __init__(self) -> None:
         self.steps: list[tuple] = []
+        self.block = array("i")
+        self.block_records = 0
+        self.split = 0
+        self.split_steps = 0
         self.inputs = 0
         self.pb_inputs = 0
         self.additions = 0
         self.deletions = 0
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return self.block_records + len(self.steps)
 
-    def log_input(self, lits: list[int]) -> None:
-        """Record an input clause (pre-simplification)."""
-        self.steps.append(("i", tuple(lits)))
-        self.inputs += 1
+    def log_snapshot(self, block: array, split: int, records: int,
+                     pbs) -> None:
+        """Record a solver's input snapshot on an empty log: ``block``
+        holds ``records`` input records, the clauses before word
+        ``split`` and the units from there on; ``pbs`` are the
+        ``(lits, coefs, bound)`` input PB constraints, which come
+        between the two in step order."""
+        self.block = block
+        self.block_records = records
+        self.split = split
+        self.inputs += records
+        for lits, coefs, bound in pbs:
+            self.log_pb(lits, coefs, bound)
+        self.split_steps = len(self.steps)
 
     def log_inputs(self, buf, start: int, end: int) -> None:
         """Record the ``[size, lits...]`` clause records of the flat
@@ -111,9 +149,35 @@ class ProofLog:
 
     def lines(self, start: int = 0):
         """Yield the text form of steps ``start..`` (signed DIMACS)."""
-        for step in self.steps[start:]:
-            yield format_step(step)
+        steps = self.steps
+        if start >= self.block_records + self.split_steps:
+            for step in steps[start - self.block_records:]:
+                yield format_step(step)
+            return
+        block = self.block
+        for part in (
+            _records(block, 0, self.split),
+            steps[:self.split_steps],
+            _records(block, self.split, len(block)),
+            steps[self.split_steps:],
+        ):
+            for step in part:
+                if start:
+                    start -= 1
+                elif type(step) is list:
+                    yield " ".join(["i", *map(str, step), "0"])
+                else:
+                    yield format_step(step)
 
     def to_lines(self) -> list[str]:
         """The whole proof as a list of text lines."""
         return list(self.lines())
+
+
+def _records(block: array, pos: int, end: int):
+    """Yield the length-prefixed records of ``block[pos:end]`` as
+    lists of words."""
+    while pos < end:
+        nxt = pos + 1 + block[pos]
+        yield block[pos + 1:nxt].tolist()
+        pos = nxt

@@ -339,6 +339,34 @@ class TestCertifiedOptimization:
         assert len(data["probe_verdicts"]) == data["probes"]
 
 
+class TestCertifierFinalize:
+    def test_bad_trailing_step_fails_the_certificate(self):
+        # A proof step logged after the last probe that fails its RUP
+        # check is a failed certificate, not an exception out of the
+        # certified solve.
+        from types import SimpleNamespace
+
+        from repro.certify import ProbeCertifier
+
+        s = Solver()
+        a, b = s.new_var(), s.new_var()
+        s.add_clause([mklit(a), mklit(b)])
+        certifier = ProbeCertifier(
+            None, None, SimpleNamespace(solver=SimpleNamespace(sat=s)))
+        certifier.proof.log_add([neg(mklit(a))])
+        result = certifier.finalize()
+        assert not result.all_verified
+        [failure] = result.failures
+        assert failure.kind == "proof"
+        assert failure.detail == (
+            "proof check failed: addition [-1] is not a reverse-unit-"
+            "propagation consequence of the database")
+        data = result.to_dict()
+        assert data["verified"] is False
+        assert data["probe_verdicts"] == [failure.to_dict()]
+        assert result.proof_lines == 2
+
+
 class TestDiagnosisProvenance:
     def test_infeasible_core_carries_details_and_tags(self):
         from repro.core.diagnose import diagnose

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sat import Solver
-from repro.sat.literals import VAL_FALSE, VAL_TRUE
+from repro.sat.literals import VAL_FALSE, VAL_TRUE, from_dimacs
 from repro.sat.solver import REASON_NONE
 
 BACKENDS = ("pure", "fast")
@@ -34,7 +34,7 @@ def reference_add_clause(s: Solver, lits: list[int]) -> bool:
         if lit < 0 or lit >> 1 >= s.nvars:
             raise ValueError(f"bad literal {lit}")
     if s.proof is not None:
-        s.proof.log_input(lits)
+        log_clause(s.proof, lits)
     s._cancel_until(0)
     seen: set[int] = set()
     out: list[int] = []
@@ -63,6 +63,31 @@ def reference_add_clause(s: Solver, lits: list[int]) -> bool:
     return True
 
 
+def expand_steps(proof) -> list[tuple]:
+    """A ProofLog's steps with its input block expanded into ``("i",
+    lits)`` steps (engine literals), in the order of the log's text:
+    the clause records, the snapshot's PB steps, the unit records, the
+    rest."""
+
+    def records(pos: int, end: int) -> list[tuple]:
+        out = []
+        while pos < end:
+            size = proof.block[pos]
+            dimacs = proof.block[pos + 1:pos + 1 + size]
+            out.append(("i", tuple(map(from_dimacs, dimacs))))
+            pos += 1 + size
+        return out
+
+    return (records(0, proof.split) + proof.steps[:proof.split_steps]
+            + records(proof.split, len(proof.block))
+            + proof.steps[proof.split_steps:])
+
+
+def log_clause(log, lits: list[int]) -> None:
+    """Log one input clause through the bulk :meth:`ProofLog.log_inputs`."""
+    log.log_inputs(pack([lits]), 0, len(lits) + 1)
+
+
 def pack(records: list[list[int]]) -> array:
     buf = array("i")
     for rec in records:
@@ -89,7 +114,7 @@ def snapshot(s: Solver) -> dict:
         "heap_n": s.heap_n,
         "problem_cids": list(s._problem_cids),
         "tags": dict(s.cla_tag),
-        "proof": list(s.proof.steps) if s.proof is not None else None,
+        "proof": expand_steps(s.proof) if s.proof is not None else None,
         "inputs": s.proof.inputs if s.proof is not None else None,
     }
 
@@ -348,20 +373,21 @@ class TestBulkNewVars:
 
 
 def per_clause_snapshot(s: Solver):
-    """The input steps :meth:`Solver.start_proof` logs, one clause at a
-    time through the public views and the :class:`ProofLog` API."""
+    """The input steps :meth:`Solver.start_proof` logs as one block, one
+    clause at a time through the public views and the :class:`ProofLog`
+    API."""
     from repro.sat.proof import ProofLog
 
     log = ProofLog()
     s._cancel_until(0)
     for c in s.clauses + s.learnts:
-        log.log_input(c.lits)
+        log_clause(log, c.lits)
     for pb in s.pbs:
         log.log_pb(pb.lits, pb.coefs, pb.bound)
     for lit in s.trail[:s.trail_n]:
-        log.log_input([lit])
+        log_clause(log, [lit])
     if not s.ok:
-        log.log_input([])
+        log_clause(log, [])
     return log
 
 
@@ -379,7 +405,9 @@ class TestProofSnapshot:
         s = enc.solver.sat
         expect = per_clause_snapshot(s)
         got = s.start_proof()
-        assert got.steps == expect.steps
+        assert expand_steps(got) == expect.steps
+        assert list(got.lines()) == list(expect.lines())
+        assert len(got) == len(expect)
         assert (got.inputs, got.pb_inputs) == (expect.inputs,
                                                expect.pb_inputs)
         # Mid-search: learnt clauses (in the solver's order) follow the
@@ -392,7 +420,8 @@ class TestProofSnapshot:
         assert s._learnt_cids != sorted(s._learnt_cids)
         expect = per_clause_snapshot(s)
         got = s.start_proof()
-        assert got.steps == expect.steps
+        assert expand_steps(got) == expect.steps
+        assert len(got) == len(expect)
         assert got.inputs == expect.inputs
 
 
