@@ -13,11 +13,13 @@ Shape targets of this reproduction (absolute values differ -- synthetic
 constants, different hardware, pure-Python solver):
 
 - the SAT route returns a feasible, independently verified optimum,
-- budgeted simulated annealing never beats it (usually lands above),
+- budgeted simulated annealing never beats it (usually lands above);
+  its cost and wall time are recorded as ``sa_cost`` / ``sa_seconds``,
 - the CAN variant solves with a per-mille bus-load optimum.
 """
 
 import os
+import time
 
 import pytest
 from conftest import bench_cell
@@ -80,6 +82,7 @@ def test_token_ring_optimum_vs_annealing(benchmark, profile, rows, cells):
     benchmark.extra_info["trt_ms"] = ticks_to_ms(res.cost)
     benchmark.extra_info.update(res.formula_size)
 
+    t0 = time.perf_counter()
     sa = simulated_annealing(
         tasks,
         arch,
@@ -88,7 +91,9 @@ def test_token_ring_optimum_vs_annealing(benchmark, profile, rows, cells):
         iterations=profile.table1_sa_iterations,
         seed=1,
     )
+    sa_seconds = time.perf_counter() - t0
     benchmark.extra_info["sa_trt_ticks"] = sa.cost
+    benchmark.extra_info["sa_seconds"] = sa_seconds
     # The heuristic can never beat the proved optimum (the paper's
     # headline observation: SA found 8.7 ms vs the true 8.55 ms).
     if sa.feasible:
@@ -105,7 +110,8 @@ def test_token_ring_optimum_vs_annealing(benchmark, profile, rows, cells):
         )
     )
     cells["token_ring"] = bench_cell(res, tasks=len(tasks),
-                                     sa_cost=sa.cost)
+                                     sa_cost=sa.cost,
+                                     sa_seconds=round(sa_seconds, 4))
 
 
 def test_can_bus_utilization(benchmark, profile, rows, cells,

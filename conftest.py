@@ -13,6 +13,11 @@
    keep running.  POSIX-only by construction; on platforms without
    ``SIGALRM`` (or off the main thread) it degrades to a no-op.  Override
    per test with ``@pytest.mark.tier1_timeout(seconds)``; ``0`` disables.
+3. A ``deep`` hypothesis profile (``--hypothesis-profile=deep``): ten
+   times the default example budget for the property tests that take
+   their budget from the active profile instead of pinning
+   ``max_examples``.  Tier-1 runs the default profile; CI's
+   ``bounds-smoke`` job runs ``tests/test_anneal_scorer.py`` deep.
 """
 
 import os
@@ -23,6 +28,15 @@ import threading
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "src"))
+
+try:
+    from hypothesis import settings as hypothesis_settings
+except ImportError:  # pragma: no cover - hypothesis is a test dependency
+    pass
+else:
+    hypothesis_settings.register_profile(
+        "deep", max_examples=1000, deadline=None
+    )
 
 
 def pytest_addoption(parser):

@@ -17,12 +17,19 @@ sender's gamma list).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.model.architecture import Architecture, MediumKind
 from repro.model.task import Message, Task, TaskSet
 
-__all__ = ["MsgRef", "Allocation"]
+__all__ = [
+    "MsgRef",
+    "Allocation",
+    "placement_problems",
+    "memory_problem",
+    "path_problems",
+]
 
 
 @dataclass(frozen=True, order=True)
@@ -96,34 +103,19 @@ class Allocation:
         path endpoint validity v(h).  Returns a list of human-readable
         problems (empty when structurally valid)."""
         problems: list[str] = []
+        placed: dict[str, set[str]] = {}
+        for t, p in self.task_ecu.items():
+            placed.setdefault(p, set()).add(t)
         for t in tasks:
             ecu = self.task_ecu.get(t.name)
             if ecu is None:
                 problems.append(f"task {t.name} unplaced")
                 continue
-            if ecu not in t.wcet:
-                problems.append(f"task {t.name} has no WCET on {ecu}")
-            if t.allowed is not None and ecu not in t.allowed:
-                problems.append(f"task {t.name} placed outside pi_i ({ecu})")
-            if not arch.ecus[ecu].allow_tasks:
-                problems.append(f"task {t.name} placed on gateway-only {ecu}")
-            for other in t.separated_from:
-                if self.task_ecu.get(other) == ecu:
-                    problems.append(
-                        f"separated tasks {t.name},{other} share {ecu}"
-                    )
-        # Memory capacities.
-        for p, ecu in arch.ecus.items():
-            if ecu.memory is None:
-                continue
-            used = sum(
-                tasks[t].memory for t in self.tasks_on(p) if t in tasks.tasks
-            )
-            if used > ecu.memory:
-                problems.append(
-                    f"ECU {p}: memory demand {used} exceeds capacity "
-                    f"{ecu.memory}"
-                )
+            problems.extend(placement_problems(arch, t, ecu, placed[ecu]))
+        for p in arch.ecus:
+            excess = memory_problem(tasks, arch, p, placed.get(p, ()))
+            if excess is not None:
+                problems.append(excess)
         # Priorities must be a strict order over tasks.
         prios = [self.task_prio[t.name] for t in tasks if t.name in self.task_prio]
         if len(set(prios)) != len(prios):
@@ -139,13 +131,51 @@ class Allocation:
                 if path is None:
                     problems.append(f"message {ref} unrouted")
                     continue
-                problems.extend(
-                    _check_path(arch, ref, path, src, dst)
-                )
+                problems.extend(path_problems(arch, ref, path, src, dst))
         return problems
 
 
-def _check_path(
+# The structural checks below are the pieces of
+# :meth:`Allocation.validate_structure`, each a function of the one part
+# of the allocation it reads, so a caller that memoises per-ECU or
+# per-message results (the annealing walk) composes the same checks.
+
+def placement_problems(
+    arch: Architecture, task: Task, ecu: str, colocated: set[str]
+) -> list[str]:
+    """Problems of placing ``task`` on ``ecu`` next to the tasks named
+    in ``colocated``: WCET domain, pi_i, gateway-only ECUs and
+    separation delta_i."""
+    problems: list[str] = []
+    if ecu not in task.wcet:
+        problems.append(f"task {task.name} has no WCET on {ecu}")
+    if task.allowed is not None and ecu not in task.allowed:
+        problems.append(f"task {task.name} placed outside pi_i ({ecu})")
+    if not arch.ecus[ecu].allow_tasks:
+        problems.append(f"task {task.name} placed on gateway-only {ecu}")
+    for other in task.separated_from:
+        if other in colocated:
+            problems.append(
+                f"separated tasks {task.name},{other} share {ecu}"
+            )
+    return problems
+
+
+def memory_problem(
+    tasks: TaskSet, arch: Architecture, ecu: str, names: Iterable[str]
+) -> str | None:
+    """The memory-capacity problem of ECU ``ecu`` hosting the tasks
+    ``names`` (names outside ``tasks`` weigh nothing), or None."""
+    cap = arch.ecus[ecu].memory
+    if cap is None:
+        return None
+    used = sum(tasks[t].memory for t in names if t in tasks.tasks)
+    if used > cap:
+        return f"ECU {ecu}: memory demand {used} exceeds capacity {cap}"
+    return None
+
+
+def path_problems(
     arch: Architecture,
     ref: MsgRef,
     path: tuple[str, ...],

@@ -19,16 +19,22 @@ from __future__ import annotations
 from collections import deque
 
 from repro.analysis.allocation import Allocation, MsgRef
-from repro.analysis.feasibility import (
-    FeasibilityReport,
-    check_allocation,
-    sending_ecu_on,
-)
+from repro.analysis.feasibility import check_allocation, sending_ecu_on
 from repro.analysis.rta import deadline_monotonic_order
-from repro.model.architecture import Architecture, MediumKind
+from repro.model.architecture import Architecture, Medium, MediumKind
 from repro.model.task import TaskSet
 
-__all__ = ["route_between", "derive_allocation", "evaluate_cost", "penalty"]
+__all__ = [
+    "route_between",
+    "derive_allocation",
+    "ring_slot",
+    "can_util_term",
+    "evaluate_cost",
+]
+
+
+#: What a task that misses its deadline adds to the ``sum_resp`` cost.
+MISSED_RESPONSE = 10**9
 
 
 def route_between(
@@ -94,23 +100,35 @@ def derive_allocation(
     for kname, k in arch.media.items():
         if k.kind is not MediumKind.TOKEN_RING:
             continue
-        need: dict[str, int] = {p: k.min_slot for p in k.ecus}
+        rhos: dict[str, list[int]] = {p: [] for p in k.ecus}
         for ref, path in message_path.items():
             if kname not in path:
                 continue
             hop = path.index(kname)
             task, msg = ref.resolve(tasks)
             sender = sending_ecu_on(arch, path, task_ecu[task.name], hop)
-            rho = k.transmission_ticks(msg.size_bits)
-            need[sender] = max(need[sender], rho + k.slot_overhead)
-        for p, ticks in need.items():
-            slot_ticks[(kname, p)] = ticks
+            rhos[sender].append(k.transmission_ticks(msg.size_bits))
+        for p, queue in rhos.items():
+            slot_ticks[(kname, p)] = ring_slot(k, queue)
     return Allocation(
         task_ecu=dict(task_ecu),
         task_prio=prio,
         message_path=message_path,
         slot_ticks=slot_ticks,
     )
+
+
+def ring_slot(medium: Medium, rhos) -> int:
+    """The slot a ring ECU gets for the frames it injects (wire times
+    ``rhos``): the smallest that fits each one plus slot overhead, and
+    at least ``min_slot``."""
+    return max([medium.min_slot] + [r + medium.slot_overhead for r in rhos])
+
+
+def can_util_term(rho: int, period: int) -> int:
+    """Per-mille bus load of one message, rounded up: its share of the
+    ``can_util`` objective."""
+    return -((-rho * 1000) // period)
 
 
 def evaluate_cost(
@@ -141,19 +159,14 @@ def evaluate_cost(
         total = 0
         for ref in alloc.messages_on(medium):
             task, msg = ref.resolve(tasks)
-            rho = k.transmission_ticks(msg.size_bits)
-            total += -((-rho * 1000) // task.period)
+            total += can_util_term(
+                k.transmission_ticks(msg.size_bits), task.period
+            )
         return total
     if objective == "sum_resp":
         rep = check_allocation(tasks, arch, alloc)
         return sum(
-            r if r is not None else 10**9
+            r if r is not None else MISSED_RESPONSE
             for r in rep.task_response.values()
         )
     raise ValueError(f"unknown objective {objective!r}")
-
-
-def penalty(report: FeasibilityReport) -> int:
-    """Scalar infeasibility measure used as the annealing penalty term:
-    the number of violated constraints (0 when schedulable)."""
-    return len(report.problems)
