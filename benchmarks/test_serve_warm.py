@@ -29,16 +29,22 @@ to its uncertified cold counterpart, and every certificate verified,
 before any timing is trusted.  Results land in
 ``benchmarks/out/BENCH_serve.json``, the certified medians with the
 split of a certified request's certify time (``start_proof``, ingestion
-of the input block, RUP checks, ``check_model``); the serve acceptance
-bar is a >= 2x median latency improvement of the uncertified warm pass.
+of the input block, RUP checks, the SAT probes' model check, and the
+part of it ``finalize`` spends on trailing proof steps) and the checker
+core that ran (``checker_core``: ``fast`` compiled, ``pure`` list-based,
+chosen by ``REPRO_SAT_BACKEND``); the serve acceptance bar is a >= 2x
+median latency improvement of the uncertified warm pass.
 """
 
 import asyncio
 import dataclasses
+import gc
 import statistics
 import time
 
+from repro.certify.certifier import ProbeCertifier
 from repro.certify.drup import RupChecker
+from repro.certify.rupcore import rup_core_status
 from repro.io.json_codec import system_to_dict
 from repro.model.task import TaskSet
 from repro.sat.solver import Solver
@@ -75,13 +81,15 @@ def _payload(tasks, arch, scenario: str, rid: str,
 #: Methods timed for the certify split: (owner, name, key).  The RUP
 #: checker settles level 0 (attaching the input batch) inside its first
 #: check, so ingestion is ``add_inputs`` plus ``_settle`` and the RUP
-#: checks are ``_refutes`` minus ``_settle``.
+#: checks are ``_refutes`` minus ``_settle``.  ``finalize`` checks the
+#: proof steps logged after the last UNSAT probe.
 TIMED = (
     (Solver, "start_proof", "start_proof"),
     (RupChecker, "add_inputs", "add_inputs"),
     (RupChecker, "_settle", "settle"),
     (RupChecker, "_refutes", "refutes"),
-    (Solver, "check_model", "check_model"),
+    (RupChecker, "check_model", "check_model"),
+    (ProbeCertifier, "finalize", "finalize"),
 )
 
 
@@ -108,6 +116,7 @@ def _split(acc: dict) -> dict:
         "ingestion": acc["add_inputs"] + acc["settle"],
         "rup_checks": max(0.0, acc["refutes"] - acc["settle"]),
         "check_model": acc["check_model"],
+        "finalize": acc["finalize"],
     }
 
 
@@ -130,8 +139,12 @@ def test_warm_replay_halves_median_latency(profile, tmp_path, record_json,
         for p in payloads:
             for key in acc:
                 acc[key] = 0.0
+            gen0 = gc.get_stats()[0]["collections"]
             out.append(await server.submit(p))
-            splits[(name, p["id"])] = _split(acc)
+            splits[(name, p["id"])] = {
+                **_split(acc),
+                "gc_gen0": gc.get_stats()[0]["collections"] - gen0,
+            }
         await server.stop()
         return out
 
@@ -194,6 +207,9 @@ def test_warm_replay_halves_median_latency(profile, tmp_path, record_json,
 
     record_json("serve", {
         "instance": {"ecus": 5, "tasks": n_tasks, "profile": profile.name},
+        "checker_core": RupChecker().core_name,
+        # Why the compiled core is unavailable (None when it loaded).
+        "checker_core_fallback": rup_core_status()["reason"],
         "variants": cells,
         "median_cold_seconds": round(median_cold, 4),
         "median_warm_seconds": round(median_warm, 4),
@@ -203,9 +219,12 @@ def test_warm_replay_halves_median_latency(profile, tmp_path, record_json,
             statistics.median(c.seconds for c in cold_cert), 4),
         "median_warm_certified_seconds": round(
             statistics.median(w.seconds for w in warm_cert), 4),
-        # Median seconds per request in each piece of certification.
+        # Median seconds per request in each piece of certification,
+        # and generation-0 collections per request (all layers; the
+        # uncertified warm pass for comparison).
         "certify_split_cold": median_split("cold-cert", "c"),
         "certify_split_warm": median_split("warm-cert", "w"),
+        "gc_gen0_warm_uncertified": median_split("warm", "w")["gc_gen0"],
     })
     assert speedup >= SPEEDUP_FLOOR, (
         f"warm replay only {speedup:.2f}x faster "

@@ -10,10 +10,13 @@ after every probe either
   is RUP-checked on arrival) and requires the checker to refute the
   probe's guard assumption by unit propagation -- or, for an unguarded
   probe, to derive unsatisfiability outright, or
-- **SAT** -- re-checks the model against every original constraint
-  (:meth:`Solver.check_model`, plain evaluation, no propagation code),
-  decodes the allocation and audits it with
-  :func:`repro.certify.audit.audit_witness`.
+- **SAT** -- evaluates the model against the proof's own input records
+  (the snapshot block, the PB inputs and the ``i`` steps logged since:
+  every original constraint, plus the snapshot's level-0 units) in the
+  checker's core (:meth:`RupChecker.check_model`, plain evaluation, no
+  propagation code), decodes the allocation and audits it with
+  :func:`repro.certify.audit.audit_witness`.  Nothing is fed to the
+  checker and no step is RUP-checked for a SAT probe.
 
 Interrupted probes answered nothing, so they are recorded as
 ``skipped``.  In the incremental probe mode one proof grows across all
@@ -25,13 +28,34 @@ checker.
 from __future__ import annotations
 
 import time
+from array import array
 
 from repro.certify.audit import audit_witness
 from repro.certify.drup import ProofError, RupChecker
 from repro.certify.result import CertifiedResult, ProbeCertificate
 from repro.sat.literals import to_dimacs
 
-__all__ = ["ProbeCertifier"]
+__all__ = ["ProbeCertifier", "input_records"]
+
+
+def input_records(steps, clauses: array, pbs: array) -> None:
+    """Append the input steps among ``steps`` (:class:`ProofLog` steps,
+    engine literals) as signed DIMACS records: ``i`` steps to
+    ``clauses`` as ``[n, lit_1 .. lit_n]``, ``b`` steps to ``pbs`` as
+    ``[n, bound, coef_1, lit_1, ...]`` -- the forms
+    :meth:`RupChecker.check_model` evaluates."""
+    for step in steps:
+        kind = step[0]
+        if kind == "i":
+            clauses.append(len(step[1]))
+            clauses.extend(map(to_dimacs, step[1]))
+        elif kind == "b":
+            _, lits, coefs, bound = step
+            pbs.append(len(lits))
+            pbs.append(bound)
+            for coef, lit in zip(coefs, lits):
+                pbs.append(coef)
+                pbs.append(to_dimacs(lit))
 
 
 class ProbeCertifier:
@@ -53,6 +77,7 @@ class ProbeCertifier:
         self.proof = enc.solver.sat.start_proof()
         self.checker = RupChecker()
         self._fed = 0
+        self._reset_model_inputs()
         #: Proof lines of the encodings certified before this one.
         self._lines_before = 0
         self.spool = spool
@@ -69,6 +94,15 @@ class ProbeCertifier:
         self.proof = enc.solver.sat.start_proof()
         self.checker = RupChecker()
         self._fed = 0
+        self._reset_model_inputs()
+
+    def _reset_model_inputs(self) -> None:
+        #: The proof's ``i`` and ``b`` steps (after the snapshot block)
+        #: as signed DIMACS records, converted up to step ``_model_seen``
+        #: of :attr:`ProofLog.steps`, for the SAT-side model check.
+        self._model_clauses = array("i")
+        self._model_pbs = array("q")
+        self._model_seen = 0
 
     # -- bin_search hook ------------------------------------------------
 
@@ -89,13 +123,17 @@ class ProbeCertifier:
     # -- SAT side -------------------------------------------------------
 
     def _check_sat(self, index: int, claimed_cost) -> ProbeCertificate:
-        """Model re-check against the original constraints + witness
+        """Model check against the proof's input records + witness
         audit of the decoded allocation."""
         t0 = time.perf_counter()
         problems: list[str] = []
-        if not self.enc.solver.sat.check_model():
+        bad = self.checker.check_model(
+            bytes(self.enc.solver.sat.model()),
+            (self.proof.block, self._model_inputs()), self._model_pbs,
+        )
+        if bad is not None:
             problems.append(
-                "model violates an original clause/PB constraint"
+                f"model violates an original clause/PB constraint: {bad}"
             )
         report = audit_witness(
             self.tasks, self.arch, self.enc.decode(),
@@ -111,6 +149,15 @@ class ProbeCertifier:
             recomputed_cost=report.recomputed_cost,
             seconds=time.perf_counter() - t0,
         )
+
+    def _model_inputs(self) -> array:
+        """Convert the input steps logged since the last SAT probe; the
+        clause records of all of them so far."""
+        steps = self.proof.steps
+        input_records(steps[self._model_seen:], self._model_clauses,
+                      self._model_pbs)
+        self._model_seen = len(steps)
+        return self._model_clauses
 
     # -- UNSAT side -----------------------------------------------------
 

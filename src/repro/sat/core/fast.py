@@ -3,7 +3,9 @@
 The C file is a statement-by-statement translation of
 :mod:`repro.sat.core.pure` (see the banner there), compiled once per
 hash of source and compiler flags with the host C compiler into a shared
-library cached under the system temp directory.  It operates directly on
+library cached under the system temp directory
+(:func:`repro.native.build_library`, shared with the RUP checker's
+compiled core).  It operates directly on
 the solver's ``array`` buffers through raw addresses — zero copies, zero
 conversion.
 
@@ -31,14 +33,11 @@ back to the pure backend (see :mod:`repro.sat.core`).
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
 from array import array
 from operator import attrgetter
 from pathlib import Path
+
+from repro.native import build_library
 
 __all__ = ["FastBackend", "load_fast_backend"]
 
@@ -65,63 +64,6 @@ _IO_PREFIX = 10  # slots of the shared io prefix (IO_PREFIX in _core.c)
 #: Every function the library must export.
 _SYMBOLS = ("sat_propagate", "sat_unwind", "sat_load_clauses",
             "sat_search")
-
-#: Compiler flags; part of the cache key.  ``-ffp-contract=off`` keeps
-#: the VSIDS double arithmetic free of fused multiply-adds, so it rounds
-#: exactly like the Python reference (GNU C defaults to ``fast``).
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-
-
-def _expected_layout_ok() -> bool:
-    """The C core assumes b=1, i=4, q=8, d=8 byte items (true on every
-    mainstream platform; checked once so exotic ABIs fall back)."""
-    return (
-        array("b").itemsize == 1
-        and array("i").itemsize == 4
-        and array("q").itemsize == 8
-        and array("d").itemsize == 8
-    )
-
-
-def _find_compiler() -> str | None:
-    env = os.environ.get("CC")
-    if env and shutil.which(env):
-        return env
-    for cand in ("cc", "gcc", "clang"):
-        path = shutil.which(cand)
-        if path:
-            return path
-    return None
-
-
-def _build_library(src: Path, cc: str) -> tuple[str | None, str | None]:
-    """Compile ``src`` into a cached .so addressed by the hash of its
-    source and :data:`_CFLAGS`; return (path, None) or (None, reason)."""
-    key = hashlib.sha256(src.read_bytes())
-    key.update("\0".join(_CFLAGS).encode())
-    tag = key.hexdigest()[:16]
-    cache = Path(tempfile.gettempdir()) / f"repro-sat-core-{os.getuid()}"
-    out = cache / f"core-{tag}.so"
-    if out.exists():
-        return str(out), None
-    try:
-        cache.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(cache))
-        os.close(fd)
-        proc = subprocess.run(
-            [cc, *_CFLAGS, "-o", tmp, str(src)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        if proc.returncode != 0:
-            os.unlink(tmp)
-            detail = (proc.stderr or proc.stdout or "").strip()
-            return None, f"compile failed: {detail[:300]}"
-        os.replace(tmp, out)  # atomic: concurrent builders both win
-        return str(out), None
-    except Exception as exc:
-        return None, f"compile error: {exc}"
 
 
 def _io(s, ncla: int, *extra: int) -> array:
@@ -207,16 +149,7 @@ class FastBackend:
 def load_fast_backend() -> tuple[FastBackend | None, str | None]:
     """Build (or reuse) the compiled core. Returns (backend, None) on
     success, (None, human-readable reason) otherwise."""
-    if not _expected_layout_ok():
-        return None, ("array item sizes differ from the expected "
-                      "b=1/i=4/q=8/d=8")
-    src = Path(__file__).with_name("_core.c")
-    if not src.is_file():
-        return None, "_core.c not found next to fast.py"
-    cc = _find_compiler()
-    if cc is None:
-        return None, "no C compiler (cc/gcc/clang) on PATH"
-    path, reason = _build_library(src, cc)
+    path, reason = build_library(Path(__file__).with_name("_core.c"))
     if path is None:
         return None, reason
     try:

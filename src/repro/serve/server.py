@@ -463,10 +463,8 @@ class AllocationServer:
             if job is None:
                 return
             loop = asyncio.get_running_loop()
-            await loop.run_in_executor(self._threads,
-                                       self.breaker.maybe_probe)
             resp = await loop.run_in_executor(self._threads,
-                                              self._solve_job, job)
+                                              self._probe_and_solve, job)
             done_budget = self._inflight.pop(job.id, None)
             if done_budget is not None and self.governor is not None:
                 self.governor.unregister_budget(done_budget)
@@ -503,6 +501,15 @@ class AllocationServer:
             await asyncio.sleep(0.02)
 
     # -- the solve itself (worker thread) -------------------------------
+
+    def _probe_and_solve(self, job: ServeJob) -> ServeResponse:
+        """The breaker's half-open probe, then the solve, as one pool
+        call.  Two calls would let the second be submitted before the
+        thread that ran the first counts as idle again; the pool then
+        starts its next thread, and a solve on a fresh thread regrows
+        that thread's malloc arena (10-20 MB on the served shapes)."""
+        self.breaker.maybe_probe()
+        return self._solve_job(job)
 
     def _solve_job(self, job: ServeJob) -> ServeResponse:
         t0 = time.monotonic()

@@ -14,6 +14,9 @@ Two layers of defence are exercised:
 2. **Guaranteed rejections** (deterministic): corruptions crafted to
    invalidate the artifact -- input-clause flips, dropped derivation
    literals, dropped input lines, witness bit flips -- are each caught.
+
+Both proof layers run on each of the checker's cores: the classes below
+use the list core, their ``...Compiled`` subclasses the compiled one.
 """
 
 import pytest
@@ -21,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.certify import ProofError, RupChecker, audit_witness
+from repro.certify.rupcore import rup_core_status
 from repro.robust import PROOF_CORRUPTIONS, corrupt_allocation, corrupt_proof_line
 from repro.sat import Solver, mklit, neg
 from repro.sat.reference import brute_force_sat
@@ -58,11 +62,17 @@ def pb_proof():
 PHP_LINES = php_proof().to_lines()
 PB_LINES = pb_proof().to_lines()
 
+#: Skip marker for the compiled-core variants of the checker tests.
+needs_compiled = pytest.mark.skipif(
+    not rup_core_status()["available"],
+    reason=f"compiled RUP core unavailable: {rup_core_status()['reason']}",
+)
 
-def _checker_accepts(lines):
+
+def _checker_accepts(lines, core=None):
     """Feed a (possibly corrupted) proof; return the accepting checker
     or None when the corruption is detected."""
-    checker = RupChecker()
+    checker = RupChecker(core)
     try:
         for line in lines:
             checker.add_line(line)
@@ -89,15 +99,20 @@ def _truly_unsat(checker):
 
 
 class TestProofCorruptionSoundness:
+    core = "pure"
+
     @given(st.data())
     @settings(max_examples=120, deadline=None, derandomize=True)
     def test_no_corruption_yields_false_unsat_verdict(self, data):
+        self._check_one_corruption(data)
+
+    def _check_one_corruption(self, data):
         base = data.draw(st.sampled_from(["php", "pb"]))
         lines = PHP_LINES if base == "php" else PB_LINES
         index = data.draw(st.integers(0, len(lines) - 1))
         mode = data.draw(st.sampled_from(PROOF_CORRUPTIONS))
         corrupted = corrupt_proof_line(lines, index, mode)
-        checker = _checker_accepts(corrupted)
+        checker = _checker_accepts(corrupted, self.core)
         if checker is not None:
             # Accepted: the UNSAT verdict must hold for the corrupted
             # formula itself -- no silent PASS on a satisfiable input.
@@ -107,11 +122,24 @@ class TestProofCorruptionSoundness:
             )
 
     def test_uncorrupted_baselines_accepted(self):
-        assert _checker_accepts(PHP_LINES) is not None
-        assert _checker_accepts(PB_LINES) is not None
+        assert _checker_accepts(PHP_LINES, self.core) is not None
+        assert _checker_accepts(PB_LINES, self.core) is not None
+
+
+@needs_compiled
+class TestProofCorruptionSoundnessCompiled(TestProofCorruptionSoundness):
+    core = "fast"
+
+    # Its own property test: hypothesis ties one to a single class.
+    @given(st.data())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_no_corruption_yields_false_unsat_verdict(self, data):
+        self._check_one_corruption(data)
 
 
 class TestGuaranteedProofRejections:
+    core = "pure"
+
     # A hand-written, fully explicit proof (x1+x2+x3 >= 2 with pairwise
     # at-most-one) whose every derivation step is load-bearing.
     LINES = [
@@ -125,22 +153,22 @@ class TestGuaranteedProofRejections:
     ]
 
     def test_baseline_accepted(self):
-        assert _checker_accepts(self.LINES) is not None
+        assert _checker_accepts(self.LINES, self.core) is not None
 
     def test_flipped_input_literal_rejected(self):
         corrupted = corrupt_proof_line(self.LINES, 1, "flip-lit")
         assert corrupted[1] == "i 1 -2 0"
-        assert _checker_accepts(corrupted) is None
+        assert _checker_accepts(corrupted, self.core) is None
 
     def test_dropped_derivation_literal_rejected(self):
         # "-1 0" becomes the empty clause: its RUP check must now fail.
         corrupted = corrupt_proof_line(self.LINES, 4, "drop-lit")
         assert corrupted[4] == "0"
-        assert _checker_accepts(corrupted) is None
+        assert _checker_accepts(corrupted, self.core) is None
 
     def test_dropped_input_line_rejected(self):
         corrupted = corrupt_proof_line(self.LINES, 3, "drop-line")
-        assert _checker_accepts(corrupted) is None
+        assert _checker_accepts(corrupted, self.core) is None
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -150,6 +178,11 @@ class TestGuaranteedProofRejections:
         before = list(self.LINES)
         corrupt_proof_line(self.LINES, 1, "flip-lit")
         assert self.LINES == before
+
+
+@needs_compiled
+class TestGuaranteedProofRejectionsCompiled(TestGuaranteedProofRejections):
+    core = "fast"
 
 
 class TestWitnessCorruption:

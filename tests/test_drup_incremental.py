@@ -21,6 +21,10 @@ deletion may shrink it.  Three layers of tests pin it down:
    every hand-written and corrupted proof here and in
    ``tests/test_certify_faults.py``, and reject the same malformed
    steps.  The text of two certified proofs is pinned by digest.
+
+Layers 2 and 3 run on each of the checker's cores: the classes use the
+list core, their ``...Compiled`` subclasses the compiled one
+(``tests/test_rup_core.py`` runs the two against each other).
 """
 
 import hashlib
@@ -40,6 +44,7 @@ from tests.test_certify_faults import (
     PHP_LINES,
     TestGuaranteedProofRejections,
     _checker_accepts,
+    needs_compiled,
     pb_proof,
     php_proof,
 )
@@ -237,11 +242,12 @@ def _feed_block(checker, lines):
 
 
 class TestRebuildPath:
-    #: How each test's opening lines reach the checker.
+    #: How each test's opening lines reach the checker, and its core.
     feed = staticmethod(_feed)
+    core = "pure"
 
     def test_deleting_a_unit(self):
-        c = self.feed(RupChecker(), ["i 1 0", "i -1 2 0"])
+        c = self.feed(RupChecker(self.core), ["i 1 0", "i -1 2 0"])
         assert c.check_assumptions([-2])
         c.add_line("d 1 0")
         assert not c.check_assumptions([-2])
@@ -255,7 +261,7 @@ class TestRebuildPath:
         ["i 1 0", "i -1 2 0", "i -2 3 0"],
     ])
     def test_deleting_a_binary_reason(self, lines):
-        c = self.feed(RupChecker(), lines)
+        c = self.feed(RupChecker(self.core), lines)
         assert c.check_assumptions([-3])
         c.add_line("d 2 -1 0")
         assert not c.check_assumptions([-3])
@@ -267,7 +273,7 @@ class TestRebuildPath:
         ["i 1 0", "i 2 0", "i -1 -2 3 0", "i -3 4 5 0"],
     ])
     def test_deleting_a_long_reason(self, lines):
-        c = self.feed(RupChecker(), lines)
+        c = self.feed(RupChecker(self.core), lines)
         assert c.check_assumptions([-4, -5])
         c.add_line("d 3 -2 -1 0")
         assert not c.check_assumptions([-4, -5])
@@ -276,21 +282,21 @@ class TestRebuildPath:
     def test_clause_unit_on_arrival_under_a_settled_trail(self):
         # x1, x2 are propagated before (-x1 v -x2 v x3) arrives; x3 must
         # join level 0 then, since no later assignment revisits it.
-        c = self.feed(RupChecker(), ["i 1 0", "i 2 0"])
+        c = self.feed(RupChecker(self.core), ["i 1 0", "i 2 0"])
         assert not c.check_assumptions([])
         c.add_line("i -1 -2 3 0")
         c.add_line("i -3 4 5 0")
         assert c.check_assumptions([-4, -5])
 
     def test_pb_forcing_on_arrival_under_a_settled_trail(self):
-        c = self.feed(RupChecker(), ["i -1 0"])
+        c = self.feed(RupChecker(self.core), ["i -1 0"])
         assert not c.check_assumptions([])
         c.add_line("b 1 1 1 1 2 0")  # x1 + x2 >= 1 with x1 false
         c.add_line("i -2 3 4 0")
         assert c.check_assumptions([-3, -4])
 
     def test_deleting_a_non_reason_keeps_the_trail(self):
-        c = self.feed(RupChecker(), ["i 1 0", "i -1 2 0", "i 3 4 0"])
+        c = self.feed(RupChecker(self.core), ["i 1 0", "i -1 2 0", "i 3 4 0"])
         assert c.check_assumptions([-2])
         c.add_line("d 4 3 0")
         assert c.check_assumptions([-2])
@@ -298,7 +304,7 @@ class TestRebuildPath:
         assert c.stats["rebuilds"] == 0
 
     def test_level0_conflict_removed_by_a_later_deletion(self):
-        c = self.feed(RupChecker(), ["i 1 0", "i -1 2 0", "i -1 -2 0"])
+        c = self.feed(RupChecker(self.core), ["i 1 0", "i -1 2 0", "i -1 -2 0"])
         assert c.check_assumptions([])
         c.add_line("d -2 -1 0")
         assert not c.check_assumptions([])
@@ -308,8 +314,8 @@ class TestRebuildPath:
     def test_pb_forced_literals_survive_a_rebuild(self):
         # x1 >= 1 forces x1 outright, and x1 -> x2 -> (x3 and -x3) is a
         # level-0 conflict that only the forced x1 starts.
-        c = self.feed(RupChecker(), ["b 1 1 1 0", "i -1 2 0", "i -2 3 0",
-                                 "i -2 -3 0", "i 4 0"])
+        c = self.feed(RupChecker(self.core), [
+            "b 1 1 1 0", "i -1 2 0", "i -2 3 0", "i -2 -3 0", "i 4 0"])
         assert c.check_assumptions([])
         c.add_line("d 4 0")
         assert c.check_assumptions([])
@@ -319,8 +325,8 @@ class TestRebuildPath:
         # 2*x1 + x2 >= 2 forces x1 outright.  x4 is forced by
         # -x2 + x4 >= 1 once x2 holds, which the unit -x3 forces
         # through (x3 v x2) -- until that unit is deleted.
-        c = self.feed(RupChecker(), ["b 2 2 1 1 2 0", "i -3 0", "i 3 2 0",
-                                 "b 1 1 -2 1 4 0"])
+        c = self.feed(RupChecker(self.core), [
+            "b 2 2 1 1 2 0", "i -3 0", "i 3 2 0", "b 1 1 -2 1 4 0"])
         assert c.check_assumptions([-1])
         assert c.check_assumptions([-4])
         c.add_line("d -3 0")
@@ -331,7 +337,7 @@ class TestRebuildPath:
     def test_additions_extend_the_trail(self):
         # A learnt unit joins level 0 without a rebuild and its
         # consequences serve every later check.
-        c = self.feed(RupChecker(), ["i 1 2 0", "i 1 -2 0", "i -1 3 0"])
+        c = self.feed(RupChecker(self.core), ["i 1 2 0", "i 1 -2 0", "i -1 3 0"])
         c.add_line("1 0")
         assert c.check_assumptions([-3])
         assert c.stats["rebuilds"] == 0
@@ -343,6 +349,16 @@ class TestRebuildPathThroughBlock(TestRebuildPath):
     feed = staticmethod(_feed_block)
 
 
+@needs_compiled
+class TestRebuildPathCompiled(TestRebuildPath):
+    core = "fast"
+
+
+@needs_compiled
+class TestRebuildPathThroughBlockCompiled(TestRebuildPathThroughBlock):
+    core = "fast"
+
+
 class TestVariableNumbering:
     def test_sparse_huge_variables_stay_small(self):
         # Tables grow with the variables a proof uses, not with the
@@ -351,7 +367,7 @@ class TestVariableNumbering:
                                  "i 3 77 0"])
         assert c.check_assumptions([-77])
         assert not c.check_assumptions([77])
-        assert len(c._val) < 1000
+        assert len(c._core.val) < 1000
         clauses, _ = c.input_formula()
         assert sorted(map(sorted, clauses)) == [
             [-4000000000], [-3, 4000000000], [3, 77]]
@@ -365,12 +381,12 @@ def _int_step(step):
     return (step[0], lits)
 
 
-def _replay(proof, checks, channel):
+def _replay(proof, checks, channel, core=None):
     """Feed ``proof`` through one channel, checking each recorded
     ``(position, assumptions)`` when that many steps are in.  The
     ``block`` channel feeds the input snapshot as the certifier does,
     in one :meth:`RupChecker.add_inputs` call before the other steps."""
-    checker = RupChecker()
+    checker = RupChecker(core)
     verdicts = []
     pending = list(checks)
     if channel == "block":
@@ -424,6 +440,8 @@ def ring5_proof():
 
 
 class TestTextAndIntChannels:
+    core = "pure"
+
     @pytest.mark.parametrize("make", [php_proof, pb_proof])
     def test_small_solver_proofs_agree(self, make):
         proof = make()
@@ -434,9 +452,9 @@ class TestTextAndIntChannels:
 
     def test_certified_ring5_proof_agrees(self, ring5_proof):
         proof, checks = ring5_proof
-        text = _replay(proof, checks, "text")
-        ints = _replay(proof, checks, "int")
-        assert text == ints == _replay(proof, checks, "block")
+        text = _replay(proof, checks, "text", self.core)
+        ints = _replay(proof, checks, "int", self.core)
+        assert text == ints == _replay(proof, checks, "block", self.core)
         assert all(text[0]) and text[1] > 0
 
     @pytest.mark.parametrize("setup, line, step", [
@@ -450,20 +468,25 @@ class TestTextAndIntChannels:
     ])
     def test_malformed_steps_rejected_on_both(self, setup, line, step):
         with pytest.raises(ProofError):
-            _feed(RupChecker(), setup).add_line(line)
+            _feed(RupChecker(self.core), setup).add_line(line)
         with pytest.raises(ProofError):
-            _feed(RupChecker(), setup).add_step(*step)
+            _feed(RupChecker(self.core), setup).add_step(*step)
 
     def test_int_only_malformations(self):
         with pytest.raises(ProofError):
-            RupChecker().add_step("x", [1])
+            RupChecker(self.core).add_step("x", [1])
         with pytest.raises(ProofError):
-            RupChecker().add_step("b", [1, 2])  # no coefficients
+            RupChecker(self.core).add_step("b", [1, 2])  # no coefficients
 
 
-def _block_accepts(lines):
+@needs_compiled
+class TestTextAndIntChannelsCompiled(TestTextAndIntChannels):
+    core = "fast"
+
+
+def _block_accepts(lines, core=None):
     """:func:`_checker_accepts` with the input clauses fed as a block."""
-    checker = RupChecker()
+    checker = RupChecker(core)
     try:
         _feed_block(checker, lines)
         if not checker.check_assumptions([]):
@@ -476,6 +499,8 @@ def _block_accepts(lines):
 class TestBlockChannel:
     """``RupChecker.add_inputs`` against the per-step channels."""
 
+    core = "pure"
+
     @pytest.mark.parametrize("base", ["php", "pb", "explicit"])
     def test_every_corruption_gets_the_same_verdict(self, base):
         lines = {"php": PHP_LINES, "pb": PB_LINES,
@@ -484,8 +509,8 @@ class TestBlockChannel:
         for index in range(len(lines)):
             for mode in PROOF_CORRUPTIONS:
                 bad = corrupt_proof_line(lines, index, mode)
-                steps = _checker_accepts(bad)
-                block = _block_accepts(bad)
+                steps = _checker_accepts(bad, self.core)
+                block = _block_accepts(bad, self.core)
                 assert (steps is None) == (block is None), (index, mode)
                 if steps is not None:
                     assert (block.stats["rup_checks"]
@@ -494,7 +519,7 @@ class TestBlockChannel:
                             == sorted(map(sorted, steps.input_formula()[0])))
                 rejected += steps is None
         assert rejected > 0
-        assert _block_accepts(lines) is not None
+        assert _block_accepts(lines, self.core) is not None
 
     @pytest.mark.parametrize("words, match", [
         ([2, 1, 2, 3, 1], "word 3 has size 3"),   # size past the end
@@ -502,13 +527,14 @@ class TestBlockChannel:
         ([2, 1, 0, 1, 3], "zero literal"),      # zero inside a record
     ])
     def test_malformed_blocks_rejected(self, words, match):
-        checker = RupChecker()
+        checker = RupChecker(self.core)
         with pytest.raises(ProofError, match=match):
             checker.add_inputs(array("i", words))
-        assert checker.stats["inputs"] == 0 and not checker._inputs
+        assert checker.stats["inputs"] == 0
+        assert checker.input_formula() == ([], [])
 
     def test_empty_record_is_the_empty_clause(self):
-        checker = RupChecker()
+        checker = RupChecker(self.core)
         checker.add_inputs(array("i", [1, 1, 0]))
         assert checker.contradiction and checker.check_assumptions([])
         assert checker.stats["inputs"] == 2
@@ -518,9 +544,9 @@ class TestBlockChannel:
         # clause (-x1 v x2 v x3) and (-x3 v x4 v -x3) the binary
         # (-x3 v x4): the database the per-step channel builds.
         clauses = [[1, 1], [-1, 2, 3, 2, -1], [-3, 4, -3]]
-        block = RupChecker()
+        block = RupChecker(self.core)
         block.add_inputs(_block(clauses))
-        steps = RupChecker()
+        steps = RupChecker(self.core)
         for lits in clauses:
             steps.add_step("i", lits)
         assert block.input_formula() == steps.input_formula()
@@ -532,10 +558,10 @@ class TestBlockChannel:
         assert block.check_assumptions([-2, -4])
 
     def test_small_block_is_numbered_by_identity(self):
-        checker = RupChecker()
+        checker = RupChecker(self.core)
         checker.add_inputs(_block([[1, -3], [3, 2], [-2]]))
         assert checker._names == [0, 1, 2, 3]
-        assert checker._index[-3] == -3
+        assert checker._internal([-3, 2]) == [-3, 2]
         assert checker.check_assumptions([-1])
 
     def test_huge_variable_is_renumbered(self):
@@ -550,26 +576,41 @@ class TestBlockChannel:
             assert need <= 7, need
             return grow(self, need)
 
-        checker = RupChecker()
+        checker = RupChecker(self.core)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(RupChecker, "_grow", bounded_grow)
             checker.add_inputs(
                 _block([[2000000000, -3], [-2000000000], [3]]))
         assert checker._names == [0, 2000000000, 3]
-        assert checker._nvars == 32 and len(checker._val) == 65
+        assert checker._nvars == 32 and len(checker._core.val) == 65
         assert checker.check_assumptions([])
         assert (sorted(map(sorted, checker.input_formula()[0]))
                 == [[-2000000000], [-3, 2000000000], [3]])
 
+    def test_block_past_32_bits_is_renumbered(self):
+        # Words that do not fit a C int reach the compiled core
+        # renumbered, through the list core's reader.
+        checker = RupChecker(self.core)
+        checker.add_inputs([2, 4000000000, -3, 1, -4000000000, 1, 3])
+        assert checker._names == [0, 4000000000, 3]
+        assert checker.check_assumptions([])
+        with pytest.raises(ProofError, match="zero literal"):
+            RupChecker(self.core).add_inputs([2, 4000000000, 0])
+
     def test_second_block_is_renumbered(self):
         # A checker that has variables already renumbers a later block,
         # even one small enough for identity numbering.
-        checker = RupChecker()
+        checker = RupChecker(self.core)
         checker.add_step("i", [7, 8])
         checker.add_inputs(_block([[-7], [2, -8]]))
         assert checker._names == [0, 7, 8, 2]
         assert checker.check_assumptions([-2])
         assert not checker.check_assumptions([2])
+
+
+@needs_compiled
+class TestBlockChannelCompiled(TestBlockChannel):
+    core = "fast"
 
 
 #: sha256 of ``"\n".join(proof.lines())`` for two certified searches,

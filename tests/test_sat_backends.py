@@ -512,6 +512,7 @@ class TestBackendSelection:
         """A library lacking one export is a recorded fallback, never an
         AttributeError out of the backend constructor."""
         import repro.sat.core as core_mod
+        from repro.native import find_compiler
         from repro.sat.core import fast
 
         src = tmp_path / "partial.c"
@@ -521,11 +522,11 @@ class TestBackendSelection:
         ))
         lib = tmp_path / "partial.so"
         subprocess.run(
-            [fast._find_compiler(), "-shared", "-fPIC", "-o", str(lib),
+            [find_compiler(), "-shared", "-fPIC", "-o", str(lib),
              str(src)], check=True,
         )
-        monkeypatch.setattr(fast, "_build_library",
-                            lambda src, cc: (str(lib), None))
+        monkeypatch.setattr(fast, "build_library",
+                            lambda src: (str(lib), None))
         backend, reason = fast.load_fast_backend()
         assert backend is None
         assert "sat_search" in reason

@@ -398,6 +398,38 @@ class TestServerVerdicts:
         assert resp.retry_after is not None
 
 
+class TestSolveThreads:
+    def test_each_job_is_one_pool_call(self, tmp_path):
+        """A job's breaker probe and its solve share one pool call: with
+        two, the second could be submitted before the first's thread
+        counted as idle, and sequential requests would start the pool's
+        next thread, whose allocator arena regrows to a whole solve."""
+        tasks, arch = feasible_system()
+
+        async def main():
+            server = await started_server(tmp_path, workers=2)
+            pool = server._threads
+            submitted = []
+            submit = pool.submit
+
+            def counted(fn, *args, **kwargs):
+                submitted.append(fn)
+                return submit(fn, *args, **kwargs)
+
+            pool.submit = counted
+            kinds = []
+            for i in range(3):
+                resp = await server.submit(
+                    payload_for(tasks, arch, id=f"r{i}"))
+                kinds.append(resp.kind)
+            await server.stop()
+            return kinds, submitted
+
+        kinds, submitted = asyncio.run(main())
+        assert kinds == ["ok"] * 3
+        assert len(submitted) == 3
+
+
 class TestWarmStarts:
     def test_repeat_request_is_warm_and_bit_identical(self, tmp_path):
         tasks, arch = feasible_system()
