@@ -8,8 +8,11 @@ times and the fastest repeat is kept.  Its wall time runs from
 every buffered clause is in the SAT engine, and is split into the
 ``EncodeStats`` stages -- simplify, triplet, bit-blast, clause load --
 and the model-building rest.  Each shape also records its
-``Solver.add_clauses`` calls, clauses and variables; the file records
-the git sha and the SAT backend.  Results land in
+``Solver.add_clauses`` calls, clauses and variables, and the gate
+library that blasted it (``blast_library``: ``fast`` for the compiled
+core of :mod:`repro.arith.blastcore`, ``pure`` for the Python
+reference); the file records the git sha, the SAT backend and the
+compiled blast core's status.  Results land in
 ``benchmarks/out/BENCH_encode.json``.
 
 The four served shapes also record the ``replay`` stage of an
@@ -125,6 +128,7 @@ def _encode_once(name: str, loads: list) -> dict:
         "gates": st.gates,
         "db_digest": _db_digest(sat),
         "backend": sat.core.name,
+        "blast_library": enc.solver.blaster.library,
     }
 
 
@@ -190,6 +194,7 @@ def _git_sha() -> str | None:
 
 
 def test_encode_split(record_json, monkeypatch):
+    from repro.arith.blastcore import blast_core_status
     from repro.sat.solver import Solver
     from tests.test_encode_regression import ENCODING_DIGESTS
 
@@ -212,6 +217,8 @@ def test_encode_split(record_json, monkeypatch):
     record_json("encode", {
         "git_sha": _git_sha(),
         "backend": backends.pop() if len(backends) == 1 else None,
+        "blast_core": {k: v for k, v in blast_core_status().items()
+                       if k != "library"},
         "repeats": REPEATS,
         "shapes": shapes,
         "arch_b_target_s": ARCH_B_TARGET_S,

@@ -31,7 +31,7 @@ a ``[0, 2^k - 1]`` variable vanishes entirely.
 
 Emission is buffered: the blaster numbers fresh variables from its own
 counter and appends each gate's clauses as ``[size, lit0, lit1, ...]``
-records to one flat ``array('i')``.  :meth:`Blaster.flush` hands that
+records to one flat ``array('i')``.  :meth:`BlastFront.flush` hands that
 buffer to :meth:`repro.sat.solver.Solver.add_clauses`, which reserves
 the variables in one bulk step and loads every record in one compiled
 pass.  The buffer keeps growing across the caller's operations; the
@@ -42,6 +42,12 @@ pseudo-Boolean pair ``2*cout + s = x + y + cin`` (section 5.1's PB
 formulation) instead of CNF; the buffer is flushed before each such PB
 constraint so clause and PB order are exactly those of unbuffered
 emission.
+
+Two gate libraries share the front (:class:`BlastFront`): the Python
+one here (:class:`Blaster`, the reference) and the compiled core of
+:mod:`repro.arith.blastcore`, which emits the same words and numbers
+the same variables in compiled runs of many definitions each.
+:func:`repro.arith.blastcore.make_blaster` picks one.
 """
 
 from __future__ import annotations
@@ -54,15 +60,25 @@ from repro.arith.ranges import Range, width_for
 from repro.arith.triplet import TOK_FALSE, TOK_TRUE, ArithDef, BoolDef, CmpDef
 from repro.sat.solver import Solver
 
-__all__ = ["Blaster"]
+__all__ = ["BlastFront", "Blaster"]
 
 
-class Blaster:
-    """Incremental triplet-to-SAT compiler.
+class BlastFront:
+    """What both gate libraries share: the clause buffer, the variable
+    counter, the constant-true literal, the flush to the engine and the
+    model readback.
 
-    Keeps per-variable bit vectors and a gate cache so repeated blasting
-    of shared subcircuits is free.
+    A library subclass keeps the vector and token maps and blasts the
+    Tripletizer's queued definitions (:meth:`blast`): :class:`Blaster`
+    here, gate by gate in Python, or
+    :class:`repro.arith.blastcore.CompiledBlaster`, the same circuits
+    in compiled runs of many definitions.  ``library`` names which one runs
+    (``"pure"`` or ``"fast"``); ``fallback_reason`` says why the
+    compiled one was asked for and not used.
     """
+
+    library = "pure"
+    fallback_reason: str | None = None
 
     def __init__(
         self,
@@ -83,14 +99,6 @@ class Blaster:
         self._emit = self._buf.fromlist
         self._next_var = solver.nvars
         self._head = solver.nvars
-        self._vectors: dict[int, list[int]] = {}   # IntVar nid -> bit lits
-        self._vec_vars: dict[int, IntVar] = {}     # IntVar nid -> IntVar
-        self._token_lit: dict[int, int] = {}       # triplet token -> lit
-        self._lit_token: dict[int, int] = {}       # lit base -> token base
-        self._and_cache: dict[tuple, int] = {}
-        self._or_cache: dict[tuple, int] = {}
-        self._xor_cache: dict[tuple, int] = {}
-        self._maj_cache: dict[tuple, int] = {}
         self.range_cache: dict[int, Range] = {}
         #: Instrumentation: gates materialized (fresh gate variables),
         #: gate requests served from a cache, and variable bits hardwired
@@ -100,6 +108,9 @@ class Blaster:
         self.narrowed_bits = 0
         #: Seconds spent handing buffered constraints to the solver.
         self.t_load = 0.0
+        #: Seconds spent blasting definitions into the buffer (loads
+        #: inside, which PB mode makes, count as ``t_load``).
+        self.t_blast = 0.0
 
     # ------------------------------------------------------------------
     # Variables and the clause buffer
@@ -112,14 +123,6 @@ class Blaster:
         if not self._buf:
             self._head = v + 1
         return v << 1
-
-    def _new_lits(self, n: int) -> list[int]:
-        """Positive literals of ``n`` fresh (pending) variables."""
-        v = self._next_var
-        self._next_var = v + n
-        if not self._buf:
-            self._head = v + n
-        return [(v + i) << 1 for i in range(n)]
 
     def emit_clause(self, lits: list[int]) -> None:
         """Buffer one clause (loaded by the next :meth:`flush`)."""
@@ -164,17 +167,6 @@ class Blaster:
         self._head = self._next_var
         self.t_load += time.perf_counter() - t0
 
-    def _add_pb(self, lits: list[int], coefs: list[int], bound: int) -> None:
-        """Flush, then add an engine-level PB constraint (PB mode)."""
-        self.flush()
-        t0 = time.perf_counter()
-        self.solver.add_pb(lits, coefs, bound)
-        self.t_load += time.perf_counter() - t0
-
-    # ------------------------------------------------------------------
-    # Constants and token mapping
-    # ------------------------------------------------------------------
-
     @property
     def lit_true(self) -> int:
         """Literal that is constrained true (created lazily)."""
@@ -188,6 +180,118 @@ class Blaster:
     def lit_false(self) -> int:
         return self.lit_true ^ 1
 
+    # ------------------------------------------------------------------
+    # Triplet definitions
+    # ------------------------------------------------------------------
+
+    def blast(self, trip) -> None:
+        """Blast the Tripletizer's queued definitions into the buffer:
+        arithmetic first (comparisons may read the fresh vectors, and a
+        vector asserts its range on creation), then comparisons, then
+        Boolean definitions.
+
+        A definition leaves its queue only once it is blasted: when a
+        blast raises, that definition and every later one stay queued
+        for the next call, so a token the Tripletizer's CSE tables hand
+        out again is never left without its definition."""
+        t0 = time.perf_counter()
+        load0 = self.t_load
+        try:
+            for queue, encode in (
+                (trip.new_arith, self.encode_arith_def),
+                (trip.new_cmp, self.encode_cmp_def),
+                (trip.new_bool, self.encode_bool_def),
+            ):
+                done = 0
+                try:
+                    for d in queue:
+                        encode(d)
+                        done += 1
+                finally:
+                    del queue[:done]
+        finally:
+            self.t_blast += (
+                time.perf_counter() - t0 - (self.t_load - load0))
+
+    def assert_root(self, root: int, guard: int | None = None) -> None:
+        """Buffer the clause asserting a root token (a Tripletizer
+        token, or ``TOK_TRUE`` / ``TOK_FALSE``), or ``guard -> root``
+        for a guard token.  A false root is the empty clause rather
+        than a bare ``ok=False``, so proof logging records the
+        contradiction as an input."""
+        if guard is None:
+            if root == TOK_FALSE:
+                self.emit_clause([])
+            elif root != TOK_TRUE:
+                self.emit_clause([self.token_lit(root)])
+            return
+        glit = self.token_lit(guard)
+        if root == TOK_FALSE:
+            self.emit_clause([glit ^ 1])
+        elif root != TOK_TRUE:
+            self.emit_clause([glit ^ 1, self.token_lit(root)])
+
+    # ------------------------------------------------------------------
+    # Model readback
+    # ------------------------------------------------------------------
+
+    def decode_var(self, var: IntVar) -> int:
+        """Integer value of ``var`` in the solver's current model."""
+        vec = self.vector_of(var)
+        if vec is None:
+            # Never blasted: unconstrained, any in-range value works.
+            return var.lo
+        w = len(vec)
+        value = 0
+        for i, lit in enumerate(vec):
+            if self.solver.model_value(lit):
+                value |= 1 << i
+        if value >= 1 << (w - 1):
+            value -= 1 << w
+        return value
+
+
+class Blaster(BlastFront):
+    """The reference gate library: incremental triplet-to-SAT compiler
+    in Python.
+
+    Keeps per-variable bit vectors and a gate cache so repeated blasting
+    of shared subcircuits is free.  The only library in ``pb_mode``,
+    whose full adders flush PB constraints between their clauses.
+    """
+
+    def __init__(
+        self,
+        solver: Solver,
+        pb_mode: bool = False,
+        narrow_bits: bool = True,
+    ):
+        super().__init__(solver, pb_mode, narrow_bits)
+        self._vectors: dict[int, list[int]] = {}   # IntVar nid -> bit lits
+        self._token_lit: dict[int, int] = {}       # triplet token -> lit
+        self._and_cache: dict[tuple, int] = {}
+        self._xor_cache: dict[tuple, int] = {}
+        self._maj_cache: dict[tuple, int] = {}
+
+    def _new_lits(self, n: int) -> list[int]:
+        """Positive literals of ``n`` fresh (pending) variables."""
+        v = self._next_var
+        self._next_var = v + n
+        if not self._buf:
+            self._head = v + n
+        return [(v + i) << 1 for i in range(n)]
+
+    def _add_pb(self, lits: list[int], coefs: list[int], bound: int) -> None:
+        """Flush, then add an engine-level PB constraint (PB mode)."""
+        self.flush()
+        t0 = time.perf_counter()
+        self.solver.add_pb(lits, coefs, bound)
+        self.t_load += time.perf_counter() - t0
+
+    # ------------------------------------------------------------------
+    # Token and vector maps
+    # ------------------------------------------------------------------
+
     def token_lit(self, tok: int) -> int:
         """SAT literal for a triplet Boolean token."""
         if tok == TOK_TRUE:
@@ -198,12 +302,23 @@ class Blaster:
         if base is None:
             base = self._new_lit()
             self._token_lit[tok & ~1] = base
-            self._lit_token[base] = tok & ~1
         return base ^ (tok & 1)
 
-    # ------------------------------------------------------------------
-    # Bit vectors
-    # ------------------------------------------------------------------
+    def mapped_lit(self, tok: int) -> int | None:
+        """Base literal bound to a token (``tok & ~1``), or None."""
+        return self._token_lit.get(tok & ~1)
+
+    def bind_token(self, tok: int, lit: int) -> None:
+        """Bind a token to a literal (template replay)."""
+        self._token_lit[tok & ~1] = lit
+
+    def vector_of(self, var: IntVar) -> list[int] | None:
+        """Bit vector of ``var`` if it was blasted, else None."""
+        return self._vectors.get(var.nid)
+
+    def bind_vector(self, var: IntVar, lits) -> None:
+        """Bind ``var`` to existing literals (template replay)."""
+        self._vectors[var.nid] = list(lits)
 
     def vector(self, var: IntVar) -> list[int]:
         """Bit vector (LSB first) of an integer variable; created on first
@@ -226,7 +341,6 @@ class Blaster:
             vec += [self.lit_false] * (w - nbits)
             self.narrowed_bits += w - nbits
             self._vectors[var.nid] = vec
-            self._vec_vars[var.nid] = var
             # lo <= var is vacuous for lo == 0; hi >= var is vacuous when
             # hi saturates the narrowed width.
             if r.lo > 0:
@@ -240,7 +354,6 @@ class Blaster:
             return vec
         vec = self._new_lits(w)
         self._vectors[var.nid] = vec
-        self._vec_vars[var.nid] = var
         # Assert lo <= var <= hi unless the width makes it vacuous.
         if r.lo != -(1 << (w - 1)):
             lo_bits = self.const_bits(r.lo, w)
@@ -626,22 +739,3 @@ class Blaster:
         rec.append(head ^ 1)
         rec += [a ^ inv ^ 1 for a in args]
         self._emit(rec)
-
-    # ------------------------------------------------------------------
-    # Model readback
-    # ------------------------------------------------------------------
-
-    def decode_var(self, var: IntVar) -> int:
-        """Integer value of ``var`` in the solver's current model."""
-        vec = self._vectors.get(var.nid)
-        if vec is None:
-            # Never blasted: unconstrained, any in-range value works.
-            return var.lo
-        w = len(vec)
-        value = 0
-        for i, lit in enumerate(vec):
-            if self.solver.model_value(lit):
-                value |= 1 << i
-        if value >= 1 << (w - 1):
-            value -= 1 << w
-        return value

@@ -36,9 +36,9 @@ import time
 from array import array
 
 from repro.arith.ast import BoolExpr, BoolVar, IntVar, node_count
-from repro.arith.bitblast import Blaster
+from repro.arith.blastcore import make_blaster
 from repro.arith.stats import EncodeStats
-from repro.arith.triplet import TOK_FALSE, TOK_TRUE, Tripletizer
+from repro.arith.triplet import Tripletizer
 from repro.sat.literals import neg
 from repro.sat.solver import EngineRecord, Solver, SolverStats
 
@@ -92,8 +92,8 @@ class IntSolver:
     ):
         self._sat = Solver()
         self.trip = Tripletizer(simplify=simplify)
-        self.blaster = Blaster(self._sat, pb_mode=pb_mode,
-                               narrow_bits=narrow_bits)
+        self.blaster = make_blaster(self._sat, pb_mode=pb_mode,
+                                    narrow_bits=narrow_bits)
         # Share the range cache between the two stages.
         self.blaster.range_cache = self.trip.range_cache
         self._vars: dict[str, IntVar] = {}
@@ -101,7 +101,6 @@ class IntSolver:
         # Per-stage wall time (seconds); simplify time lives on the
         # Tripletizer, which runs the pre-pass.
         self._t_triplet = 0.0
-        self._t_blast = 0.0
         #: Template replays into this solver and their wall time.
         self._replays = 0
         self._t_replay = 0.0
@@ -138,18 +137,17 @@ class IntSolver:
         if rec is None:
             raise ValueError("template() needs record() first")
         sat.recorder = None
-        vectors = self.blaster._vectors
+        blaster = self.blaster
         int_leaves = []
         for v in self._vars.values():
-            vec = vectors.get(v.nid)
+            vec = blaster.vector_of(v)
             int_leaves.append((v, array("i", vec) if vec is not None
                                else None))
-        token_lit = self.blaster._token_lit
-        bool_leaves = [
-            (bv, token_lit[index << 1])
-            for index, bv in self.trip.boolvar_by_index.items()
-            if index << 1 in token_lit
-        ]
+        bool_leaves = []
+        for index, bv in self.trip.boolvar_by_index.items():
+            lit = blaster.mapped_lit(index << 1)
+            if lit is not None:
+                bool_leaves.append((bv, lit))
         return SolverTemplate(rec, int_leaves, bool_leaves,
                               self.blaster._true_lit, sat.nvars)
 
@@ -173,12 +171,9 @@ class IntSolver:
         for v, vec in tpl.int_leaves:
             self._vars[v.name] = v
             if vec is not None:
-                blaster._vectors[v.nid] = vec.tolist()
-                blaster._vec_vars[v.nid] = v
+                blaster.bind_vector(v, vec)
         for bv, lit in tpl.bool_leaves:
-            tok = self.trip.token_for_boolvar(bv)
-            blaster._token_lit[tok] = lit
-            blaster._lit_token[lit] = tok
+            blaster.bind_token(self.trip.token_for_boolvar(bv), lit)
         self._replays += 1
         self._t_replay += time.perf_counter() - t0
 
@@ -239,53 +234,9 @@ class IntSolver:
         t0 = time.perf_counter()
         root = self.trip.transform(formula)
         self._t_triplet += time.perf_counter() - t0
-        self._blast_new_defs()
-        if guard is None:
-            if root == TOK_FALSE:
-                # Empty clause rather than a bare ok=False so proof
-                # logging records the contradiction as an input.
-                blaster.emit_clause([])
-            elif root != TOK_TRUE:
-                blaster.emit_clause([blaster.token_lit(root)])
-        else:
-            gtok = self.trip.token_for_boolvar(guard)
-            glit = blaster.token_lit(gtok)
-            if root == TOK_FALSE:
-                blaster.emit_clause([neg(glit)])
-            elif root != TOK_TRUE:
-                blaster.emit_clause([neg(glit), blaster.token_lit(root)])
-
-    def _blast_new_defs(self) -> None:
-        """Bit-blast the Tripletizer's new definitions into the buffer
-        (``t_blast``; PB-mode loads inside it count as ``t_load``).
-
-        A definition leaves its queue only once it is blasted: when a
-        blast raises, that definition and every later one stay queued
-        for the next call, so a token the Tripletizer's CSE tables hand
-        out again is never left without its definition."""
-        t0 = time.perf_counter()
-        blaster = self.blaster
-        load0 = blaster.t_load
-        trip = self.trip
-        # Arithmetic first: comparison encodings may reference the fresh
-        # vectors, and vectors assert their range constraints on creation.
-        try:
-            for queue, encode in (
-                (trip.new_arith, blaster.encode_arith_def),
-                (trip.new_cmp, blaster.encode_cmp_def),
-                (trip.new_bool, blaster.encode_bool_def),
-            ):
-                done = 0
-                try:
-                    for d in queue:
-                        encode(d)
-                        done += 1
-                finally:
-                    del queue[:done]
-        finally:
-            self._t_blast += (
-                time.perf_counter() - t0 - (blaster.t_load - load0)
-            )
+        self.blaster.blast(self.trip)
+        gtok = None if guard is None else self.trip.token_for_boolvar(guard)
+        blaster.assert_root(root, gtok)
 
     # ------------------------------------------------------------------
     # Solving and models
@@ -331,7 +282,7 @@ class IntSolver:
         t0 = time.perf_counter()
         tok = self.trip.transform(formula)
         self._t_triplet += time.perf_counter() - t0
-        self._blast_new_defs()
+        self.blaster.blast(self.trip)
         return self.blaster.token_lit(tok)
 
     def boost(self, var, amount: float = 1.0) -> None:
@@ -385,15 +336,21 @@ class IntSolver:
         user-visible variable."""
         from repro.arith.ast import Not
 
+        core = self.sat.conflict_core
+        if not core:
+            return []
+        # A Boolean variable's token always gets a fresh literal of its
+        # own, so the literal names the variable.
+        by_lit = {}
+        for index, bv in self.trip.boolvar_by_index.items():
+            lit = self.blaster.mapped_lit(index << 1)
+            if lit is not None:
+                by_lit[lit] = bv
         out: list[BoolExpr] = []
-        for lit in self.sat.conflict_core:
-            tok_base = self.blaster._lit_token.get(lit & ~1)
-            if tok_base is None:
-                continue
-            bv = self.trip.boolvar_by_index.get(tok_base >> 1)
-            if bv is None:
-                continue
-            out.append(Not(bv) if lit & 1 else bv)
+        for lit in core:
+            bv = by_lit.get(lit & ~1)
+            if bv is not None:
+                out.append(Not(bv) if lit & 1 else bv)
         return out
 
     def value_bool(self, var: BoolVar) -> bool:
@@ -453,10 +410,10 @@ class IntSolver:
             pb_constraints=sat.num_pbs(),
             t_simplify=t_simplify,
             t_triplet=t_triplet,
-            t_blast=self._t_blast,
+            t_blast=blaster.t_blast,
             t_load=blaster.t_load,
             template_replays=self._replays,
             t_replay=self._t_replay,
-            t_total=(t_simplify + t_triplet + self._t_blast + blaster.t_load
+            t_total=(t_simplify + t_triplet + blaster.t_blast + blaster.t_load
                      + self._t_replay),
         )

@@ -184,17 +184,24 @@ class RelaxationBoundsProvider(BoundsProvider):
 
     Proposes a :class:`~repro.core.api.BoundsReport` combining the
     certificate-backed relaxation floor (:func:`dual_floor`) with a
-    witness-backed heuristic upper bound (:func:`repaired_upper`).
+    witness-backed heuristic upper bound (:func:`repaired_upper`;
+    skipped with ``heuristic_upper=False``).
     Stateless and cheap enough to run synchronously before the search
     (``bounds_mode="auto"``).
     """
 
     name = "relaxation"
 
-    def __init__(self, anneal_iterations: int = 800, seed: int = 0):
+    def __init__(self, anneal_iterations: int = 800, seed: int = 0,
+                 heuristic_upper: bool = True):
         self.anneal_iterations = anneal_iterations
         self.seed = seed
-        if not anneal_iterations:
+        #: False proposes the floor alone: no greedy, no walk (a serve
+        #: warm hit, whose audited witness already is the upper bound).
+        self.heuristic_upper = heuristic_upper
+        if not heuristic_upper:
+            self.name = "relaxation:floor"
+        elif not anneal_iterations:
             self.name = "relaxation:no-anneal"
 
     def propose(self, tasks, arch, request) -> BoundsReport | None:
@@ -205,9 +212,11 @@ class RelaxationBoundsProvider(BoundsProvider):
             return None
         t0 = time.perf_counter()
         cert = dual_floor(tasks, arch, objective)
-        upper = repaired_upper(
-            tasks, arch, objective, self.anneal_iterations, self.seed
-        )
+        upper = None
+        if self.heuristic_upper:
+            upper = repaired_upper(
+                tasks, arch, objective, self.anneal_iterations, self.seed
+            )
         if cert is None and upper is None:
             return None
         rep = BoundsReport(provider=self.name)

@@ -1,8 +1,9 @@
 """Build a C source next to this package into a cached shared library.
 
-The two compiled cores -- the SAT engine's ``repro/sat/core/_core.c``
-and the RUP checker's ``repro/certify/_rup.c`` -- are compiled on first
-use with the host C compiler and loaded through ``ctypes``.  They share
+The three compiled cores -- the SAT engine's ``repro/sat/core/_core.c``,
+the RUP checker's ``repro/certify/_rup.c`` and the bit-blaster's
+``repro/arith/_blast.c`` -- are compiled on first use with the host C
+compiler and loaded through ``ctypes``.  They share
 no C code, only this helper: one compile per hash of source and
 compiler flags, cached under the system temp directory, so a second
 process (or a second run) loads the library without compiling.
@@ -26,7 +27,7 @@ __all__ = ["CFLAGS", "build_library", "find_compiler"]
 #: Compiler flags; part of the cache key.  ``-ffp-contract=off`` keeps
 #: the SAT core's VSIDS double arithmetic free of fused multiply-adds,
 #: so it rounds exactly like the Python reference (GNU C defaults to
-#: ``fast``); the RUP core does no floating point.
+#: ``fast``); the RUP and blast cores do no floating point.
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 

@@ -882,3 +882,36 @@ int sat_search(const int64_t *addr, int64_t *io, double *dio)
     core_close(&c, io, dio);
     return status;
 }
+
+/* ------------------------------------------------------------------ */
+/* Proof snapshot (pure.py snapshot_block)                             */
+/* ------------------------------------------------------------------ */
+
+static inline int32_t dimacs(int32_t lit)
+{
+    return lit & 1 ? -((lit >> 1) + 1) : (lit >> 1) + 1;
+}
+
+/* The clause records of cids[0..ncids) in order, then one unit record
+ * per trail literal, as signed DIMACS words into out; returns the words
+ * written.  out holds len(arena) + 2 * trail_n words, more than any
+ * subset of the arena's records needs.  Unlike the other entry points
+ * this one reads only the arrays it is handed. */
+int64_t sat_snapshot(const int32_t *arena, const int32_t *cla_off,
+                     const int32_t *cids, int64_t ncids,
+                     const int32_t *trail, int64_t trail_n, int32_t *out)
+{
+    int64_t n = 0;
+    for (int64_t k = 0; k < ncids; k++) {
+        const int32_t *rec = arena + cla_off[cids[k]];
+        int32_t size = rec[0];
+        out[n++] = size;
+        for (int32_t i = 1; i <= size; i++)
+            out[n++] = dimacs(rec[i]);
+    }
+    for (int64_t k = 0; k < trail_n; k++) {
+        out[n++] = 1;
+        out[n++] = dimacs(trail[k]);
+    }
+    return n;
+}

@@ -63,7 +63,7 @@ _IO_PREFIX = 10  # slots of the shared io prefix (IO_PREFIX in _core.c)
 
 #: Every function the library must export.
 _SYMBOLS = ("sat_propagate", "sat_unwind", "sat_load_clauses",
-            "sat_search")
+            "sat_search", "sat_snapshot")
 
 
 def _io(s, ncla: int, *extra: int) -> array:
@@ -79,7 +79,7 @@ class FastBackend:
     compiled = True
 
     def __init__(self, lib: ctypes.CDLL, library_path: str):
-        for name in _SYMBOLS:
+        for name in _SYMBOLS[:4]:
             fn = getattr(lib, name)
             fn.restype = None if name == "sat_unwind" else ctypes.c_int
             fn.argtypes = [ctypes.c_void_p] * 3
@@ -87,6 +87,12 @@ class FastBackend:
         self._unwind = lib.sat_unwind
         self._load = lib.sat_load_clauses
         self._search = lib.sat_search
+        snap = lib.sat_snapshot
+        snap.restype = ctypes.c_int64
+        snap.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                         ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                         ctypes.c_void_p]
+        self._snapshot = snap
         self.library_path = library_path
         self.fallback_reason = None
 
@@ -144,6 +150,21 @@ class FastBackend:
         stats.learnt_clauses += io[p + 20]
         stats.learnt_literals += io[p + 21]
         return status
+
+    def snapshot_block(self, s) -> array:
+        """``pure.snapshot_block`` in one compiled pass."""
+        learnt = array("i", s._learnt_cids)
+        cids = s._problem_cids
+        if learnt:
+            cids = cids + learnt
+        out = array("i", bytes(4 * (len(s.arena) + 2 * s.trail_n)))
+        n = self._snapshot(s.arena.buffer_info()[0],
+                           s.cla_off.buffer_info()[0],
+                           cids.buffer_info()[0], len(cids),
+                           s.trail.buffer_info()[0], s.trail_n,
+                           out.buffer_info()[0])
+        del out[n:]
+        return out
 
 
 def load_fast_backend() -> tuple[FastBackend | None, str | None]:

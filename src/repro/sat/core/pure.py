@@ -755,6 +755,41 @@ def search(s, st: SearchState) -> int:
         stage = RESUME_PROPAGATE
 
 
+def snapshot_block(s) -> array:
+    """The proof snapshot's clause records and level-0 units as signed
+    DIMACS words (see ``Solver.start_proof``): the problem clauses, then
+    the learnt ones, in clause-id order, then one unit record per trail
+    literal.  Engine literals go through one table of shared ints,
+    mapped over the arena once."""
+    n = s.nvars
+    dimacs = [0] * (2 * n + 2)
+    dimacs[0::2] = range(1, n + 2)
+    dimacs[1::2] = range(-1, -n - 2, -1)
+    arena = s.arena
+    cla_off = s.cla_off
+    cids = s._problem_cids
+    words = list(map(dimacs.__getitem__, arena))
+    if (not s._learnt_cids
+            and len(arena) == s._n_problem_lits + len(cids)):
+        # The arena holds the problem records alone, in clause-id
+        # order (it only grows, and compaction keeps that order):
+        # the mapped arena is the block once its size words are back.
+        for off in map(cla_off.__getitem__, cids):
+            words[off] = arena[off]
+    else:
+        # Clause ids, not arena order: learnt and dead records may
+        # sit between problem clauses.
+        mapped, words = words, []
+        for cid in cids.tolist() + s._learnt_cids:
+            off = cla_off[cid]
+            end = off + 1 + arena[off]
+            words.append(arena[off])
+            words += mapped[off + 1:end]
+    units = [1] * (2 * s.trail_n)
+    units[1::2] = map(dimacs.__getitem__, s.trail[:s.trail_n])
+    words += units
+    return array("i", words)
+
 class PureBackend:
     """Always-available reference backend."""
 
@@ -778,3 +813,6 @@ class PureBackend:
 
     def search(self, solver, st: SearchState) -> int:
         return search(solver, st)
+
+    def snapshot_block(self, solver) -> array:
+        return snapshot_block(solver)

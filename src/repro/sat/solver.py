@@ -560,43 +560,16 @@ class Solver:
         log = ProofLog()
         self._cancel_until(0)
         # One flat block of signed DIMACS words, not a tuple per clause
-        # (the snapshot is a measurable share of every certified solve).
-        # Engine literals go through one table of shared ints, mapped
-        # over the arena once.
-        n = self.nvars
-        dimacs = [0] * (2 * n + 2)
-        dimacs[0::2] = range(1, n + 2)
-        dimacs[1::2] = range(-1, -n - 2, -1)
-        arena = self.arena
-        cla_off = self.cla_off
-        cids = self._problem_cids
-        words = list(map(dimacs.__getitem__, arena))
-        if (not self._learnt_cids
-                and len(arena) == self._n_problem_lits + len(cids)):
-            # The arena holds the problem records alone, in clause-id
-            # order (it only grows, and compaction keeps that order):
-            # the mapped arena is the block once its size words are back.
-            for off in map(cla_off.__getitem__, cids):
-                words[off] = arena[off]
-        else:
-            # Clause ids, not arena order: learnt and dead records may
-            # sit between problem clauses.
-            mapped, words = words, []
-            for cid in cids.tolist() + self._learnt_cids:
-                off = cla_off[cid]
-                end = off + 1 + arena[off]
-                words.append(arena[off])
-                words += mapped[off + 1:end]
-        split = len(words)
-        units = [1] * (2 * self.trail_n)
-        units[1::2] = map(dimacs.__getitem__, self.trail[:self.trail_n])
-        words += units
+        # (the snapshot is a measurable share of every certified solve),
+        # mapped from the arena in one pass of the propagation core.
+        words = self.core.snapshot_block(self)
+        split = len(words) - 2 * self.trail_n
         if not self.ok:
             words.append(0)
-        records = (len(cids) + len(self._learnt_cids) + self.trail_n
-                   + (not self.ok))
+        records = (len(self._problem_cids) + len(self._learnt_cids)
+                   + self.trail_n + (not self.ok))
         log.log_snapshot(
-            array("i", words), split, records,
+            words, split, records,
             [(list(self.pb_lits[off:off + ln]),
               list(self.pb_coefs[off:off + ln]), bound)
              for off, ln, bound in zip(self.pb_off, self.pb_len,

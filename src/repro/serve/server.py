@@ -570,11 +570,12 @@ class AllocationServer:
             ))
         if self.config.bounds != "off":
             # On a hit the audited warm witness is already the upper
-            # bound, so the annealing walk adds nothing: greedy plus the
-            # relaxation floor only.
+            # bound, so neither greedy nor the annealing walk adds
+            # anything: the relaxation floor alone, which with the
+            # witness fences the search to one probe.
             providers.append(
                 RelaxationBoundsProvider() if entry is None
-                else RelaxationBoundsProvider(anneal_iterations=0)
+                else RelaxationBoundsProvider(heuristic_upper=False)
             )
         from repro.fabric.jobs import code_fingerprint
 

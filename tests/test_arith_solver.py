@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.arith import ast as ir
 from repro.arith import FALSE, TRUE, And, IntSolver, Not, Or
 from repro.arith.ast import Iff, Implies
+from tests.test_blast_core import OnLibrary
 
 
 class TestBasicArithmetic:
@@ -222,18 +223,22 @@ class TestDeferredLoading:
 
     @staticmethod
     def _fail_second_cmp(monkeypatch):
+        """Fail the second comparison definition a batch takes up: on
+        the reference library where it is blasted, on the compiled one
+        where it is translated to program words (the batch's run then
+        blasts the definitions before it)."""
         from repro.arith.bitblast import Blaster
+        from repro.arith.blastcore import CompiledBlaster
 
         seen = []
-        blast = Blaster.encode_cmp_def
+        for cls in (Blaster, CompiledBlaster):
+            def failing(self, d, _blast=cls.encode_cmp_def):
+                seen.append(d)
+                if len(seen) == 2:
+                    raise RuntimeError("injected blast failure")
+                return _blast(self, d)
 
-        def failing(self, d):
-            seen.append(d)
-            if len(seen) == 2:
-                raise RuntimeError("injected blast failure")
-            return blast(self, d)
-
-        monkeypatch.setattr(Blaster, "encode_cmp_def", failing)
+            monkeypatch.setattr(cls, "encode_cmp_def", failing)
 
     def test_requires_load_when_the_engine_is_read(self):
         s = IntSolver()
@@ -311,6 +316,14 @@ class TestDeferredLoading:
         assert untagged > 0  # x + y == 12, loaded before the tag opened
         assert s.solve() and s.value(x) + s.value(y) == 12
 
+
+
+class TestDeferredLoadingReference(OnLibrary, TestDeferredLoading):
+    library = "pure"
+
+
+class TestDeferredLoadingCompiled(OnLibrary, TestDeferredLoading):
+    library = "fast"
 
 class TestAgainstBruteForce:
     """Random formulas over tiny ranges, checked against enumeration."""

@@ -23,6 +23,7 @@ from repro.model import (
     Task,
     TaskSet,
 )
+from tests.test_blast_core import OnLibrary
 
 # Exact output of the current default encoder on the fig. 1 workload.
 PINNED_VARS = 5966
@@ -171,6 +172,14 @@ class TestEncodingIdentity:
                 == ENCODING_DIGESTS[key + "/minimized"])
 
 
+
+class TestEncodingIdentityReference(OnLibrary, TestEncodingIdentity):
+    library = "pure"
+
+
+class TestEncodingIdentityCompiled(OnLibrary, TestEncodingIdentity):
+    library = "fast"
+
 # SHA-256 of one full binary search on the cheapest ``sweep-ring``
 # benchmark cell (3-ECU ring, 6 tasks, utilization 0.6, seed 1,
 # ``sum_resp``, no bounds providers): every learnt clause with its
@@ -202,6 +211,7 @@ class TestSearchIdentity:
             objective_from_spec("sum_resp"))
         sat = enc.solver.sat
         assert sat.core.name == backend
+        assert enc.solver.blaster.library == backend
         h = hashlib.sha256()
 
         def hook(learnt, bt):
@@ -275,3 +285,11 @@ class TestDeferredLoading:
         assert _db_digest(enc.solver.sat) == ENCODING_DIGESTS["ring6-t16"]
         assert len(calls) <= RING6_T16_MAX_LOADS, len(calls)
         assert not enc.solver.blaster.pending
+
+
+class TestDeferredLoadingReference(OnLibrary, TestDeferredLoading):
+    library = "pure"
+
+
+class TestDeferredLoadingCompiled(OnLibrary, TestDeferredLoading):
+    library = "fast"

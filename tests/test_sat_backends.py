@@ -159,6 +159,20 @@ class TestDifferential:
         )
 
     @needs_fast
+    @given(cnf_pb_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_proof_snapshot_blocks_identical(self, instance):
+        """``snapshot_block`` (``Solver.start_proof``'s input block):
+        both cores map the same solver to the same words, after a search
+        has left learnt clauses and level-0 units behind."""
+        _, s = _run("pure", instance, with_proof=False)
+        for solver in (s, Solver(backend="pure")):
+            blocks = [get_backend(name).snapshot_block(solver)
+                      for name in ("pure", "fast")]
+            assert blocks[0].tolist() == blocks[1].tolist()
+            assert blocks[0].typecode == blocks[1].typecode == "i"
+
+    @needs_fast
     def test_pigeonhole_unsat_proof_identical(self):
         """A conflict-heavy UNSAT instance: proofs line-for-line equal."""
 

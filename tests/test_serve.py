@@ -504,7 +504,7 @@ class TestWarmStarts:
         tasks, req, report = calls[-1]
         outcome = _outcome(report)
         assert [p["provider"] for p in outcome.bounds["providers"]] == [
-            "warm-cache", "relaxation:no-anneal",
+            "warm-cache", "relaxation:floor",
         ]
         # The same request with the walk probes exactly the same way.
         walk = tuple(
@@ -523,6 +523,64 @@ class TestWarmStarts:
             return [(p.lo, p.hi, p.sat, p.cost, p.origin) for p in o.probes]
 
         assert probes(_outcome(with_walk)) == probes(outcome)
+
+    def test_warm_hit_floor_alone_keeps_bounds_probes_and_envelope(
+            self, tmp_path, monkeypatch):
+        """A hit proposes the relaxation floor without greedy's upper
+        bound: the resolved bounds, the probes and the envelope are those
+        of the hit that still ran greedy."""
+        import repro.core.api as api
+        from repro.bounds import RelaxationBoundsProvider
+
+        base_tasks, arch = feasible_system()
+        calls = []
+        real_solve = api.solve
+
+        def tap(tasks, arch_, req):
+            report = real_solve(tasks, arch_, req)
+            calls.append((tasks, req, report))
+            return report
+
+        monkeypatch.setattr(api, "solve", tap)
+
+        async def main():
+            server = await started_server(tmp_path)
+            await server.submit(payload_for(base_tasks, arch, id="base"))
+            for wcet in (410, 420, 380):
+                tasks, _ = feasible_system(wcet=wcet)
+                resp = await server.submit(
+                    payload_for(tasks, arch, id=f"w{wcet}"))
+                assert resp.kind == "ok" and resp.warm
+            await server.stop()
+
+        asyncio.run(main())
+        assert len(calls) == 4
+        for tasks, req, report in calls[1:]:
+            greedy = tuple(
+                RelaxationBoundsProvider(anneal_iterations=0)
+                if isinstance(p, RelaxationBoundsProvider) else p
+                for p in req.bounds
+            )
+            old = real_solve(tasks, arch, req.merged(
+                bounds=greedy, budget=None, checkpoint=None))
+            new, was = _outcome(report), _outcome(old)
+            assert [p["provider"] for p in was.bounds["providers"]] == [
+                "warm-cache", "relaxation:no-anneal"]
+            # Same bounds from the same sources; only the floor's
+            # provider is named differently.
+            renamed = {"relaxation:no-anneal": "relaxation:floor"}
+            assert new.bounds["provenance"] == {
+                side: renamed.get(name, name)
+                for side, name in was.bounds["provenance"].items()}
+            for key in set(new.bounds) | set(was.bounds):
+                if key not in ("providers", "provenance"):
+                    assert new.bounds.get(key) == was.bounds.get(key), key
+            assert ([(p.lo, p.hi, p.sat, p.cost, p.origin)
+                     for p in new.probes]
+                    == [(p.lo, p.hi, p.sat, p.cost, p.origin)
+                        for p in was.probes])
+            assert (report.cost, report.proven, report.status) == (
+                old.cost, old.proven, old.status)
 
     def test_trusted_witness_skips_probing_bit_identical(self):
         # API-level contract behind the server's warm path: a cached
