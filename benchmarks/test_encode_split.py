@@ -194,7 +194,7 @@ def _git_sha() -> str | None:
 
 
 def test_encode_split(record_json, monkeypatch):
-    from repro.arith.blastcore import blast_core_status
+    from repro.sat.core import backend_status
     from repro.sat.solver import Solver
     from tests.test_encode_regression import ENCODING_DIGESTS
 
@@ -217,7 +217,7 @@ def test_encode_split(record_json, monkeypatch):
     record_json("encode", {
         "git_sha": _git_sha(),
         "backend": backends.pop() if len(backends) == 1 else None,
-        "blast_core": {k: v for k, v in blast_core_status().items()
+        "blast_core": {k: v for k, v in backend_status()["blaster"].items()
                        if k != "library"},
         "repeats": REPEATS,
         "shapes": shapes,

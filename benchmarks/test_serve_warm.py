@@ -44,9 +44,9 @@ import time
 
 from repro.certify.certifier import ProbeCertifier
 from repro.certify.drup import RupChecker
-from repro.certify.rupcore import rup_core_status
 from repro.io.json_codec import system_to_dict
 from repro.model.task import TaskSet
+from repro.sat.core import backend_status
 from repro.sat.solver import Solver
 from repro.serve import AllocationServer, ServeConfig
 from repro.workloads.scaling import ring_architecture, scaling_taskset
@@ -209,7 +209,7 @@ def test_warm_replay_halves_median_latency(profile, tmp_path, record_json,
         "instance": {"ecus": 5, "tasks": n_tasks, "profile": profile.name},
         "checker_core": RupChecker().core_name,
         # Why the compiled core is unavailable (None when it loaded).
-        "checker_core_fallback": rup_core_status()["reason"],
+        "checker_core_fallback": backend_status()["checker"]["reason"],
         "variants": cells,
         "median_cold_seconds": round(median_cold, 4),
         "median_warm_seconds": round(median_warm, 4),

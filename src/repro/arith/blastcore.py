@@ -5,7 +5,7 @@ gate caches as open-addressing tables, the vector arena, the token map,
 the emission area -- in ``array`` buffers that this module allocates
 and grows; the C code only reads and writes inside them, through raw
 addresses (the idiom of :mod:`repro.certify.rupcore`, with which it
-shares only the build helper :func:`repro.native.build_library`).  It
+shares no C code, only the loader :mod:`repro.native`).  It
 keeps no state of its own, so blasters on several threads share nothing.
 
 Python translates each queued triplet definition into a few program
@@ -23,13 +23,12 @@ counters are those of the reference library
 travels as 32-bit limbs; a width or a variable count the core cannot
 hold raises :class:`OverflowError`, never wraps.
 
-:func:`make_blaster` picks the library: by name, or from the SAT
-backend setting (``REPRO_SAT_BACKEND`` / ``set_default_backend``),
-where ``auto`` means this core when the library builds and the
-reference otherwise, the reason recorded.  ``pb_mode`` always runs on
-the reference: its full adders flush PB constraints between their
-clauses.  The library is built and loaded by the first blaster that
-asks for it, never at import.
+:func:`make_blaster` picks the library by :func:`repro.native.pick`:
+from the backend setting, where ``auto`` means this core when
+:data:`BLAST_CORE` loads and the reference otherwise, the reason
+recorded.  ``pb_mode`` always runs on the reference: its full adders
+flush PB constraints between their clauses.  The library is built and
+loaded by the first blaster that asks for it, never at import.
 """
 
 from __future__ import annotations
@@ -41,10 +40,10 @@ from pathlib import Path
 from repro.arith.ast import IntVar
 from repro.arith.bitblast import BlastFront, Blaster
 from repro.arith.triplet import TOK_FALSE, TOK_TRUE
-from repro.sat.core import default_backend_name
+from repro.native import NativeCore, default_backend_name, pick
 from repro.sat.solver import Solver
 
-__all__ = ["CompiledBlaster", "blast_core_status", "make_blaster"]
+__all__ = ["BLAST_CORE", "CompiledBlaster", "make_blaster"]
 
 # State block slots (S_* in _blast.c).
 (S_NEXT_VAR, S_HEAD, S_TRUE, S_BUF_BASE, S_OUT_N, S_OUT_CAP, S_GATES,
@@ -74,65 +73,24 @@ _TABLES = (("_and2", S_AND_CAP, S_AND_N, 3, 0),
            ("_many", S_MANY_CAP, S_MANY_N, 4, 2))
 _I64 = 1 << 63
 
-#: The loaded library (or False once loading failed) and why not.
-_lib = None
-_lib_path: str | None = None
-_lib_reason = ""
-
-
-def _library():
-    """The compiled blast library, built on first use, or None.  Even
-    ``ctypes`` is imported here, not at import."""
-    global _lib, _lib_path, _lib_reason
-    if _lib is None:
-        import ctypes
-
-        from repro.native import build_library
-
-        p, i64 = ctypes.c_void_p, ctypes.c_int64
-        symbols = {
-            "blast_run": (ctypes.c_int, [p, p, p, i64]),
-            "blast_rehash": (None, [i64, p, i64, p, i64, p]),
-        }
-        path, reason = build_library(Path(__file__).with_name("_blast.c"))
-        lib = None
-        if path is not None:
-            try:
-                lib = ctypes.CDLL(path)
-                for name, (restype, argtypes) in symbols.items():
-                    fn = getattr(lib, name)
-                    fn.restype = restype
-                    fn.argtypes = argtypes
-            except (OSError, AttributeError) as exc:
-                lib = None
-                reason = f"failed to load compiled blast core: {exc}"
-        _lib = lib if lib is not None else False
-        _lib_path = path if lib is not None else None
-        _lib_reason = reason or ""
-    return _lib or None
-
-
-def blast_core_status() -> dict:
-    """Availability of the compiled core (builds it if needed)."""
-    lib = _library()
-    return {"available": lib is not None, "reason": _lib_reason or None,
-            "library": _lib_path}
+#: The library: every function it must export, typed.
+BLAST_CORE = NativeCore("blast core", Path(__file__).with_name("_blast.c"), {
+    "blast_run": ("int", "ptr", "ptr", "ptr", "i64"),
+    "blast_rehash": ("void", "i64", "ptr", "i64", "ptr", "i64", "ptr"),
+})
 
 
 def make_blaster(solver: Solver, pb_mode: bool = False,
                  narrow_bits: bool = True) -> BlastFront:
-    """The blaster of one solver, on the library the SAT backend
-    setting names (see the module docstring)."""
+    """The blaster of one solver, on the library the backend setting
+    names (see the module docstring)."""
     name = default_backend_name()
-    if name == "pure":
-        return Blaster(solver, pb_mode, narrow_bits)
-    if pb_mode:
-        reason = "pb_mode blasts full adders into PB constraints"
+    if pb_mode and name != "pure":
+        lib, reason = None, "pb_mode blasts full adders into PB constraints"
     else:
-        lib = _library()
-        if lib is not None:
-            return CompiledBlaster(lib, solver, narrow_bits)
-        reason = _lib_reason or "compiled blast core unavailable"
+        lib, _, reason = pick(BLAST_CORE, name)
+    if lib is not None:
+        return CompiledBlaster(lib, solver, narrow_bits)
     blaster = Blaster(solver, pb_mode, narrow_bits)
     blaster.fallback_reason = reason
     return blaster

@@ -220,5 +220,4 @@ def resolve_bounds(tasks, arch, objective, request):
             None,
             rb.provenance.pop("lower", "?"),
         )
-    rb.model_loaded = witness_alloc is not None
     return rb, witness_alloc, meta

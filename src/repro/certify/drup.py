@@ -56,10 +56,11 @@ rebuild, deletions -- live in a core:
 - ``rupcore.CompiledCore``: the same algorithm in ``_rup.c`` over flat
   arrays the Python side allocates, driven through ``ctypes``.
 
-The core is chosen like the SAT engine's backend: ``REPRO_SAT_BACKEND``
-(or ``repro.sat.core.set_default_backend``), where ``auto`` means the
-compiled core when it builds and the list core otherwise, the reason
-recorded (:func:`repro.certify.rupcore.rup_core_status`).  Both cores
+The core is chosen by the backend setting of all three compiled cores
+(:mod:`repro.native`: ``REPRO_SAT_BACKEND`` or ``set_default_backend``),
+where ``auto`` means the compiled core when it builds and the list core
+otherwise, the reason recorded (``backend_status()["checker"]`` of
+:mod:`repro.sat.core`).  Both cores
 accept and reject the same steps and give the same verdicts and
 ``rup_checks``; the order in which they propagate, and with it
 ``stats["propagations"]`` and ``stats["rebuilds"]``, may differ.

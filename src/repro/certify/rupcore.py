@@ -5,31 +5,28 @@ watch and implication lists, PB terms and slack counters, the level-0
 trail -- in ``array`` buffers that this module allocates and grows; the
 C functions only read and write inside them, through raw addresses
 (the idiom of the SAT engine's ``repro/sat/core/fast.py``, with which it
-shares only the build helper :func:`repro.native.build_library`).  The
-checker's front (:class:`repro.certify.drup.RupChecker`) does the
-numbering, parsing and deletion keys for both cores, so this core sees
-internal literals only.
+shares no C code, only the loader :mod:`repro.native`).  The checker's
+front (:class:`repro.certify.drup.RupChecker`) does the numbering,
+parsing and deletion keys for both cores, so this core sees internal
+literals only.
 
-:func:`make_core` picks the core: by name, or from the SAT backend
-setting (``REPRO_SAT_BACKEND`` / ``set_default_backend``, read without
-importing the solver), where ``auto`` means this core when the library
-builds and the list core (:class:`repro.certify.drup.ListCore`)
-otherwise.  The library is built and loaded on the first checker that
-asks for it, never at import.
+:func:`make_core` picks the core by :func:`repro.native.pick`: by name,
+or from the backend setting, where ``auto`` means this core when
+:data:`RUP_CORE` loads and the list core
+(:class:`repro.certify.drup.ListCore`) otherwise, the reason recorded.
+The library is built and loaded on the first checker that asks for it,
+never at import.
 """
 
 from __future__ import annotations
 
-import ctypes
-import os
-import sys
 from array import array
 from pathlib import Path
 
 from repro.certify.drup import ListCore, ProofError
-from repro.native import build_library
+from repro.native import NativeCore, pick
 
-__all__ = ["CompiledCore", "make_core", "rup_core_status"]
+__all__ = ["CompiledCore", "RUP_CORE", "make_core"]
 
 #: The arrays whose addresses every stateful call passes, in the order
 #: of ``rup_open`` in ``_rup.c``: (attribute, typecode, empty fill).
@@ -52,84 +49,28 @@ _DELETED = 1  # F_DELETED of a clause's flag byte
  S_NPBUNITS, S_TRAIL_N, S_HEAD0, S_CONFLICT0, S_STALE, S_PROPS,
  S_REBUILDS, S_SLOTS) = range(15)
 
-_NAMES = ("auto", "pure", "fast")
-
-_P = ctypes.c_void_p
-_I64 = ctypes.c_int64
-#: Every function the library must export: (restype, argtypes).
-_SYMBOLS = {
-    "rup_scan": (ctypes.c_int, [_P, _I64, _P]),
-    "rup_store": (None, [_P, _P, _P, _I64]),
-    "rup_attach": (None, [_P, _P]),
-    "rup_settle": (ctypes.c_int, [_P, _P]),
-    "rup_refutes": (ctypes.c_int, [_P, _P, _P, _I64]),
-    "rup_add_pb": (ctypes.c_int, [_P, _P, _P, _P, _I64, _I64]),
-    "rup_delete": (None, [_P, _P, _I64]),
-    "rup_eval_clauses": (_I64, [_P, _I64, _P, _I64]),
-    "rup_eval_pbs": (_I64, [_P, _I64, _P, _I64]),
-}
-
-#: The loaded library (or False once loading failed) and why not.
-_lib = None
-_lib_path: str | None = None
-_lib_reason = ""
-
-
-def _library():
-    """The compiled RUP library, built on first use, or None."""
-    global _lib, _lib_path, _lib_reason
-    if _lib is None:
-        path, reason = build_library(Path(__file__).with_name("_rup.c"))
-        lib = None
-        if path is not None:
-            try:
-                lib = ctypes.CDLL(path)
-                for name, (restype, argtypes) in _SYMBOLS.items():
-                    fn = getattr(lib, name)
-                    fn.restype = restype
-                    fn.argtypes = argtypes
-            except (OSError, AttributeError) as exc:
-                lib, reason = None, f"failed to load compiled RUP core: {exc}"
-        _lib = lib if lib is not None else False
-        _lib_path = path if lib is not None else None
-        _lib_reason = reason or ""
-    return _lib or None
-
-
-def rup_core_status() -> dict:
-    """Availability of the compiled core (builds it if needed)."""
-    lib = _library()
-    return {"available": lib is not None, "reason": _lib_reason or None,
-            "library": _lib_path}
-
-
-def _requested() -> str:
-    """The SAT backend setting, read without importing the solver: a
-    process default can only have been set through an imported
-    ``repro.sat.core``, else the environment variable decides."""
-    sat_core = sys.modules.get("repro.sat.core")
-    if sat_core is not None:
-        return sat_core.default_backend_name()
-    name = os.environ.get("REPRO_SAT_BACKEND", "auto").strip().lower()
-    return name if name in _NAMES else "auto"
+#: The library: every function it must export, typed.
+RUP_CORE = NativeCore("checker core", Path(__file__).with_name("_rup.c"), {
+    "rup_scan": ("int", "ptr", "i64", "ptr"),
+    "rup_store": ("void", "ptr", "ptr", "ptr", "i64"),
+    "rup_attach": ("void", "ptr", "ptr"),
+    "rup_settle": ("int", "ptr", "ptr"),
+    "rup_refutes": ("int", "ptr", "ptr", "ptr", "i64"),
+    "rup_add_pb": ("int", "ptr", "ptr", "ptr", "ptr", "i64", "i64"),
+    "rup_delete": ("void", "ptr", "ptr", "i64"),
+    "rup_eval_clauses": ("i64", "ptr", "i64", "ptr", "i64"),
+    "rup_eval_pbs": ("i64", "ptr", "i64", "ptr", "i64"),
+})
 
 
 def make_core(name: str | None, stats: dict):
     """The core a checker named ``name`` runs on (see the module
     docstring); ``stats`` is the checker's statistics dict."""
-    if name is None:
-        name = _requested()
-    if name not in _NAMES:
-        raise ValueError(
-            f"unknown checker core {name!r} (choose from auto, pure, fast)"
-        )
-    if name != "pure":
-        lib = _library()
-        if lib is not None:
-            return CompiledCore(lib, stats)
+    lib, _, reason = pick(RUP_CORE, name)
+    if lib is not None:
+        return CompiledCore(lib, stats)
     core = ListCore(stats)
-    if name != "pure":
-        core.fallback_reason = _lib_reason or "compiled RUP core unavailable"
+    core.fallback_reason = reason
     return core
 
 

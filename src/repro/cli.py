@@ -59,6 +59,7 @@ from repro.io import (
     load_system,
 )
 from repro.model.paths import enumerate_path_closures
+from repro.native import BACKEND_ENV, BACKENDS, set_default_backend
 
 __all__ = ["main", "build_parser"]
 
@@ -165,9 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--pb", action="store_true",
                          help="pseudo-Boolean adder axioms (GOBLIN mode)")
     p_solve.add_argument(
-        "--backend", choices=("auto", "pure", "fast"), default=None,
-        help="SAT propagation core: pure Python reference, compiled C "
-        "core, or auto (fast when buildable; see docs/SOLVER.md)",
+        "--backend", choices=BACKENDS, default=None,
+        help="SAT engine, proof checker and bit-blaster cores: pure "
+        "Python references, compiled C cores, or auto (fast when "
+        "buildable; see docs/SOLVER.md)",
     )
     p_solve.add_argument(
         "--stats", action="store_true",
@@ -234,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--objective", default="sum_resp",
                       help="cell objective (same specs as solve)")
     p_sw.add_argument(
-        "--backend", choices=("auto", "pure", "fast"), default=None,
-        help="SAT propagation core for every cell (workers inherit it "
-        "through the environment)",
+        "--backend", choices=BACKENDS, default=None,
+        help="compiled or pure cores for every cell (workers inherit "
+        "the setting through the environment)",
     )
     p_sw.add_argument("--time-limit", type=float, default=30.0,
                       help="per-cell solve time limit (seconds)")
@@ -339,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serves warm-cache hints only",
     )
     p_srv.add_argument(
-        "--backend", choices=("auto", "pure", "fast"), default=None,
-        help="SAT propagation core (the circuit breaker may override "
-        "it to pure at runtime)",
+        "--backend", choices=BACKENDS, default=None,
+        help="compiled or pure cores (the circuit breaker may override "
+        "the setting to pure at runtime)",
     )
     p_srv.add_argument(
         "--disk-quota", default=None, metavar="BYTES",
@@ -888,8 +890,6 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     if getattr(args, "backend", None) is not None:
-        from repro.sat.core import BACKEND_ENV, set_default_backend
-
         # Process default for in-process solves; environment for worker
         # processes (sweep and fabric cells) spawned later.
         set_default_backend(args.backend)

@@ -236,10 +236,6 @@ class Allocator:
         rb, witness, bmeta = resolve_bounds(
             self.tasks, self.arch, objective, request
         )
-        if certify:
-            # Certified runs keep the final [R, R] probe so the
-            # certificate carries a SAT audit of the served model.
-            rb.model_loaded = False
         slot = request.template
         shape = None
         if slot is not None:

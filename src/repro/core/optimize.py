@@ -163,7 +163,10 @@ class ResolvedBounds:
       may start at ``left = lower`` and skip the UNSAT probes below it.
     - ``upper``: known-achievable cost -- its witness passed the
       independent analysis, so the search starts at ``right = upper``
-      and skips the initial unconstrained SOLVE.
+      and skips the initial unconstrained SOLVE.  The caller holds that
+      witness as the model of ``upper``: a search closing there runs no
+      model-loading ``[R, R]`` probe, certified or not (the witness's
+      audit is the certificate's ``bounds`` upper entry).
     - ``lower_hint`` / ``upper_hint``: unaudited guesses.  They only
       reorder probes (one targeted probe each) and can never shrink the
       certified interval by themselves; a wrong hint costs one probe,
@@ -178,11 +181,6 @@ class ResolvedBounds:
     upper: int | None = None
     lower_hint: int | None = None
     upper_hint: int | None = None
-    #: The caller holds an allocation achieving ``upper``, so a search
-    #: closing exactly there needs no model-loading ``[R, R]`` probe
-    #: (certified runs keep the probe regardless: the certificate must
-    #: contain a SAT audit of the served model).
-    model_loaded: bool = False
     #: Bound field -> provider name, for the probe log / stats.
     provenance: dict = field(default_factory=dict)
 
@@ -434,14 +432,13 @@ def _search(solver, cost_var, lower, upper, on_sat, time_limit, budget,
         initial_skipped = False
         if trusted_upper is not None:
             # The caller audited the bound achievable via the
-            # independent analysis: no probe needed at all, the interval
-            # starts at [floor, upper_bound].  Unless the caller also
-            # holds the witness model, the final [R, R] re-certification
-            # loads one if no SAT probe runs.
+            # independent analysis and holds the witness: no probe
+            # needed at all, the interval starts at [floor, upper_bound]
+            # and the witness is the model until a SAT probe finds one.
             out.feasible = True
             left, right = min(floor, trusted_upper), trusted_upper
             confirm_first = left < right
-            model_loaded = rb.model_loaded
+            model_loaded = True
             initial_skipped = True
             sync_checkpoint()
         elif hint is not None:
@@ -538,9 +535,10 @@ def _search(solver, cost_var, lower, upper, on_sat, time_limit, budget,
     out.optimum = right
     out.proven = left >= right
     if out.proven and not model_loaded:
-        # A resumed run may close the interval without any SAT probe of
-        # its own; re-certify [R, R] so the model (and on_sat snapshot)
-        # belong to the optimum, exactly as in an uninterrupted run.
+        # Only a resumed run can get here: it may close the interval
+        # without any SAT probe of its own; re-certify [R, R] so the
+        # model (and on_sat snapshot) belong to the optimum, exactly as
+        # in an uninterrupted run.
         try:
             sat, _ = run_probe(right, right, origin="recertify")
         except BudgetExpired:
@@ -549,15 +547,9 @@ def _search(solver, cost_var, lower, upper, on_sat, time_limit, budget,
             sync_checkpoint()
             return out
         if not sat:
-            if out.resumed:
-                raise CheckpointMismatch(
-                    "recorded state is inconsistent with the constraints: "
-                    f"checkpoint optimum {right} is not satisfiable"
-                )
-            raise ValueError(
+            raise CheckpointMismatch(
                 "recorded state is inconsistent with the constraints: "
-                f"optimum {right} from an audited bounds witness is not "
-                "satisfiable"
+                f"checkpoint optimum {right} is not satisfiable"
             )
         sync_checkpoint()
     out.seconds = time.perf_counter() - t0

@@ -21,7 +21,8 @@ Both backends execute the *same* algorithm in the *same* order, so
 trails, learnt clauses, VSIDS activities and DRUP proof logs are
 bit-identical (asserted by ``tests/test_sat_backends.py``).
 
-Selection:
+The setting, the library loading and the fallback rule are those of
+all three compiled cores (:mod:`repro.native`):
 
 - ``REPRO_SAT_BACKEND`` environment variable (``auto`` | ``pure`` |
   ``fast``), read per :class:`~repro.sat.solver.Solver` construction, so
@@ -31,12 +32,21 @@ Selection:
 - ``Solver(backend=...)`` for explicit per-instance control.
 
 ``auto`` (the default) means: ``fast`` when it can be built, else
-``pure``.
+``pure``.  This module re-exports the setting for its callers.
 """
 
 from __future__ import annotations
 
-import os
+from repro.native import (
+    BACKEND_ENV,
+    default_backend_name,
+    library_status,
+    load_library,
+    pick,
+    set_default_backend,
+)
+from repro.sat.core.fast import SAT_CORE, FastBackend
+from repro.sat.core.pure import PureBackend
 
 __all__ = [
     "get_backend",
@@ -47,83 +57,17 @@ __all__ = [
     "BACKEND_ENV",
 ]
 
-BACKEND_ENV = "REPRO_SAT_BACKEND"
-_VALID = ("auto", "pure", "fast")
-
-#: Process-level default; ``None`` defers to the environment variable.
-_default: str | None = None
-
-_pure = None          # singleton PureBackend
-_fast = None          # singleton FastBackend or False (tried, unavailable)
-_fast_reason = ""     # why the fast backend is unavailable, if it is
-
-
-def _pure_backend():
-    global _pure
-    if _pure is None:
-        from repro.sat.core.pure import PureBackend
-
-        _pure = PureBackend()
-    return _pure
-
-
-def _fast_backend():
-    """The compiled backend, or ``None`` (with the reason recorded)."""
-    global _fast, _fast_reason
-    if _fast is None:
-        try:
-            from repro.sat.core.fast import load_fast_backend
-
-            backend, reason = load_fast_backend()
-        except Exception as exc:  # defensive: never break solver import
-            backend, reason = None, f"fast backend loader failed: {exc}"
-        _fast = backend if backend is not None else False
-        _fast_reason = reason or ""
-    return _fast if _fast is not False else None
-
-
-def set_default_backend(name: str | None) -> None:
-    """Set the process-wide default backend (``None`` resets to env)."""
-    global _default
-    if name is not None and name not in _VALID:
-        raise ValueError(
-            f"unknown SAT backend {name!r} (choose from {', '.join(_VALID)})"
-        )
-    _default = name
-
-
-def default_backend_name() -> str:
-    """The currently requested backend name (before resolution)."""
-    if _default is not None:
-        return _default
-    env = os.environ.get(BACKEND_ENV, "auto").strip().lower()
-    return env if env in _VALID else "auto"
-
 
 def get_backend(name: str | None = None):
     """Resolve a backend by name (``None`` uses the process default).
 
-    ``fast`` falls back to ``pure`` when the compiled core cannot be
-    built; the fallback is visible through the returned backend's
-    ``name`` / ``fallback_reason`` attributes and ``backend_status()``.
+    ``auto`` and ``fast`` fall back to ``pure`` when the compiled core
+    cannot be built; the fallback is visible through the returned
+    backend's ``name`` / ``fallback_reason`` attributes and
+    ``backend_status()``.
     """
-    requested = name if name is not None else default_backend_name()
-    if requested not in _VALID:
-        raise ValueError(
-            f"unknown SAT backend {requested!r} "
-            f"(choose from {', '.join(_VALID)})"
-        )
-    if requested in ("auto", "fast"):
-        fast = _fast_backend()
-        if fast is not None:
-            return fast
-        if requested == "fast":
-            # Explicit request: honor it with the reference core but
-            # record why the compiled one is missing.
-            pure = _pure_backend()
-            pure.fallback_reason = _fast_reason
-            return pure
-    return _pure_backend()
+    lib, path, reason = pick(SAT_CORE, name)
+    return FastBackend(lib, path) if lib is not None else PureBackend(reason)
 
 
 def probe_fast_backend() -> tuple[bool, str | None]:
@@ -140,8 +84,9 @@ def probe_fast_backend() -> tuple[bool, str | None]:
     Returns ``(ok, reason)``; any exception or wrong answer is a
     failure with the reason recorded, never a raise.
     """
-    if _fast_backend() is None:
-        return False, _fast_reason or "fast backend unavailable"
+    lib, _, reason = load_library(SAT_CORE)
+    if lib is None:
+        return False, reason
     try:
         from repro.sat.literals import mklit
         from repro.sat.solver import Solver
@@ -164,14 +109,15 @@ def probe_fast_backend() -> tuple[bool, str | None]:
 
 
 def backend_status() -> dict:
-    """Availability report (used by ``--stats``, docs and tests)."""
-    fast = _fast_backend()
+    """Availability report (used by ``--stats``, docs and tests): the
+    setting, and the library of each compiled core."""
+    from repro.arith.blastcore import BLAST_CORE
+    from repro.certify.rupcore import RUP_CORE
+
     return {
         "default": default_backend_name(),
         "pure": {"available": True},
-        "fast": {
-            "available": fast is not None,
-            "reason": _fast_reason or None,
-            "library": getattr(fast, "library_path", None),
-        },
+        "fast": library_status(SAT_CORE),
+        "checker": library_status(RUP_CORE),
+        "blaster": library_status(BLAST_CORE),
     }

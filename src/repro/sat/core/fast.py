@@ -3,9 +3,8 @@
 The C file is a statement-by-statement translation of
 :mod:`repro.sat.core.pure` (see the banner there), compiled once per
 hash of source and compiler flags with the host C compiler into a shared
-library cached under the system temp directory
-(:func:`repro.native.build_library`, shared with the RUP checker's
-compiled core).  It operates directly on
+library cached under the system temp directory (by :mod:`repro.native`,
+the loader of all three compiled cores).  It operates directly on
 the solver's ``array`` buffers through raw addresses — zero copies, zero
 conversion.
 
@@ -24,22 +23,20 @@ clause batch.  Conflict analysis writes into
 solver-owned scratch buffers (``Solver._learnt_buf`` and friends, one
 slot per variable), so no conflict allocates one.
 
-Everything degrades gracefully: no compiler, a failed compile, an
-unexpected ABI or a library missing an export all surface as
-``(None, reason)`` from :func:`load_fast_backend` and the registry falls
-back to the pure backend (see :mod:`repro.sat.core`).
+The library is built, loaded and bound by :func:`repro.native.pick`
+from :data:`SAT_CORE`, the symbol table below; without it the registry
+falls back to the pure backend (see :mod:`repro.sat.core`).
 """
 
 from __future__ import annotations
 
-import ctypes
 from array import array
 from operator import attrgetter
 from pathlib import Path
 
-from repro.native import build_library
+from repro.native import NativeCore
 
-__all__ = ["FastBackend", "load_fast_backend"]
+__all__ = ["FastBackend", "SAT_CORE"]
 
 #: The arrays whose addresses every call passes, in the order of
 #: ``core_open`` in ``_core.c``.
@@ -61,9 +58,15 @@ _SEARCH_IO = ("resume", "aux", "restart_conflicts", "restart_limit",
 _search_fields = attrgetter(*_SEARCH_IO)
 _IO_PREFIX = 10  # slots of the shared io prefix (IO_PREFIX in _core.c)
 
-#: Every function the library must export.
-_SYMBOLS = ("sat_propagate", "sat_unwind", "sat_load_clauses",
-            "sat_search", "sat_snapshot")
+_STEP = ("ptr", "ptr", "ptr")
+#: The library: every function it must export, typed.
+SAT_CORE = NativeCore("SAT backend", Path(__file__).with_name("_core.c"), {
+    "sat_propagate": ("int", *_STEP),
+    "sat_unwind": ("void", *_STEP),
+    "sat_load_clauses": ("int", *_STEP),
+    "sat_search": ("int", *_STEP),
+    "sat_snapshot": ("i64", "ptr", "ptr", "ptr", "i64", "ptr", "i64", "ptr"),
+})
 
 
 def _io(s, ncla: int, *extra: int) -> array:
@@ -76,25 +79,15 @@ class FastBackend:
     """Search core running the compiled ``_core.c`` loops."""
 
     name = "fast"
-    compiled = True
+    fallback_reason = None
 
-    def __init__(self, lib: ctypes.CDLL, library_path: str):
-        for name in _SYMBOLS[:4]:
-            fn = getattr(lib, name)
-            fn.restype = None if name == "sat_unwind" else ctypes.c_int
-            fn.argtypes = [ctypes.c_void_p] * 3
+    def __init__(self, lib, library_path: str):
         self._propagate = lib.sat_propagate
         self._unwind = lib.sat_unwind
         self._load = lib.sat_load_clauses
         self._search = lib.sat_search
-        snap = lib.sat_snapshot
-        snap.restype = ctypes.c_int64
-        snap.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                         ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                         ctypes.c_void_p]
-        self._snapshot = snap
+        self._snapshot = lib.sat_snapshot
         self.library_path = library_path
-        self.fallback_reason = None
 
     @staticmethod
     def _call(fn, s, io: array, *dio_extra: float) -> int:
@@ -166,17 +159,3 @@ class FastBackend:
         del out[n:]
         return out
 
-
-def load_fast_backend() -> tuple[FastBackend | None, str | None]:
-    """Build (or reuse) the compiled core. Returns (backend, None) on
-    success, (None, human-readable reason) otherwise."""
-    path, reason = build_library(Path(__file__).with_name("_core.c"))
-    if path is None:
-        return None, reason
-    try:
-        lib = ctypes.CDLL(path)
-        for name in _SYMBOLS:
-            getattr(lib, name)
-    except (OSError, AttributeError) as exc:
-        return None, f"failed to load compiled core: {exc}"
-    return FastBackend(lib, path), None

@@ -794,13 +794,12 @@ class PureBackend:
     """Always-available reference backend."""
 
     name = "pure"
-    compiled = False
     library_path = None
 
-    def __init__(self) -> None:
-        #: Set when this backend serves an explicit ``fast`` request
+    def __init__(self, fallback_reason: str | None = None) -> None:
+        #: Set when this backend serves an ``auto`` or ``fast`` request
         #: because the compiled core is unavailable.
-        self.fallback_reason: str | None = None
+        self.fallback_reason = fallback_reason
 
     def propagate(self, solver) -> int:
         return propagate(solver)

@@ -12,9 +12,10 @@ forever after a transient problem.  Classic circuit breaker:
   consecutive-failure counter; any success resets it.
 - **open** (tripped): after ``threshold`` consecutive failures on the
   ``fast`` core, the breaker flips the *process default* to ``pure``
-  (:func:`repro.sat.core.set_default_backend`) so every subsequent
-  solve uses the reference core, and records the reason.  In-flight
-  solves are untouched -- backend choice is per-``Solver``-instance.
+  (:func:`repro.native.set_default_backend`) so every subsequent
+  solve runs its SAT engine, proof checker and bit-blaster on the
+  reference cores, and records the reason.  In-flight solves are
+  untouched -- the setting is read when each core is built.
 - **half-open** (probing): after ``cooldown`` seconds, the next
   :meth:`maybe_probe` runs :func:`repro.sat.core.probe_fast_backend`
   -- a tiny CNF solved end-to-end on an explicit ``fast``-backend
@@ -86,7 +87,7 @@ class BackendBreaker:
         cannot route around.  Returns True when this failure tripped
         the breaker open.
         """
-        from repro.sat.core import default_backend_name, set_default_backend
+        from repro.native import default_backend_name, set_default_backend
 
         with self._lock:
             if backend != "fast" or self.state == "open":
@@ -115,7 +116,7 @@ class BackendBreaker:
         Called between solves from worker threads; cheap when closed or
         still cooling down.
         """
-        from repro.sat.core import set_default_backend
+        from repro.native import set_default_backend
 
         with self._lock:
             if self.state != "open":

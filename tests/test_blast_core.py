@@ -14,34 +14,32 @@
    run on each library by name (their subclasses there, built on
    :class:`OnLibrary`).
 3. **Which library runs.**  The fast leg of CI's tier-1 matrix
-   (``REPRO_SAT_BACKEND=fast``) blasts on the compiled core; importing
-   ``repro`` and starting a server loads no library; without a compiler
-   every encode runs on the reference, with the same database.
+   (``REPRO_SAT_BACKEND=fast``) blasts on the compiled core; ``pb_mode``
+   always blasts on the reference.  The fallback rule shared with the
+   SAT and checker cores is tested in ``tests/test_native.py``.
 
 ``--hypothesis-profile=deep`` runs the differential ten times deeper
 (CI's ``encode-split`` job).
 """
 
 import os
-import subprocess
-import sys
-import textwrap
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.sat.core as core_mod
+import repro.native as native
 from repro.arith import IntSolver
-from repro.arith import blastcore
 from repro.arith.ast import And, BoolVar, IntConst, IntVar, Not, Or
 from repro.arith.bitblast import Blaster
-from repro.arith.blastcore import CompiledBlaster, blast_core_status
+from repro.arith.blastcore import CompiledBlaster
+from repro.sat.core import backend_status
+
+BLAST_STATUS = backend_status()["blaster"]
 
 needs_compiled = pytest.mark.skipif(
-    not blast_core_status()["available"],
-    reason=f"compiled blast core unavailable: "
-           f"{blast_core_status()['reason']}",
+    not BLAST_STATUS["available"],
+    reason=f"compiled blast core unavailable: {BLAST_STATUS['reason']}",
 )
 
 
@@ -53,17 +51,17 @@ class OnLibrary:
 
     @pytest.fixture(autouse=True)
     def _on_library(self):
-        if self.library == "fast" and not blast_core_status()["available"]:
+        if self.library == "fast" and not BLAST_STATUS["available"]:
             pytest.skip("compiled blast core unavailable")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core_mod, "_default", self.library)
+            mp.setattr(native, "_default", self.library)
             assert IntSolver().blaster.library == self.library
             yield
 
 
 def _solver(library: str, **kw) -> IntSolver:
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core_mod, "_default", library)
+        mp.setattr(native, "_default", library)
         s = IntSolver(**kw)
     assert s.blaster.library == library
     return s
@@ -326,7 +324,7 @@ class TestLibrarySelection:
         from repro.core import Allocator
         from tests.test_encode_regression import _digest_system
 
-        assert blast_core_status()["available"], blast_core_status()
+        assert BLAST_STATUS["available"], BLAST_STATUS
         tasks, arch, objective = _digest_system("ring5-t10")
         enc, *_ = Allocator(tasks, arch)._encode(objective)
         assert enc.solver.blaster.library == "fast"
@@ -338,52 +336,6 @@ class TestLibrarySelection:
         pb = _solver("pure", pb_mode=True).blaster
         assert type(pb) is Blaster and pb.fallback_reason is None
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core_mod, "_default", "fast")
+            mp.setattr(native, "_default", "fast")
             pb = IntSolver(pb_mode=True).blaster
         assert type(pb) is Blaster and "pb_mode" in pb.fallback_reason
-
-    def test_import_and_server_start_load_no_library(self, tmp_path):
-        code = textwrap.dedent(f"""
-            import asyncio, sys
-            import repro
-            from repro.serve import AllocationServer, ServeConfig
-            async def main():
-                server = AllocationServer(ServeConfig(
-                    state_dir={str(tmp_path / "state")!r}, workers=1))
-                await server.start()
-                await server.stop()
-            asyncio.run(main())
-            from repro.arith import blastcore
-            assert blastcore._lib is None, blastcore._lib
-            print("ok")
-        """)
-        env = dict(os.environ, PYTHONPATH=os.path.join(
-            os.path.dirname(os.path.dirname(__file__)), "src"))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0 and "ok" in proc.stdout, proc.stderr
-
-    def test_no_compiler_runs_every_encode_on_the_reference(
-            self, monkeypatch):
-        import repro.native as native
-        from repro.core import Allocator
-        from tests.test_encode_regression import (
-            ENCODING_DIGESTS, _db_digest, _digest_system)
-
-        monkeypatch.setattr(native, "find_compiler", lambda: None)
-        for name in ("_lib", "_lib_path"):
-            monkeypatch.setattr(blastcore, name, None)
-        monkeypatch.setattr(blastcore, "_lib_reason", "")
-        for lib in ("auto", "fast"):
-            monkeypatch.setattr(core_mod, "_default", lib)
-            s = IntSolver()
-            assert s.blaster.library == "pure"
-            assert "no C compiler" in s.blaster.fallback_reason
-            tasks, arch, objective = _digest_system("ring5-t10")
-            enc, *_ = Allocator(tasks, arch)._encode(objective)
-            assert enc.solver.blaster.library == "pure"
-            assert (_db_digest(enc.solver.sat)
-                    == ENCODING_DIGESTS["ring5-t10"])
-        status = blast_core_status()
-        assert not status["available"]
-        assert "no C compiler" in status["reason"]

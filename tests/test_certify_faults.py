@@ -24,9 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.certify import ProofError, RupChecker, audit_witness
-from repro.certify.rupcore import rup_core_status
 from repro.robust import PROOF_CORRUPTIONS, corrupt_allocation, corrupt_proof_line
 from repro.sat import Solver, mklit, neg
+from repro.sat.core import backend_status
 from repro.sat.reference import brute_force_sat
 
 
@@ -63,9 +63,10 @@ PHP_LINES = php_proof().to_lines()
 PB_LINES = pb_proof().to_lines()
 
 #: Skip marker for the compiled-core variants of the checker tests.
+CHECKER_STATUS = backend_status()["checker"]
 needs_compiled = pytest.mark.skipif(
-    not rup_core_status()["available"],
-    reason=f"compiled RUP core unavailable: {rup_core_status()['reason']}",
+    not CHECKER_STATUS["available"],
+    reason=f"compiled RUP core unavailable: {CHECKER_STATUS['reason']}",
 )
 
 

@@ -192,37 +192,44 @@ SEARCH_DIGEST = (
 SEARCH_CONFLICTS = 1085
 
 
+def sweep_cell_search() -> tuple:
+    """One full binary search of the pinned sweep cell on the backends
+    the setting picks: (optimum, proven, conflicts, digest, SAT core,
+    blast library)."""
+    from repro.core import Allocator
+    from repro.core.objectives import objective_from_spec
+    from repro.core.optimize import bin_search
+    from repro.workloads import random_taskset, ring_architecture
+
+    arch = ring_architecture(3)
+    tasks = random_taskset(arch, 6, total_util=0.6, seed=1)
+    enc, cost_var, lo, hi, _ = Allocator(tasks, arch)._encode(
+        objective_from_spec("sum_resp"))
+    sat = enc.solver.sat
+    h = hashlib.sha256()
+
+    def hook(learnt, bt):
+        h.update(repr((list(learnt), bt)).encode())
+
+    sat.learn_hook = hook
+    outcome = bin_search(enc.solver, cost_var, lo, hi)
+    h.update(sat.activity.tobytes())
+    return (outcome.optimum, outcome.proven, sat.stats.conflicts,
+            h.hexdigest(), sat.core.name, enc.solver.blaster.library)
+
+
 class TestSearchIdentity:
     @pytest.mark.parametrize("backend", ["pure", "fast"])
     def test_sweep_cell_search_is_pinned(self, backend, monkeypatch):
+        import repro.native as native
         import repro.sat.core as core_mod
-        from repro.core import Allocator
-        from repro.core.objectives import objective_from_spec
-        from repro.core.optimize import bin_search
-        from repro.workloads import random_taskset, ring_architecture
 
         if backend == "fast" and not core_mod.backend_status()["fast"][
                 "available"]:
             pytest.skip("compiled backend unavailable")
-        monkeypatch.setattr(core_mod, "_default", backend)
-        arch = ring_architecture(3)
-        tasks = random_taskset(arch, 6, total_util=0.6, seed=1)
-        enc, cost_var, lo, hi, _ = Allocator(tasks, arch)._encode(
-            objective_from_spec("sum_resp"))
-        sat = enc.solver.sat
-        assert sat.core.name == backend
-        assert enc.solver.blaster.library == backend
-        h = hashlib.sha256()
-
-        def hook(learnt, bt):
-            h.update(repr((list(learnt), bt)).encode())
-
-        sat.learn_hook = hook
-        outcome = bin_search(enc.solver, cost_var, lo, hi)
-        h.update(sat.activity.tobytes())
-        assert outcome.optimum == 246 and outcome.proven
-        assert sat.stats.conflicts == SEARCH_CONFLICTS
-        assert h.hexdigest() == SEARCH_DIGEST
+        monkeypatch.setattr(native, "_default", backend)
+        assert sweep_cell_search() == (
+            246, True, SEARCH_CONFLICTS, SEARCH_DIGEST, backend, backend)
 
 
 # SHA-256 of the provenance tag map (``Solver.cla_tag``: clause id ->

@@ -170,9 +170,7 @@ def test_rebuild_honours_bounds_checkpoint_and_certify(tmp_path):
     assert (res.cost, res.proven, res.certified) == (160, True, True)
     assert ck.exists()
     assert res.outcome.bounds["providers"][0]["provider"] == "relaxation"
-    assert [p.origin for p in res.outcome.probes] == [
-        "bounds:confirm", "recertify",
-    ]
+    assert [p.origin for p in res.outcome.probes] == ["bounds:confirm"]
     again = Allocator(tasks, arch).minimize(request=request)
     assert again.outcome.resumed
     assert (again.cost, again.proven, again.certified) == (160, True, True)

@@ -191,16 +191,6 @@ class TestBinSearchResume:
         with pytest.raises(CheckpointMismatch, match="inconsistent"):
             bin_search(s, x, 0, 1023, checkpoint=ck)
 
-    def test_refuted_bounds_witness_stays_an_internal_error(self):
-        # The same refutation of an optimum taken from audited bounds is
-        # the program's fault, not a caller's checkpoint.
-        from repro.core.optimize import ResolvedBounds
-
-        s, x = _solver()
-        with pytest.raises(ValueError, match="audited bounds witness") as exc:
-            bin_search(s, x, 0, 1023, bounds=ResolvedBounds(lower=5, upper=5))
-        assert not isinstance(exc.value, CheckpointMismatch)
-
 
 class TestCheckpointMismatch:
     """A checkpoint recorded for another search is the caller's error:

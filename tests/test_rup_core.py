@@ -17,9 +17,10 @@ differ.  Covered here:
    CNF + PB formulas, and a model violating one input clause or one PB
    rejected on both cores.
 3. **Which core runs.**  The fast leg of CI's tier-1 matrix
-   (``REPRO_SAT_BACKEND=fast``) checks on the compiled core; without a C
+   (``REPRO_SAT_BACKEND=fast``) checks on the compiled core.  The
+   fallback rule shared with the SAT and blast cores (without a C
    compiler every certified path runs on the list core with the same
-   certificate.
+   certificate) is tested in ``tests/test_native.py``.
 """
 
 import os
@@ -30,9 +31,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.certify import ProofError, RupChecker
-from repro.certify import rupcore
 from repro.certify.certifier import ProbeCertifier, input_records
 from repro.sat import Solver, mklit
+from repro.sat.core import backend_status
 from tests.test_certify_faults import needs_compiled
 from tests.test_drup_incremental import ScratchOracle
 
@@ -328,8 +329,8 @@ class TestCoreSelection:
         reason="asserts what the fast leg of CI's tier-1 matrix runs",
     )
     def test_fast_leg_checks_on_the_compiled_core(self):
-        assert rupcore.rup_core_status()["available"], (
-            rupcore.rup_core_status())
+        status = backend_status()["checker"]
+        assert status["available"], status
         checker = RupChecker()
         assert checker.core_name == "fast"
         assert checker.fallback_reason is None
@@ -341,22 +342,3 @@ class TestCoreSelection:
         assert RupChecker("pure").core_name == "pure"
         with pytest.raises(ValueError, match="unknown checker core"):
             RupChecker("turbo")
-
-    def test_no_compiler_runs_every_certified_path_on_the_list_core(
-            self, monkeypatch):
-        import repro.native as native
-
-        want = _certified_tiny()
-        monkeypatch.setattr(native, "find_compiler", lambda: None)
-        for name in ("_lib", "_lib_path"):
-            monkeypatch.setattr(rupcore, name, None)
-        monkeypatch.setattr(rupcore, "_lib_reason", "")
-        for name in ("auto", "fast"):
-            checker = RupChecker(name)
-            assert checker.core_name == "pure"
-            assert "no C compiler" in checker.fallback_reason
-        status = rupcore.rup_core_status()
-        assert not status["available"] and "no C compiler" in status["reason"]
-        envelope, probes, cores = _certified_tiny()
-        assert set(cores) == {"pure"}
-        assert (envelope, probes) == want[:2]

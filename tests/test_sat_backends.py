@@ -11,8 +11,6 @@ which backend is "right".
 
 from __future__ import annotations
 
-import subprocess
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -450,7 +448,7 @@ class TestCrossings:
 
     @needs_fast
     def test_sweep_cell_search_calls_are_bounded(self, monkeypatch):
-        import repro.sat.core as core_mod
+        import repro.native as native
         from repro.core import Allocator
         from repro.core.objectives import objective_from_spec
         from repro.core.optimize import bin_search
@@ -463,7 +461,7 @@ class TestCrossings:
         from repro.workloads import random_taskset, ring_architecture
 
         # The sweep-ring cell u0.6-s1 (TestSearchIdentity's instance).
-        monkeypatch.setattr(core_mod, "_default", "fast")
+        monkeypatch.setattr(native, "_default", "fast")
         arch = ring_architecture(3)
         tasks = random_taskset(arch, 6, total_util=0.6, seed=1)
         enc, cost_var, lo, hi, _ = Allocator(tasks, arch)._encode(
@@ -507,51 +505,6 @@ class TestBackendSelection:
             assert Solver().stats.backend == "pure"
         finally:
             set_default_backend(None)
-
-    def test_fast_falls_back_to_pure_with_reason(self, monkeypatch):
-        """An explicit fast request with no compiled core must serve the
-        reference backend and record why."""
-        import repro.sat.core as core_mod
-
-        monkeypatch.setattr(core_mod, "_fast", False)
-        monkeypatch.setattr(core_mod, "_fast_reason", "no C compiler")
-        b = get_backend("fast")
-        assert b.name == "pure"
-        assert b.fallback_reason == "no C compiler"
-
-    @needs_fast
-    def test_library_missing_a_symbol_falls_back_with_reason(
-        self, monkeypatch, tmp_path
-    ):
-        """A library lacking one export is a recorded fallback, never an
-        AttributeError out of the backend constructor."""
-        import repro.sat.core as core_mod
-        from repro.native import find_compiler
-        from repro.sat.core import fast
-
-        src = tmp_path / "partial.c"
-        src.write_text("".join(
-            f"int {name}(void) {{ return 0; }}\n"
-            for name in fast._SYMBOLS if name != "sat_search"
-        ))
-        lib = tmp_path / "partial.so"
-        subprocess.run(
-            [find_compiler(), "-shared", "-fPIC", "-o", str(lib),
-             str(src)], check=True,
-        )
-        monkeypatch.setattr(fast, "build_library",
-                            lambda src: (str(lib), None))
-        backend, reason = fast.load_fast_backend()
-        assert backend is None
-        assert "sat_search" in reason
-        pure = core_mod._pure_backend()
-        monkeypatch.setattr(pure, "fallback_reason", pure.fallback_reason)
-        monkeypatch.setattr(core_mod, "_fast", None)
-        monkeypatch.setattr(core_mod, "_fast_reason", "")
-        b = get_backend("fast")
-        assert b.name == "pure"
-        assert "sat_search" in b.fallback_reason
-        assert "sat_search" in backend_status()["fast"]["reason"]
 
     @needs_fast
     def test_backend_status_reports_library(self):

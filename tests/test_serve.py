@@ -627,25 +627,33 @@ class TestWarmStarts:
             cold.cost, cold.proven, cold.status
         )
 
-    def test_certified_warm_witness_keeps_sat_audit(self):
+    def test_certified_warm_serves_the_audited_witness(self):
         from repro.bounds import HintBoundsProvider
         from repro.io import allocation_to_dict
 
         tasks, arch = feasible_system()
         req = SolveRequest(objective=MinimizeTRT("ring"))
         cold = solve(tasks, arch, req)
-        warm = solve(tasks, arch, req.merged(certify=True, bounds=(
-            HintBoundsProvider(
-                upper=cold.cost,
-                witness=allocation_to_dict(cold.allocation),
-            ),
-        )))
-        assert warm.cost == cold.cost and warm.proven
+        witness = allocation_to_dict(cold.allocation)
+        bounds = (HintBoundsProvider(upper=cold.cost, witness=witness),)
+        plain = solve(tasks, arch, req.merged(bounds=bounds))
+        warm = solve(tasks, arch, req.merged(certify=True, bounds=bounds))
+        assert (warm.cost, warm.proven, warm.status) == (
+            cold.cost, cold.proven, cold.status
+        )
+        # The served allocation is the witness resolve_bounds audited
+        # (feasibility plus independent cost), and that audit is the
+        # certificate's upper-side bounds entry.
+        assert allocation_to_dict(warm.allocation) == witness
         cert = warm.certificate
         assert cert is not None and cert.all_verified
-        # The certificate must audit the served model, not just the
-        # UNSAT fence: a certified run keeps the [R, R] probe.
-        assert any(p.kind == "sat" for p in cert.probes)
+        (upper,) = [p for p in cert.probes
+                    if p.kind == "bounds" and " upper: " in p.detail]
+        assert upper.ok and f"independent cost {cold.cost}" in upper.detail
+        # Certifying adds no probe: no [R, R] re-audit of the witness.
+        origins = [p.origin for p in warm.result.outcome.probes]
+        assert origins == [p.origin for p in plain.result.outcome.probes]
+        assert "recertify" not in origins
 
     def test_warm_kwargs_removed_with_migration_hint(self):
         # The deprecated warm kwargs are gone: constructing a request
